@@ -1,4 +1,4 @@
-"""Scenario-typed assemblage containers, validators, and quantum realisations.
+"""The scenario table, assemblage containers, validators, and quantum realisations.
 
 Index conventions, used consistently across the package and the JSON schemas:
 measurement settings are 1-based (``x``, ``w``, ``z`` in ``1..n``), outcomes
@@ -13,7 +13,9 @@ extracted by trace, never stored.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -55,86 +57,218 @@ class ValidationReport:
         return out
 
 
-def _freeze_elements(elements: dict) -> dict:
-    return {key: la.hermitian(m) for key, m in elements.items()}
-
-
-@dataclass(frozen=True)
-class StandardAssemblage:
-    """Subnormalised conditional states sigma_{c|w} of a standard EPR scenario."""
-
-    elements: dict
-    n_outcomes: int = 2
-    n_settings: int = 3
-    scenario: str = field(default="standard", init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", _freeze_elements(self.elements))
-
-    def keys(self):
-        return itertools.product(range(self.n_outcomes), range(1, self.n_settings + 1))
-
-
-@dataclass(frozen=True)
-class BwIAssemblage:
-    """Elements sigma_{a|xy} of a Bob-with-input scenario, keyed (a, x, y)."""
-
-    elements: dict
-    n_a: int = 2
-    n_x: int = 3
-    n_y: int = 2
-    scenario: str = field(default="bwi", init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", _freeze_elements(self.elements))
-
-    def keys(self):
-        return itertools.product(range(self.n_a), range(1, self.n_x + 1), range(self.n_y))
-
-    @property
-    def dim(self) -> int:
-        return next(iter(self.elements.values())).shape[0]
-
-
-@dataclass(frozen=True)
-class MDIAssemblage:
-    """Choi operators J(N_{ab|x}) on the Choi-input factor, keyed (a, b, x)."""
-
-    elements: dict
-    n_a: int = 2
-    n_b: int = 2
-    n_x: int = 3
-    scenario: str = field(default="mdi", init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", _freeze_elements(self.elements))
-
-    def keys(self):
-        return itertools.product(range(self.n_a), range(self.n_b), range(1, self.n_x + 1))
-
-
-@dataclass(frozen=True)
-class ChannelAssemblage:
-    """Choi operators J(I_{a|x}) on output (x) Choi-input factors, keyed (a, x)."""
-
-    elements: dict
-    n_a: int = 2
-    n_x: int = 3
-    scenario: str = field(default="channel", init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", _freeze_elements(self.elements))
-
-    def keys(self):
-        return itertools.product(range(self.n_a), range(1, self.n_x + 1))
-
-
 def _max_abs(m) -> float:
     return float(np.max(np.abs(m)))
 
 
 def _psd_residual(m) -> float:
     return max(0.0, -la.min_eigenvalue(m))
+
+
+def _standard_conditions(el, c_rng, w_rng):
+    totals = {w: sum(el[(c, w)] for c in c_rng) for w in w_rng}
+    ref = totals[1]
+    return [
+        ("reduced-state-setting-independent", max(_max_abs(t - ref) for t in totals.values())),
+        ("reduced-state-unit-trace", max(abs(np.trace(t) - 1) for t in totals.values())),
+    ]
+
+
+def _bwi_conditions(el, a_rng, x_rng, y_rng):
+    totals = {(x, y): sum(el[(a, x, y)] for a in a_rng) for x in x_rng for y in y_rng}
+    return [
+        ("normalisation",
+         max(abs(sum(np.trace(el[(a, x, y)]) for a in a_rng) - 1)
+             for x in x_rng for y in y_rng)),
+        ("alice-marginal-bob-input-independent",
+         max(abs(np.trace(el[(a, x, y)]) - np.trace(el[(a, x, 0)]))
+             for a in a_rng for x in x_rng for y in y_rng)),
+        ("bob-state-alice-setting-independent",
+         max(_max_abs(totals[(x, y)] - totals[(1, y)]) for x in x_rng for y in y_rng)),
+    ]
+
+
+def _alice_probabilities_valid(p, a_rng, x_rng) -> float:
+    return max(max(abs(sum(p[(a, x)] for a in a_rng) - 1) for x in x_rng),
+               max(max(0.0, -p[(a, x)]) for a in a_rng for x in x_rng))
+
+
+def _mdi_conditions(el, a_rng, b_rng, x_rng):
+    dim = next(iter(el.values())).shape[0]
+    eye = np.eye(dim)
+    p = {(a, x): float(np.real(sum(np.trace(el[(a, b, x)]) for b in b_rng)))
+         for a in a_rng for x in x_rng}
+    totals = {(b, x): sum(el[(a, b, x)] for a in a_rng) for b in b_rng for x in x_rng}
+    return [
+        ("alice-marginal-maximally-mixed",
+         max(_max_abs(sum(el[(a, b, x)] for b in b_rng) - p[(a, x)] * eye / dim)
+             for a in a_rng for x in x_rng)),
+        ("alice-probabilities-valid", _alice_probabilities_valid(p, a_rng, x_rng)),
+        ("bob-channel-alice-setting-independent",
+         max(_max_abs(totals[(b, x)] - totals[(b, 1)]) for b in b_rng for x in x_rng)),
+    ]
+
+
+def _channel_conditions(el, a_rng, x_rng):
+    in_dim = 2
+    out_dim = next(iter(el.values())).shape[0] // in_dim
+    p = {(a, x): float(np.real(np.trace(el[(a, x)]))) for a in a_rng for x in x_rng}
+    totals = {x: sum(el[(a, x)] for a in a_rng) for x in x_rng}
+    return [
+        ("discarded-output-is-alice-marginal",
+         max(_max_abs(la.partial_trace(el[(a, x)], [out_dim, in_dim], 0)
+                      - p[(a, x)] * np.eye(in_dim) / in_dim)
+             for a in a_rng for x in x_rng)),
+        ("alice-probabilities-valid", _alice_probabilities_valid(p, a_rng, x_rng)),
+        ("bob-channel-alice-setting-independent",
+         max(_max_abs(totals[x] - totals[1]) for x in x_rng)),
+    ]
+
+
+def _sample_bwi(rng, state, povms, sizes, db):
+    channels = {y: la.random_channel(rng, db, db) for y in range(sizes["y"])}
+    qr = QuantumRealisation("bwi", state, povms, channels=channels)
+    return realize_bwi(qr), qr
+
+
+def _sample_mdi(rng, state, povms, sizes, db):
+    # Random joint measurement on B (x) B_in, split into outcome branches.
+    d = 2 * db
+    u = la.random_unitary(rng, d)
+    cuts = sorted(rng.choice(np.arange(1, d), size=sizes["b"] - 1, replace=False))
+    instrument = {
+        b: la.KrausMap(d, 1, tuple(u[:, i].conj().reshape(1, d) for i in block),
+                       trace_preserving=False)
+        for b, block in enumerate(np.split(np.arange(d), cuts))
+    }
+    qr = QuantumRealisation("mdi", state, povms, instrument=instrument)
+    return realize_mdi(qr), qr
+
+
+def _sample_channel(rng, state, povms, sizes, db):
+    qr = QuantumRealisation("channel", state, povms, channel=la.random_channel(rng, 2 * db, 2))
+    return realize_channel(qr), qr
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """What tells one scenario apart; everything else reads it generically.
+
+    Labels are single letters.  ``axes`` are the element-key labels in key
+    order and ``settings`` the 1-based ones among them.  ``layout`` is the
+    protocol slice key as written in JSON: letters are labels, ``0`` is Bob's
+    fixed outcome and ``*`` his protocol setting; it is empty when the
+    scenario has no protocol.  ``resources`` holds the (outcome, setting)
+    labels that read out each tensor factor of a functional operator, in
+    factor order.  ``conditions(elements, *label_ranges)`` gives the
+    no-signalling residuals after ``elements-psd`` as (name, residual)
+    pairs; ``sample(rng, state, povms, sizes, db)`` draws Bob's processing
+    for a Bob system of dimension ``db`` and realises the assemblage.
+    """
+
+    axes: str
+    settings: str
+    conditions: Callable
+    layout: str = ""
+    resources: tuple = ()
+    sample: Callable | None = None
+
+    @property
+    def default_sizes(self) -> dict:
+        return {axis: 3 if axis in self.settings else 2 for axis in self.axes}
+
+    @cached_property
+    def slice_axes(self) -> str:
+        """Slice key labels: the element axes, then the resource labels in layout order."""
+        return self.axes + "".join(ch for ch in self.layout if ch.isalpha() and ch not in self.axes)
+
+
+SPECS = {
+    "standard": Scenario("cw", "w", _standard_conditions),
+    "bwi": Scenario("axy", "x", _bwi_conditions, "a,0,c|x,y,*,w", ("cw",), _sample_bwi),
+    "mdi": Scenario("abx", "x", _mdi_conditions, "a,b,c|x,*,z", ("cz",), _sample_mdi),
+    # Factor 0 of a channel operator is Bob's output, read out by the second
+    # resource (d, u); factor 1 is the Choi input, read out by the first (c, w).
+    "channel": Scenario("ax", "x", _channel_conditions, "a,0,c,d|x,*,*,w,u", ("du", "cw"),
+                        _sample_channel),
+}
+
+
+def freeze_operators(operators: dict, n_axes: int) -> dict:
+    """Frozen Hermitian copies of non-empty same-shape operators keyed by ``n_axes`` labels."""
+    out = {key: la.hermitian(m) for key, m in operators.items()}
+    shapes = {m.shape for m in out.values()}
+    if len(shapes) != 1:
+        raise ValueError(f"expected operators of one common shape, got shapes {sorted(shapes)}")
+    wrong = [key for key in out if len(key) != n_axes]
+    if wrong:
+        raise ValueError(f"expected keys of {n_axes} labels, got {wrong[0]}")
+    return out
+
+
+@dataclass(frozen=True)
+class Assemblage:
+    """Elements of an assemblage, keyed by the axes of its scenario in ``SPECS``.
+
+    Each subclass is one scenario and adds one alphabet size ``n_<axis>`` per
+    axis, in axis order: ``BwIAssemblage(elements, n_a, n_x, n_y)``.
+    """
+
+    elements: dict
+    scenario: ClassVar[str] = ""
+
+    def __init_subclass__(cls, scenario: str, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.scenario = scenario
+        sizes = SPECS[scenario].default_sizes
+        cls.__annotations__ = {f"n_{axis}": int for axis in sizes}
+        for axis, size in sizes.items():
+            setattr(cls, f"n_{axis}", size)
+        dataclass(frozen=True)(cls)
+
+    def __post_init__(self):
+        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in self.sizes.values()):
+            raise ValueError(f"alphabet sizes must be positive integers, got {self.sizes}")
+        object.__setattr__(self, "elements", freeze_operators(self.elements, len(self.spec.axes)))
+
+    @property
+    def spec(self) -> Scenario:
+        return SPECS[self.scenario]
+
+    @property
+    def sizes(self) -> dict:
+        return {axis: getattr(self, f"n_{axis}") for axis in self.spec.axes}
+
+    def labels(self) -> list:
+        """The label range of each axis, in axis order."""
+        return [range(1, n + 1) if axis in self.spec.settings else range(n)
+                for axis, n in self.sizes.items()]
+
+    def keys(self):
+        return itertools.product(*self.labels())
+
+    @property
+    def dim(self) -> int:
+        return next(iter(self.elements.values())).shape[0]
+
+
+class StandardAssemblage(Assemblage, scenario="standard"):
+    """Subnormalised conditional states sigma_{c|w} of a standard EPR scenario."""
+
+
+class BwIAssemblage(Assemblage, scenario="bwi"):
+    """Elements sigma_{a|xy} of a Bob-with-input scenario, keyed (a, x, y)."""
+
+
+class MDIAssemblage(Assemblage, scenario="mdi"):
+    """Choi operators J(N_{ab|x}) on the Choi-input factor, keyed (a, b, x)."""
+
+
+class ChannelAssemblage(Assemblage, scenario="channel"):
+    """Choi operators J(I_{a|x}) on output (x) Choi-input factors, keyed (a, x)."""
+
+
+CONTAINERS = {cls.scenario: cls for cls in Assemblage.__subclasses__()}
 
 
 def validate(assemblage, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -148,86 +282,11 @@ def validate(assemblage, tol: float = DEFAULT_TOL) -> ValidationReport:
     if missing:
         errs = tuple(f"missing element {key}" for key in missing)
         return ValidationReport(assemblage.scenario, (), errs, tol)
-
     el = assemblage.elements
-    conds = []
-    if assemblage.scenario == "standard":
-        conds.append(ConditionResult(
-            "elements-psd", max(_psd_residual(m) for m in el.values())))
-        totals = {w: sum(el[(c, w)] for c in range(assemblage.n_outcomes))
-                  for w in range(1, assemblage.n_settings + 1)}
-        ref = totals[1]
-        conds.append(ConditionResult(
-            "reduced-state-setting-independent",
-            max(_max_abs(t - ref) for t in totals.values())))
-        conds.append(ConditionResult(
-            "reduced-state-unit-trace",
-            max(abs(np.trace(t) - 1) for t in totals.values())))
-    elif assemblage.scenario == "bwi":
-        a_rng = range(assemblage.n_a)
-        x_rng = range(1, assemblage.n_x + 1)
-        y_rng = range(assemblage.n_y)
-        conds.append(ConditionResult(
-            "elements-psd", max(_psd_residual(m) for m in el.values())))
-        conds.append(ConditionResult(
-            "normalisation",
-            max(abs(sum(np.trace(el[(a, x, y)]) for a in a_rng) - 1)
-                for x in x_rng for y in y_rng)))
-        conds.append(ConditionResult(
-            "alice-marginal-bob-input-independent",
-            max(abs(np.trace(el[(a, x, y)]) - np.trace(el[(a, x, 0)]))
-                for a in a_rng for x in x_rng for y in y_rng)))
-        totals = {(x, y): sum(el[(a, x, y)] for a in a_rng) for x in x_rng for y in y_rng}
-        conds.append(ConditionResult(
-            "bob-state-alice-setting-independent",
-            max(_max_abs(totals[(x, y)] - totals[(1, y)]) for x in x_rng for y in y_rng)))
-    elif assemblage.scenario == "mdi":
-        a_rng = range(assemblage.n_a)
-        b_rng = range(assemblage.n_b)
-        x_rng = range(1, assemblage.n_x + 1)
-        dim = next(iter(el.values())).shape[0]
-        eye = np.eye(dim)
-        conds.append(ConditionResult(
-            "elements-psd", max(_psd_residual(m) for m in el.values())))
-        p = {(a, x): float(np.real(sum(np.trace(el[(a, b, x)]) for b in b_rng)))
-             for a in a_rng for x in x_rng}
-        conds.append(ConditionResult(
-            "alice-marginal-maximally-mixed",
-            max(_max_abs(sum(el[(a, b, x)] for b in b_rng) - p[(a, x)] * eye / dim)
-                for a in a_rng for x in x_rng)))
-        conds.append(ConditionResult(
-            "alice-probabilities-valid",
-            max(max(abs(sum(p[(a, x)] for a in a_rng) - 1) for x in x_rng),
-                max(max(0.0, -p[(a, x)]) for a in a_rng for x in x_rng))))
-        totals = {(b, x): sum(el[(a, b, x)] for a in a_rng) for b in b_rng for x in x_rng}
-        conds.append(ConditionResult(
-            "bob-channel-alice-setting-independent",
-            max(_max_abs(totals[(b, x)] - totals[(b, 1)]) for b in b_rng for x in x_rng)))
-    elif assemblage.scenario == "channel":
-        a_rng = range(assemblage.n_a)
-        x_rng = range(1, assemblage.n_x + 1)
-        dim = next(iter(el.values())).shape[0]
-        in_dim = 2
-        out_dim = dim // in_dim
-        conds.append(ConditionResult(
-            "elements-psd", max(_psd_residual(m) for m in el.values())))
-        p = {(a, x): float(np.real(np.trace(el[(a, x)]))) for a in a_rng for x in x_rng}
-        conds.append(ConditionResult(
-            "discarded-output-is-alice-marginal",
-            max(_max_abs(la.partial_trace(el[(a, x)], [out_dim, in_dim], 0)
-                         - p[(a, x)] * np.eye(in_dim) / in_dim)
-                for a in a_rng for x in x_rng)))
-        conds.append(ConditionResult(
-            "alice-probabilities-valid",
-            max(max(abs(sum(p[(a, x)] for a in a_rng) - 1) for x in x_rng),
-                max(max(0.0, -p[(a, x)]) for a in a_rng for x in x_rng))))
-        totals = {x: sum(el[(a, x)] for a in a_rng) for x in x_rng}
-        conds.append(ConditionResult(
-            "bob-channel-alice-setting-independent",
-            max(_max_abs(totals[x] - totals[1]) for x in x_rng)))
-    else:
-        raise ValueError(f"unknown scenario {assemblage.scenario!r}")
-    return ValidationReport(assemblage.scenario, tuple(conds), (), tol)
+    conds = [("elements-psd", max(_psd_residual(m) for m in el.values()))]
+    conds += assemblage.spec.conditions(el, *assemblage.labels())
+    return ValidationReport(
+        assemblage.scenario, tuple(ConditionResult(*c) for c in conds), (), tol)
 
 
 STATE_TOL = 1e-10
@@ -264,7 +323,7 @@ class QuantumRealisation:
             for m in effects:
                 if la.min_eigenvalue(m) < -STATE_TOL:
                     raise ValueError(f"POVM effect for setting {x} is not PSD")
-        if self.scenario == "mdi" and self.instrument is not None:
+        if self.instrument is not None:
             total = sum(
                 sum(k.conj().T @ k for k in branch.kraus_ops)
                 for branch in self.instrument.values()
@@ -341,16 +400,7 @@ def realize_channel(qr: QuantumRealisation) -> ChannelAssemblage:
 
 def transpose_assemblage(assemblage):
     """Elementwise transpose; involutive and scenario preserving."""
-    transposed = {key: m.T for key, m in assemblage.elements.items()}
-    if assemblage.scenario == "standard":
-        return StandardAssemblage(transposed, assemblage.n_outcomes, assemblage.n_settings)
-    if assemblage.scenario == "bwi":
-        return BwIAssemblage(transposed, assemblage.n_a, assemblage.n_x, assemblage.n_y)
-    if assemblage.scenario == "mdi":
-        return MDIAssemblage(transposed, assemblage.n_a, assemblage.n_b, assemblage.n_x)
-    if assemblage.scenario == "channel":
-        return ChannelAssemblage(transposed, assemblage.n_a, assemblage.n_x)
-    raise ValueError(f"unknown scenario {assemblage.scenario!r}")
+    return replace(assemblage, elements={key: m.T for key, m in assemblage.elements.items()})
 
 
 def random_quantum(scenario: str, seed: int, alphabets: dict | None = None, n: int = 1):
@@ -359,46 +409,15 @@ def random_quantum(scenario: str, seed: int, alphabets: dict | None = None, n: i
     The state is a normalised Ginibre draw, Alice's POVMs are projective
     (random orthonormal basis, random rank split), and Bob's processing comes
     from random isometries with a dimension-2 environment.  ``n`` is the qubit
-    count of Bob's output system (Bob-with-input only).
+    count of Bob's system; Bob-with-input draws use it as the output system.
     """
+    spec = SPECS.get(scenario)
+    if spec is None or spec.sample is None:
+        raise ValueError(f"no random quantum assemblages for scenario {scenario!r}")
     rng = np.random.default_rng(seed)
-    alphabets = dict(alphabets or {})
-    if scenario == "bwi":
-        n_a = alphabets.get("a", 2)
-        n_x = alphabets.get("x", 3)
-        n_y = alphabets.get("y", 2)
-        db = 2**n
-        state = la.random_density(rng, 2 * db)
-        povms = {x: tuple(la.random_projective_povm(rng, 2, n_a))
-                 for x in range(1, n_x + 1)}
-        channels = {y: la.random_channel(rng, db, db) for y in range(n_y)}
-        qr = QuantumRealisation("bwi", state, povms, channels=channels)
-        return realize_bwi(qr), qr
-    if scenario == "mdi":
-        n_a = alphabets.get("a", 2)
-        n_b = alphabets.get("b", 2)
-        n_x = alphabets.get("x", 3)
-        state = la.random_density(rng, 4)
-        povms = {x: tuple(la.random_projective_povm(rng, 2, n_a))
-                 for x in range(1, n_x + 1)}
-        # Random joint measurement on B (x) B_in, split into outcome branches.
-        u = la.random_unitary(rng, 4)
-        cuts = sorted(rng.choice(np.arange(1, 4), size=n_b - 1, replace=False))
-        blocks = np.split(np.arange(4), cuts)
-        instrument = {
-            b: la.KrausMap(4, 1, tuple(u[:, i].conj().reshape(1, 4) for i in block),
-                           trace_preserving=False)
-            for b, block in enumerate(blocks)
-        }
-        qr = QuantumRealisation("mdi", state, povms, instrument=instrument)
-        return realize_mdi(qr), qr
-    if scenario == "channel":
-        n_a = alphabets.get("a", 2)
-        n_x = alphabets.get("x", 3)
-        state = la.random_density(rng, 4)
-        povms = {x: tuple(la.random_projective_povm(rng, 2, n_a))
-                 for x in range(1, n_x + 1)}
-        gamma = la.random_channel(rng, 4, 2)
-        qr = QuantumRealisation("channel", state, povms, channel=gamma)
-        return realize_channel(qr), qr
-    raise ValueError(f"unknown scenario {scenario!r}")
+    sizes = {**spec.default_sizes, **(alphabets or {})}
+    db = 2**n
+    state = la.random_density(rng, 2 * db)
+    povms = {x: tuple(la.random_projective_povm(rng, 2, sizes["a"]))
+             for x in range(1, sizes["x"] + 1)}
+    return spec.sample(rng, state, povms, sizes, db)

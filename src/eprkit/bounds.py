@@ -38,9 +38,6 @@ class DeterministicStrategy:
     response: dict
     operators: dict  # y -> sum_x F_{response[x], x, y}
 
-    def value(self) -> float:
-        return sum(la.min_eigenvalue(g) for g in self.operators.values())
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -57,11 +54,7 @@ class BoundReport:
 def _functional_grid(f: EPRFunctional):
     if f.scenario != "bwi":
         raise ValueError("bounds are implemented for Bob-with-input functionals")
-    keys = list(f.operators)
-    a_vals = sorted({k[0] for k in keys})
-    x_vals = sorted({k[1] for k in keys})
-    y_vals = sorted({k[2] for k in keys})
-    return a_vals, x_vals, y_vals
+    return f.labels()
 
 
 def classical_bound(f: EPRFunctional) -> BoundReport:
@@ -162,6 +155,8 @@ def seesaw_quantum(f: EPRFunctional, seed: int = 0, restarts: int = 10,
     The value sequence of each restart is monotone non-increasing; the report
     keeps the best restart and its realisation as a quantum-achievable witness.
     """
+    if restarts < 1:
+        raise ValueError(f"the seesaw needs at least one restart, got {restarts}")
     root = np.random.default_rng(seed)
     best_value = np.inf
     best_trace: tuple = ()

@@ -143,11 +143,6 @@ def selftest_observables() -> dict:
     return out
 
 
-def canonical_selftest_strategy():
-    """The resource assemblage and observables that reach the self-test maximum."""
-    return canonical_resource_assemblage(), selftest_observables()
-
-
 def canonical_selftest_marginal() -> dict:
     """p(b, c | z, w) of the canonical strategy; reaches I_E = 4 sqrt(3)."""
     observables = selftest_observables()

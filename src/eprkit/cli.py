@@ -1,9 +1,10 @@
 """Command-line interface: validation, evaluation, bounds, simulation, demo.
 
 Exit codes: 0 success, 1 domain failure (validation, guard, or assertion),
-2 I/O, parse, or schema failure.  Every command prints a JSON run report to
-stdout: command echo, sha256 digests of the inputs, numeric results,
-per-check pass/fail, the tolerances actually used, and wall-clock duration.
+2 I/O, parse, schema, or argument failure, with one JSON error line on
+stderr.  Every command prints a JSON run report to stdout: command echo,
+sha256 digests of the inputs, numeric results, per-check pass/fail, the
+tolerances actually used, and wall-clock duration.
 All randomness sits behind ``--seed`` (default 0).
 
 ``EPRKIT_TOL`` overrides the default validation residual tolerance 1e-9;
@@ -17,7 +18,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -26,13 +26,10 @@ import numpy as np
 
 from . import bounds as bd
 from . import catalog
-from . import linalg as la
 from . import protocol
 from . import serialize as ser
-from .assemblages import random_quantum, validate
-from .functionals import EPRFunctional, bell_from_epr, evaluate_bell, evaluate_epr
-
-DEFAULT_TOL = 1e-9
+from .assemblages import DEFAULT_TOL, SPECS, random_quantum, validate
+from .functionals import SCENARIOS, EPRFunctional, bell_from_epr, evaluate_bell, evaluate_epr
 
 
 class CliError(Exception):
@@ -56,20 +53,19 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _load_json(path: str) -> dict:
+def _load(loader, path: str, types=dict):
+    """``loader`` applied to the JSON document at ``path``; any failure is exit 2."""
     try:
-        return ser.load_path(path)
-    except FileNotFoundError as exc:
+        doc = ser.load_path(path)
+    except OSError as exc:
         raise CliError(2, f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CliError(2, f"{path} is not valid JSON: {exc}") from exc
-
-
-def _load(loader, path: str):
-    doc = _load_json(path)
+    if not isinstance(doc, types):
+        raise CliError(2, f"{path}: the top-level JSON value is a {type(doc).__name__}")
     try:
         return loader(doc)
-    except (ser.SchemaError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CliError(2, f"{path}: {exc}") from exc
 
 
@@ -114,23 +110,19 @@ def cmd_eval(args, argv) -> int:
     if args.assemblage:
         if not isinstance(functional, EPRFunctional):
             raise CliError(1, "assemblage evaluation needs an operator-form functional")
-        other = _load(ser.assemblage_from_json, args.assemblage)
+        evaluate, other = evaluate_epr, _load(ser.assemblage_from_json, args.assemblage)
         inputs["assemblage"] = args.assemblage
-        try:
-            value = evaluate_epr(functional, other)
-        except ValueError as exc:
-            raise CliError(1, str(exc)) from exc
     elif args.correlations:
         if isinstance(functional, EPRFunctional):
             functional = bell_from_epr(functional)
-        other = _load(ser.table_from_json, args.correlations)
+        evaluate, other = evaluate_bell, _load(ser.table_from_json, args.correlations)
         inputs["correlations"] = args.correlations
-        try:
-            value = evaluate_bell(functional, other)
-        except ValueError as exc:
-            raise CliError(1, str(exc)) from exc
     else:
         raise CliError(2, "pass --assemblage or --correlations")
+    try:
+        value = evaluate(functional, other)
+    except ValueError as exc:
+        raise CliError(1, str(exc)) from exc
     _emit(_report(
         argv, inputs, started,
         value=value,
@@ -145,6 +137,8 @@ def cmd_bound(args, argv) -> int:
     functional = _load(ser.functional_from_json, args.functional)
     if not isinstance(functional, EPRFunctional):
         raise CliError(1, "bounds take an operator-form functional")
+    if args.restarts < 1:
+        raise CliError(2, f"--restarts must be at least 1, got {args.restarts}")
     try:
         if args.kind == "classical":
             report = bd.classical_bound(functional)
@@ -178,12 +172,12 @@ def cmd_bound(args, argv) -> int:
     return 0
 
 
-def _load_measurement(source: str, dim: int) -> np.ndarray:
+def _load_measurement(source: str):
+    """The effect in a matrix JSON file, or None for the protocol's phi_plus."""
     if source == "phi-plus":
-        n = int(math.log2(dim)) // 2
-        return la.phi_plus(n)
-    doc = _load_json(source)
-    return ser.matrix_from_json(doc["matrix"] if isinstance(doc, dict) else doc)
+        return None
+    return _load(lambda doc: ser.matrix_from_json(doc["matrix"] if isinstance(doc, dict) else doc),
+                 source, (dict, list))
 
 
 def cmd_simulate(args, argv) -> int:
@@ -191,20 +185,9 @@ def cmd_simulate(args, argv) -> int:
     assemblage = _load(ser.assemblage_from_json, args.assemblage)
     if assemblage.scenario != args.scenario:
         raise CliError(1, f"assemblage is {assemblage.scenario!r}, not {args.scenario!r}")
+    measurement = _load_measurement(args.measurement)
     try:
-        if args.scenario == "bwi":
-            n = args.n or int(math.log2(assemblage.dim))
-            resource = protocol.make_resource(n, args.r)
-            measurement = _load_measurement(args.measurement, (2**n) ** 2)
-            table = protocol.simulate_bwi(assemblage, resource, measurement)
-        elif args.scenario == "mdi":
-            table = protocol.simulate_mdi(assemblage, protocol.make_resource(1, args.r))
-        elif args.scenario == "channel":
-            resource = protocol.make_resource(1, args.r)
-            measurement = _load_measurement(args.measurement, 4)
-            table = protocol.simulate_channel(assemblage, resource, resource, measurement)
-        else:
-            raise CliError(2, f"unknown scenario {args.scenario!r}")
+        table = protocol.simulate(assemblage, args.r, measurement, args.n)
     except ValueError as exc:
         raise CliError(1, str(exc)) from exc
     doc = ser.table_to_json(table)
@@ -229,21 +212,20 @@ def cmd_simulate(args, argv) -> int:
     return 0
 
 
-_SLICE_COLUMNS = {
-    "bwi": ("a", "x", "y", "c", "w"),
-    "mdi": ("a", "b", "x", "c", "z"),
-    "channel": ("a", "x", "c", "d", "w", "u"),
-}
+def _csv_text(scenario: str, value_name: str, rows) -> str:
+    """CSV of a slice-keyed table: one column per slice label, then the value."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow([*SPECS[scenario].slice_axes, value_name])
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _write_table_csv(table: protocol.CorrelationTable, path: str) -> None:
-    columns = _SLICE_COLUMNS[table.scenario]
+    rows = [[".".join(map(str, v)) if isinstance(v, tuple) else v for v in key] + [f"{p:.17g}"]
+            for key, p in sorted(table.slice.items())]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(columns) + ["p"])
-        for key, p in sorted(table.slice.items()):
-            writer.writerow([".".join(map(str, v)) if isinstance(v, tuple) else v
-                             for v in key] + [f"{p:.17g}"])
+        fh.write(_csv_text(table.scenario, "p", rows))
 
 
 def cmd_selftest(args, argv) -> int:
@@ -358,13 +340,8 @@ def cmd_dump(args, argv) -> int:
     if args.format == "csv":
         if doc.get("form") != "bell":
             raise CliError(2, "csv export is defined for coefficient tables")
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        columns = _SLICE_COLUMNS[doc["scenario"]]
-        writer.writerow(list(columns) + ["xi"])
-        for key, v in sorted(doc["coefficients"].items()):
-            writer.writerow(key.split(",") + [f"{v:.17g}"])
-        text = buf.getvalue()
+        rows = [key.split(",") + [f"{v:.17g}"] for key, v in sorted(doc["coefficients"].items())]
+        text = _csv_text(doc["scenario"], "xi", rows)
     else:
         text = ser.dumps(doc)
     if args.out:
@@ -382,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the no-signalling conditions of an assemblage")
     p.add_argument("path")
-    p.add_argument("--scenario", choices=["standard", "bwi", "mdi", "channel"])
+    p.add_argument("--scenario", choices=list(SPECS))
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("eval", help="evaluate a functional on an assemblage or correlations")
@@ -399,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("simulate", help="run an activation protocol")
-    p.add_argument("scenario", choices=["bwi", "mdi", "channel"])
+    p.add_argument("scenario", choices=list(SCENARIOS))
     p.add_argument("--assemblage", required=True)
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--measurement", default="phi-plus",
@@ -438,9 +415,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
-    except CliError as exc:
-        print(json.dumps({"error": str(exc), "exit_code": exc.code}), file=sys.stderr)
-        return exc.code
+    except (CliError, ValueError, OSError) as exc:
+        # A ValueError that reaches here is an out-of-range argument or a
+        # non-finite value in a report, an OSError a failed write: exit 2.
+        code = exc.code if isinstance(exc, CliError) else 2
+        print(json.dumps({"error": str(exc), "exit_code": code}), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

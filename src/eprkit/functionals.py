@@ -26,16 +26,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
+from .assemblages import SPECS, freeze_operators
 
-SCENARIOS = ("bwi", "mdi", "channel")
+# The scenarios with an activation protocol, i.e. a slice layout.
+SCENARIOS = tuple(name for name, spec in SPECS.items() if spec.layout)
 
 
 @dataclass(frozen=True)
 class EPRFunctional:
     """Hermitian operator coefficients of an EPR functional.
 
-    Operator keys per scenario: (a, x, y) for bwi, (a, b, x) for mdi,
-    (a, x) for channel (dim-4 operators on output (x) Choi-input factors).
+    Operator keys follow the scenario's axes: (a, x, y) for bwi, (a, b, x)
+    for mdi, (a, x) for channel (dim-4 operators on output (x) Choi-input
+    factors).  The keys must cover the full product of their labels per axis.
     ``bounds`` optionally carries known bound constants by name.
     """
 
@@ -46,9 +49,17 @@ class EPRFunctional:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        object.__setattr__(
-            self, "operators", {k: la.hermitian(m) for k, m in self.operators.items()}
-        )
+        n_axes = len(SPECS[self.scenario].axes)
+        object.__setattr__(self, "operators", freeze_operators(self.operators, n_axes))
+        missing = [key for key in itertools.product(*self.labels()) if key not in self.operators]
+        if missing:
+            raise ValueError(f"functional has no operator for {missing[0]}")
+        if not all(np.isfinite(v) for v in self.bounds.values()):
+            raise ValueError(f"bound constants must be finite, got {self.bounds}")
+
+    def labels(self) -> list:
+        """The sorted labels of each key axis."""
+        return [sorted(set(axis)) for axis in zip(*self.operators)]
 
     @property
     def dim(self) -> int:
@@ -105,6 +116,16 @@ def single_qubit_labels():
     return list(itertools.product((0, 1), (1, 2, 3)))
 
 
+def projector_strings(n: int):
+    """(key, labels) of each n-qubit projector string, ``labels`` one (c, w) per qubit.
+
+    Coefficient tables and resource elements key a string by (c, w) for one
+    qubit and by (c-tuple, w-tuple) for more.
+    """
+    for combo in itertools.product(single_qubit_labels(), repeat=n):
+        yield (combo[0] if n == 1 else tuple(zip(*combo))), combo
+
+
 def decompose(f: np.ndarray, n: int | None = None) -> dict:
     """Canonical projector-basis coefficients of a Hermitian operator.
 
@@ -118,9 +139,8 @@ def decompose(f: np.ndarray, n: int | None = None) -> dict:
     if 2**n != dim:
         raise ValueError(f"operator dimension {dim} is not 2**{n}")
     coeffs = _pauli_string_coefficients(f, n)
-    labels = single_qubit_labels()
     out = {}
-    for combo in itertools.product(labels, repeat=n):
+    for key, combo in projector_strings(n):
         total = 0.0
         for string, coef in coeffs.items():
             if coef == 0.0:
@@ -131,28 +151,17 @@ def decompose(f: np.ndarray, n: int | None = None) -> dict:
                 if prod == 0.0:
                     break
             total += prod
-        if n == 1:
-            out[combo[0]] = total
-        else:
-            out[(tuple(c for c, _ in combo), tuple(w for _, w in combo))] = total
+        out[key] = total
     return out
 
 
 def reconstruct(xi: dict, n: int = 1) -> np.ndarray:
     """Inverse of a coefficient table: sum of weighted projector strings."""
-    labels = single_qubit_labels()
     out = np.zeros((2**n, 2**n), dtype=complex)
-    for combo in itertools.product(labels, repeat=n):
-        if n == 1:
-            key = combo[0]
-            cs, ws = (combo[0][0],), (combo[0][1],)
-        else:
-            cs = tuple(c for c, _ in combo)
-            ws = tuple(w for _, w in combo)
-            key = (cs, ws)
+    for key, combo in projector_strings(n):
         if key not in xi:
             raise ValueError(f"missing coefficient label {key}")
-        out += xi[key] * la.proj_string(cs, ws)
+        out += xi[key] * la.proj_string(*zip(*combo))
     return out
 
 
@@ -183,34 +192,26 @@ def sparse_single_qubit_coefficients(f: np.ndarray) -> dict:
 def bell_from_epr(f: EPRFunctional) -> BellCoefficients:
     """Bell coefficient table of an EPR functional.
 
-    The table evaluates on protocol correlations to 1/4 of the functional
-    value for bwi and channel (4^-n for an n-qubit resource, since each
-    transposed resource element is half a projector) and exactly the
+    Each tensor factor of an operator is read out by one resource of the
+    scenario's protocol; a Bob-with-input resource spans every factor of its
+    operators.  The table evaluates on protocol correlations to 1/4 of the
+    functional value for bwi and channel (4^-n for an n-qubit resource, since
+    each transposed resource element is half a projector) and exactly the
     functional value for mdi.
     """
-    if f.scenario == "bwi":
-        n = int(np.log2(f.dim))
-        xi = {}
-        for (a, x, y), op in f.operators.items():
-            table = sparse_single_qubit_coefficients(op) if n == 1 else decompose(op, n)
-            for (c, w), v in table.items():
-                xi[(a, x, y, c, w)] = v
-        return BellCoefficients("bwi", xi, n)
-    if f.scenario == "mdi":
-        xi = {}
-        for (a, b, x), op in f.operators.items():
-            for (c, z), v in sparse_single_qubit_coefficients(op).items():
-                xi[(a, b, x, c, z)] = v
-        return BellCoefficients("mdi", xi, 1)
-    if f.scenario == "channel":
-        # Factor 0 of the operators is Bob's output (labels d, u read by the
-        # second resource), factor 1 the Choi input (labels c, w).
-        xi = {}
-        for (a, x), op in f.operators.items():
-            for ((d, c), (u, w)), v in decompose(op, 2).items():
-                xi[(a, x, c, d, w, u)] = v
-        return BellCoefficients("channel", xi, 1)
-    raise ValueError(f"unknown scenario {f.scenario!r}")
+    spec = SPECS[f.scenario]
+    resource_labels = spec.slice_axes[len(spec.axes):]
+    xi = {}
+    for key, op in f.operators.items():
+        table = sparse_single_qubit_coefficients(op) if f.dim == 2 else decompose(op)
+        for (cs, ws), v in table.items():
+            if len(spec.resources) == 1:
+                cs, ws = (cs,), (ws,)
+            labels = {}
+            for (c_name, w_name), c, w in zip(spec.resources, cs, ws, strict=True):
+                labels[c_name], labels[w_name] = c, w
+            xi[key + tuple(labels[name] for name in resource_labels)] = v
+    return BellCoefficients(f.scenario, xi, int(np.log2(f.dim)) // len(spec.resources))
 
 
 def evaluate_epr(f: EPRFunctional, assemblage) -> float:

@@ -16,7 +16,7 @@ Conventions fixed once, used package-wide:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,15 +35,17 @@ PAULI_BY_SETTING = {1: PAULI_Z, 2: PAULI_X, 3: PAULI_Y}
 def hermitian(entries, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Validate and freeze a Hermitian operator.
 
-    Rejects inputs whose anti-Hermitian part exceeds ``tol`` entrywise instead
-    of symmetrising them, so malformed data fails loudly.  Returns a read-only
-    complex array.
+    Rejects inputs with non-finite entries, or whose anti-Hermitian part
+    exceeds ``tol`` entrywise instead of symmetrising them, so malformed data
+    fails loudly.  Returns a read-only complex array.
     """
     m = np.asarray(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"operator must be square, got shape {m.shape}")
     dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if dev > tol:
+    if not dev <= tol:  # a non-finite entry makes dev NaN or inf
+        if not np.isfinite(m).all():
+            raise ValueError("operator has non-finite entries")
         raise ValueError(f"operator is not Hermitian within {tol:g} (deviation {dev:.3e})")
     m = m.copy()
     m.setflags(write=False)
@@ -106,10 +108,6 @@ def eig_hermitian(m: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndar
 
 def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(np.asarray(m, dtype=complex))[0])
-
-
-def is_psd(m: np.ndarray, tol: float = 1e-9) -> bool:
-    return min_eigenvalue(m) >= -tol
 
 
 def proj(c: int, w: int) -> np.ndarray:
@@ -317,19 +315,3 @@ def random_povm_element(rng: np.random.Generator, dim: int) -> np.ndarray:
     vals = rng.uniform(0.0, 1.0, size=dim)
     return (u * vals) @ u.conj().T
 
-
-@dataclass(frozen=True)
-class ProjectorBasis:
-    """The six qubit Pauli eigenprojectors, indexed (c, w).
-
-    Overcomplete as a basis of 2x2 Hermitian operators; the decomposition
-    rules that use it live in :mod:`eprkit.functionals`.
-    """
-
-    dim: int = 2
-    projectors: dict = field(default_factory=lambda: {
-        (c, w): proj(c, w) for c in (0, 1) for w in (1, 2, 3)
-    })
-
-    def __getitem__(self, key):
-        return self.projectors[key]

@@ -20,9 +20,14 @@ import numpy as np
 
 from . import catalog
 from . import linalg as la
-from .functionals import BellCoefficients, EPRFunctional, bell_from_epr, evaluate_bell
-
-STAR = "*"
+from .assemblages import SPECS
+from .functionals import (
+    BellCoefficients,
+    EPRFunctional,
+    bell_from_epr,
+    evaluate_bell,
+    projector_strings,
+)
 
 PROB_TOL = 1e-12
 EFFECT_TOL = 1e-10
@@ -53,17 +58,10 @@ def make_resource(n: int, r: float) -> ResourceAssemblage:
         raise ValueError(f"resource qubit count must be 1 or 2, got {n}")
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"mixing parameter must lie in [0, 1], got {r}")
-    labels = list(itertools.product((0, 1), (1, 2, 3)))
     elements = {}
-    for combo in itertools.product(labels, repeat=n):
+    for key, combo in projector_strings(n):
         pure = la.tensor(*(catalog.sigma_tilde(c, w) for c, w in combo))
-        mixed = r * pure + (1 - r) * pure.T
-        if n == 1:
-            elements[combo[0]] = mixed
-        else:
-            cs = tuple(c for c, _ in combo)
-            ws = tuple(w for _, w in combo)
-            elements[(cs, ws)] = mixed
+        elements[key] = r * pure + (1 - r) * pure.T
     return ResourceAssemblage(n, float(r), elements)
 
 
@@ -77,23 +75,19 @@ class CorrelationTable:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for key, p in self.slice.items():
-            if not -PROB_TOL <= p <= 1 + PROB_TOL:
-                raise ValueError(f"probability out of range at {key}: {p}")
+        for block in (self.slice, *self.selftest.values()):
+            for key, p in block.items():
+                if not -PROB_TOL <= p <= 1 + PROB_TOL:
+                    raise ValueError(f"probability out of range at {key}: {p}")
 
     def slice_mass(self) -> dict:
         """Total slice probability per setting tuple (outcome labels summed out)."""
+        spec = SPECS[self.scenario]
+        right = spec.layout.partition("|")[2]
+        settings = [i for i, label in enumerate(spec.slice_axes) if label in right]
         masses: dict = {}
-        if self.scenario == "bwi":
-            group = lambda k: (k[1], k[2], k[4])  # noqa: E731  (x, y, w)
-        elif self.scenario == "mdi":
-            group = lambda k: (k[2], k[4])  # noqa: E731  (x, z)
-        elif self.scenario == "channel":
-            group = lambda k: (k[1], k[4], k[5])  # noqa: E731  (x, w, u)
-        else:
-            raise ValueError(f"unknown scenario {self.scenario!r}")
         for key, p in self.slice.items():
-            g = group(key)
+            g = tuple(key[i] for i in settings)
             masses[g] = masses.get(g, 0.0) + p
         return masses
 
@@ -200,6 +194,25 @@ def simulate_channel(
     return CorrelationTable("channel", table, selftest, meta)
 
 
+_PROTOCOLS = {
+    "bwi": lambda a, r, m, n: simulate_bwi(a, make_resource(n or int(np.log2(a.dim)), r), m),
+    "mdi": lambda a, r, m, n: simulate_mdi(a, make_resource(1, r)),
+    "channel": lambda a, r, m, n: simulate_channel(a, *[make_resource(1, r)] * 2, m),
+}
+
+
+def simulate(assemblage, r: float, measurement=None, n: int | None = None) -> CorrelationTable:
+    """Run the protocol of the assemblage's scenario with the resource at mixing parameter r.
+
+    ``measurement`` replaces the default phi_plus effect (the MDI protocol has
+    none).  ``n`` is the resource qubit count of the Bob-with-input protocol
+    and defaults to the assemblage's; the others use single-qubit resources.
+    """
+    if assemblage.scenario not in _PROTOCOLS:
+        raise ValueError(f"scenario {assemblage.scenario!r} has no activation protocol")
+    return _PROTOCOLS[assemblage.scenario](assemblage, r, measurement, n)
+
+
 def selftest_marginal(table: CorrelationTable, block: str = "bc") -> dict:
     """The p(b, c | z, w) marginal feeding the self-test functional."""
     if block not in table.selftest:
@@ -224,16 +237,7 @@ def r_sweep(assemblage, functional, r_values, measurement=None) -> list[float]:
         raise TypeError("functional must be an EPRFunctional or BellCoefficients")
 
     def run(r: float) -> float:
-        if functional.scenario == "bwi":
-            table = simulate_bwi(assemblage, make_resource(functional.n, r), measurement)
-        elif functional.scenario == "mdi":
-            table = simulate_mdi(assemblage, make_resource(1, r))
-        elif functional.scenario == "channel":
-            res = make_resource(1, r)
-            table = simulate_channel(assemblage, res, res, measurement)
-        else:
-            raise ValueError(f"unknown scenario {functional.scenario!r}")
-        return evaluate_bell(functional, table)
+        return evaluate_bell(functional, simulate(assemblage, r, measurement, functional.n))
 
     v0, v1 = run(0.0), run(1.0)
     values = []

@@ -13,19 +13,15 @@ fail at parse time rather than inside the numerics.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 
 import numpy as np
 
 from . import linalg as la
-from .assemblages import (
-    BwIAssemblage,
-    ChannelAssemblage,
-    MDIAssemblage,
-    StandardAssemblage,
-)
+from .assemblages import CONTAINERS, SPECS
 from .bounds import BoundReport, DeterministicStrategy
-from .functionals import BellCoefficients, EPRFunctional
-from .protocol import STAR, CorrelationTable
+from .functionals import SCENARIOS, BellCoefficients, EPRFunctional
+from .protocol import CorrelationTable
 
 
 class SchemaError(ValueError):
@@ -36,17 +32,15 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
 
 
-def matrix_from_json(rows, hermitian: bool = True) -> np.ndarray:
+def matrix_from_json(rows) -> np.ndarray:
     try:
         m = np.array([[complex(re, im) for re, im in row] for row in rows])
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"malformed matrix entry: {exc}") from exc
-    if hermitian:
-        try:
-            return la.hermitian(m)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
-    return m
+    try:
+        return la.hermitian(m)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def _label(value) -> str:
@@ -69,23 +63,16 @@ def _key_from_str(text: str) -> tuple:
     return tuple(_parse_label(part) for part in text.split(","))
 
 
-_ASSEMBLAGE_TYPES = {
-    "standard": (StandardAssemblage, ("c", "w")),
-    "bwi": (BwIAssemblage, ("a", "x", "y")),
-    "mdi": (MDIAssemblage, ("a", "b", "x")),
-    "channel": (ChannelAssemblage, ("a", "x")),
-}
+def _spec(scenario, known=SPECS):
+    if scenario not in known:
+        raise SchemaError(f"unknown scenario {scenario!r}")
+    return SPECS[scenario]
 
 
 def assemblage_to_json(assemblage) -> dict:
-    cls, names = _ASSEMBLAGE_TYPES[assemblage.scenario]
-    if assemblage.scenario == "standard":
-        alphabets = {"c": assemblage.n_outcomes, "w": assemblage.n_settings}
-    else:
-        alphabets = {name: getattr(assemblage, f"n_{name}") for name in names}
     return {
         "scenario": assemblage.scenario,
-        "alphabets": alphabets,
+        "alphabets": assemblage.sizes,
         "elements": {
             _key_to_str(key): matrix_to_json(m) for key, m in sorted(assemblage.elements.items())
         },
@@ -94,18 +81,14 @@ def assemblage_to_json(assemblage) -> dict:
 
 def assemblage_from_json(doc: dict):
     scenario = doc.get("scenario")
-    if scenario not in _ASSEMBLAGE_TYPES:
-        raise SchemaError(f"unknown scenario {scenario!r}")
-    cls, names = _ASSEMBLAGE_TYPES[scenario]
+    axes = _spec(scenario).axes
     elements = {
         _key_from_str(key): matrix_from_json(rows)
         for key, rows in doc.get("elements", {}).items()
     }
     alphabets = doc.get("alphabets", {})
-    if scenario == "standard":
-        return StandardAssemblage(elements, alphabets.get("c", 2), alphabets.get("w", 3))
-    kwargs = {f"n_{name}": alphabets[name] for name in names if name in alphabets}
-    return cls(elements, **kwargs)
+    kwargs = {f"n_{name}": alphabets[name] for name in axes if name in alphabets}
+    return CONTAINERS[scenario](elements, **kwargs)
 
 
 def functional_to_json(f) -> dict:
@@ -142,72 +125,56 @@ def functional_from_json(doc: dict):
     raise SchemaError(f"unknown functional form {form!r}")
 
 
-def _slice_key_to_str(scenario: str, key) -> str:
-    if scenario == "bwi":
-        a, x, y, c, w = key
-        return f"{a},0,{_label(c)}|{x},{y},{STAR},{_label(w)}"
-    if scenario == "mdi":
-        a, b, x, c, z = key
-        return f"{a},{b},{c}|{x},{STAR},{z}"
-    if scenario == "channel":
-        a, x, c, d, w, u = key
-        return f"{a},0,{c},{d}|{x},{STAR},{STAR},{w},{u}"
-    raise SchemaError(f"unknown scenario {scenario!r}")
+# Self-test marginal p(b, c | z, w): its key layout and label order.
+_SELFTEST = ("b,c|z,w", "bczw")
 
 
-def _slice_key_from_str(scenario: str, text: str) -> tuple:
-    try:
-        outcomes, settings = text.split("|")
-        o = outcomes.split(",")
-        s = settings.split(",")
-        if scenario == "bwi":
-            return (int(o[0]), int(s[0]), int(s[1]), _parse_label(o[2]), _parse_label(s[3]))
-        if scenario == "mdi":
-            return (int(o[0]), int(o[1]), int(s[0]), _parse_label(o[2]), _parse_label(s[2]))
-        if scenario == "channel":
-            return (int(o[0]), int(s[0]), int(o[2]), int(o[3]), int(s[3]), int(s[4]))
-    except (ValueError, IndexError) as exc:
-        raise SchemaError(f"malformed slice key {text!r}: {exc}") from exc
-    raise SchemaError(f"unknown scenario {scenario!r}")
+def _block_to_json(block: dict, layout: str, names: str) -> dict:
+    """Probabilities keyed by a layout such as ``"a,0,c|x,y,*,w"``.
+
+    Each letter of the layout is the label of that name; every other
+    character is written as is.
+    """
+    template = "".join(f"{{{names.index(ch)}}}" if ch.isalpha() else ch for ch in layout)
+    # Only multi-qubit labels (tuples, written "0.1") need _label; ints format as they are.
+    return {template.format(*(map(_label, key) if tuple in map(type, key) else key)): float(p)
+            for key, p in sorted(block.items())}
+
+
+def _block_from_json(block: dict, layout: str, names: str) -> dict:
+    pattern = layout.replace("|", ",|,").split(",")
+    labels = itemgetter(*[pattern.index(name) for name in names])
+    fixed = itemgetter(*[i for i, field in enumerate(pattern) if not field.isalpha()])
+    out = {}
+    for text, p in block.items():
+        fields = text.replace("|", ",|,").split(",")
+        if len(fields) != len(pattern) or fixed(fields) != fixed(pattern):
+            raise SchemaError(f"key {text!r} does not match the layout {layout!r}")
+        parse = _parse_label if "." in text else int
+        try:
+            out[tuple(map(parse, labels(fields)))] = float(p)
+        except ValueError as exc:
+            raise SchemaError(f"malformed key {text!r}: {exc}") from exc
+    return out
 
 
 def table_to_json(table: CorrelationTable) -> dict:
+    spec = SPECS[table.scenario]
     return {
         "scenario": table.scenario,
-        "slice": {
-            _slice_key_to_str(table.scenario, key): float(p)
-            for key, p in sorted(table.slice.items())
-        },
-        "selftest": {
-            block: {
-                ",".join(str(v) for v in key[:2]) + "|" + ",".join(str(v) for v in key[2:]): float(p)
-                for key, p in sorted(marginal.items())
-            }
-            for block, marginal in table.selftest.items()
-        },
+        "slice": _block_to_json(table.slice, spec.layout, spec.slice_axes),
+        "selftest": {name: _block_to_json(block, *_SELFTEST)
+                     for name, block in table.selftest.items()},
         "meta": dict(table.meta),
     }
 
 
 def table_from_json(doc: dict) -> CorrelationTable:
-    scenario = doc.get("scenario")
-    slc = {
-        _slice_key_from_str(scenario, key): float(p)
-        for key, p in doc.get("slice", {}).items()
-    }
-    selftest = {}
-    for block, marginal in doc.get("selftest", {}).items():
-        parsed = {}
-        for key, p in marginal.items():
-            try:
-                outcomes, settings = key.split("|")
-                b, c = (int(v) for v in outcomes.split(","))
-                z, w = (int(v) for v in settings.split(","))
-            except ValueError as exc:
-                raise SchemaError(f"malformed self-test key {key!r}") from exc
-            parsed[(b, c, z, w)] = float(p)
-        selftest[block] = parsed
-    return CorrelationTable(scenario, slc, selftest, dict(doc.get("meta", {})))
+    spec = _spec(doc.get("scenario"), SCENARIOS)
+    slc = _block_from_json(doc.get("slice", {}), spec.layout, spec.slice_axes)
+    selftest = {name: _block_from_json(block, *_SELFTEST)
+                for name, block in doc.get("selftest", {}).items()}
+    return CorrelationTable(doc["scenario"], slc, selftest, dict(doc.get("meta", {})))
 
 
 def bound_report_to_json(report: BoundReport) -> dict:
@@ -254,7 +221,7 @@ def _json_default(obj):
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=_json_default) + "\n"
 
 
 def load_path(path):

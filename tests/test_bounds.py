@@ -35,7 +35,8 @@ def test_classical_bound_ptp_raw():
     report = classical_bound(catalog.ptp_functional())
     assert abs(report.value - EXACT_CLASSICAL) < 1e-10
     assert abs(report.value - catalog.PTP.classical) < 5e-5
-    assert abs(report.witness.value() - report.value) < 1e-10
+    witness_value = sum(la.min_eigenvalue(g) for g in report.witness.operators.values())
+    assert abs(witness_value - report.value) < 1e-10
 
 
 def test_classical_bound_ptp_normalized():

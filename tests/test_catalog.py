@@ -107,7 +107,7 @@ def test_canonical_strategy_saturates():
 
 
 def test_canonical_strategy_assemblage_validates():
-    resource, observables = catalog.canonical_selftest_strategy()
+    resource, observables = catalog.canonical_resource_assemblage(), catalog.selftest_observables()
     assert validate(resource).passed
     assert set(observables) == {1, 2, 3, 4}
 

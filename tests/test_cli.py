@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from eprkit import linalg as la
 from eprkit import serialize as ser
 from eprkit.assemblages import BwIAssemblage, MDIAssemblage
 from eprkit.cli import main
-from eprkit.protocol import CorrelationTable
+from eprkit.protocol import CorrelationTable, make_resource, simulate_bwi
 
 
 def run(capsys, *argv):
@@ -321,3 +322,56 @@ def test_dump_csv_coefficients(capsys, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "a,x,y,c,w,xi"
     assert len(lines) == 1 + 72
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@pytest.mark.parametrize("mutate, argv", [
+    pytest.param(lambda d: d["functional"]["operators"]["0,1,0"][0].__setitem__(0, [math.nan, 0]),
+                 "eval --functional {functional} --assemblage {assemblage}",
+                 id="nan-operator-entry"),
+    pytest.param(lambda d: d["functional"].update(scenario="tripartite"),
+                 "bound classical --functional {functional}", id="unknown-scenario"),
+    pytest.param(lambda d: d.update(assemblage=[d["assemblage"]]),
+                 "validate {assemblage}", id="top-level-array"),
+    pytest.param(lambda d: d["correlations"]["slice"].update({"0,0,0|1,0,*,1": 2.0}),
+                 "eval --functional {coefficients} --correlations {correlations}",
+                 id="probability-above-one"),
+    pytest.param(lambda d: d["functional"]["operators"].pop("0,1,0"),
+                 "bound classical --functional {functional}", id="missing-operator"),
+    pytest.param(lambda d: d["assemblage"]["elements"].update({"0,1,0": [[[0.25, 0.0]]]}),
+                 "validate {assemblage}", id="one-by-one-element"),
+    pytest.param(None, "demo-ptp --r 2", id="mixing-parameter-above-one"),
+    pytest.param(None, "bound seesaw --functional {functional} --restarts 0", id="zero-restarts"),
+    pytest.param(None, "selftest --correlations {correlations} --epsilon nan",
+                 id="non-finite-epsilon"),
+    pytest.param(None, "validate {directory}", id="directory-input"),
+    pytest.param(None, "validate {deep}", id="deeply-nested-json"),
+    pytest.param(None, "dump ptp-assemblage --out {unwritable}", id="unwritable-output"),
+])
+def test_rejected_input_exits_two_with_one_json_error_line(capsys, tmp_path, mutate, argv):
+    table = simulate_bwi(catalog.ptp_assemblage(), make_resource(1, 1.0))
+    docs = {"functional": ser.functional_to_json(catalog.ptp_functional()),
+            "coefficients": ser.functional_to_json(catalog.ptp_bell_coefficients()),
+            "assemblage": ser.assemblage_to_json(catalog.ptp_assemblage()),
+            "correlations": ser.table_to_json(table)}
+    if mutate:
+        mutate(docs)
+    paths = {"directory": str(tmp_path), "unwritable": str(tmp_path / "missing" / "out.json"),
+             "deep": str(tmp_path / "deep.json")}
+    with open(paths["deep"], "w") as fh:
+        fh.write("[" * 100_000 + "]" * 100_000)
+    for name, doc in docs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w") as fh:
+            json.dump(doc, fh)  # unlike ser.dumps, this writes a NaN
+    code = main([token.format(**paths) for token in argv.split()])
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in captured.err
+    assert json.loads(lines[0])["exit_code"] == 2
+    if captured.out.strip():
+        json.loads(captured.out, parse_constant=_reject_constant)

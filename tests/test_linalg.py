@@ -220,11 +220,10 @@ def test_hermiticity_preserved_by_structural_ops():
 
 
 def test_projector_basis_completeness():
-    basis = la.ProjectorBasis()
     for w in (1, 2, 3):
-        assert np.allclose(basis[(0, w)] + basis[(1, w)], la.I2)
+        assert np.allclose(la.proj(0, w) + la.proj(1, w), la.I2)
         for c in (0, 1):
-            p = basis[(c, w)]
+            p = la.proj(c, w)
             assert np.max(np.abs(p @ p - p)) < 1e-12
 
 

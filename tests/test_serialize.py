@@ -6,9 +6,9 @@ import pytest
 from eprkit import catalog
 from eprkit import linalg as la
 from eprkit import serialize as ser
-from eprkit.assemblages import random_quantum
+from eprkit.assemblages import SPECS, random_quantum
 from eprkit.functionals import bell_from_epr
-from eprkit.protocol import make_resource, simulate_bwi, simulate_channel, simulate_mdi
+from eprkit.protocol import make_resource, simulate, simulate_bwi
 
 
 def test_matrix_round_trip_exact():
@@ -23,12 +23,16 @@ def test_matrix_from_json_rejects_non_hermitian():
 
 
 def test_assemblage_round_trip_all_scenarios():
-    objects = [catalog.ptp_assemblage(), catalog.canonical_resource_assemblage(),
-               random_quantum("mdi", 0)[0], random_quantum("channel", 0)[0]]
+    objects = [catalog.ptp_assemblage(), catalog.canonical_resource_assemblage()]
+    objects += [random_quantum(name, 0, {"x": 2})[0]
+                for name, spec in SPECS.items() if spec.sample]
+    assert {a.scenario for a in objects} == set(SPECS)
     for assemblage in objects:
         doc = json.loads(ser.dumps(ser.assemblage_to_json(assemblage)))
         back = ser.assemblage_from_json(doc)
-        assert back.scenario == assemblage.scenario
+        assert type(back) is type(assemblage)
+        assert back.sizes == assemblage.sizes
+        assert back.elements.keys() == assemblage.elements.keys()
         for key in assemblage.elements:
             assert np.array_equal(back.elements[key], assemblage.elements[key])
 
@@ -47,14 +51,15 @@ def test_functional_round_trip_both_forms():
 
 
 def test_table_round_trip_per_scenario():
-    tables = [
-        simulate_bwi(catalog.ptp_assemblage(), make_resource(1, 0.5)),
-        simulate_mdi(random_quantum("mdi", 1)[0], make_resource(1, 1.0)),
-        simulate_channel(random_quantum("channel", 1)[0],
-                         make_resource(1, 1.0), make_resource(1, 1.0)),
-    ]
+    tables = [simulate_bwi(catalog.ptp_assemblage(), make_resource(1, 0.5))]
+    tables += [simulate(random_quantum(name, 1)[0], 1.0)
+               for name, spec in SPECS.items() if spec.layout]
+    assert {t.scenario for t in tables} == {name for name, spec in SPECS.items() if spec.layout}
     for table in tables:
-        back = ser.table_from_json(json.loads(ser.dumps(ser.table_to_json(table))))
+        doc = json.loads(ser.dumps(ser.table_to_json(table)))
+        layout = SPECS[table.scenario].layout
+        assert all(len(key.split(",")) == len(layout.split(",")) for key in doc["slice"])
+        back = ser.table_from_json(doc)
         assert back.scenario == table.scenario
         assert back.slice == table.slice
         assert back.selftest == table.selftest

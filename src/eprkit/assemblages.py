@@ -61,8 +61,9 @@ def _max_abs(m) -> float:
     return float(np.max(np.abs(m)))
 
 
-def _psd_residual(m) -> float:
-    return max(0.0, -la.min_eigenvalue(m))
+def _psd_residual(ms) -> float:
+    """How far below zero the least eigenvalue of a stack of operators lies, or 0."""
+    return max(0.0, -float(np.linalg.eigvalsh(ms)[:, 0].min()))
 
 
 def _standard_conditions(el, c_rng, w_rng):
@@ -283,7 +284,7 @@ def validate(assemblage, tol: float = DEFAULT_TOL) -> ValidationReport:
         errs = tuple(f"missing element {key}" for key in missing)
         return ValidationReport(assemblage.scenario, (), errs, tol)
     el = assemblage.elements
-    conds = [("elements-psd", max(_psd_residual(m) for m in el.values()))]
+    conds = [("elements-psd", _psd_residual(np.stack(list(el.values()))))]
     conds += assemblage.spec.conditions(el, *assemblage.labels())
     return ValidationReport(
         assemblage.scenario, tuple(ConditionResult(*c) for c in conds), (), tol)
@@ -320,9 +321,8 @@ class QuantumRealisation:
             total = sum(effects)
             if _max_abs(total - np.eye(total.shape[0])) > STATE_TOL:
                 raise ValueError(f"POVM for setting {x} does not sum to identity")
-            for m in effects:
-                if la.min_eigenvalue(m) < -STATE_TOL:
-                    raise ValueError(f"POVM effect for setting {x} is not PSD")
+            if _psd_residual(np.stack(effects)) > STATE_TOL:
+                raise ValueError(f"POVM effect for setting {x} is not PSD")
         if self.instrument is not None:
             total = sum(
                 sum(k.conj().T @ k for k in branch.kraus_ops)
@@ -342,60 +342,54 @@ class QuantumRealisation:
     def conditional_states(self) -> dict:
         """Alice-conditioned states sigma_{a|x} = tr_A[(M_{a|x} (x) I) rho]."""
         da, db = self.alice_dim, self.bob_dim
-        out = {}
-        for x, effects in self.povms.items():
-            for a, m in enumerate(effects):
-                full = la.tensor(m, np.eye(db)) @ self.state
-                out[(a, x)] = la.partial_trace(full, [da, db], 0)
-        return out
+        keys = [(a, x) for x, povm in self.povms.items() for a in range(len(povm))]
+        effects = np.stack([m for povm in self.povms.values() for m in povm])
+        states = np.einsum("nji,ikjl->nkl", effects, self.state.reshape(da, db, da, db))
+        return dict(zip(keys, states))
+
+
+def _alphabets(qr: QuantumRealisation) -> dict:
+    return {"n_a": len(next(iter(qr.povms.values()))), "n_x": len(qr.povms)}
 
 
 def realize_bwi(qr: QuantumRealisation) -> BwIAssemblage:
     """Assemblage sigma_{a|xy} = E_y(tr_A[(M_{a|x} (x) I) rho])."""
     sigma = qr.conditional_states()
-    elements = {}
-    for (a, x), s in sigma.items():
-        for y, channel in qr.channels.items():
-            elements[(a, x, y)] = la.hermitian(channel(s), tol=1e-10)
-    return BwIAssemblage(elements, n_a=len(next(iter(qr.povms.values()))),
-                         n_x=len(qr.povms), n_y=len(qr.channels))
+    states = np.stack(list(sigma.values()))
+    # out[y][n] = sum_k K_k sigma_n K_k^dagger over the stacked Kraus operators K of channel y.
+    out = [np.einsum("koi,nij,kpj->nop", k, states, k.conj())
+           for k in (np.stack(channel.kraus_ops) for channel in qr.channels.values())]
+    elements = {(a, x, y): out[i][n] for n, (a, x) in enumerate(sigma)
+                for i, y in enumerate(qr.channels)}
+    return BwIAssemblage(elements, n_y=len(qr.channels), **_alphabets(qr))
 
 
 def realize_mdi(qr: QuantumRealisation) -> MDIAssemblage:
-    """Choi operators of N_{ab|x}, assembled on the matrix-unit basis of B_in."""
+    """Choi operators J_{ab|x}[i, k] = tr[E_b (sigma_{a|x} (x) |i><k|)] / d_in, E_b per branch."""
     sigma = qr.conditional_states()
     db = qr.bob_dim
     d_in = next(iter(qr.instrument.values())).in_dim // db
-    effects = {
-        b: sum(k.conj().T @ k for k in branch.kraus_ops)
-        for b, branch in qr.instrument.items()
-    }
-    elements = {}
-    for (a, x), s in sigma.items():
-        for b, e in effects.items():
-            j = np.zeros((d_in, d_in), dtype=complex)
-            for i in range(d_in):
-                for k in range(d_in):
-                    unit = np.zeros((d_in, d_in), dtype=complex)
-                    unit[i, k] = 1.0
-                    j[i, k] = np.trace(e @ la.tensor(s, unit)) / d_in
-            elements[(a, b, x)] = la.hermitian(j, tol=1e-10)
-    return MDIAssemblage(elements, n_a=len(next(iter(qr.povms.values()))),
-                         n_b=len(qr.instrument), n_x=len(qr.povms))
+    effects = np.stack([sum(k.conj().T @ k for k in branch.kraus_ops)
+                        for branch in qr.instrument.values()])
+    j = np.einsum("bpkqi,nqp->nbik", effects.reshape(-1, db, d_in, db, d_in),
+                  np.stack(list(sigma.values()))) / d_in
+    elements = {(a, b, x): j[n, i] for n, (a, x) in enumerate(sigma)
+                for i, b in enumerate(qr.instrument)}
+    return MDIAssemblage(elements, n_b=len(qr.instrument), **_alphabets(qr))
 
 
 def realize_channel(qr: QuantumRealisation) -> ChannelAssemblage:
     """Choi operators J(I_{a|x}) = (Gamma (x) id)(sigma_{a|x} (x) phi_plus)."""
     sigma = qr.conditional_states()
     db = qr.bob_dim
-    phi = la.phi_plus(1)
-    elements = {}
-    for (a, x), s in sigma.items():
-        joint = la.tensor(s, phi)
-        j = la.apply_map_to_factors(qr.channel, joint, [db, 2, 2], [0, 1])
-        elements[(a, x)] = la.hermitian(j, tol=1e-10)
-    return ChannelAssemblage(elements, n_a=len(next(iter(qr.povms.values()))),
-                             n_x=len(qr.povms))
+    # Gamma acts on B (x) C with C the first half of phi_plus on C (x) D.
+    kraus = np.stack(qr.channel.kraus_ops).reshape(-1, qr.channel.out_dim, db, 2)
+    phi = la.phi_plus(1).reshape(2, 2, 2, 2)
+    j = np.einsum("kosc,nst,cdef,kpte->nodpf", kraus, np.stack(list(sigma.values())), phi,
+                  kraus.conj())
+    dim = 2 * qr.channel.out_dim
+    elements = {key: m.reshape(dim, dim) for key, m in zip(sigma, j)}
+    return ChannelAssemblage(elements, **_alphabets(qr))
 
 
 def transpose_assemblage(assemblage):

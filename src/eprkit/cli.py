@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 domain failure (validation, guard, or assertion),
 2 I/O, parse, schema, or argument failure, with one JSON error line on
 stderr.  Every command prints a JSON run report to stdout: command echo,
 sha256 digests of the inputs, numeric results, per-check pass/fail, the
-tolerances actually used, and wall-clock duration.
+tolerances actually used, and the duration on a monotonic clock.
 All randomness sits behind ``--seed`` (default 0).
 
 ``EPRKIT_TOL`` overrides the default validation residual tolerance 1e-9;
@@ -36,6 +36,11 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is one JSON line and exit 2, like any other
+        raise CliError(2, f"{self.prog}: {message}")
 
 
 def _validation_tol() -> float:
@@ -72,7 +77,7 @@ def _load(loader, path: str, types=dict):
 def _report(args, inputs: dict, started: float, **fields) -> dict:
     report = {"command": list(args), "inputs": {p: _digest(p) for p in inputs.values()}}
     report.update(fields)
-    report["duration_s"] = time.time() - started
+    report["duration_s"] = time.perf_counter() - started
     return report
 
 
@@ -85,7 +90,7 @@ def _emit(report: dict, out: str | None = None) -> None:
 
 
 def cmd_validate(args, argv) -> int:
-    started = time.time()
+    started = time.perf_counter()
     assemblage = _load(ser.assemblage_from_json, args.path)
     if args.scenario and args.scenario != assemblage.scenario:
         raise CliError(2, f"file declares scenario {assemblage.scenario!r}, not {args.scenario!r}")
@@ -104,7 +109,7 @@ def cmd_validate(args, argv) -> int:
 
 
 def cmd_eval(args, argv) -> int:
-    started = time.time()
+    started = time.perf_counter()
     functional = _load(ser.functional_from_json, args.functional)
     inputs = {"functional": args.functional}
     if args.assemblage:
@@ -133,7 +138,7 @@ def cmd_eval(args, argv) -> int:
 
 
 def cmd_bound(args, argv) -> int:
-    started = time.time()
+    started = time.perf_counter()
     functional = _load(ser.functional_from_json, args.functional)
     if not isinstance(functional, EPRFunctional):
         raise CliError(1, "bounds take an operator-form functional")
@@ -181,7 +186,7 @@ def _load_measurement(source: str):
 
 
 def cmd_simulate(args, argv) -> int:
-    started = time.time()
+    started = time.perf_counter()
     assemblage = _load(ser.assemblage_from_json, args.assemblage)
     if assemblage.scenario != args.scenario:
         raise CliError(1, f"assemblage is {assemblage.scenario!r}, not {args.scenario!r}")
@@ -229,7 +234,7 @@ def _write_table_csv(table: protocol.CorrelationTable, path: str) -> None:
 
 
 def cmd_selftest(args, argv) -> int:
-    started = time.time()
+    started = time.perf_counter()
     table = _load(ser.table_from_json, args.correlations)
     try:
         marginal = protocol.selftest_marginal(table)
@@ -251,7 +256,7 @@ def cmd_selftest(args, argv) -> int:
 
 def cmd_demo_ptp(args, argv) -> int:
     """The full pipeline on the partial-transpose example, staged and checked."""
-    started = time.time()
+    started = time.perf_counter()
     beta_aq = args.debug_beta_aq if args.debug_beta_aq is not None else catalog.PTP.almost_quantum
     checks = []
     failed_stage = None
@@ -333,7 +338,7 @@ _CATALOG_DUMPS = {
 
 
 def cmd_dump(args, argv) -> int:
-    started = time.time()
+    started = time.perf_counter()
     if args.name not in _CATALOG_DUMPS:
         raise CliError(2, f"unknown object {args.name!r}; one of {sorted(_CATALOG_DUMPS)}")
     doc = _CATALOG_DUMPS[args.name]()
@@ -354,7 +359,7 @@ def cmd_dump(args, argv) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="eprkit", description=__doc__)
+    parser = _Parser(prog="eprkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check the no-signalling conditions of an assemblage")
@@ -411,9 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args, argv)
     except (CliError, ValueError, OSError) as exc:
         # A ValueError that reaches here is an out-of-range argument or a

@@ -20,6 +20,7 @@ relies on reconstruction, so they are interchangeable up to entrywise layout.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -96,20 +97,22 @@ class BellCoefficients:
         object.__setattr__(self, "xi", dict(self.xi))
 
 
-def _pauli_string_coefficients(f: np.ndarray, n: int) -> dict:
-    """Expansion coefficients of f over {I, Z, X, Y}^(x)n (label 0 = identity)."""
-    paulis = {0: la.I2, 1: la.PAULI_Z, 2: la.PAULI_X, 3: la.PAULI_Y}
-    out = {}
-    for string in itertools.product(range(4), repeat=n):
-        p = la.tensor(*(paulis[s] for s in string))
-        out[string] = float(np.real(np.trace(f @ p))) / 2**n
-    return out
+# Row s: canonical projector coefficients of Pauli s (0 = I, then w = Z, X, Y), in
+# single_qubit_labels() order: 1/3 everywhere for I, (-1)^c on the labels of axis s.
+_PAULI_TO_PROJECTORS = np.array([[1 / 3] * 6] + [
+    [float((-1) ** c) if w == s else 0.0 for c in (0, 1) for w in (1, 2, 3)] for s in (1, 2, 3)
+])
 
 
-def _factor_vector(s: int) -> dict:
-    if s == 0:
-        return {(c, w): 1.0 / 3.0 for c in (0, 1) for w in (1, 2, 3)}
-    return {(c, w): float((-1) ** c) if w == s else 0.0 for c in (0, 1) for w in (1, 2, 3)}
+@functools.cache
+def _pauli_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 4^n Pauli strings stacked in kron order, and their projector coefficients."""
+    strings = np.stack([la.tensor(*s) for s in itertools.product(
+        (la.I2, la.PAULI_Z, la.PAULI_X, la.PAULI_Y), repeat=n)])
+    to_projectors = functools.reduce(np.kron, [_PAULI_TO_PROJECTORS] * n)
+    for shared in (strings, to_projectors):
+        shared.setflags(write=False)
+    return strings, to_projectors
 
 
 def single_qubit_labels():
@@ -138,21 +141,10 @@ def decompose(f: np.ndarray, n: int | None = None) -> dict:
         n = int(np.log2(dim))
     if 2**n != dim:
         raise ValueError(f"operator dimension {dim} is not 2**{n}")
-    coeffs = _pauli_string_coefficients(f, n)
-    out = {}
-    for key, combo in projector_strings(n):
-        total = 0.0
-        for string, coef in coeffs.items():
-            if coef == 0.0:
-                continue
-            prod = coef
-            for (c, w), s in zip(combo, string):
-                prod *= _factor_vector(s)[(c, w)]
-                if prod == 0.0:
-                    break
-            total += prod
-        out[key] = total
-    return out
+    strings, to_projectors = _pauli_basis(n)
+    # Pauli coefficients tr[f P_s] / 2^n, then each string's projector expansion.
+    values = (np.einsum("sij,ji->s", strings, f).real / 2**n) @ to_projectors
+    return {key: float(v) for (key, _), v in zip(projector_strings(n), values)}
 
 
 def reconstruct(xi: dict, n: int = 1) -> np.ndarray:

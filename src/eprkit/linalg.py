@@ -212,15 +212,16 @@ def apply_choi(j: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
     ``j`` lives on out (x) in; the contraction is
     ``in_dim * tr_in[(I_out (x) rho^T) j]`` so that
-    ``apply_choi(choi(K), rho) == K(rho)``.
+    ``apply_choi(choi(K), rho) == K(rho)``.  Leading axes of ``j`` and
+    ``rho`` broadcast against each other, so stacks act in one contraction.
     """
-    rho = np.asarray(rho, dtype=complex)
-    in_dim = rho.shape[0]
-    if rho.shape != (in_dim, in_dim) or j.shape[0] % in_dim:
+    j, rho = np.asarray(j), np.asarray(rho, dtype=complex)
+    in_dim = rho.shape[-1]
+    if rho.ndim < 2 or rho.shape[-2] != in_dim or j.ndim < 2 or j.shape[-1] % in_dim:
         raise ValueError(f"Choi shape {j.shape} incompatible with input shape {rho.shape}")
-    out_dim = j.shape[0] // in_dim
-    contracted = tensor(np.eye(out_dim), rho.T) @ j
-    return in_dim * partial_trace(contracted, [out_dim, in_dim], 1)
+    out_dim = j.shape[-1] // in_dim
+    blocks = j.reshape(*j.shape[:-2], out_dim, in_dim, out_dim, in_dim)
+    return in_dim * np.einsum("...olpk,...lk->...op", blocks, rho)
 
 
 def transpose_dual(kmap: KrausMap) -> KrausMap:

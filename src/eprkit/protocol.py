@@ -13,7 +13,9 @@ file-supplied correlation data are checked against the threshold instead
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,25 +104,36 @@ def _check_effect(m: np.ndarray, dim: int) -> np.ndarray:
     return m
 
 
-def _canonical_selftest() -> dict:
-    return catalog.canonical_selftest_marginal()
+# The canonical marginal is a constant: computed once, copied into each table.
+_canonical_selftest = functools.cache(catalog.canonical_selftest_marginal)
+
+
+def _stack(elements: dict) -> np.ndarray:
+    return np.stack(list(elements.values()))
+
+
+def _keyed(p: np.ndarray, key, *label_sets) -> dict:
+    """Entries of ``p`` as floats keyed ``key(*labels)``, one label set per axis of ``p``."""
+    return {key(*labels): float(v)
+            for labels, v in zip(itertools.product(*label_sets), p.real.ravel())}
 
 
 def simulate_bwi(assemblage, resource: ResourceAssemblage, measurement=None) -> CorrelationTable:
     """Slice p(a, 0, c | x, y, *, w) = tr[M (sigma_{a|xy} (x) resource_{c|w})]."""
+    if assemblage.scenario != "bwi":
+        raise ValueError(f"expected a Bob-with-input assemblage, got {assemblage.scenario!r}")
     d = assemblage.dim
     if d != 2**resource.n:
         raise ValueError(f"assemblage dim {d} does not match resource on {resource.n} qubits")
     if measurement is None:
         measurement = la.phi_plus(resource.n)
-    m = _check_effect(measurement, d * d)
-    table = {}
-    for (a, x, y), sigma in assemblage.elements.items():
-        for (c, w) in resource.keys():
-            p = np.trace(m @ la.tensor(sigma, resource.element(c, w)))
-            table[(a, x, y, c, w)] = float(np.real(p))
+    m = _check_effect(measurement, d * d).reshape(d, d, d, d)
+    # One operand at a time: a single three-operand einsum loops over all six indices at once.
+    half = np.einsum("pqrs,irp->iqs", m, _stack(assemblage.elements))
+    p = np.einsum("iqs,jsq->ij", half, _stack(resource.elements))
+    table = _keyed(p, operator.add, assemblage.elements, resource.keys())
     return CorrelationTable(
-        "bwi", table, {"bc": _canonical_selftest()},
+        "bwi", table, {"bc": dict(_canonical_selftest())},
         {"r": resource.r, "n": resource.n},
     )
 
@@ -131,13 +144,11 @@ def simulate_mdi(assemblage, resource: ResourceAssemblage) -> CorrelationTable:
         raise ValueError(f"expected an MDI assemblage, got {assemblage.scenario!r}")
     if resource.n != 1:
         raise ValueError("the MDI protocol uses a single-qubit resource")
-    table = {}
-    for (a, b, x), j in assemblage.elements.items():
-        for (c, z) in resource.keys():
-            p = 2 * np.trace(resource.element(c, z).T @ j)
-            table[(a, b, x, c, z)] = float(np.real(p))
+    # 2 tr[R^T J] for every pair of elements J and resource elements R.
+    p = 2 * np.einsum("ist,jst->ij", _stack(assemblage.elements), _stack(resource.elements))
+    table = _keyed(p, operator.add, assemblage.elements, resource.keys())
     return CorrelationTable(
-        "mdi", table, {"bc": _canonical_selftest()}, {"r": resource.r},
+        "mdi", table, {"bc": dict(_canonical_selftest())}, {"r": resource.r},
     )
 
 
@@ -162,20 +173,16 @@ def simulate_channel(
         raise ValueError("the channel protocol uses single-qubit resources")
     if measurement is None:
         measurement = la.phi_plus(1)
-    m = _check_effect(measurement, 4)
+    m = _check_effect(measurement, 4).reshape(2, 2, 2, 2)
+    choi = _stack(assemblage.elements)
 
-    def raw_table(inputs: dict, outputs: dict) -> dict:
-        out = {}
-        for (a, x), j in assemblage.elements.items():
-            for (c, w) in inputs:
-                omega = la.apply_choi(j, inputs[(c, w)])
-                for (d, u) in outputs:
-                    p = np.trace(m @ la.tensor(omega, outputs[(d, u)]))
-                    out[(a, x, c, d, w, u)] = float(np.real(p))
-        return out
+    def raw_table(inputs: np.ndarray, outputs: np.ndarray) -> np.ndarray:
+        """p[i, j, k] = tr[M (Omega_ij (x) outputs_k)], Omega_ij = element i applied to input j."""
+        omega = la.apply_choi(choi[:, None], inputs[None])
+        return np.einsum("pqrs,ijrp,ksq->ijk", m, omega, outputs).real
 
     if independent_mixtures:
-        table = raw_table(res_in.elements, res_out.elements)
+        p = raw_table(_stack(res_in.elements), _stack(res_out.elements))
         meta = {"r_in": res_in.r, "r_out": res_out.r, "diagnostic": True}
     else:
         if res_in.r != res_out.r:
@@ -184,13 +191,13 @@ def simulate_channel(
                 "pass independent_mixtures=True for diagnostics"
             )
         r = res_in.r
-        pure = {key: catalog.sigma_tilde(*key) for key in res_in.keys()}
-        flipped = {key: v.T for key, v in pure.items()}
-        top = raw_table(pure, pure)
-        bottom = raw_table(flipped, flipped)
-        table = {key: r * top[key] + (1 - r) * bottom[key] for key in top}
+        pure = np.stack([catalog.sigma_tilde(*key) for key in res_in.keys()])
+        flipped = pure.transpose(0, 2, 1)
+        p = r * raw_table(pure, pure) + (1 - r) * raw_table(flipped, flipped)
         meta = {"r": r}
-    selftest = {"bc": _canonical_selftest(), "bd": _canonical_selftest()}
+    table = _keyed(p, lambda ax, cw, du: (*ax, cw[0], du[0], cw[1], du[1]),
+                   assemblage.elements, res_in.keys(), res_out.keys())
+    selftest = {block: dict(_canonical_selftest()) for block in ("bc", "bd")}
     return CorrelationTable("channel", table, selftest, meta)
 
 

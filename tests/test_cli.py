@@ -350,6 +350,11 @@ def _reject_constant(name):
     pytest.param(None, "validate {directory}", id="directory-input"),
     pytest.param(None, "validate {deep}", id="deeply-nested-json"),
     pytest.param(None, "dump ptp-assemblage --out {unwritable}", id="unwritable-output"),
+    pytest.param(None, "bound seesaw --functional {functional} --restarts abc",
+                 id="non-integer-restarts"),
+    pytest.param(None, "validate {assemblage} --bogus", id="unknown-flag"),
+    pytest.param(None, "bound classical", id="missing-required-option"),
+    pytest.param(None, "no-such-command", id="unknown-command"),
 ])
 def test_rejected_input_exits_two_with_one_json_error_line(capsys, tmp_path, mutate, argv):
     table = simulate_bwi(catalog.ptp_assemblage(), make_resource(1, 1.0))
@@ -375,3 +380,10 @@ def test_rejected_input_exits_two_with_one_json_error_line(capsys, tmp_path, mut
     assert json.loads(lines[0])["exit_code"] == 2
     if captured.out.strip():
         json.loads(captured.out, parse_constant=_reject_constant)
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: eprkit bound")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from eprkit.functionals import (
     decompose,
     evaluate_bell,
     evaluate_epr,
+    projector_strings,
     reconstruct,
     sparse_single_qubit_coefficients,
 )
@@ -71,6 +74,24 @@ def test_round_trip_seeded_batch(n):
     for seed in range(500):
         f = la.random_hermitian(np.random.default_rng(seed), 2**n)
         assert np.max(np.abs(reconstruct(decompose(f, n), n) - f)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_decompose_matches_factorwise_rule(n):
+    # xi[labels] = sum over Pauli strings s of tr[f P_s] / 2^n times, per qubit,
+    # 1/3 for the identity and (-1)^c [w = s] otherwise.
+    paulis = [la.I2, la.PAULI_Z, la.PAULI_X, la.PAULI_Y]
+    for seed in range(20):
+        f = la.random_hermitian(np.random.default_rng(seed), 2**n)
+        table = decompose(f, n)
+        for key, combo in projector_strings(n):
+            expected = 0.0
+            for string in itertools.product(range(4), repeat=n):
+                coef = np.real(np.trace(f @ la.tensor(*(paulis[s] for s in string)))) / 2**n
+                for (c, w), s in zip(combo, string):
+                    coef *= 1 / 3 if s == 0 else (-1) ** c * (w == s)
+                expected += coef
+            assert abs(table[key] - expected) < 1e-12
 
 
 @given(st.integers(0, 2**32 - 1))

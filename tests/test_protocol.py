@@ -94,6 +94,74 @@ def test_simulate_bwi_rejects_invalid_effect():
         simulate_bwi(catalog.ptp_assemblage(), make_resource(1, 1.0), -np.eye(4))
 
 
+def test_simulate_bwi_rejects_other_scenarios():
+    for scenario in ("mdi", "channel"):
+        with pytest.raises(ValueError):
+            simulate_bwi(random_quantum(scenario, 1)[0], make_resource(1, 1.0))
+
+
+def _overlap(m, *factors):
+    return float(np.real(np.trace(m @ la.tensor(*factors))))
+
+
+def _apply_choi_direct(j, rho):
+    # 2 tr_in[(I (x) rho^T) J] on out (x) in factors of a qubit input.
+    return 2 * la.partial_trace(la.tensor(la.I2, rho.T) @ j, [2, 2], 1)
+
+
+def _direct_table(mode, assemblage, res, res_out, m):
+    """The simulators' slices from their defining formulas, one trace per entry."""
+    if mode.startswith("bwi"):
+        return {key + rkey: _overlap(m, s, rho)
+                for key, s in assemblage.elements.items() for rkey, rho in res.elements.items()}
+    if mode == "mdi":
+        return {key + rkey: 2 * float(np.real(np.trace(rho.T @ j)))
+                for key, j in assemblage.elements.items() for rkey, rho in res.elements.items()}
+
+    def raw(inputs, outputs):
+        return {(a, x, c, d, w, u): _overlap(m, _apply_choi_direct(j, inputs[(c, w)]),
+                                             outputs[(d, u)])
+                for (a, x), j in assemblage.elements.items() for (c, w) in inputs
+                for (d, u) in outputs}
+
+    if mode == "channel-independent":
+        return raw(res.elements, res_out.elements)
+    pure = {key: catalog.sigma_tilde(*key) for key in res.keys()}
+    top, bottom = raw(pure, pure), raw({k: v.T for k, v in pure.items()},
+                                       {k: v.T for k, v in pure.items()})
+    return {key: res.r * top[key] + (1 - res.r) * bottom[key] for key in top}
+
+
+@pytest.mark.parametrize("mode", ["bwi-1", "bwi-2", "mdi", "channel", "channel-independent"])
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_simulators_match_direct_formula(mode, seed, r, r_out):
+    n = 2 if mode == "bwi-2" else 1
+    assemblage, _ = random_quantum(mode.split("-")[0], seed, n=n)
+    res, res_out = make_resource(n, r), make_resource(1, r_out)
+    m = la.random_povm_element(np.random.default_rng(seed), 4**n)
+    if mode.startswith("bwi"):
+        table = simulate_bwi(assemblage, res, m)
+    elif mode == "mdi":
+        table = simulate_mdi(assemblage, res)
+    elif mode == "channel":
+        table = simulate_channel(assemblage, res, res, m)
+    else:
+        table = simulate_channel(assemblage, res, res_out, m, independent_mixtures=True)
+    expected = _direct_table(mode, assemblage, res, res_out, m)
+    assert list(table.slice) == list(expected)
+    assert max(abs(table.slice[key] - p) for key, p in expected.items()) < 1e-12
+
+
+def test_tables_do_not_share_selftest_marginals():
+    res = make_resource(1, 1.0)
+    first = simulate_bwi(catalog.ptp_assemblage(), res)
+    first.selftest["bc"][(0, 0, 1, 1)] = 0.5
+    second = simulate_bwi(catalog.ptp_assemblage(), res)
+    assert second.selftest["bc"] == catalog.canonical_selftest_marginal()
+    channel = simulate_channel(random_quantum("channel", 0)[0], res, res)
+    assert channel.selftest["bc"] is not channel.selftest["bd"]
+
+
 def test_simulate_bwi_slice_mass_quarter():
     for seed in range(10):
         assemblage, _ = random_quantum("bwi", seed)

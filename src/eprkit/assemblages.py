@@ -13,7 +13,7 @@ extracted by trace, never stored.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, ClassVar
 
@@ -66,63 +66,49 @@ def _psd_residual(ms) -> float:
     return max(0.0, -float(np.linalg.eigvalsh(ms)[:, 0].min()))
 
 
-def _standard_conditions(el, c_rng, w_rng):
-    totals = {w: sum(el[(c, w)] for c in c_rng) for w in w_rng}
-    ref = totals[1]
+def _standard_conditions(grid):
+    totals = grid.sum(0)
     return [
-        ("reduced-state-setting-independent", max(_max_abs(t - ref) for t in totals.values())),
-        ("reduced-state-unit-trace", max(abs(np.trace(t) - 1) for t in totals.values())),
+        ("reduced-state-setting-independent", _max_abs(totals - totals[0])),
+        ("reduced-state-unit-trace", _max_abs(np.einsum("...ii->...", totals) - 1)),
     ]
 
 
-def _bwi_conditions(el, a_rng, x_rng, y_rng):
-    totals = {(x, y): sum(el[(a, x, y)] for a in a_rng) for x in x_rng for y in y_rng}
+def _bwi_conditions(grid):
+    traces, totals = np.einsum("...ii->...", grid), grid.sum(0)
     return [
-        ("normalisation",
-         max(abs(sum(np.trace(el[(a, x, y)]) for a in a_rng) - 1)
-             for x in x_rng for y in y_rng)),
-        ("alice-marginal-bob-input-independent",
-         max(abs(np.trace(el[(a, x, y)]) - np.trace(el[(a, x, 0)]))
-             for a in a_rng for x in x_rng for y in y_rng)),
-        ("bob-state-alice-setting-independent",
-         max(_max_abs(totals[(x, y)] - totals[(1, y)]) for x in x_rng for y in y_rng)),
+        ("normalisation", _max_abs(traces.sum(0) - 1)),
+        ("alice-marginal-bob-input-independent", _max_abs(traces - traces[..., :1])),
+        ("bob-state-alice-setting-independent", _max_abs(totals - totals[0])),
     ]
 
 
-def _alice_probabilities_valid(p, a_rng, x_rng) -> float:
-    return max(max(abs(sum(p[(a, x)] for a in a_rng) - 1) for x in x_rng),
-               max(max(0.0, -p[(a, x)]) for a in a_rng for x in x_rng))
+def _alice_probabilities_valid(p) -> float:
+    return max(_max_abs(p.sum(0) - 1), max(0.0, -float(p.min())))
 
 
-def _mdi_conditions(el, a_rng, b_rng, x_rng):
-    dim = next(iter(el.values())).shape[0]
-    eye = np.eye(dim)
-    p = {(a, x): float(np.real(sum(np.trace(el[(a, b, x)]) for b in b_rng)))
-         for a in a_rng for x in x_rng}
-    totals = {(b, x): sum(el[(a, b, x)] for a in a_rng) for b in b_rng for x in x_rng}
+def _mdi_conditions(grid):
+    dim = grid.shape[-1]
+    p, totals = np.einsum("...ii->...", grid).sum(1).real, grid.sum(0)
     return [
         ("alice-marginal-maximally-mixed",
-         max(_max_abs(sum(el[(a, b, x)] for b in b_rng) - p[(a, x)] * eye / dim)
-             for a in a_rng for x in x_rng)),
-        ("alice-probabilities-valid", _alice_probabilities_valid(p, a_rng, x_rng)),
-        ("bob-channel-alice-setting-independent",
-         max(_max_abs(totals[(b, x)] - totals[(b, 1)]) for b in b_rng for x in x_rng)),
+         _max_abs(grid.sum(1) - p[..., None, None] * np.eye(dim) / dim)),
+        ("alice-probabilities-valid", _alice_probabilities_valid(p)),
+        ("bob-channel-alice-setting-independent", _max_abs(totals - totals[:, :1])),
     ]
 
 
-def _channel_conditions(el, a_rng, x_rng):
+def _channel_conditions(grid):
     in_dim = 2
-    out_dim = next(iter(el.values())).shape[0] // in_dim
-    p = {(a, x): float(np.real(np.trace(el[(a, x)]))) for a in a_rng for x in x_rng}
-    totals = {x: sum(el[(a, x)] for a in a_rng) for x in x_rng}
+    out_dim = grid.shape[-1] // in_dim
+    p, totals = np.einsum("...ii->...", grid).real, grid.sum(0)
+    # tr_out of each element: its (out, in, out, in) blocks traced over out.
+    reduced = np.einsum("...oioj->...ij", grid.reshape(*p.shape, out_dim, in_dim, out_dim, in_dim))
     return [
         ("discarded-output-is-alice-marginal",
-         max(_max_abs(la.partial_trace(el[(a, x)], [out_dim, in_dim], 0)
-                      - p[(a, x)] * np.eye(in_dim) / in_dim)
-             for a in a_rng for x in x_rng)),
-        ("alice-probabilities-valid", _alice_probabilities_valid(p, a_rng, x_rng)),
-        ("bob-channel-alice-setting-independent",
-         max(_max_abs(totals[x] - totals[1]) for x in x_rng)),
+         _max_abs(reduced - p[..., None, None] * np.eye(in_dim) / in_dim)),
+        ("alice-probabilities-valid", _alice_probabilities_valid(p)),
+        ("bob-channel-alice-setting-independent", _max_abs(totals - totals[0])),
     ]
 
 
@@ -161,10 +147,11 @@ class Scenario:
     fixed outcome and ``*`` his protocol setting; it is empty when the
     scenario has no protocol.  ``resources`` holds the (outcome, setting)
     labels that read out each tensor factor of a functional operator, in
-    factor order.  ``conditions(elements, *label_ranges)`` gives the
-    no-signalling residuals after ``elements-psd`` as (name, residual)
-    pairs; ``sample(rng, state, povms, sizes, db)`` draws Bob's processing
-    for a Bob system of dimension ``db`` and realises the assemblage.
+    factor order.  ``conditions(grid)`` gives the no-signalling residuals
+    after ``elements-psd`` as (name, residual) pairs, from the elements on
+    their grid of shape (*alphabet sizes, d, d); ``sample(rng, state, povms,
+    sizes, db)`` draws Bob's processing for a Bob system of dimension ``db``
+    and realises the assemblage.
     """
 
     axes: str
@@ -195,16 +182,22 @@ SPECS = {
 }
 
 
-def freeze_operators(operators: dict, n_axes: int) -> dict:
-    """Frozen Hermitian copies of non-empty same-shape operators keyed by ``n_axes`` labels."""
-    out = {key: la.hermitian(m) for key, m in operators.items()}
-    shapes = {m.shape for m in out.values()}
-    if len(shapes) != 1:
-        raise ValueError(f"expected operators of one common shape, got shapes {sorted(shapes)}")
-    wrong = [key for key in out if len(key) != n_axes]
+def freeze_operators(operators: dict, n_axes: int) -> np.ndarray:
+    """One read-only Hermitian stack, in key order, of operators keyed by ``n_axes`` labels."""
+    shapes = {np.shape(m) for m in operators.values()}
+    if len(shapes) != 1 or len(next(iter(shapes))) != 2:
+        raise ValueError(f"expected square operators of one shape, got shapes {sorted(shapes)}")
+    wrong = [key for key in operators if len(key) != n_axes]
     if wrong:
         raise ValueError(f"expected keys of {n_axes} labels, got {wrong[0]}")
-    return out
+    return la.hermitian(list(operators.values()))
+
+
+def _grid(labels, keys, stack) -> np.ndarray:
+    """``stack``, ordered as ``keys``, on the grid (*label counts, d, d) of the axis ``labels``."""
+    index = {key: i for i, key in enumerate(keys)}
+    grid = stack[[index[key] for key in itertools.product(*labels)]]
+    return grid.reshape(*map(len, labels), *stack.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -212,10 +205,13 @@ class Assemblage:
     """Elements of an assemblage, keyed by the axes of its scenario in ``SPECS``.
 
     Each subclass is one scenario and adds one alphabet size ``n_<axis>`` per
-    axis, in axis order: ``BwIAssemblage(elements, n_a, n_x, n_y)``.
+    axis, in axis order: ``BwIAssemblage(elements, n_a, n_x, n_y)``.  The
+    checked elements are held as one read-only array ``stack`` in key order;
+    ``elements`` maps each key to its view into that stack.
     """
 
     elements: dict
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
     scenario: ClassVar[str] = ""
 
     def __init_subclass__(cls, scenario: str, **kwargs):
@@ -228,9 +224,15 @@ class Assemblage:
         dataclass(frozen=True)(cls)
 
     def __post_init__(self):
-        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in self.sizes.values()):
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+                   for n in self.sizes.values()):
             raise ValueError(f"alphabet sizes must be positive integers, got {self.sizes}")
-        object.__setattr__(self, "elements", freeze_operators(self.elements, len(self.spec.axes)))
+        stack, labels = freeze_operators(self.elements, len(self.spec.axes)), self.labels()
+        outside = [k for k in self.elements if not all(i in axis for i, axis in zip(k, labels))]
+        if outside:
+            raise ValueError(f"element key {outside[0]} lies outside the alphabets {self.sizes}")
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "elements", dict(zip(self.elements, stack)))
 
     @property
     def spec(self) -> Scenario:
@@ -250,7 +252,7 @@ class Assemblage:
 
     @property
     def dim(self) -> int:
-        return next(iter(self.elements.values())).shape[0]
+        return self.stack.shape[-1]
 
 
 class StandardAssemblage(Assemblage, scenario="standard"):
@@ -283,9 +285,8 @@ def validate(assemblage, tol: float = DEFAULT_TOL) -> ValidationReport:
     if missing:
         errs = tuple(f"missing element {key}" for key in missing)
         return ValidationReport(assemblage.scenario, (), errs, tol)
-    el = assemblage.elements
-    conds = [("elements-psd", _psd_residual(np.stack(list(el.values()))))]
-    conds += assemblage.spec.conditions(el, *assemblage.labels())
+    grid = _grid(assemblage.labels(), assemblage.elements, assemblage.stack)
+    conds = [("elements-psd", _psd_residual(assemblage.stack)), *assemblage.spec.conditions(grid)]
     return ValidationReport(
         assemblage.scenario, tuple(ConditionResult(*c) for c in conds), (), tol)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .assemblages import QuantumRealisation
+from .assemblages import QuantumRealisation, _grid
 from .catalog import SELFTEST_SIGNS
 from .functionals import EPRFunctional
 
@@ -54,28 +54,28 @@ class BoundReport:
 def _functional_grid(f: EPRFunctional):
     if f.scenario != "bwi":
         raise ValueError("bounds are implemented for Bob-with-input functionals")
-    return f.labels()
+    labels = f.labels()
+    return labels, _grid(labels, f.operators, f.stack)
 
 
 def classical_bound(f: EPRFunctional) -> BoundReport:
     """Exact minimum over local-hidden-state models, by strategy enumeration."""
-    a_vals, x_vals, y_vals = _functional_grid(f)
+    (a_vals, x_vals, y_vals), grid = _functional_grid(f)
     n_strategies = len(a_vals) ** len(x_vals)
     if n_strategies > ENUMERATION_GUARD:
         raise ValueError(
             f"{n_strategies} deterministic strategies exceed the enumeration guard"
         )
+    columns = np.arange(len(x_vals))
     best_value = np.inf
     best: DeterministicStrategy | None = None
-    for choices in itertools.product(a_vals, repeat=len(x_vals)):
-        response = dict(zip(x_vals, choices))
-        operators = {
-            y: sum(f.operators[(response[x], x, y)] for x in x_vals) for y in y_vals
-        }
-        value = sum(la.min_eigenvalue(g) for g in operators.values())
+    for choices in itertools.product(range(len(a_vals)), repeat=len(x_vals)):
+        operators = grid[choices, columns].sum(0)  # per y: sum_x F_{choice(x), x, y}
+        value = sum(np.linalg.eigvalsh(operators)[:, 0])
         if value < best_value:
             best_value = value
-            best = DeterministicStrategy(response, operators)
+            best = DeterministicStrategy({x: a_vals[c] for x, c in zip(x_vals, choices)},
+                                         dict(zip(y_vals, operators)))
     return BoundReport("classical", float(best_value), witness=best)
 
 
@@ -85,12 +85,8 @@ def ns_lower_bound(f: EPRFunctional) -> BoundReport:
     Per (x, y) the outcome traces are a subnormalised distribution, so the
     functional dominates sum_{x,y} min_a lambda_min(F_{axy}).
     """
-    a_vals, x_vals, y_vals = _functional_grid(f)
-    value = sum(
-        min(la.min_eigenvalue(f.operators[(a, x, y)]) for a in a_vals)
-        for x in x_vals
-        for y in y_vals
-    )
+    _, grid = _functional_grid(f)
+    value = np.linalg.eigvalsh(grid)[..., 0].min(0).sum()
     return BoundReport(
         "ns_certificate",
         float(value),
@@ -101,16 +97,12 @@ def ns_lower_bound(f: EPRFunctional) -> BoundReport:
 
 def _seesaw_once(f: EPRFunctional, rng: np.random.Generator,
                  max_iterations: int, rel_tol: float):
-    a_vals, x_vals, y_vals = _functional_grid(f)
+    (a_vals, x_vals, y_vals), grid = _functional_grid(f)
     if a_vals != [0, 1]:
         raise ValueError("the seesaw measurement step needs a binary Alice alphabet")
     db = f.dim
     da = 2
-    summed = {
-        (a, x): sum(f.operators[(a, x, y)] for y in y_vals)
-        for a in a_vals
-        for x in x_vals
-    }
+    summed = dict(zip(itertools.product(a_vals, x_vals), grid.sum(2).reshape(-1, db, db)))
     povms = {x: la.random_projective_povm(rng, da) for x in x_vals}
     trace = []
     rho = None

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -358,27 +359,26 @@ def cmd_dump(args, argv) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every ``main`` call."""
     parser = _Parser(prog="eprkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check the no-signalling conditions of an assemblage")
     p.add_argument("path")
     p.add_argument("--scenario", choices=list(SPECS))
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("eval", help="evaluate a functional on an assemblage or correlations")
     p.add_argument("--functional", required=True)
     p.add_argument("--assemblage")
     p.add_argument("--correlations")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bound", help="classical, no-signalling certificate, or seesaw bound")
     p.add_argument("kind", choices=["classical", "ns-cert", "seesaw"])
     p.add_argument("--functional", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=10)
-    p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("simulate", help="run an activation protocol")
     p.add_argument("scenario", choices=list(SCENARIOS))
@@ -389,12 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=0, help="resource qubit count (bwi only)")
     p.add_argument("--out")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("selftest", help="threshold check of the self-test functional")
     p.add_argument("--correlations", required=True)
     p.add_argument("--epsilon", type=float, default=1e-6)
-    p.set_defaults(func=cmd_selftest)
 
     p = sub.add_parser("demo-ptp", help="end-to-end run of the worked example")
     p.add_argument("--out")
@@ -403,13 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="first seed of the 50 quantum-control draws")
     p.add_argument("--debug-beta-aq", type=float, default=None,
                    help="tamper with the almost-quantum constant (negative control)")
-    p.set_defaults(func=cmd_demo_ptp)
 
     p = sub.add_parser("dump", help="export a catalog object to the JSON schema")
     p.add_argument("name")
     p.add_argument("--out")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=cmd_dump)
 
     return parser
 
@@ -418,7 +414,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args, argv)
+        # "demo-ptp" runs cmd_demo_ptp, looked up per call rather than held by the shared
+        # parser, so a rebound command (such as a tracer's wrapper) is the one that runs.
+        return globals()["cmd_" + args.command.replace("-", "_")](args, argv)
     except (CliError, ValueError, OSError) as exc:
         # A ValueError that reaches here is an out-of-range argument or a
         # non-finite value in a report, an OSError a failed write: exit 2.

@@ -40,18 +40,23 @@ class EPRFunctional:
     Operator keys follow the scenario's axes: (a, x, y) for bwi, (a, b, x)
     for mdi, (a, x) for channel (dim-4 operators on output (x) Choi-input
     factors).  The keys must cover the full product of their labels per axis.
-    ``bounds`` optionally carries known bound constants by name.
+    ``bounds`` optionally carries known bound constants by name.  The checked
+    operators are held as one read-only array ``stack`` in key order;
+    ``operators`` maps each key to its view into that stack.
     """
 
     scenario: str
     operators: dict
     bounds: dict = field(default_factory=dict)
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         n_axes = len(SPECS[self.scenario].axes)
-        object.__setattr__(self, "operators", freeze_operators(self.operators, n_axes))
+        stack = freeze_operators(self.operators, n_axes)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "operators", dict(zip(self.operators, stack)))
         missing = [key for key in itertools.product(*self.labels()) if key not in self.operators]
         if missing:
             raise ValueError(f"functional has no operator for {missing[0]}")
@@ -64,13 +69,12 @@ class EPRFunctional:
 
     @property
     def dim(self) -> int:
-        return next(iter(self.operators.values())).shape[0]
+        return self.stack.shape[-1]
 
     def shifted(self, offset: float) -> "EPRFunctional":
         """Add ``offset * I`` to every operator (bounds metadata dropped)."""
-        eye = np.eye(self.dim)
         return EPRFunctional(
-            self.scenario, {k: m + offset * eye for k, m in self.operators.items()}
+            self.scenario, dict(zip(self.operators, self.stack + offset * np.eye(self.dim)))
         )
 
 
@@ -91,6 +95,8 @@ class BellCoefficients:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise ValueError(f"resource qubit count n must be a positive integer, got {self.n!r}")
         for key, v in self.xi.items():
             if not np.isfinite(v):
                 raise ValueError(f"non-finite coefficient at {key}")
@@ -207,21 +213,20 @@ def bell_from_epr(f: EPRFunctional) -> BellCoefficients:
 
 
 def evaluate_epr(f: EPRFunctional, assemblage) -> float:
-    """tr sum_k F_k sigma_k over the matching index set."""
+    """tr sum_k F_k sigma_k over the functional's keys."""
     if f.scenario != assemblage.scenario:
         raise ValueError(
             f"scenario mismatch: functional is {f.scenario!r}, "
             f"assemblage is {assemblage.scenario!r}"
         )
-    total = 0.0
-    for key, op in f.operators.items():
-        if key not in assemblage.elements:
-            raise ValueError(f"assemblage has no element {key}")
-        el = assemblage.elements[key]
-        if el.shape != op.shape:
-            raise ValueError(f"dimension mismatch at {key}: {op.shape} vs {el.shape}")
-        total += float(np.real(np.trace(op @ el)))
-    return total
+    index = {key: i for i, key in enumerate(assemblage.elements)}
+    missing = [key for key in f.operators if key not in index]
+    if missing:
+        raise ValueError(f"assemblage has no element {missing[0]}")
+    if f.dim != assemblage.dim:
+        raise ValueError(f"dimension mismatch: operators {f.dim}, elements {assemblage.dim}")
+    sigma = assemblage.stack[[index[key] for key in f.operators]]
+    return float(np.einsum("kij,kji->", f.stack, sigma).real)
 
 
 def evaluate_bell(xi: BellCoefficients, table) -> float:

@@ -33,19 +33,19 @@ PAULI_BY_SETTING = {1: PAULI_Z, 2: PAULI_X, 3: PAULI_Y}
 
 
 def hermitian(entries, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate and freeze a Hermitian operator.
+    """Validate and freeze a Hermitian operator, or a stack of them over leading axes.
 
     Rejects inputs with non-finite entries, or whose anti-Hermitian part
     exceeds ``tol`` entrywise instead of symmetrising them, so malformed data
     fails loudly.  Returns a read-only complex array.
     """
     m = np.asarray(entries, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"operator must be square, got shape {m.shape}")
-    dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if not dev <= tol:  # a non-finite entry makes dev NaN or inf
-        if not np.isfinite(m).all():
-            raise ValueError("operator has non-finite entries")
+    if not np.isfinite(m).all():  # checked first: inf - inf would warn on stderr
+        raise ValueError("operator has non-finite entries")
+    dev = np.max(np.abs(m - m.conj().swapaxes(-2, -1))) if m.size else 0.0
+    if dev > tol:
         raise ValueError(f"operator is not Hermitian within {tol:g} (deviation {dev:.3e})")
     m = m.copy()
     m.setflags(write=False)
@@ -92,7 +92,7 @@ def partial_transpose(m: np.ndarray, subsystem_dims, transposed_index: int) -> n
     return t.transpose(axes).reshape(total, total)
 
 
-def eig_hermitian(m: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian operator.
 
     Returns ascending eigenvalues and orthonormal eigenvector columns.

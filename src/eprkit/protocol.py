@@ -40,12 +40,14 @@ class ResourceAssemblage:
     """The self-tested resource: mixture of the canonical assemblage and its transpose.
 
     Elements are r * prod(sigma_tilde) + (1 - r) * prod(sigma_tilde)^T, keyed
-    (c, w) for one qubit and (c-tuple, w-tuple) for more.
+    (c, w) for one qubit and (c-tuple, w-tuple) for more; ``stack`` holds them
+    in key order.
     """
 
     n: int
     r: float
     elements: dict
+    stack: np.ndarray = field(repr=False, compare=False)
 
     def element(self, c, w) -> np.ndarray:
         return self.elements[(c, w)]
@@ -60,11 +62,10 @@ def make_resource(n: int, r: float) -> ResourceAssemblage:
         raise ValueError(f"resource qubit count must be 1 or 2, got {n}")
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"mixing parameter must lie in [0, 1], got {r}")
-    elements = {}
-    for key, combo in projector_strings(n):
-        pure = la.tensor(*(catalog.sigma_tilde(c, w) for c, w in combo))
-        elements[key] = r * pure + (1 - r) * pure.T
-    return ResourceAssemblage(n, float(r), elements)
+    keys, combos = zip(*projector_strings(n))
+    pure = np.stack([la.tensor(*(catalog.sigma_tilde(c, w) for c, w in combo)) for combo in combos])
+    stack = r * pure + (1 - r) * pure.transpose(0, 2, 1)
+    return ResourceAssemblage(n, float(r), dict(zip(keys, stack)), stack)
 
 
 @dataclass(frozen=True)
@@ -108,10 +109,6 @@ def _check_effect(m: np.ndarray, dim: int) -> np.ndarray:
 _canonical_selftest = functools.cache(catalog.canonical_selftest_marginal)
 
 
-def _stack(elements: dict) -> np.ndarray:
-    return np.stack(list(elements.values()))
-
-
 def _keyed(p: np.ndarray, key, *label_sets) -> dict:
     """Entries of ``p`` as floats keyed ``key(*labels)``, one label set per axis of ``p``."""
     return {key(*labels): float(v)
@@ -129,8 +126,8 @@ def simulate_bwi(assemblage, resource: ResourceAssemblage, measurement=None) -> 
         measurement = la.phi_plus(resource.n)
     m = _check_effect(measurement, d * d).reshape(d, d, d, d)
     # One operand at a time: a single three-operand einsum loops over all six indices at once.
-    half = np.einsum("pqrs,irp->iqs", m, _stack(assemblage.elements))
-    p = np.einsum("iqs,jsq->ij", half, _stack(resource.elements))
+    half = np.einsum("pqrs,irp->iqs", m, assemblage.stack)
+    p = np.einsum("iqs,jsq->ij", half, resource.stack)
     table = _keyed(p, operator.add, assemblage.elements, resource.keys())
     return CorrelationTable(
         "bwi", table, {"bc": dict(_canonical_selftest())},
@@ -145,7 +142,7 @@ def simulate_mdi(assemblage, resource: ResourceAssemblage) -> CorrelationTable:
     if resource.n != 1:
         raise ValueError("the MDI protocol uses a single-qubit resource")
     # 2 tr[R^T J] for every pair of elements J and resource elements R.
-    p = 2 * np.einsum("ist,jst->ij", _stack(assemblage.elements), _stack(resource.elements))
+    p = 2 * np.einsum("ist,jst->ij", assemblage.stack, resource.stack)
     table = _keyed(p, operator.add, assemblage.elements, resource.keys())
     return CorrelationTable(
         "mdi", table, {"bc": dict(_canonical_selftest())}, {"r": resource.r},
@@ -174,7 +171,7 @@ def simulate_channel(
     if measurement is None:
         measurement = la.phi_plus(1)
     m = _check_effect(measurement, 4).reshape(2, 2, 2, 2)
-    choi = _stack(assemblage.elements)
+    choi = assemblage.stack
 
     def raw_table(inputs: np.ndarray, outputs: np.ndarray) -> np.ndarray:
         """p[i, j, k] = tr[M (Omega_ij (x) outputs_k)], Omega_ij = element i applied to input j."""
@@ -182,7 +179,7 @@ def simulate_channel(
         return np.einsum("pqrs,ijrp,ksq->ijk", m, omega, outputs).real
 
     if independent_mixtures:
-        p = raw_table(_stack(res_in.elements), _stack(res_out.elements))
+        p = raw_table(res_in.stack, res_out.stack)
         meta = {"r_in": res_in.r, "r_out": res_out.r, "diagnostic": True}
     else:
         if res_in.r != res_out.r:

@@ -121,7 +121,7 @@ def functional_from_json(doc: dict):
         return EPRFunctional(doc["scenario"], operators, dict(doc.get("bounds", {})))
     if form == "bell":
         xi = {_key_from_str(k): float(v) for k, v in doc.get("coefficients", {}).items()}
-        return BellCoefficients(doc["scenario"], xi, int(doc.get("n", 1)))
+        return BellCoefficients(doc["scenario"], xi, doc.get("n", 1))
     raise SchemaError(f"unknown functional form {form!r}")
 
 

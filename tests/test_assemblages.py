@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eprkit import catalog
 from eprkit import linalg as la
 from eprkit.assemblages import (
+    CONTAINERS,
     BwIAssemblage,
+    ChannelAssemblage,
     QuantumRealisation,
     StandardAssemblage,
     random_quantum,
@@ -314,3 +318,135 @@ def test_standard_assemblage_psd_check():
     rep = validate(StandardAssemblage(elements))
     assert not rep.passed
     assert any("psd" in f for f in rep.failures())
+
+
+def _max_abs(m):
+    return float(np.max(np.abs(m)))
+
+
+def _probabilities_residual(p, a_rng, x_rng):
+    return max(max(abs(sum(p[(a, x)] for a in a_rng) - 1) for x in x_rng),
+               max(max(0.0, -p[(a, x)]) for a in a_rng for x in x_rng))
+
+
+def _reference_residuals(assemblage):
+    """validate's residuals from the per-key formulas, one element at a time."""
+    el, rngs = assemblage.elements, assemblage.labels()
+    out = [("elements-psd", max(0.0, -min(la.min_eigenvalue(m) for m in el.values())))]
+    if assemblage.scenario == "standard":
+        c_rng, w_rng = rngs
+        totals = {w: sum(el[(c, w)] for c in c_rng) for w in w_rng}
+        return out + [
+            ("reduced-state-setting-independent",
+             max(_max_abs(t - totals[1]) for t in totals.values())),
+            ("reduced-state-unit-trace", max(abs(np.trace(t) - 1) for t in totals.values())),
+        ]
+    if assemblage.scenario == "bwi":
+        a_rng, x_rng, y_rng = rngs
+        totals = {(x, y): sum(el[(a, x, y)] for a in a_rng) for x in x_rng for y in y_rng}
+        return out + [
+            ("normalisation", max(abs(sum(np.trace(el[(a, x, y)]) for a in a_rng) - 1)
+                                  for x in x_rng for y in y_rng)),
+            ("alice-marginal-bob-input-independent",
+             max(abs(np.trace(el[(a, x, y)]) - np.trace(el[(a, x, 0)]))
+                 for a in a_rng for x in x_rng for y in y_rng)),
+            ("bob-state-alice-setting-independent",
+             max(_max_abs(totals[(x, y)] - totals[(1, y)]) for x in x_rng for y in y_rng)),
+        ]
+    if assemblage.scenario == "mdi":
+        a_rng, b_rng, x_rng = rngs
+        eye = np.eye(assemblage.dim) / assemblage.dim
+        p = {(a, x): float(np.real(sum(np.trace(el[(a, b, x)]) for b in b_rng)))
+             for a in a_rng for x in x_rng}
+        totals = {(b, x): sum(el[(a, b, x)] for a in a_rng) for b in b_rng for x in x_rng}
+        return out + [
+            ("alice-marginal-maximally-mixed",
+             max(_max_abs(sum(el[(a, b, x)] for b in b_rng) - p[(a, x)] * eye)
+                 for a in a_rng for x in x_rng)),
+            ("alice-probabilities-valid", _probabilities_residual(p, a_rng, x_rng)),
+            ("bob-channel-alice-setting-independent",
+             max(_max_abs(totals[(b, x)] - totals[(b, 1)]) for b in b_rng for x in x_rng)),
+        ]
+    a_rng, x_rng = rngs
+    out_dim = assemblage.dim // 2
+    p = {(a, x): float(np.real(np.trace(el[(a, x)]))) for a in a_rng for x in x_rng}
+    totals = {x: sum(el[(a, x)] for a in a_rng) for x in x_rng}
+    return out + [
+        ("discarded-output-is-alice-marginal",
+         max(_max_abs(la.partial_trace(el[(a, x)], [out_dim, 2], 0) - p[(a, x)] * la.I2 / 2)
+             for a in a_rng for x in x_rng)),
+        ("alice-probabilities-valid", _probabilities_residual(p, a_rng, x_rng)),
+        ("bob-channel-alice-setting-independent",
+         max(_max_abs(totals[x] - totals[1]) for x in x_rng)),
+    ]
+
+
+def _random_assemblage(scenario, seed, n_a, n_x, n_other):
+    """A seeded quantum assemblage of the scenario with non-default alphabets."""
+    if scenario == "standard":  # Bob's states at his only input, relabelled (c, w)
+        bwi, _ = random_quantum("bwi", seed, {"a": n_a, "x": n_x, "y": 1})
+        elements = {(a, x): m for (a, x, _), m in bwi.elements.items()}
+        return StandardAssemblage(elements, n_c=n_a, n_w=n_x)
+    other = {"bwi": {"y": n_other}, "mdi": {"b": n_other + 1}, "channel": {}}[scenario]
+    return random_quantum(scenario, seed, {"a": n_a, "x": n_x, **other})[0]
+
+
+@pytest.mark.parametrize("scenario", ["standard", "bwi", "mdi", "channel"])
+@given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(1, 2), n_x=st.integers(1, 4),
+       n_other=st.integers(1, 3), noise=st.sampled_from([0.0, 1e-6, 0.05, 0.5]),
+       n_noisy=st.integers(0, 3), shift=st.sampled_from([0.0, 2.0]))
+def test_validate_matches_per_key_formulas(scenario, seed, n_a, n_x, n_other, noise, n_noisy,
+                                           shift):
+    assemblage = _random_assemblage(scenario, seed, n_a, n_x, n_other)
+    # Hermitian noise on a few elements breaks every condition at once; the
+    # elements then go back in a shuffled key order.
+    rng = np.random.default_rng(seed)
+    elements = dict(assemblage.elements)
+    keys = list(elements)
+    for i in rng.choice(len(keys), size=min(n_noisy, len(keys)), replace=False):
+        elements[keys[i]] = elements[keys[i]] + noise * la.random_hermitian(rng, assemblage.dim)
+    if n_a == 2:  # trace moved between the two outcomes: one p(a|x) < 0, sums kept
+        eye = shift * np.eye(assemblage.dim) / assemblage.dim
+        elements[keys[0]] = elements[keys[0]] - eye
+        other = (1 - keys[0][0], *keys[0][1:])
+        elements[other] = elements[other] + eye
+    shuffled = {keys[i]: elements[keys[i]] for i in rng.permutation(len(keys))}
+    broken = CONTAINERS[scenario](shuffled, **{f"n_{k}": n for k, n in assemblage.sizes.items()})
+    got = [(c.name, c.residual) for c in validate(broken).conditions]
+    expected = _reference_residuals(broken)
+    assert [name for name, _ in got] == [name for name, _ in expected]
+    assert max(abs(r - e) for (_, r), (_, e) in zip(got, expected)) <= 1e-12
+    if noise >= 0.05 and n_noisy:
+        assert not validate(broken).passed
+
+
+def test_elements_are_read_only_views_of_one_stack():
+    assemblage, _ = random_quantum("mdi", 3)
+    assert isinstance(assemblage.elements, dict)
+    assert assemblage.stack.shape == (len(assemblage.elements), 2, 2)
+    for m, key in zip(assemblage.stack, assemblage.elements):
+        assert np.shares_memory(assemblage.elements[key], assemblage.stack)
+        assert np.array_equal(assemblage.elements[key], m)
+    with pytest.raises(ValueError):
+        assemblage.stack[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        assemblage.elements[(0, 0, 1)][0, 0] = 1.0
+
+
+@pytest.mark.parametrize("key, sizes", [
+    ((5, 1, 0), {}),  # outcome beyond n_a
+    ((0, 0, 0), {}),  # settings are 1-based
+    ((0, 1, 2), {}),  # Bob input beyond n_y
+    ((0, 1, 0), {"n_a": True}),  # a bool is not an alphabet size
+])
+def test_construction_rejects_keys_outside_the_alphabets(key, sizes):
+    elements = dict(catalog.ptp_assemblage().elements)
+    elements[key] = la.I2 / 4
+    with pytest.raises(ValueError):
+        BwIAssemblage(elements, **sizes)
+
+
+def test_construction_rejects_channel_keys_outside_the_alphabets():
+    assemblage, _ = random_quantum("channel", 2)
+    with pytest.raises(ValueError):
+        ChannelAssemblage({**assemblage.elements, (2, 1): np.eye(4) / 8})

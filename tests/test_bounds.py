@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eprkit import catalog
 from eprkit import linalg as la
@@ -181,3 +183,47 @@ def test_selftest_flipped_observable_drops_by_column():
         marginal[(b, c, 4, w)] = catalog.canonical_selftest_marginal()[(1 - b, c, 4, w)]
     value = selftest_value(marginal)
     assert abs(value - (SELFTEST_MAX - 2 * np.sqrt(3))) < 1e-9
+
+
+def _reference_classical(f):
+    """Value and response of the first minimising strategy, one operator at a time."""
+    a_vals, x_vals, y_vals = f.labels()
+    best_value, best = np.inf, None
+    for choices in itertools.product(a_vals, repeat=len(x_vals)):
+        response = dict(zip(x_vals, choices))
+        value = sum(la.min_eigenvalue(sum(f.operators[(response[x], x, y)] for x in x_vals))
+                    for y in y_vals)
+        if value < best_value:
+            best_value, best = value, response
+    return best_value, best
+
+
+def _reference_ns(f):
+    a_vals, x_vals, y_vals = f.labels()
+    return sum(min(la.min_eigenvalue(f.operators[(a, x, y)]) for a in a_vals)
+               for x in x_vals for y in y_vals)
+
+
+def _check_bounds_against_loops(f):
+    report = classical_bound(f)
+    value, response = _reference_classical(f)
+    assert abs(report.value - value) <= 1e-12
+    assert report.witness.response == response
+    for y, g in report.witness.operators.items():
+        expected = sum(f.operators[(a, x, y)] for x, a in response.items())
+        assert np.max(np.abs(g - expected)) <= 1e-12
+    assert abs(ns_lower_bound(f).value - _reference_ns(f)) <= 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(1, 3), n_x=st.integers(1, 5),
+       n_y=st.integers(1, 3), dim=st.sampled_from([2, 4]))
+def test_bounds_match_per_key_loops(seed, n_a, n_x, n_y, dim):
+    rng = np.random.default_rng(seed)
+    keys = list(itertools.product(range(n_a), range(1, n_x + 1), range(n_y)))
+    ops = {keys[i]: la.random_hermitian(rng, dim) for i in rng.permutation(len(keys))}
+    _check_bounds_against_loops(EPRFunctional("bwi", ops))
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_bounds_match_per_key_loops_on_ptp(normalized):
+    _check_bounds_against_loops(catalog.ptp_functional(normalized=normalized))

@@ -1,15 +1,21 @@
+import contextlib
+import copy
+import io
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprkit import catalog
 from eprkit import linalg as la
 from eprkit import serialize as ser
-from eprkit.assemblages import BwIAssemblage, MDIAssemblage
-from eprkit.cli import main
+from eprkit.assemblages import SPECS, BwIAssemblage, MDIAssemblage
+from eprkit.cli import build_parser, main
 from eprkit.protocol import CorrelationTable, make_resource, simulate_bwi
 
 
@@ -328,6 +334,11 @@ def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
 
+def _add_element_outside_alphabets(docs):
+    elements = docs["assemblage"]["elements"]
+    elements["5,1,0"] = elements["0,1,0"]
+
+
 @pytest.mark.parametrize("mutate, argv", [
     pytest.param(lambda d: d["functional"]["operators"]["0,1,0"][0].__setitem__(0, [math.nan, 0]),
                  "eval --functional {functional} --assemblage {assemblage}",
@@ -355,6 +366,16 @@ def _reject_constant(name):
     pytest.param(None, "validate {assemblage} --bogus", id="unknown-flag"),
     pytest.param(None, "bound classical", id="missing-required-option"),
     pytest.param(None, "no-such-command", id="unknown-command"),
+    pytest.param(_add_element_outside_alphabets, "validate {assemblage}",
+                 id="element-key-outside-alphabets"),
+    pytest.param(_add_element_outside_alphabets, "simulate bwi --assemblage {assemblage}",
+                 id="simulated-key-outside-alphabets"),
+    pytest.param(lambda d: d["assemblage"]["alphabets"].update(a=True),
+                 "validate {assemblage}", id="bool-alphabet-size"),
+    # json writes math.inf as Infinity, which parses to the same float as "n": 1e400.
+    *[pytest.param(lambda d, n=n: d["coefficients"].update(n=n),
+                   "eval --functional {coefficients} --correlations {correlations}",
+                   id=f"qubit-count-{n}") for n in (math.inf, -1, 0, True)],
 ])
 def test_rejected_input_exits_two_with_one_json_error_line(capsys, tmp_path, mutate, argv):
     table = simulate_bwi(catalog.ptp_assemblage(), make_resource(1, 1.0))
@@ -387,3 +408,104 @@ def test_help_exits_zero(capsys):
         main(["bound", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: eprkit bound")
+
+
+def test_parser_is_built_once_and_keeps_its_defaults(capsys, ptp_files):
+    assert build_parser() is build_parser()
+    assert main(["bound", "seesaw", "--functional", ptp_files["ptp-functional-raw"],
+                 "--seed", "3", "--restarts", "2"]) == 0
+    args = build_parser().parse_args(["bound", "seesaw", "--functional", "f.json"])
+    assert (args.seed, args.restarts) == (0, 10)
+
+
+@pytest.fixture(scope="module")
+def catalog_files(tmp_path_factory):
+    """The dumped catalog documents the fuzz test mutates, and their intact files."""
+    assemblage, functional = catalog.embedded_ptp_channel()
+    table = simulate_bwi(catalog.ptp_assemblage(), make_resource(1, 1.0))
+    docs = {"assemblage": ser.assemblage_to_json(catalog.ptp_assemblage()),
+            "functional": ser.functional_to_json(catalog.ptp_functional()),
+            "coefficients": ser.functional_to_json(catalog.ptp_bell_coefficients()),
+            "correlations": ser.table_to_json(table),
+            "channel-assemblage": ser.assemblage_to_json(assemblage),
+            "channel-functional": ser.functional_to_json(functional)}
+    directory = tmp_path_factory.mktemp("catalog")
+    paths = {name: str(directory / f"{name}.json") for name in [*docs, "mutated"]}
+    for name, doc in docs.items():
+        with open(paths[name], "w") as fh:
+            json.dump(doc, fh)
+    return docs, paths
+
+
+# Commands reading each document kind; {mutated} is the mutated file, the rest intact.
+_FUZZ_COMMANDS = {
+    "assemblage": ["validate {mutated}", "simulate bwi --assemblage {mutated}",
+                   "eval --functional {functional} --assemblage {mutated}"],
+    "functional": ["eval --functional {mutated} --assemblage {assemblage}",
+                   "bound classical --functional {mutated}", "bound ns-cert --functional {mutated}"],
+    "coefficients": ["eval --functional {mutated} --correlations {correlations}"],
+    "correlations": ["eval --functional {coefficients} --correlations {mutated}",
+                     "selftest --correlations {mutated}"],
+    "channel-assemblage": ["validate {mutated}", "simulate channel --assemblage {mutated}",
+                           "eval --functional {channel-functional} --assemblage {mutated}"],
+    "channel-functional": ["eval --functional {mutated} --assemblage {channel-assemblage}"],
+}
+
+
+def _nodes(doc, path=()):
+    """The path of every value in a JSON document, the document itself first."""
+    yield path
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from _nodes(value, path + (key,))
+
+
+def _mutate(doc, path, kind, value):
+    """``doc`` with the value at ``path`` dropped, made non-finite, reshaped or retyped."""
+    if kind == "wrong-scenario":
+        return {**doc, "scenario": value}
+    if not path:
+        return {} if kind == "drop" else [doc] if kind == "reshape" else value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    node = parent[path[-1]]
+    if kind == "drop":
+        del parent[path[-1]]
+    elif kind == "reshape":
+        parent[path[-1]] = node[:-1] if isinstance(node, list) and node else [node]
+    else:  # non-finite or wrong type
+        parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_mutated_catalog_documents_keep_the_cli_contract(catalog_files, data):
+    docs, paths = catalog_files
+    name = data.draw(st.sampled_from(sorted(docs)))
+    doc = copy.deepcopy(docs[name])
+    path = data.draw(st.sampled_from(list(_nodes(doc))))
+    kind = data.draw(st.sampled_from(["drop", "non-finite", "reshape", "wrong-type",
+                                      "wrong-scenario"]))
+    value = data.draw({
+        "non-finite": st.sampled_from([math.nan, math.inf, -math.inf]),
+        "wrong-type": st.sampled_from(["x", None, {}, [], True, 0, -1, 2.5]),
+        "wrong-scenario": st.sampled_from([*SPECS, "tripartite", None, 7]),
+    }.get(kind, st.none()))
+    with open(paths["mutated"], "w") as fh:
+        json.dump(_mutate(doc, path, kind, value), fh)  # unlike ser.dumps, this writes a NaN
+    argv = data.draw(st.sampled_from(_FUZZ_COMMANDS[name]))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would be a second stderr line
+        code = main([token.format(**paths) for token in argv.split()])
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    if lines:
+        assert len(lines) == 1 and json.loads(lines[0])["exit_code"] == code != 0
+    else:  # success, or a domain failure (exit 1) whose report is on stdout
+        assert code == 0 or (code == 1 and out.getvalue().strip())
+    if out.getvalue().strip():
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

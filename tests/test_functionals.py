@@ -120,6 +120,36 @@ def test_evaluate_epr_scenario_mismatch():
         evaluate_epr(f, catalog.ptp_assemblage())
 
 
+@given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(1, 2), n_x=st.integers(1, 3),
+       n_y=st.integers(1, 2))
+def test_evaluate_epr_on_a_sub_grid_matches_per_key_traces(seed, n_a, n_x, n_y):
+    from eprkit.assemblages import random_quantum
+
+    assemblage, _ = random_quantum("bwi", seed, {"x": 4, "y": 3})
+    rng = np.random.default_rng(seed)
+    # A functional on some of the assemblage's labels per axis, keys in shuffled order.
+    labels = [sorted(rng.choice(axis, size=k, replace=False))
+              for axis, k in zip(assemblage.labels(), (n_a, n_x, n_y))]
+    keys = list(itertools.product(*labels))
+    f = EPRFunctional("bwi", {keys[i]: la.random_hermitian(rng, 2)
+                              for i in rng.permutation(len(keys))})
+    expected = sum(float(np.real(np.trace(op @ assemblage.elements[key])))
+                   for key, op in f.operators.items())
+    assert abs(evaluate_epr(f, assemblage) - expected) <= 1e-12
+
+
+def test_evaluate_epr_rejects_missing_keys_and_other_dimensions():
+    from eprkit.assemblages import random_quantum
+
+    ptp = catalog.ptp_assemblage()
+    beyond = EPRFunctional("bwi", {(a, 4, 0): la.I2 for a in (0, 1)})
+    with pytest.raises(ValueError, match="no element"):
+        evaluate_epr(beyond, ptp)
+    two_qubit, _ = random_quantum("bwi", 0, n=2)
+    with pytest.raises(ValueError, match="dimension"):
+        evaluate_epr(catalog.ptp_functional(), two_qubit)
+
+
 def test_evaluate_epr_linear_in_assemblage():
     from eprkit.assemblages import BwIAssemblage, random_quantum
 
@@ -188,6 +218,12 @@ def test_functional_rejects_non_hermitian_operator():
 def test_bell_coefficients_reject_non_finite():
     with pytest.raises(ValueError):
         BellCoefficients("bwi", {(0, 1, 0, 0, 1): np.inf})
+
+
+@pytest.mark.parametrize("n", [0, -1, True, 1.0, np.inf, "1"])
+def test_bell_coefficients_reject_non_positive_integer_qubit_counts(n):
+    with pytest.raises(ValueError):
+        BellCoefficients("bwi", {(0, 1, 0, 0, 1): 1.0}, n)
 
 
 def test_normalized_ptp_nonnegative_on_quantum_assemblages():

@@ -24,6 +24,21 @@ def test_hermitian_rejects_non_hermitian():
         la.hermitian(np.ones((2, 3)))
 
 
+def test_hermitian_checks_a_stack_over_leading_axes():
+    stack = la.hermitian([[la.I2, la.PAULI_Y], [la.PAULI_X, la.PAULI_Z]])
+    assert stack.shape == (2, 2, 2, 2) and not stack.flags.writeable
+    bad = np.array([la.I2, la.PAULI_Y, [[0, 1], [0, 0]]], dtype=complex)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        la.hermitian(bad)
+    bad[1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        la.hermitian(bad)
+    with pytest.raises(ValueError, match="square"):
+        la.hermitian(np.ones((3, 2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        la.hermitian(np.ones(4))
+
+
 def test_tensor_pauli_z_z():
     assert np.allclose(la.tensor(la.PAULI_Z, la.PAULI_Z), np.diag([1, -1, -1, 1]))
 

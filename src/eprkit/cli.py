@@ -82,11 +82,20 @@ def _report(args, inputs: dict, started: float, **fields) -> dict:
     return report
 
 
+def _write(path: str, text: str) -> None:
+    """Write UTF-8 ``text`` over ``path``'s old bytes and cut any longer rest: truncating
+    first (``"w"``) frees the blocks and starts write-back on ext4, ~1 ms a file."""
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if os.fstat(fh.fileno()).st_size > len(data):  # never for pipes and devices
+            fh.truncate()
+
+
 def _emit(report: dict, out: str | None = None) -> None:
     text = ser.dumps(report)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out, text)
     print(text, end="")
 
 
@@ -201,8 +210,7 @@ def cmd_simulate(args, argv) -> int:
         if args.format == "csv":
             _write_table_csv(table, args.out)
         else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(ser.dumps(doc))
+            _write(args.out, ser.dumps(doc))
     masses = table.slice_mass()
     report = _report(
         argv, {"assemblage": args.assemblage}, started,
@@ -230,8 +238,7 @@ def _csv_text(scenario: str, value_name: str, rows) -> str:
 def _write_table_csv(table: protocol.CorrelationTable, path: str) -> None:
     rows = [[".".join(map(str, v)) if isinstance(v, tuple) else v for v in key] + [f"{p:.17g}"]
             for key, p in sorted(table.slice.items())]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv_text(table.scenario, "p", rows))
+    _write(path, _csv_text(table.scenario, "p", rows))
 
 
 def cmd_selftest(args, argv) -> int:
@@ -351,8 +358,7 @@ def cmd_dump(args, argv) -> int:
     else:
         text = ser.dumps(doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
         _emit(_report(argv, {}, started, name=args.name, written=args.out))
     else:
         print(text, end="")

@@ -315,6 +315,29 @@ def test_dump_round_trips_bit_identical(capsys, tmp_path):
         assert ser.dumps(json.loads(text)) == text
 
 
+def test_out_overwrites_existing_file_exactly(capsys, tmp_path):
+    # --out writes over an existing file's bytes instead of truncating it first;
+    # what is left must be the new document alone, whether the old file was
+    # longer or shorter, and a symlinked path must write through to its target.
+    expected = {}
+    for name in ("ptp-assemblage", "ptp-bell-coefficients"):
+        fresh = tmp_path / f"{name}.fresh.json"
+        assert main(["dump", name, "--out", str(fresh)]) == 0
+        expected[name] = fresh.read_bytes()
+    out = tmp_path / "out.json"
+    for old, new in (("ptp-assemblage", "ptp-bell-coefficients"),
+                     ("ptp-bell-coefficients", "ptp-assemblage")):
+        out.write_bytes(expected[old] + b"x" * 100)
+        assert main(["dump", new, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected[new]
+    link = tmp_path / "link.json"
+    link.symlink_to(out)
+    assert main(["dump", "ptp-bell-coefficients", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert out.read_bytes() == expected["ptp-bell-coefficients"]
+    capsys.readouterr()
+
+
 def test_dump_unknown_object(capsys):
     code, _ = run(capsys, "dump", "no-such-object")
     assert code == 2

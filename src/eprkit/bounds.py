@@ -49,6 +49,7 @@ class BoundReport:
     iterations: int = 0
     restarts: int = 0
     trace: tuple = field(default_factory=tuple)
+    per_restart: tuple = field(default_factory=tuple)  # (final value, iterations) per restart
 
 
 def _functional_grid(f: EPRFunctional):
@@ -101,40 +102,29 @@ def _seesaw_once(f: EPRFunctional, rng: np.random.Generator,
     if a_vals != [0, 1]:
         raise ValueError("the seesaw measurement step needs a binary Alice alphabet")
     db = f.dim
-    da = 2
-    summed = dict(zip(itertools.product(a_vals, x_vals), grid.sum(2).reshape(-1, db, db)))
-    povms = {x: la.random_projective_povm(rng, da) for x in x_vals}
+    summed = grid.sum(2)  # (a, x, d, d): sum_y F_{axy}
+    povms = np.array([la.random_projective_povm(rng, 2) for _ in x_vals])  # (x, a, 2, 2)
     trace = []
-    rho = None
     for _ in range(max_iterations):
-        h = sum(la.tensor(povms[x][a], summed[(a, x)]) for a in a_vals for x in x_vals)
-        vals, vecs = la.eig_hermitian(h)
-        ground = vecs[:, 0:1]
-        rho = ground @ ground.conj().T
+        # h = sum_{a,x} M_{a|x} (x) S_{ax}
+        h = np.einsum("xaij,axkl->ikjl", povms, summed).reshape(2 * db, 2 * db)
+        ground = la.eig_hermitian(h)[1][:, 0]
+        # With rho the ground projector and psi its vector as a (2, d) matrix,
+        # every tr_B[(I (x) S_{ax}) rho] is psi S_{ax}^T psi^dagger.
+        psi = ground.reshape(2, db)
+        conditioned = np.einsum("im,axkm,jk->axij", psi, summed, psi.conj())
         # Measurement step: per x, put outcome 0 on the nonpositive eigenspace
         # of the conditioned operator difference (ties go to outcome 0).
-        for x in x_vals:
-            g = {
-                a: la.partial_trace(
-                    la.tensor(np.eye(da), summed[(a, x)]) @ rho, [da, db], 1
-                )
-                for a in a_vals
-            }
-            diff = g[0] - g[1]
-            dvals, dvecs = la.eig_hermitian(diff)
-            m0 = np.zeros((da, da), dtype=complex)
-            for i, lam in enumerate(dvals):
-                if lam <= 0:
-                    v = dvecs[:, i : i + 1]
-                    m0 += v @ v.conj().T
-            povms[x] = [m0, np.eye(da) - m0]
-        h = sum(la.tensor(povms[x][a], summed[(a, x)]) for a in a_vals for x in x_vals)
-        value = float(np.real(np.trace(h @ rho)))
-        trace.append(value)
+        dvals, dvecs = la.eig_hermitian(conditioned[0] - conditioned[1])
+        kept = dvecs * (dvals <= 0)[:, None, :]
+        m0 = kept @ kept.conj().swapaxes(-2, -1)
+        povms = np.stack([m0, np.eye(2) - m0], axis=1)
+        # tr[(M (x) S) rho] = tr[M tr_B((I (x) S) rho)], so the new value needs no new h.
+        trace.append(float(np.einsum("xaij,axji->", povms, conditioned).real))
         if len(trace) >= 2 and abs(trace[-2] - trace[-1]) <= rel_tol * max(1.0, abs(trace[-2])):
             break
     realisation = QuantumRealisation(
-        "bwi", rho, {x: tuple(povms[x]) for x in x_vals},
+        "bwi", np.outer(ground, ground.conj()), {x: tuple(m) for x, m in zip(x_vals, povms)},
         channels={y: la.identity_map(db) for y in y_vals},
     )
     return trace[-1], trace, realisation
@@ -145,7 +135,8 @@ def seesaw_quantum(f: EPRFunctional, seed: int = 0, restarts: int = 10,
     """Alternating minimisation over (state, Alice POVMs); Bob channels identity.
 
     The value sequence of each restart is monotone non-increasing; the report
-    keeps the best restart and its realisation as a quantum-achievable witness.
+    keeps the best restart and its realisation as a quantum-achievable witness,
+    and the final value and iteration count of every restart in order.
     """
     if restarts < 1:
         raise ValueError(f"the seesaw needs at least one restart, got {restarts}")
@@ -153,11 +144,11 @@ def seesaw_quantum(f: EPRFunctional, seed: int = 0, restarts: int = 10,
     best_value = np.inf
     best_trace: tuple = ()
     best_witness = None
-    total_iterations = 0
+    per_restart = []
     for _ in range(restarts):
         rng = np.random.default_rng(root.integers(2**63))
         value, trace, witness = _seesaw_once(f, rng, max_iterations, rel_tol)
-        total_iterations += len(trace)
+        per_restart.append((value, len(trace)))
         if value < best_value:
             best_value = value
             best_trace = tuple(trace)
@@ -168,9 +159,10 @@ def seesaw_quantum(f: EPRFunctional, seed: int = 0, restarts: int = 10,
         witness=best_witness,
         guaranteed_tight=False,
         note="quantum-achievable value; upper bound on the quantum minimum",
-        iterations=total_iterations,
+        iterations=sum(n for _, n in per_restart),
         restarts=restarts,
         trace=best_trace,
+        per_restart=tuple(per_restart),
     )
 
 

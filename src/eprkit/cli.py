@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 domain failure (validation, guard, or assertion),
 2 I/O, parse, schema, or argument failure, with one JSON error line on
 stderr.  Every command prints a JSON run report to stdout: command echo,
-sha256 digests of the inputs, numeric results, per-check pass/fail, the
-tolerances actually used, and the duration on a monotonic clock.
+sha256 digests of the input bytes it parsed, numeric results, per-check
+pass/fail, the tolerances actually used, and the duration on a monotonic clock.
 All randomness sits behind ``--seed`` (default 0).
 
 ``EPRKIT_TOL`` overrides the default validation residual tolerance 1e-9;
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import io
 import json
 import os
@@ -54,15 +53,11 @@ def _validation_tol() -> float:
         raise CliError(2, f"EPRKIT_TOL is not a number: {raw!r}") from exc
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _load(loader, path: str, types=dict):
-    """``loader`` applied to the JSON document at ``path``; any failure is exit 2."""
+    """``loader`` applied to the JSON document at ``path``, with the sha256 digest of the
+    bytes it was parsed from; any failure is exit 2."""
     try:
-        doc = ser.load_path(path)
+        doc, digest = ser.load_path(path)
     except OSError as exc:
         raise CliError(2, f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
@@ -70,13 +65,14 @@ def _load(loader, path: str, types=dict):
     if not isinstance(doc, types):
         raise CliError(2, f"{path}: the top-level JSON value is a {type(doc).__name__}")
     try:
-        return loader(doc)
+        return loader(doc), digest
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CliError(2, f"{path}: {exc}") from exc
 
 
 def _report(args, inputs: dict, started: float, **fields) -> dict:
-    report = {"command": list(args), "inputs": {p: _digest(p) for p in inputs.values()}}
+    """The run report; ``inputs`` maps each input path to the digest ``_load`` gave it."""
+    report = {"command": list(args), "inputs": inputs}
     report.update(fields)
     report["duration_s"] = time.perf_counter() - started
     return report
@@ -101,13 +97,13 @@ def _emit(report: dict, out: str | None = None) -> None:
 
 def cmd_validate(args, argv) -> int:
     started = time.perf_counter()
-    assemblage = _load(ser.assemblage_from_json, args.path)
+    assemblage, digest = _load(ser.assemblage_from_json, args.path)
     if args.scenario and args.scenario != assemblage.scenario:
         raise CliError(2, f"file declares scenario {assemblage.scenario!r}, not {args.scenario!r}")
     tol = _validation_tol()
     rep = validate(assemblage, tol=tol)
     _emit(_report(
-        argv, {"path": args.path}, started,
+        argv, {args.path: digest}, started,
         scenario=assemblage.scenario,
         checks=[{"name": c.name, "residual": c.residual, "passed": c.passes(tol)}
                 for c in rep.conditions],
@@ -120,20 +116,19 @@ def cmd_validate(args, argv) -> int:
 
 def cmd_eval(args, argv) -> int:
     started = time.perf_counter()
-    functional = _load(ser.functional_from_json, args.functional)
-    inputs = {"functional": args.functional}
+    functional, digest = _load(ser.functional_from_json, args.functional)
+    inputs = {args.functional: digest}
     if args.assemblage:
         if not isinstance(functional, EPRFunctional):
             raise CliError(1, "assemblage evaluation needs an operator-form functional")
-        evaluate, other = evaluate_epr, _load(ser.assemblage_from_json, args.assemblage)
-        inputs["assemblage"] = args.assemblage
+        evaluate, loader, path = evaluate_epr, ser.assemblage_from_json, args.assemblage
     elif args.correlations:
         if isinstance(functional, EPRFunctional):
             functional = bell_from_epr(functional)
-        evaluate, other = evaluate_bell, _load(ser.table_from_json, args.correlations)
-        inputs["correlations"] = args.correlations
+        evaluate, loader, path = evaluate_bell, ser.table_from_json, args.correlations
     else:
         raise CliError(2, "pass --assemblage or --correlations")
+    other, inputs[path] = _load(loader, path)
     try:
         value = evaluate(functional, other)
     except ValueError as exc:
@@ -149,7 +144,7 @@ def cmd_eval(args, argv) -> int:
 
 def cmd_bound(args, argv) -> int:
     started = time.perf_counter()
-    functional = _load(ser.functional_from_json, args.functional)
+    functional, digest = _load(ser.functional_from_json, args.functional)
     if not isinstance(functional, EPRFunctional):
         raise CliError(1, "bounds take an operator-form functional")
     if args.restarts < 1:
@@ -183,7 +178,7 @@ def cmd_bound(args, argv) -> int:
         )
         bracket["passed"] = ok
         fields["bracket_check"] = bracket
-    _emit(_report(argv, {"functional": args.functional}, started, **fields))
+    _emit(_report(argv, {args.functional: digest}, started, **fields))
     return 0
 
 
@@ -192,12 +187,12 @@ def _load_measurement(source: str):
     if source == "phi-plus":
         return None
     return _load(lambda doc: ser.matrix_from_json(doc["matrix"] if isinstance(doc, dict) else doc),
-                 source, (dict, list))
+                 source, (dict, list))[0]
 
 
 def cmd_simulate(args, argv) -> int:
     started = time.perf_counter()
-    assemblage = _load(ser.assemblage_from_json, args.assemblage)
+    assemblage, digest = _load(ser.assemblage_from_json, args.assemblage)
     if assemblage.scenario != args.scenario:
         raise CliError(1, f"assemblage is {assemblage.scenario!r}, not {args.scenario!r}")
     measurement = _load_measurement(args.measurement)
@@ -213,7 +208,7 @@ def cmd_simulate(args, argv) -> int:
             _write(args.out, ser.dumps(doc))
     masses = table.slice_mass()
     report = _report(
-        argv, {"assemblage": args.assemblage}, started,
+        argv, {args.assemblage: digest}, started,
         scenario=args.scenario,
         r=args.r,
         slice_mass={",".join(map(str, k)): v for k, v in sorted(masses.items())},
@@ -243,7 +238,7 @@ def _write_table_csv(table: protocol.CorrelationTable, path: str) -> None:
 
 def cmd_selftest(args, argv) -> int:
     started = time.perf_counter()
-    table = _load(ser.table_from_json, args.correlations)
+    table, digest = _load(ser.table_from_json, args.correlations)
     try:
         marginal = protocol.selftest_marginal(table)
         value = bd.selftest_value(marginal)
@@ -252,7 +247,7 @@ def cmd_selftest(args, argv) -> int:
     threshold = bd.SELFTEST_MAX - args.epsilon
     passed = value >= threshold
     _emit(_report(
-        argv, {"correlations": args.correlations}, started,
+        argv, {args.correlations: digest}, started,
         value=value,
         value_text=f"{value:.17g}",
         threshold=threshold,

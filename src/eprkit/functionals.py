@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,8 +99,15 @@ class BellCoefficients:
         if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValueError(f"resource qubit count n must be a positive integer, got {self.n!r}")
         for key, v in self.xi.items():
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ValueError(f"non-finite coefficient at {key}")
+        # c/w labels are plain labels for one qubit and n-tuples for n qubits.
+        n_axes, names = len(SPECS[self.scenario].axes), SPECS[self.scenario].slice_axes
+        for labels in {key[n_axes:] for key in self.xi}:
+            qubits = {len(c) if isinstance(c, tuple) else 1 for c in labels}
+            if len(labels) != len(names) - n_axes or qubits != {self.n}:
+                raise ValueError(f"coefficient labels {labels} are not {self.n}-qubit labels "
+                                 f"{names[n_axes:]!r} of the keys {names!r}")
         object.__setattr__(self, "xi", dict(self.xi))
 
 

@@ -93,17 +93,16 @@ def partial_transpose(m: np.ndarray, subsystem_dims, transposed_index: int) -> n
 
 
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian operator.
+    """Eigendecomposition of a Hermitian operator, or a stack of them over leading axes.
 
     Returns ascending eigenvalues and orthonormal eigenvector columns.
     Non-Hermitian input (beyond ``HERMITICITY_TOL``) is rejected.
     """
     m = np.asarray(m, dtype=complex)
-    dev = np.max(np.abs(m - m.conj().T))
+    dev = np.max(np.abs(m - m.conj().swapaxes(-2, -1)))
     if dev > HERMITICITY_TOL:
         raise ValueError(f"eig_hermitian requires a Hermitian operator (deviation {dev:.3e})")
-    vals, vecs = np.linalg.eigh(m)
-    return vals, vecs
+    return np.linalg.eigh(m)
 
 
 def min_eigenvalue(m: np.ndarray) -> float:
@@ -235,29 +234,6 @@ def transpose_dual(kmap: KrausMap) -> KrausMap:
         tuple(k.conj() for k in kmap.kraus_ops),
         trace_preserving=kmap.trace_preserving,
     )
-
-
-def apply_map_to_factors(kmap: KrausMap, state: np.ndarray, dims, targets) -> np.ndarray:
-    """Apply ``kmap`` to contiguous tensor factors ``targets`` of ``state``.
-
-    The targeted factors are replaced by a single factor of dimension
-    ``kmap.out_dim`` in their position.
-    """
-    dims = list(dims)
-    targets = sorted(targets)
-    if targets != list(range(targets[0], targets[-1] + 1)):
-        raise ValueError("target factors must be contiguous")
-    d_target = int(np.prod([dims[i] for i in targets]))
-    if d_target != kmap.in_dim:
-        raise ValueError(f"target factors have dim {d_target}, map expects {kmap.in_dim}")
-    d_left = int(np.prod(dims[: targets[0]])) if targets[0] > 0 else 1
-    d_right = int(np.prod(dims[targets[-1] + 1 :])) if targets[-1] + 1 < len(dims) else 1
-    out_total = d_left * kmap.out_dim * d_right
-    out = np.zeros((out_total, out_total), dtype=complex)
-    for k in kmap.kraus_ops:
-        full = tensor(np.eye(d_left), k, np.eye(d_right))
-        out += full @ state @ full.conj().T
-    return out
 
 
 # --- random instance generators (deterministic in the passed Generator) ---

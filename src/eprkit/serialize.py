@@ -12,6 +12,7 @@ fail at parse time rather than inside the numerics.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from operator import itemgetter
 
@@ -185,6 +186,7 @@ def bound_report_to_json(report: BoundReport) -> dict:
         "note": report.note,
         "iterations": report.iterations,
         "restarts": report.restarts,
+        "per_restart": [{"value": v, "iterations": n} for v, n in report.per_restart],
     }
     w = report.witness
     if isinstance(w, DeterministicStrategy):
@@ -224,6 +226,8 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=_json_default) + "\n"
 
 
-def load_path(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def load_path(path) -> tuple:
+    """The JSON document at ``path`` and the sha256 hex digest of the bytes it was parsed from."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()

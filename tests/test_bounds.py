@@ -101,6 +101,13 @@ def test_seesaw_zero_functional():
     assert abs(report.value) < 1e-12
 
 
+def test_seesaw_ties_go_to_outcome_zero():
+    # Every conditioned difference is exactly zero, so the whole space is a tie.
+    report = seesaw_quantum(_constant_functional(np.zeros((2, 2))), seed=4, restarts=1)
+    for effects in report.witness.povms.values():
+        assert np.array_equal(effects[0], la.I2) and not np.any(effects[1])
+
+
 def test_seesaw_identity_family():
     report = seesaw_quantum(_constant_functional(la.I2), seed=0, restarts=2)
     assert abs(report.value - 6) < 1e-10
@@ -227,3 +234,94 @@ def test_bounds_match_per_key_loops(seed, n_a, n_x, n_y, dim):
 @pytest.mark.parametrize("normalized", [False, True])
 def test_bounds_match_per_key_loops_on_ptp(normalized):
     _check_bounds_against_loops(catalog.ptp_functional(normalized=normalized))
+
+
+def _reference_seesaw_once(f, rng, max_iterations, rel_tol):
+    """One seesaw restart one (a, x) term at a time: a kron per term of the
+    Hamiltonian and a kron plus a partial trace per conditioned operator.
+
+    Returns the value trace, the final POVMs and state, the settings whose last
+    measurement step met an eigenvalue within 1e-12 of zero (where the tie rule,
+    outcome 0 on eigenvalues <= 0, is decided by rounding) and whether every
+    earlier step was decided: a ground energy gap above 1e-6, and no such tie.
+    """
+    a_vals, x_vals, y_vals = f.labels()
+    db = f.dim
+    summed = {(a, x): sum(f.operators[(a, x, y)] for y in y_vals) for a in a_vals for x in x_vals}
+    povms = {x: la.random_projective_povm(rng, 2) for x in x_vals}
+
+    def hamiltonian():
+        return sum(la.tensor(povms[x][a], summed[(a, x)]) for a in a_vals for x in x_vals)
+
+    trace, ties, decided = [], set(), True
+    for _ in range(max_iterations):
+        decided = decided and not ties
+        vals, vecs = la.eig_hermitian(hamiltonian())
+        decided = decided and vals[1] - vals[0] > 1e-6
+        ground = vecs[:, 0:1]
+        rho = ground @ ground.conj().T
+        ties = set()
+        for x in x_vals:
+            g = {a: la.partial_trace(la.tensor(np.eye(2), summed[(a, x)]) @ rho, [2, db], 1)
+                 for a in a_vals}
+            dvals, dvecs = la.eig_hermitian(g[0] - g[1])
+            m0 = np.zeros((2, 2), dtype=complex)
+            for i, lam in enumerate(dvals):
+                if lam <= 0:
+                    m0 += dvecs[:, i : i + 1] @ dvecs[:, i : i + 1].conj().T
+                if abs(lam) <= 1e-12:
+                    ties.add(x)
+            povms[x] = [m0, np.eye(2) - m0]
+        trace.append(float(np.real(np.trace(hamiltonian() @ rho))))
+        if len(trace) >= 2 and abs(trace[-2] - trace[-1]) <= rel_tol * max(1.0, abs(trace[-2])):
+            break
+    return trace, povms, rho, ties, decided
+
+
+def _check_seesaw_against_reference(f, seed, restarts, max_iterations):
+    """Returns whether the witness was compared, i.e. the reference path was decided."""
+    report = seesaw_quantum(f, seed=seed, restarts=restarts, max_iterations=max_iterations)
+    root = np.random.default_rng(seed)
+    runs = [_reference_seesaw_once(f, np.random.default_rng(root.integers(2**63)),
+                                   max_iterations, 1e-10) for _ in range(restarts)]
+    assert len(report.per_restart) == restarts
+    for (value, iterations), (trace, *_) in zip(report.per_restart, runs):
+        assert iterations == len(trace)
+        assert abs(value - trace[-1]) <= 1e-10
+    assert report.iterations == sum(n for _, n in report.per_restart)
+    # The report keeps the first restart that reaches the minimum value.
+    values = [value for value, _ in report.per_restart]
+    assert report.value == min(values)
+    best = values.index(report.value)
+    trace, povms, rho, ties, decided = runs[best]
+    assert len(report.trace) == len(trace)
+    assert np.max(np.abs(np.subtract(report.trace, trace))) <= 1e-10
+    if not decided:  # a rounding-decided step: any of the equally good witnesses may come out
+        return False
+    witness = report.witness
+    assert np.max(np.abs(witness.state - rho)) <= 1e-10
+    rho_a = la.partial_trace(rho, [2, f.dim], 1)
+    for x, effects in povms.items():
+        diff = np.subtract(witness.povms[x], effects)
+        # On a tie only the effects' action on Alice's state is determined.
+        assert np.max(np.abs(diff @ rho_a if x in ties else diff)) <= 1e-10
+    return True
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_x=st.integers(1, 6), n_y=st.integers(1, 2),
+       dim=st.sampled_from([2, 4]), restarts=st.integers(1, 3))
+def test_seesaw_matches_per_term_loop(seed, n_x, n_y, dim, restarts):
+    rng = np.random.default_rng(seed)
+    keys = list(itertools.product((0, 1), range(1, n_x + 1), range(n_y)))
+    ops = {keys[i]: la.random_hermitian(rng, dim) for i in rng.permutation(len(keys))}
+    _check_seesaw_against_reference(EPRFunctional("bwi", ops), seed, restarts, 100)
+
+
+def test_seesaw_witness_matches_per_term_loop():
+    for seed in range(10):
+        assert _check_seesaw_against_reference(_random_bwi_functional(seed), seed, 3, 100)
+
+
+def test_seesaw_matches_per_term_loop_on_ptp():
+    _check_seesaw_against_reference(catalog.ptp_functional(normalized=True), 0, 50, 500)
+

@@ -1,5 +1,7 @@
+import builtins
 import contextlib
 import copy
+import hashlib
 import io
 import itertools
 import json
@@ -163,6 +165,36 @@ def test_bound_seesaw_bracket(capsys, ptp_files):
     witness = report["bound"]["witness"]
     assert witness["type"] == "quantum-realisation"
     assert set(witness) >= {"state", "povms", "channels"}
+
+
+def test_bound_seesaw_reports_every_restart(capsys, ptp_files):
+    code, report = run(capsys, "bound", "seesaw",
+                       "--functional", ptp_files["ptp-functional-normalized"],
+                       "--seed", "2", "--restarts", "4")
+    assert code == 0
+    bound = report["bound"]
+    assert [set(r) for r in bound["per_restart"]] == [{"value", "iterations"}] * 4
+    assert min(r["value"] for r in bound["per_restart"]) == bound["value"]
+    assert sum(r["iterations"] for r in bound["per_restart"]) == bound["iterations"]
+
+
+def test_eval_reads_each_input_once_and_digests_those_bytes(capsys, ptp_files, monkeypatch):
+    functional, assemblage = ptp_files["ptp-functional-raw"], ptp_files["ptp-assemblage"]
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, report = run(capsys, "eval", "--functional", functional, "--assemblage", assemblage)
+    monkeypatch.undo()
+    assert code == 0
+    assert sorted(opened) == sorted([functional, assemblage])
+    for path in (functional, assemblage):
+        with open(path, "rb") as fh:
+            assert report["inputs"][path] == hashlib.sha256(fh.read()).hexdigest()
 
 
 def test_bound_guard_violation_exits_one(capsys, tmp_path):
@@ -399,6 +431,9 @@ def _add_element_outside_alphabets(docs):
     *[pytest.param(lambda d, n=n: d["coefficients"].update(n=n),
                    "eval --functional {coefficients} --correlations {correlations}",
                    id=f"qubit-count-{n}") for n in (math.inf, -1, 0, True)],
+    pytest.param(lambda d: d["coefficients"].update(n=2),
+                 "eval --functional {coefficients} --correlations {correlations}",
+                 id="qubit-count-not-matching-the-keys"),
 ])
 def test_rejected_input_exits_two_with_one_json_error_line(capsys, tmp_path, mutate, argv):
     table = simulate_bwi(catalog.ptp_assemblage(), make_resource(1, 1.0))

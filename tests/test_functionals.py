@@ -226,6 +226,26 @@ def test_bell_coefficients_reject_non_positive_integer_qubit_counts(n):
         BellCoefficients("bwi", {(0, 1, 0, 0, 1): 1.0}, n)
 
 
+@pytest.mark.parametrize("scenario, key, n", [
+    ("bwi", (0, 1, 0, 0, 1), 2),  # one-qubit c/w labels under n = 2
+    ("bwi", (0, 1, 0, (0, 1), (1, 2)), 1),  # two-qubit labels under n = 1
+    ("bwi", (0, 1, 0, (0, 1, 0), (1, 2, 3)), 2),
+    ("mdi", (0, 1, 1, 0), 1),  # a label short
+    ("channel", (0, 1, 0, 1, 2, 3, 1), 1),  # a label too many
+])
+def test_bell_coefficients_reject_keys_of_another_qubit_count(scenario, key, n):
+    with pytest.raises(ValueError, match="qubit labels"):
+        BellCoefficients(scenario, {key: 1.0}, n)
+
+
+def test_bell_coefficients_accept_the_labels_bell_from_epr_writes():
+    rng = np.random.default_rng(2)
+    for dim, n in ((2, 1), (4, 2), (8, 3)):
+        f = EPRFunctional("bwi", {(a, x, 0): la.random_hermitian(rng, dim)
+                                  for a in (0, 1) for x in (1, 2)})
+        assert bell_from_epr(f).n == n
+
+
 def test_normalized_ptp_nonnegative_on_quantum_assemblages():
     from eprkit.assemblages import random_quantum
 

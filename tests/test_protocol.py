@@ -17,6 +17,7 @@ from eprkit.protocol import (
     simulate_channel,
     simulate_mdi,
 )
+from oracles import apply_map_to_factors
 
 
 def test_make_resource_canonical_elements():
@@ -308,7 +309,7 @@ def test_simulate_channel_matches_direct_physics():
         table = simulate_channel(assemblage, res, res)
         for (a, x, c, d, w, u), p in table.slice.items():
             state = la.tensor(qr.state, catalog.sigma_tilde(c, w), catalog.sigma_tilde(d, u))
-            after = la.apply_map_to_factors(qr.channel, state, [2, 2, 2, 2], [1, 2])
+            after = apply_map_to_factors(qr.channel, state, [2, 2, 2, 2], [1, 2])
             direct = np.real(np.trace(la.tensor(qr.povms[x][a], phi) @ after))
             assert abs(p - direct) < 1e-12
 

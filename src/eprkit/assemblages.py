@@ -13,6 +13,8 @@ extracted by trace, never stored.
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, ClassVar
@@ -182,22 +184,67 @@ SPECS = {
 }
 
 
-def freeze_operators(operators: dict, n_axes: int) -> np.ndarray:
-    """One read-only Hermitian stack, in key order, of operators keyed by ``n_axes`` labels."""
+def freeze_operators(operators: dict) -> np.ndarray:
+    """One read-only Hermitian stack, in key order, of keyed operators."""
     shapes = {np.shape(m) for m in operators.values()}
     if len(shapes) != 1 or len(next(iter(shapes))) != 2:
         raise ValueError(f"expected square operators of one shape, got shapes {sorted(shapes)}")
-    wrong = [key for key in operators if len(key) != n_axes]
-    if wrong:
-        raise ValueError(f"expected keys of {n_axes} labels, got {wrong[0]}")
     return la.hermitian(list(operators.values()))
 
 
-def _grid(labels, keys, stack) -> np.ndarray:
-    """``stack``, ordered as ``keys``, on the grid (*label counts, d, d) of the axis ``labels``."""
-    index = {key: i for i, key in enumerate(keys)}
-    grid = stack[[index[key] for key in itertools.product(*labels)]]
-    return grid.reshape(*map(len, labels), *stack.shape[1:])
+def product_grid(keys, values, n_axes: int, what: str) -> tuple[tuple, np.ndarray]:
+    """The sorted labels of each key axis and ``values`` (one per key, in key order) on
+    their read-only grid (*label counts, *value shape).  The one rule for keyed blocks:
+    the keys have ``n_axes`` labels each and are the full product of their labels per
+    axis, or ValueError names the first missing key as "<what> <key>"."""
+    keys, values = list(keys), np.asarray(values)
+    lengths = set(map(len, keys)) - {n_axes}
+    if lengths:
+        raise ValueError(f"expected keys of {n_axes} labels, got keys of {min(lengths)}")
+    labels = tuple(map(tuple, map(sorted, map(set, zip(*keys))))) if keys else ((),) * n_axes
+    index = dict(zip(keys, range(len(keys))))
+    try:  # stops at the first miss, so after at most len(keys) + 1 steps
+        order = list(map(index.__getitem__, itertools.product(*labels)))
+    except KeyError as exc:
+        raise ValueError(f"{what} {exc.args[0]}") from None
+    grid = values.take(order, 0).reshape(*map(len, labels), *values.shape[1:])
+    grid.setflags(write=False)
+    return labels, grid
+
+
+class LabelGrid(Mapping):
+    """Floats on the grid of their key axes: ``labels`` holds the sorted labels of each
+    axis and ``grid`` the finite read-only values, reshaped to (*label counts,).  As a
+    mapping it is the read-only view key -> float in key order, built on first use."""
+
+    def __init__(self, labels, grid):
+        self.labels = tuple(map(tuple, labels))
+        self.grid = np.array(grid, dtype=float).reshape(tuple(map(len, self.labels)))
+        self.grid.setflags(write=False)
+        if not np.isfinite(self.grid).all():
+            key = next(itertools.compress(self, ~np.isfinite(self.grid.ravel())))
+            raise ValueError(f"non-finite value at {key}")
+
+    @classmethod
+    def keyed(cls, block, n_axes: int, what: str) -> LabelGrid:
+        """``block`` if it is a LabelGrid, else its {key: float} entries by ``product_grid``."""
+        if isinstance(block, cls):
+            return block
+        return cls(*product_grid(block, np.fromiter(block.values(), float, len(block)),
+                                 n_axes, what))
+
+    @cached_property
+    def _view(self) -> dict:
+        return dict(zip(self, self.grid.ravel().tolist()))
+
+    def __getitem__(self, key):
+        return self._view[key]
+
+    def __iter__(self):
+        return itertools.product(*self.labels)
+
+    def __len__(self):
+        return self.grid.size
 
 
 @dataclass(frozen=True)
@@ -227,8 +274,9 @@ class Assemblage:
         if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
                    for n in self.sizes.values()):
             raise ValueError(f"alphabet sizes must be positive integers, got {self.sizes}")
-        stack, labels = freeze_operators(self.elements, len(self.spec.axes)), self.labels()
-        outside = [k for k in self.elements if not all(i in axis for i, axis in zip(k, labels))]
+        stack, labels = freeze_operators(self.elements), self.labels()
+        outside = [k for k in self.elements
+                   if len(k) != len(labels) or not all(i in axis for i, axis in zip(k, labels))]
         if outside:
             raise ValueError(f"element key {outside[0]} lies outside the alphabets {self.sizes}")
         object.__setattr__(self, "stack", stack)
@@ -246,9 +294,6 @@ class Assemblage:
         """The label range of each axis, in axis order."""
         return [range(1, n + 1) if axis in self.spec.settings else range(n)
                 for axis, n in self.sizes.items()]
-
-    def keys(self):
-        return itertools.product(*self.labels())
 
     @property
     def dim(self) -> int:
@@ -278,14 +323,16 @@ def validate(assemblage, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check the no-signalling conditions of the assemblage's scenario.
 
     Returns one residual per condition; the report passes iff every residual
-    is at most ``tol``.  Missing index combinations are structural failures
-    and suppress the numeric checks.
+    is at most ``tol``.  Missing index combinations are one structural failure,
+    which counts them, names the first and suppresses the numeric checks.
     """
-    missing = [key for key in assemblage.keys() if key not in assemblage.elements]
+    labels, elements = assemblage.labels(), assemblage.elements
+    missing = math.prod(map(len, labels)) - len(elements)  # no key lies outside the alphabets
     if missing:
-        errs = tuple(f"missing element {key}" for key in missing)
-        return ValidationReport(assemblage.scenario, (), errs, tol)
-    grid = _grid(assemblage.labels(), assemblage.elements, assemblage.stack)
+        first = next(key for key in itertools.product(*labels) if key not in elements)
+        error = f"{missing} missing element{'s' * (missing > 1)}, the first {first}"
+        return ValidationReport(assemblage.scenario, (), (error,), tol)
+    grid = product_grid(elements, assemblage.stack, len(labels), "missing element")[1]
     conds = [("elements-psd", _psd_residual(assemblage.stack)), *assemblage.spec.conditions(grid)]
     return ValidationReport(
         assemblage.scenario, tuple(ConditionResult(*c) for c in conds), (), tol)

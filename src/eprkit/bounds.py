@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .assemblages import QuantumRealisation, _grid
+from .assemblages import QuantumRealisation
 from .catalog import SELFTEST_SIGNS
 from .functionals import EPRFunctional
 
@@ -55,8 +55,7 @@ class BoundReport:
 def _functional_grid(f: EPRFunctional):
     if f.scenario != "bwi":
         raise ValueError("bounds are implemented for Bob-with-input functionals")
-    labels = f.labels()
-    return labels, _grid(labels, f.operators, f.stack)
+    return f.labels, f.grid
 
 
 def classical_bound(f: EPRFunctional) -> BoundReport:
@@ -99,7 +98,7 @@ def ns_lower_bound(f: EPRFunctional) -> BoundReport:
 def _seesaw_once(f: EPRFunctional, rng: np.random.Generator,
                  max_iterations: int, rel_tol: float):
     (a_vals, x_vals, y_vals), grid = _functional_grid(f)
-    if a_vals != [0, 1]:
+    if a_vals != (0, 1):
         raise ValueError("the seesaw measurement step needs a binary Alice alphabet")
     db = f.dim
     summed = grid.sum(2)  # (a, x, d, d): sum_y F_{axy}

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .assemblages import BwIAssemblage, ChannelAssemblage, StandardAssemblage
+from .assemblages import BwIAssemblage, ChannelAssemblage, LabelGrid, StandardAssemblage
 from .functionals import EPRFunctional, BellCoefficients
 
 # Alice's measurement axes in the PTP example: x = 1, 2, 3 -> X, Y, Z.
@@ -43,11 +43,6 @@ def sigma_tilde(c: int, w: int) -> np.ndarray:
     """Canonical resource element; note the flipped sign on the Y axis."""
     sign = -1 if w == 3 else 1
     return (la.I2 + sign * (-1) ** c * la.PAULI_BY_SETTING[w]) / 4
-
-
-def steering_effect(c: int, w: int) -> np.ndarray:
-    """Charlie effect whose steering reproduces sigma_tilde: all plus signs."""
-    return la.proj(c, w)
 
 
 def canonical_resource_assemblage() -> StandardAssemblage:
@@ -110,15 +105,10 @@ def ptp_bell_coefficients(beta_aq: float | None = None) -> BellCoefficients:
     """
     if beta_aq is None:
         beta_aq = PTP.almost_quantum
-    xi = {}
-    for a, x, y, c, w in itertools.product((0, 1), (1, 2, 3), (0, 1), (0, 1), (1, 2, 3)):
-        c_target = (a + 1 + y * (x == 2)) % 2
-        w_target = x % 3 + 1
-        value = float(c == c_target and w == w_target)
-        if w == 1:
-            value -= beta_aq / 6
-        xi[(a, x, y, c, w)] = value
-    return BellCoefficients("bwi", xi, n=1)
+    labels = ((0, 1), (1, 2, 3), (0, 1), (0, 1), (1, 2, 3))
+    a, x, y, c, w = np.ix_(*labels)
+    hit = (c == (a + 1 + y * (x == 2)) % 2) & (w == x % 3 + 1)
+    return BellCoefficients("bwi", LabelGrid(labels, hit - (w == 1) * (beta_aq / 6)), n=1)
 
 
 # Sign pattern of the self-test functional: rows w = 1..3, columns z = 1..4.
@@ -181,7 +171,8 @@ def mdi_ptp_probabilities(method: str = "transposed-measurement") -> dict:
                 eff = n_b.T if y == 1 else n_b
                 p = np.trace(la.tensor(m, eff) @ phi)
             elif method == "controlled-transpose":
-                state = la.partial_transpose(phi, [2, 2], 0) if y == 1 else phi
+                # (id (x) T)(phi_plus) is phi_plus with the row and column axes of a factor swapped.
+                state = phi.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4) if y else phi
                 p = np.trace(la.tensor(m, n_b) @ state)
             else:
                 raise ValueError(f"unknown method {method!r}")

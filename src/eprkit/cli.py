@@ -182,20 +182,16 @@ def cmd_bound(args, argv) -> int:
     return 0
 
 
-def _load_measurement(source: str):
-    """The effect in a matrix JSON file, or None for the protocol's phi_plus."""
-    if source == "phi-plus":
-        return None
-    return _load(lambda doc: ser.matrix_from_json(doc["matrix"] if isinstance(doc, dict) else doc),
-                 source, (dict, list))[0]
-
-
 def cmd_simulate(args, argv) -> int:
     started = time.perf_counter()
     assemblage, digest = _load(ser.assemblage_from_json, args.assemblage)
     if assemblage.scenario != args.scenario:
         raise CliError(1, f"assemblage is {assemblage.scenario!r}, not {args.scenario!r}")
-    measurement = _load_measurement(args.measurement)
+    inputs, measurement = {args.assemblage: digest}, None  # None: the protocol's phi_plus
+    if args.measurement != "phi-plus":  # an effect in a matrix JSON file, digested too
+        measurement, inputs[args.measurement] = _load(
+            lambda doc: ser.matrix_from_json(doc["matrix"] if isinstance(doc, dict) else doc),
+            args.measurement, (dict, list))
     try:
         table = protocol.simulate(assemblage, args.r, measurement, args.n)
     except ValueError as exc:
@@ -203,12 +199,12 @@ def cmd_simulate(args, argv) -> int:
     doc = ser.table_to_json(table)
     if args.out:
         if args.format == "csv":
-            _write_table_csv(table, args.out)
+            _write(args.out, _csv_text(table.scenario, "p", table.slice))
         else:
             _write(args.out, ser.dumps(doc))
     masses = table.slice_mass()
     report = _report(
-        argv, {args.assemblage: digest}, started,
+        argv, inputs, started,
         scenario=args.scenario,
         r=args.r,
         slice_mass={",".join(map(str, k)): v for k, v in sorted(masses.items())},
@@ -221,19 +217,14 @@ def cmd_simulate(args, argv) -> int:
     return 0
 
 
-def _csv_text(scenario: str, value_name: str, rows) -> str:
-    """CSV of a slice-keyed table: one column per slice label, then the value."""
+def _csv_text(scenario: str, value_name: str, grid) -> str:
+    """CSV of a slice grid: one column per slice label, then the value."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow([*SPECS[scenario].slice_axes, value_name])
-    writer.writerows(rows)
+    writer.writerows([*key, f"{v:.17g}"]
+                     for key, v in zip(ser.label_texts(grid), grid.grid.ravel().tolist()))
     return buf.getvalue()
-
-
-def _write_table_csv(table: protocol.CorrelationTable, path: str) -> None:
-    rows = [[".".join(map(str, v)) if isinstance(v, tuple) else v for v in key] + [f"{p:.17g}"]
-            for key, p in sorted(table.slice.items())]
-    _write(path, _csv_text(table.scenario, "p", rows))
 
 
 def cmd_selftest(args, argv) -> int:
@@ -348,8 +339,7 @@ def cmd_dump(args, argv) -> int:
     if args.format == "csv":
         if doc.get("form") != "bell":
             raise CliError(2, "csv export is defined for coefficient tables")
-        rows = [key.split(",") + [f"{v:.17g}"] for key, v in sorted(doc["coefficients"].items())]
-        text = _csv_text(doc["scenario"], "xi", rows)
+        text = _csv_text(doc["scenario"], "xi", ser.functional_from_json(doc).xi)
     else:
         text = ser.dumps(doc)
     if args.out:

@@ -16,19 +16,22 @@ fixed here:
 
 Both rules reconstruct exactly; every consumer of a coefficient table only
 relies on reconstruction, so they are interchangeable up to entrywise layout.
+
+Coefficient tables, like correlation slices, are ``LabelGrid`` values over the
+slice axes: ``bell_from_epr`` decomposes a functional's operator grid at once,
+and ``evaluate_bell`` is one contraction of two grids.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg as la
-from .assemblages import SPECS, freeze_operators
+from .assemblages import SPECS, LabelGrid, freeze_operators, product_grid
 
 # The scenarios with an activation protocol, i.e. a slice layout.
 SCENARIOS = tuple(name for name, spec in SPECS.items() if spec.layout)
@@ -42,31 +45,30 @@ class EPRFunctional:
     for mdi, (a, x) for channel (dim-4 operators on output (x) Choi-input
     factors).  The keys must cover the full product of their labels per axis.
     ``bounds`` optionally carries known bound constants by name.  The checked
-    operators are held as one read-only array ``stack`` in key order;
-    ``operators`` maps each key to its view into that stack.
+    operators are held once, as the read-only ``grid`` (*label counts, d, d)
+    over the sorted ``labels`` of each axis; ``stack`` is that grid as
+    (keys, d, d) in key order, and ``operators`` maps each key to its view.
     """
 
     scenario: str
     operators: dict
     bounds: dict = field(default_factory=dict)
     stack: np.ndarray = field(init=False, repr=False, compare=False)
+    labels: tuple = field(init=False, repr=False, compare=False)
+    grid: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         n_axes = len(SPECS[self.scenario].axes)
-        stack = freeze_operators(self.operators, n_axes)
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "operators", dict(zip(self.operators, stack)))
-        missing = [key for key in itertools.product(*self.labels()) if key not in self.operators]
-        if missing:
-            raise ValueError(f"functional has no operator for {missing[0]}")
+        labels, grid = product_grid(self.operators, freeze_operators(self.operators), n_axes,
+                                    "functional has no operator for")
+        stack = grid.reshape(-1, *grid.shape[-2:])
+        for name, value in (("stack", stack), ("labels", labels), ("grid", grid),
+                            ("operators", dict(zip(itertools.product(*labels), stack)))):
+            object.__setattr__(self, name, value)
         if not all(np.isfinite(v) for v in self.bounds.values()):
             raise ValueError(f"bound constants must be finite, got {self.bounds}")
-
-    def labels(self) -> list:
-        """The sorted labels of each key axis."""
-        return [sorted(set(axis)) for axis in zip(*self.operators)]
 
     @property
     def dim(self) -> int:
@@ -86,11 +88,11 @@ class BellCoefficients:
     Keys: (a, x, y, c, w) for bwi, (a, b, x, c, z) for mdi and
     (a, x, c, d, w, u) for channel.  For an n-qubit resource the c/w entries
     are n-tuples; coefficients outside the designated slice are identically
-    zero and never stored.
+    zero and never stored.  ``xi`` is a ``LabelGrid`` over the slice axes.
     """
 
     scenario: str
-    xi: dict
+    xi: LabelGrid
     n: int = 1
 
     def __post_init__(self):
@@ -98,9 +100,6 @@ class BellCoefficients:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValueError(f"resource qubit count n must be a positive integer, got {self.n!r}")
-        for key, v in self.xi.items():
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite coefficient at {key}")
         # c/w labels are plain labels for one qubit and n-tuples for n qubits.
         n_axes, names = len(SPECS[self.scenario].axes), SPECS[self.scenario].slice_axes
         for labels in {key[n_axes:] for key in self.xi}:
@@ -108,7 +107,8 @@ class BellCoefficients:
             if len(labels) != len(names) - n_axes or qubits != {self.n}:
                 raise ValueError(f"coefficient labels {labels} are not {self.n}-qubit labels "
                                  f"{names[n_axes:]!r} of the keys {names!r}")
-        object.__setattr__(self, "xi", dict(self.xi))
+        object.__setattr__(self, "xi", LabelGrid.keyed(self.xi, len(names),
+                                                       "coefficient table has no entry for"))
 
 
 # Row s: canonical projector coefficients of Pauli s (0 = I, then w = Z, X, Y), in
@@ -155,10 +155,13 @@ def decompose(f: np.ndarray, n: int | None = None) -> dict:
         n = int(np.log2(dim))
     if 2**n != dim:
         raise ValueError(f"operator dimension {dim} is not 2**{n}")
-    strings, to_projectors = _pauli_basis(n)
-    # Pauli coefficients tr[f P_s] / 2^n, then each string's projector expansion.
-    values = (np.einsum("sij,ji->s", strings, f).real / 2**n) @ to_projectors
-    return {key: float(v) for (key, _), v in zip(projector_strings(n), values)}
+    values = _pauli(f, n) @ _pauli_basis(n)[1]  # each Pauli string's projector expansion
+    return dict(zip([key for key, _ in projector_strings(n)], values.tolist()))
+
+
+def _pauli(ops: np.ndarray, n: int) -> np.ndarray:
+    """Pauli coefficients tr[f P_s] / 2^n of a stack of n-qubit operators, (..., 4**n)."""
+    return np.einsum("sij,...ji->...s", _pauli_basis(n)[0], ops).real / 2**n
 
 
 def reconstruct(xi: dict, n: int = 1) -> np.ndarray:
@@ -171,28 +174,22 @@ def reconstruct(xi: dict, n: int = 1) -> np.ndarray:
     return out
 
 
-def sparse_single_qubit_coefficients(f: np.ndarray) -> dict:
-    """Minimal-support projector coefficients of a single-qubit operator.
+def sparse_single_qubit_coefficients(ops: np.ndarray) -> np.ndarray:
+    """Minimal-support projector coefficients of single-qubit operators: a stack
+    (..., 2, 2) gives (..., 6), in ``single_qubit_labels()`` order.
 
     Each Pauli component contributes twice its magnitude on the projector
     whose sign matches; the identity weight not consumed that way goes onto
     the two Z-axis labels.
     """
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (2, 2):
+    ops = np.asarray(ops, dtype=complex)
+    if ops.shape[-2:] != (2, 2):
         raise ValueError("sparse rule is defined for single-qubit operators")
-    a0 = float(np.real(np.trace(f))) / 2
-    xi = {label: 0.0 for label in single_qubit_labels()}
-    consumed = 0.0
-    for w in (1, 2, 3):
-        b = float(np.real(np.trace(f @ la.PAULI_BY_SETTING[w]))) / 2
-        if b != 0.0:
-            xi[(0 if b > 0 else 1, w)] += 2 * abs(b)
-            consumed += abs(b)
-    remainder = a0 - consumed
-    xi[(0, 1)] += remainder
-    xi[(1, 1)] += remainder
-    return xi
+    pauli = _pauli(ops, 1)
+    b = pauli[..., 1:]  # the Z, X, Y components, w = 1, 2, 3
+    xi = 2 * abs(b)[..., None, :] * np.stack([b > 0, b < 0], axis=-2)  # (..., c, w)
+    xi[..., 0] += (pauli[..., 0] - abs(b).sum(-1))[..., None]
+    return xi.reshape(*ops.shape[:-2], 6)
 
 
 def bell_from_epr(f: EPRFunctional) -> BellCoefficients:
@@ -206,18 +203,28 @@ def bell_from_epr(f: EPRFunctional) -> BellCoefficients:
     functional value for mdi.
     """
     spec = SPECS[f.scenario]
-    resource_labels = spec.slice_axes[len(spec.axes):]
-    xi = {}
-    for key, op in f.operators.items():
-        table = sparse_single_qubit_coefficients(op) if f.dim == 2 else decompose(op)
-        for (cs, ws), v in table.items():
-            if len(spec.resources) == 1:
-                cs, ws = (cs,), (ws,)
-            labels = {}
-            for (c_name, w_name), c, w in zip(spec.resources, cs, ws, strict=True):
-                labels[c_name], labels[w_name] = c, w
-            xi[key + tuple(labels[name] for name in resource_labels)] = v
-    return BellCoefficients(f.scenario, xi, int(np.log2(f.dim)) // len(spec.resources))
+    qubits = int(np.log2(f.dim))
+    n, rest = divmod(qubits, len(spec.resources))
+    if 2**qubits != f.dim or rest or not n:
+        raise ValueError(f"dimension {f.dim} does not split into {len(spec.resources)} "
+                         f"equal qubit registers")
+    ops = f.grid.reshape(-1, f.dim, f.dim)
+    if f.dim == 2:
+        table = sparse_single_qubit_coefficients(ops)
+    else:  # the canonical rule, in projector_strings order
+        table = _pauli(ops, qubits) @ _pauli_basis(qubits)[1]
+    # Axes 1 + 2i and 2 + 2i of the table are the (c, w) labels of tensor factor i.
+    # Resource r reads the n factors from r n on: its outcome label from their c
+    # axes, its setting label from their w axes.
+    axes, labels = {}, {}
+    for r, pair in enumerate(spec.resources):
+        for side, (name, single) in enumerate(zip(pair, ((0, 1), (1, 2, 3)))):
+            axes[name] = [1 + side + 2 * i for i in range(r * n, r * n + n)]
+            labels[name] = single if n == 1 else tuple(itertools.product(single, repeat=n))
+    names = spec.slice_axes[len(spec.axes):]
+    table = table.reshape(-1, *(2, 3) * qubits).transpose(0, *(i for k in names for i in axes[k]))
+    grid = table.reshape(*f.grid.shape[:-2], *(len(labels[k]) for k in names))
+    return BellCoefficients(f.scenario, LabelGrid((*f.labels, *map(labels.get, names)), grid), n)
 
 
 def evaluate_epr(f: EPRFunctional, assemblage) -> float:
@@ -244,9 +251,11 @@ def evaluate_bell(xi: BellCoefficients, table) -> float:
             f"scenario mismatch: coefficients are {xi.scenario!r}, "
             f"table is {table.scenario!r}"
         )
-    total = 0.0
-    for key, v in xi.xi.items():
-        if key not in table.slice:
-            raise ValueError(f"correlation table has no probability for {key}")
-        total += v * table.slice[key]
-    return total
+    # The table's grid at the coefficients' labels, which may be a sub-grid of its own.
+    p, names = table.slice.grid, SPECS[xi.scenario].slice_axes
+    for axis, (wanted, present) in enumerate(zip(xi.xi.labels, table.slice.labels)):
+        if not set(wanted) <= set(present):
+            raise ValueError(f"correlation table has no probability for "
+                             f"{names[axis]} = {min(set(wanted) - set(present))}")
+        p = p.take([present.index(label) for label in wanted], axis)
+    return float(np.vdot(xi.xi.grid, p))

@@ -60,38 +60,6 @@ def tensor(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_factors(m: np.ndarray, subsystem_dims) -> np.ndarray:
-    dims = list(subsystem_dims)
-    total = int(np.prod(dims))
-    if m.shape != (total, total):
-        raise ValueError(f"subsystem dims {dims} do not match operator of shape {m.shape}")
-    return np.asarray(m, dtype=complex).reshape(dims + dims)
-
-
-def partial_trace(m: np.ndarray, subsystem_dims, traced_index: int) -> np.ndarray:
-    """Trace out one tensor factor; the remaining factors keep their order."""
-    dims = list(subsystem_dims)
-    t = _as_factors(m, dims)
-    n = len(dims)
-    t = np.trace(t, axis1=traced_index, axis2=n + traced_index)
-    rest = int(np.prod([d for i, d in enumerate(dims) if i != traced_index]))
-    return t.reshape(rest, rest)
-
-
-def partial_transpose(m: np.ndarray, subsystem_dims, transposed_index: int) -> np.ndarray:
-    """Transpose one tensor factor in place; involutive."""
-    dims = list(subsystem_dims)
-    t = _as_factors(m, dims)
-    n = len(dims)
-    axes = list(range(2 * n))
-    axes[transposed_index], axes[n + transposed_index] = (
-        axes[n + transposed_index],
-        axes[transposed_index],
-    )
-    total = int(np.prod(dims))
-    return t.transpose(axes).reshape(total, total)
-
-
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian operator, or a stack of them over leading axes.
 
@@ -183,11 +151,6 @@ def identity_map(dim: int = 2) -> KrausMap:
     return KrausMap(dim, dim, (np.eye(dim, dtype=complex),))
 
 
-def conjugation_map(u: np.ndarray) -> KrausMap:
-    u = np.asarray(u, dtype=complex)
-    return KrausMap(u.shape[1], u.shape[0], (u,))
-
-
 def choi(kmap: KrausMap) -> np.ndarray:
     """Choi operator J = (K (x) id)(phi_plus) on out (x) in factors.
 
@@ -221,19 +184,6 @@ def apply_choi(j: np.ndarray, rho: np.ndarray) -> np.ndarray:
     out_dim = j.shape[-1] // in_dim
     blocks = j.reshape(*j.shape[:-2], out_dim, in_dim, out_dim, in_dim)
     return in_dim * np.einsum("...olpk,...lk->...op", blocks, rho)
-
-
-def transpose_dual(kmap: KrausMap) -> KrausMap:
-    """The trace-preserving map Psi with (Phi(rho))^T = Psi(rho^T).
-
-    Kraus operators are the entrywise conjugates B_k = (A_k^dagger)^T.
-    """
-    return KrausMap(
-        kmap.in_dim,
-        kmap.out_dim,
-        tuple(k.conj() for k in kmap.kraus_ops),
-        trace_preserving=kmap.trace_preserving,
-    )
 
 
 # --- random instance generators (deterministic in the passed Generator) ---
@@ -284,11 +234,3 @@ def random_channel(rng: np.random.Generator, in_dim: int, out_dim: int, env_dim:
         rows = [e + out * env_dim for out in range(out_dim)]
         kraus.append(v[rows, :])
     return KrausMap(in_dim, out_dim, tuple(kraus))
-
-
-def random_povm_element(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """A random effect 0 <= M <= I (uniform spectrum in a Haar-random basis)."""
-    u = random_unitary(rng, dim)
-    vals = rng.uniform(0.0, 1.0, size=dim)
-    return (u * vals) @ u.conj().T
-

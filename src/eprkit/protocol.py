@@ -2,8 +2,9 @@
 
 Only the designated slice (Bob's outcome b = 0 at his protocol setting,
 written ``*`` in the JSON schema) is materialised, together with the
-self-test marginals.  Slice keys match the Bell coefficient keys of
-:mod:`eprkit.functionals` exactly.
+self-test marginals.  The slice is a ``LabelGrid`` over the slice axes of
+the Bell coefficient grids of :mod:`eprkit.functionals`: each simulator
+contracts the assemblage and resource grids and reshapes the result into it.
 
 Self-test marginals are synthetic: they are filled from the canonical
 saturating strategy, standing in for the device of a real run.  Runs on
@@ -15,14 +16,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import catalog
 from . import linalg as la
-from .assemblages import SPECS
+from .assemblages import SPECS, LabelGrid, product_grid
 from .functionals import (
     BellCoefficients,
     EPRFunctional,
@@ -41,13 +41,14 @@ class ResourceAssemblage:
 
     Elements are r * prod(sigma_tilde) + (1 - r) * prod(sigma_tilde)^T, keyed
     (c, w) for one qubit and (c-tuple, w-tuple) for more; ``stack`` holds them
-    in key order.
+    in the key order of their grid over the sorted (c, w) ``labels``.
     """
 
     n: int
     r: float
     elements: dict
     stack: np.ndarray = field(repr=False, compare=False)
+    labels: tuple = field(repr=False, compare=False)
 
     def element(self, c, w) -> np.ndarray:
         return self.elements[(c, w)]
@@ -64,35 +65,44 @@ def make_resource(n: int, r: float) -> ResourceAssemblage:
         raise ValueError(f"mixing parameter must lie in [0, 1], got {r}")
     keys, combos = zip(*projector_strings(n))
     pure = np.stack([la.tensor(*(catalog.sigma_tilde(c, w) for c, w in combo)) for combo in combos])
-    stack = r * pure + (1 - r) * pure.transpose(0, 2, 1)
-    return ResourceAssemblage(n, float(r), dict(zip(keys, stack)), stack)
+    labels, grid = product_grid(keys, r * pure + (1 - r) * pure.transpose(0, 2, 1), 2, "missing")
+    stack = grid.reshape(-1, *grid.shape[2:])
+    return ResourceAssemblage(n, float(r), dict(zip(itertools.product(*labels), stack)), stack,
+                              labels)
 
 
 @dataclass(frozen=True)
 class CorrelationTable:
-    """Designated-slice probabilities plus self-test marginals for one run."""
+    """Designated-slice probabilities plus self-test marginals for one run.
+
+    ``slice`` is a ``LabelGrid`` over the slice axes; a ``{key: p}`` slice must be the
+    full product of its labels, or empty in a table of self-test marginals only.
+    """
 
     scenario: str
-    slice: dict
+    slice: LabelGrid
     selftest: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for block in (self.slice, *self.selftest.values()):
-            for key, p in block.items():
-                if not -PROB_TOL <= p <= 1 + PROB_TOL:
-                    raise ValueError(f"probability out of range at {key}: {p}")
+        grid = LabelGrid.keyed(self.slice, len(SPECS[self.scenario].slice_axes),
+                               "correlation table has no probability for")
+        object.__setattr__(self, "slice", grid)
+        blocks = self.selftest.values()
+        p = np.concatenate([grid.grid.ravel(), *(np.fromiter(b.values(), float, len(b))
+                                                 for b in blocks)])
+        bad = ~((p >= -PROB_TOL) & (p <= 1 + PROB_TOL))  # NaN is out of range too
+        if bad.any():
+            key = next(itertools.compress(itertools.chain(grid, *blocks), bad))
+            raise ValueError(f"probability out of range at {key}: {p[bad][0]}")
 
-    def slice_mass(self) -> dict:
+    def slice_mass(self) -> LabelGrid:
         """Total slice probability per setting tuple (outcome labels summed out)."""
         spec = SPECS[self.scenario]
         right = spec.layout.partition("|")[2]
-        settings = [i for i, label in enumerate(spec.slice_axes) if label in right]
-        masses: dict = {}
-        for key, p in self.slice.items():
-            g = tuple(key[i] for i in settings)
-            masses[g] = masses.get(g, 0.0) + p
-        return masses
+        outcomes = tuple(i for i, label in enumerate(spec.slice_axes) if label not in right)
+        settings = [labels for i, labels in enumerate(self.slice.labels) if i not in outcomes]
+        return LabelGrid(settings, self.slice.grid.sum(outcomes))
 
 
 def _check_effect(m: np.ndarray, dim: int) -> np.ndarray:
@@ -109,10 +119,11 @@ def _check_effect(m: np.ndarray, dim: int) -> np.ndarray:
 _canonical_selftest = functools.cache(catalog.canonical_selftest_marginal)
 
 
-def _keyed(p: np.ndarray, key, *label_sets) -> dict:
-    """Entries of ``p`` as floats keyed ``key(*labels)``, one label set per axis of ``p``."""
-    return {key(*labels): float(v)
-            for labels, v in zip(itertools.product(*label_sets), p.real.ravel())}
+def _grid(assemblage) -> tuple:
+    """An assemblage's labels and its elements in grid order, (keys, d, d)."""
+    labels, grid = product_grid(assemblage.elements, assemblage.stack,
+                                len(assemblage.spec.axes), "missing element")
+    return labels, grid.reshape(-1, *grid.shape[-2:])
 
 
 def simulate_bwi(assemblage, resource: ResourceAssemblage, measurement=None) -> CorrelationTable:
@@ -125,12 +136,12 @@ def simulate_bwi(assemblage, resource: ResourceAssemblage, measurement=None) -> 
     if measurement is None:
         measurement = la.phi_plus(resource.n)
     m = _check_effect(measurement, d * d).reshape(d, d, d, d)
+    labels, sigma = _grid(assemblage)
     # One operand at a time: a single three-operand einsum loops over all six indices at once.
-    half = np.einsum("pqrs,irp->iqs", m, assemblage.stack)
-    p = np.einsum("iqs,jsq->ij", half, resource.stack)
-    table = _keyed(p, operator.add, assemblage.elements, resource.keys())
+    half = np.einsum("pqrs,irp->iqs", m, sigma)
+    p = np.einsum("iqs,jsq->ij", half, resource.stack).real
     return CorrelationTable(
-        "bwi", table, {"bc": dict(_canonical_selftest())},
+        "bwi", LabelGrid(labels + resource.labels, p), {"bc": dict(_canonical_selftest())},
         {"r": resource.r, "n": resource.n},
     )
 
@@ -141,11 +152,12 @@ def simulate_mdi(assemblage, resource: ResourceAssemblage) -> CorrelationTable:
         raise ValueError(f"expected an MDI assemblage, got {assemblage.scenario!r}")
     if resource.n != 1:
         raise ValueError("the MDI protocol uses a single-qubit resource")
+    labels, choi = _grid(assemblage)
     # 2 tr[R^T J] for every pair of elements J and resource elements R.
-    p = 2 * np.einsum("ist,jst->ij", assemblage.stack, resource.stack)
-    table = _keyed(p, operator.add, assemblage.elements, resource.keys())
+    p = 2 * np.einsum("ist,jst->ij", choi, resource.stack).real
     return CorrelationTable(
-        "mdi", table, {"bc": dict(_canonical_selftest())}, {"r": resource.r},
+        "mdi", LabelGrid(labels + resource.labels, p), {"bc": dict(_canonical_selftest())},
+        {"r": resource.r},
     )
 
 
@@ -171,7 +183,7 @@ def simulate_channel(
     if measurement is None:
         measurement = la.phi_plus(1)
     m = _check_effect(measurement, 4).reshape(2, 2, 2, 2)
-    choi = assemblage.stack
+    (ax, choi), cw, du = _grid(assemblage), res_in.labels, res_out.labels
 
     def raw_table(inputs: np.ndarray, outputs: np.ndarray) -> np.ndarray:
         """p[i, j, k] = tr[M (Omega_ij (x) outputs_k)], Omega_ij = element i applied to input j."""
@@ -192,10 +204,11 @@ def simulate_channel(
         flipped = pure.transpose(0, 2, 1)
         p = r * raw_table(pure, pure) + (1 - r) * raw_table(flipped, flipped)
         meta = {"r": r}
-    table = _keyed(p, lambda ax, cw, du: (*ax, cw[0], du[0], cw[1], du[1]),
-                   assemblage.elements, res_in.keys(), res_out.keys())
+    # p[(a, x), (c, w), (d, u)] into the slice order (a, x, c, d, w, u).
+    grid = p.reshape(*map(len, (*ax, *cw, *du))).transpose(0, 1, 2, 4, 3, 5)
     selftest = {block: dict(_canonical_selftest()) for block in ("bc", "bd")}
-    return CorrelationTable("channel", table, selftest, meta)
+    return CorrelationTable("channel", LabelGrid((*ax, cw[0], du[0], cw[1], du[1]), grid),
+                            selftest, meta)
 
 
 _PROTOCOLS = {

@@ -13,13 +13,14 @@ fail at parse time rather than inside the numerics.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from operator import itemgetter
 
 import numpy as np
 
 from . import linalg as la
-from .assemblages import CONTAINERS, SPECS
+from .assemblages import CONTAINERS, SPECS, LabelGrid
 from .bounds import BoundReport, DeterministicStrategy
 from .functionals import SCENARIOS, BellCoefficients, EPRFunctional
 from .protocol import CorrelationTable
@@ -58,6 +59,11 @@ def _parse_label(text: str):
 
 def _key_to_str(key) -> str:
     return ",".join(_label(v) for v in key)
+
+
+def label_texts(grid: LabelGrid):
+    """The label texts of each key of ``grid``, in its key order."""
+    return itertools.product(*[[_label(v) for v in axis] for axis in grid.labels])
 
 
 def _key_from_str(text: str) -> tuple:
@@ -107,7 +113,7 @@ def functional_to_json(f) -> dict:
             "scenario": f.scenario,
             "form": "bell",
             "n": f.n,
-            "coefficients": {_key_to_str(k): float(v) for k, v in sorted(f.xi.items())},
+            "coefficients": dict(zip(map(",".join, label_texts(f.xi)), f.xi.grid.ravel().tolist())),
         }
     raise TypeError(f"cannot serialise {type(f).__name__}")
 
@@ -130,16 +136,14 @@ def functional_from_json(doc: dict):
 _SELFTEST = ("b,c|z,w", "bczw")
 
 
-def _block_to_json(block: dict, layout: str, names: str) -> dict:
+def _block_to_json(keys, values, layout: str, names: str) -> dict:
     """Probabilities keyed by a layout such as ``"a,0,c|x,y,*,w"``.
 
-    Each letter of the layout is the label of that name; every other
-    character is written as is.
+    Each letter of the layout is the label of that name, formatted from the
+    entry's key (label texts or ints); every other character is written as is.
     """
     template = "".join(f"{{{names.index(ch)}}}" if ch.isalpha() else ch for ch in layout)
-    # Only multi-qubit labels (tuples, written "0.1") need _label; ints format as they are.
-    return {template.format(*(map(_label, key) if tuple in map(type, key) else key)): float(p)
-            for key, p in sorted(block.items())}
+    return {template.format(*key): float(p) for key, p in zip(keys, values)}
 
 
 def _block_from_json(block: dict, layout: str, names: str) -> dict:
@@ -151,9 +155,8 @@ def _block_from_json(block: dict, layout: str, names: str) -> dict:
         fields = text.replace("|", ",|,").split(",")
         if len(fields) != len(pattern) or fixed(fields) != fixed(pattern):
             raise SchemaError(f"key {text!r} does not match the layout {layout!r}")
-        parse = _parse_label if "." in text else int
         try:
-            out[tuple(map(parse, labels(fields)))] = float(p)
+            out[tuple(map(_parse_label, labels(fields)))] = float(p)
         except ValueError as exc:
             raise SchemaError(f"malformed key {text!r}: {exc}") from exc
     return out
@@ -163,8 +166,9 @@ def table_to_json(table: CorrelationTable) -> dict:
     spec = SPECS[table.scenario]
     return {
         "scenario": table.scenario,
-        "slice": _block_to_json(table.slice, spec.layout, spec.slice_axes),
-        "selftest": {name: _block_to_json(block, *_SELFTEST)
+        "slice": _block_to_json(label_texts(table.slice), table.slice.grid.ravel().tolist(),
+                                spec.layout, spec.slice_axes),
+        "selftest": {name: _block_to_json(block, block.values(), *_SELFTEST)
                      for name, block in table.selftest.items()},
         "meta": dict(table.meta),
     }

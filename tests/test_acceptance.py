@@ -34,6 +34,7 @@ from eprkit.functionals import (
     reconstruct,
 )
 from eprkit.protocol import make_resource, selftest_marginal, simulate_bwi, simulate_channel, simulate_mdi
+from oracles import random_povm_element, transpose_dual
 
 EXACT_CLASSICAL = 3 - np.sqrt(3)
 
@@ -152,7 +153,7 @@ def test_criterion_07_no_false_positive_suite():
     worst_m = np.inf
     for seed in range(200):
         assemblage, _ = random_quantum("bwi", seed)
-        effect = la.random_povm_element(np.random.default_rng(50_000 + seed), 4)
+        effect = random_povm_element(np.random.default_rng(50_000 + seed), 4)
         worst_m = min(worst_m, evaluate_bell(xi, simulate_bwi(assemblage, res, effect)))
 
     closure_ok = True
@@ -162,7 +163,7 @@ def test_criterion_07_no_false_positive_suite():
         rebuilt = realize_bwi(QuantumRealisation(
             "bwi", qr.state.T,
             {x: tuple(m.T for m in eff) for x, eff in qr.povms.items()},
-            channels={y: la.transpose_dual(k) for y, k in qr.channels.items()},
+            channels={y: transpose_dual(k) for y, k in qr.channels.items()},
         ))
         gap = max(np.max(np.abs(flipped.elements[k] - rebuilt.elements[k]))
                   for k in flipped.elements)
@@ -180,7 +181,7 @@ def test_criterion_08_transpose_dual_oracle():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         phi = la.random_channel(rng, 2, 2)
-        psi = la.transpose_dual(phi)
+        psi = transpose_dual(phi)
         rho = la.random_density(rng, 2)
         worst = max(worst, float(np.max(np.abs(phi(rho).T - psi(rho.T)))))
     ok = worst <= 1e-10

@@ -18,6 +18,7 @@ from eprkit.assemblages import (
     transpose_assemblage,
     validate,
 )
+from oracles import conjugation_map, partial_trace, transpose_dual
 
 
 def test_ptp_assemblage_validates_tightly():
@@ -84,7 +85,7 @@ def test_realize_bwi_product_state_is_unsteerable():
 
 
 def test_realize_bwi_z_conjugation_channel():
-    channels = {0: la.identity_map(2), 1: la.conjugation_map(la.PAULI_Z)}
+    channels = {0: la.identity_map(2), 1: conjugation_map(la.PAULI_Z)}
     assemblage = realize_bwi(_pauli_realisation(channels))
     for a in (0, 1):
         for x in (1, 2, 3):
@@ -195,7 +196,7 @@ def test_realize_channel_output_trace_condition():
     for seed in range(20):
         assemblage, _ = random_quantum("channel", seed)
         for (a, x), j in assemblage.elements.items():
-            reduced = la.partial_trace(j, [2, 2], 0)
+            reduced = partial_trace(j, [2, 2], 0)
             p = np.real(np.trace(j))
             assert np.max(np.abs(reduced - p * la.I2 / 2)) < 1e-10
 
@@ -270,7 +271,7 @@ def test_bwi_transpose_closure():
             "bwi",
             qr.state.T,
             {x: tuple(m.T for m in effects) for x, effects in qr.povms.items()},
-            channels={y: la.transpose_dual(k) for y, k in qr.channels.items()},
+            channels={y: transpose_dual(k) for y, k in qr.channels.items()},
         )
         rebuilt = realize_bwi(qr_t)
         for key in flipped.elements:
@@ -373,7 +374,7 @@ def _reference_residuals(assemblage):
     totals = {x: sum(el[(a, x)] for a in a_rng) for x in x_rng}
     return out + [
         ("discarded-output-is-alice-marginal",
-         max(_max_abs(la.partial_trace(el[(a, x)], [out_dim, 2], 0) - p[(a, x)] * la.I2 / 2)
+         max(_max_abs(partial_trace(el[(a, x)], [out_dim, 2], 0) - p[(a, x)] * la.I2 / 2)
              for a in a_rng for x in x_rng)),
         ("alice-probabilities-valid", _probabilities_residual(p, a_rng, x_rng)),
         ("bob-channel-alice-setting-independent",

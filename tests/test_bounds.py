@@ -15,6 +15,7 @@ from eprkit.bounds import (
     selftest_value,
 )
 from eprkit.functionals import EPRFunctional
+from oracles import partial_trace
 
 EXACT_CLASSICAL = 3 - np.sqrt(3)
 
@@ -194,7 +195,7 @@ def test_selftest_flipped_observable_drops_by_column():
 
 def _reference_classical(f):
     """Value and response of the first minimising strategy, one operator at a time."""
-    a_vals, x_vals, y_vals = f.labels()
+    a_vals, x_vals, y_vals = f.labels
     best_value, best = np.inf, None
     for choices in itertools.product(a_vals, repeat=len(x_vals)):
         response = dict(zip(x_vals, choices))
@@ -206,7 +207,7 @@ def _reference_classical(f):
 
 
 def _reference_ns(f):
-    a_vals, x_vals, y_vals = f.labels()
+    a_vals, x_vals, y_vals = f.labels
     return sum(min(la.min_eigenvalue(f.operators[(a, x, y)]) for a in a_vals)
                for x in x_vals for y in y_vals)
 
@@ -245,7 +246,7 @@ def _reference_seesaw_once(f, rng, max_iterations, rel_tol):
     outcome 0 on eigenvalues <= 0, is decided by rounding) and whether every
     earlier step was decided: a ground energy gap above 1e-6, and no such tie.
     """
-    a_vals, x_vals, y_vals = f.labels()
+    a_vals, x_vals, y_vals = f.labels
     db = f.dim
     summed = {(a, x): sum(f.operators[(a, x, y)] for y in y_vals) for a in a_vals for x in x_vals}
     povms = {x: la.random_projective_povm(rng, 2) for x in x_vals}
@@ -262,7 +263,7 @@ def _reference_seesaw_once(f, rng, max_iterations, rel_tol):
         rho = ground @ ground.conj().T
         ties = set()
         for x in x_vals:
-            g = {a: la.partial_trace(la.tensor(np.eye(2), summed[(a, x)]) @ rho, [2, db], 1)
+            g = {a: partial_trace(la.tensor(np.eye(2), summed[(a, x)]) @ rho, [2, db], 1)
                  for a in a_vals}
             dvals, dvecs = la.eig_hermitian(g[0] - g[1])
             m0 = np.zeros((2, 2), dtype=complex)
@@ -300,7 +301,7 @@ def _check_seesaw_against_reference(f, seed, restarts, max_iterations):
         return False
     witness = report.witness
     assert np.max(np.abs(witness.state - rho)) <= 1e-10
-    rho_a = la.partial_trace(rho, [2, f.dim], 1)
+    rho_a = partial_trace(rho, [2, f.dim], 1)
     for x, effects in povms.items():
         diff = np.subtract(witness.povms[x], effects)
         # On a tie only the effects' action on Alice's state is determined.

@@ -8,6 +8,7 @@ from eprkit import linalg as la
 from eprkit.assemblages import random_quantum, validate
 from eprkit.bounds import SELFTEST_MAX, selftest_value
 from eprkit.functionals import bell_from_epr, evaluate_epr
+from oracles import partial_trace, steering_effect
 
 
 def test_constants_consistency():
@@ -115,7 +116,7 @@ def test_canonical_strategy_assemblage_validates():
 def test_resource_effect_transpose_relation():
     # sigma_tilde = (steering effect)^T / 2 reconciles the two published forms.
     for c, w in itertools.product((0, 1), (1, 2, 3)):
-        assert np.allclose(catalog.sigma_tilde(c, w), catalog.steering_effect(c, w).T / 2)
+        assert np.allclose(catalog.sigma_tilde(c, w), steering_effect(c, w).T / 2)
 
 
 def test_mdi_ptp_spot_probabilities():
@@ -144,7 +145,7 @@ def test_embedded_channel_assemblage_validates():
     rep = validate(assemblage)
     assert rep.passed
     for j in assemblage.elements.values():
-        reduced = la.partial_trace(j, [2, 2], 0)
+        reduced = partial_trace(j, [2, 2], 0)
         assert np.allclose(reduced, la.I2 / 4, atol=1e-12)
 
 

@@ -68,6 +68,21 @@ def test_validate_signalling_assemblage_names_condition(capsys, tmp_path):
     assert "bob-state-alice-setting-independent" in failing
 
 
+def test_validate_reports_missing_elements_once_whatever_the_declared_sizes(capsys, tmp_path):
+    doc = ser.assemblage_to_json(catalog.ptp_assemblage())
+    doc["alphabets"]["x"] = 20000
+    path = tmp_path / "wide.json"
+    path.write_text(ser.dumps(doc))
+    capsys.readouterr()
+    code = main(["validate", str(path)])
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert code == 1 and report["passed"] is False
+    assert report["structural_errors"] == [
+        f"{2 * 20000 * 2 - 12} missing elements, the first (0, 4, 0)"]
+    assert len(out.encode("utf-8")) < 2048
+
+
 def test_validate_not_json(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("not json")
@@ -255,6 +270,30 @@ def test_simulate_invalid_measurement_file(capsys, tmp_path, ptp_files):
     assert code == 1
 
 
+def test_simulate_digests_the_measurement_file(capsys, tmp_path, ptp_files):
+    effect = tmp_path / "m.json"
+    effect.write_text(ser.dumps({"matrix": ser.matrix_to_json(la.phi_plus())}))
+    code, report = run(capsys, "simulate", "bwi", "--assemblage", ptp_files["ptp-assemblage"],
+                       "--measurement", str(effect))
+    assert code == 0
+    assert report["inputs"][str(effect)] == hashlib.sha256(effect.read_bytes()).hexdigest()
+    assert set(report["inputs"]) == {ptp_files["ptp-assemblage"], str(effect)}
+
+
+def test_simulating_an_incomplete_assemblage_exits_one_naming_the_element(capsys, tmp_path):
+    doc = ser.assemblage_to_json(catalog.ptp_assemblage())
+    del doc["elements"]["1,2,0"]
+    path = tmp_path / "partial.json"
+    path.write_text(ser.dumps(doc))
+    code = main(["simulate", "bwi", "--assemblage", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in captured.err
+    error = json.loads(lines[0])
+    assert error["exit_code"] == 1 and "(1, 2, 0)" in error["error"]
+
+
 def test_simulate_csv_export(capsys, tmp_path, ptp_files):
     out = tmp_path / "table.csv"
     code, _ = run(capsys, "simulate", "bwi",
@@ -407,6 +446,12 @@ def _add_element_outside_alphabets(docs):
                  id="probability-above-one"),
     pytest.param(lambda d: d["functional"]["operators"].pop("0,1,0"),
                  "bound classical --functional {functional}", id="missing-operator"),
+    pytest.param(lambda d: d["correlations"]["slice"].pop("0,0,0|1,0,*,1"),
+                 "eval --functional {coefficients} --correlations {correlations}",
+                 id="correlations-not-a-full-product"),
+    pytest.param(lambda d: d["coefficients"]["coefficients"].pop("0,1,0,0,1"),
+                 "eval --functional {coefficients} --correlations {correlations}",
+                 id="coefficients-not-a-full-product"),
     pytest.param(lambda d: d["assemblage"]["elements"].update({"0,1,0": [[[0.25, 0.0]]]}),
                  "validate {assemblage}", id="one-by-one-element"),
     pytest.param(None, "demo-ptp --r 2", id="mixing-parameter-above-one"),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from eprkit import linalg as la
 from eprkit.functionals import (
+    SCENARIOS,
     BellCoefficients,
     EPRFunctional,
     bell_from_epr,
@@ -15,9 +16,17 @@ from eprkit.functionals import (
     evaluate_epr,
     projector_strings,
     reconstruct,
+    single_qubit_labels,
     sparse_single_qubit_coefficients,
 )
+from eprkit.assemblages import SPECS
 from eprkit.protocol import CorrelationTable
+from oracles import (
+    bell_from_epr_per_key,
+    evaluate_bell_per_key,
+    random_slice_labels,
+    shuffled_table,
+)
 import eprkit.catalog as catalog
 
 
@@ -97,7 +106,7 @@ def test_decompose_matches_factorwise_rule(n):
 @given(st.integers(0, 2**32 - 1))
 def test_sparse_rule_reconstructs(seed):
     f = la.random_hermitian(np.random.default_rng(seed), 2)
-    table = sparse_single_qubit_coefficients(f)
+    table = dict(zip(single_qubit_labels(), sparse_single_qubit_coefficients(f)))
     assert np.max(np.abs(reconstruct(table) - f)) < 1e-12
 
 
@@ -199,6 +208,50 @@ def test_evaluate_bell_linearity_in_table():
                                    for k in t1.slice})
     expected = 0.25 * evaluate_bell(xi, t1) + 0.75 * evaluate_bell(xi, t2)
     assert abs(evaluate_bell(xi, mix) - expected) < 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1), scenario=st.sampled_from(SCENARIOS),
+       n=st.integers(1, 2), xs=st.sets(st.integers(1, 3), min_size=1))
+def test_evaluate_bell_matches_per_key_sum(seed, scenario, n, xs):
+    rng = np.random.default_rng(seed)
+    labels = random_slice_labels(rng, scenario, n)
+    axis = SPECS[scenario].axes.index("x")
+    labels[axis] = (1, 2, 3)
+    table = shuffled_table(rng, labels, rng.uniform)
+    # Coefficients on the sub-grid of Alice's settings xs.
+    xi = shuffled_table(rng, [*labels[:axis], sorted(xs), *labels[axis + 1:]], rng.normal)
+    value = evaluate_bell(BellCoefficients(scenario, xi, n), CorrelationTable(scenario, table))
+    assert abs(value - evaluate_bell_per_key(xi, table)) <= 1e-12
+
+
+def test_evaluate_bell_rejects_labels_the_table_lacks():
+    xi = catalog.ptp_bell_coefficients()
+    table = CorrelationTable("bwi", {k: p for k, p in _uniform_bwi_table(1 / 16).slice.items()
+                                     if k[1] != 3})
+    with pytest.raises(ValueError, match="no probability for x = 3"):
+        evaluate_bell(xi, table)
+
+
+def _pauli_sparse_operator(rng, dim):
+    """A Hermitian operator whose single-qubit Pauli components are often exactly zero."""
+    if dim != 2:
+        return la.random_hermitian(rng, dim)
+    weights = rng.normal(size=4) * (rng.uniform(size=4) < 0.6)
+    return sum(c * p for c, p in zip(weights, (la.I2, la.PAULI_Z, la.PAULI_X, la.PAULI_Y)))
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       case=st.sampled_from([("bwi", 2), ("bwi", 4), ("bwi", 8), ("mdi", 2), ("mdi", 4),
+                             ("channel", 4)]))
+def test_bell_from_epr_matches_per_operator_loop(seed, case):
+    scenario, dim = case
+    rng = np.random.default_rng(seed)
+    labels = random_slice_labels(rng, scenario, 1)[:len(SPECS[scenario].axes)]
+    f = EPRFunctional(scenario,
+                      shuffled_table(rng, labels, lambda: _pauli_sparse_operator(rng, dim)))
+    got, expected = dict(bell_from_epr(f).xi), bell_from_epr_per_key(f)
+    assert list(got) == sorted(expected)
+    assert max(abs(got[key] - v) for key, v in expected.items()) <= 1e-12
 
 
 def test_evaluate_bell_missing_entries():

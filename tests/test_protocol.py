@@ -17,7 +17,14 @@ from eprkit.protocol import (
     simulate_channel,
     simulate_mdi,
 )
-from oracles import apply_map_to_factors
+from oracles import (
+    apply_map_to_factors,
+    partial_trace,
+    random_povm_element,
+    random_slice_labels,
+    shuffled_table,
+    slice_mass_per_key,
+)
 
 
 def test_make_resource_canonical_elements():
@@ -63,7 +70,7 @@ def test_phi_plus_transpose_identity():
     # tr_1[(A (x) I) phi_plus] = A^T / 2 for arbitrary operators.
     for seed in range(50):
         a = la.random_hermitian(np.random.default_rng(seed), 2)
-        lhs = la.partial_trace(la.tensor(a, la.I2) @ la.phi_plus(), [2, 2], 0)
+        lhs = partial_trace(la.tensor(a, la.I2) @ la.phi_plus(), [2, 2], 0)
         assert np.max(np.abs(lhs - a.T / 2)) < 1e-12
 
 
@@ -107,7 +114,7 @@ def _overlap(m, *factors):
 
 def _apply_choi_direct(j, rho):
     # 2 tr_in[(I (x) rho^T) J] on out (x) in factors of a qubit input.
-    return 2 * la.partial_trace(la.tensor(la.I2, rho.T) @ j, [2, 2], 1)
+    return 2 * partial_trace(la.tensor(la.I2, rho.T) @ j, [2, 2], 1)
 
 
 def _direct_table(mode, assemblage, res, res_out, m):
@@ -139,7 +146,7 @@ def test_simulators_match_direct_formula(mode, seed, r, r_out):
     n = 2 if mode == "bwi-2" else 1
     assemblage, _ = random_quantum(mode.split("-")[0], seed, n=n)
     res, res_out = make_resource(n, r), make_resource(1, r_out)
-    m = la.random_povm_element(np.random.default_rng(seed), 4**n)
+    m = random_povm_element(np.random.default_rng(seed), 4**n)
     if mode.startswith("bwi"):
         table = simulate_bwi(assemblage, res, m)
     elif mode == "mdi":
@@ -149,7 +156,7 @@ def test_simulators_match_direct_formula(mode, seed, r, r_out):
     else:
         table = simulate_channel(assemblage, res, res_out, m, independent_mixtures=True)
     expected = _direct_table(mode, assemblage, res, res_out, m)
-    assert list(table.slice) == list(expected)
+    assert list(table.slice) == sorted(expected)
     assert max(abs(table.slice[key] - p) for key, p in expected.items()) < 1e-12
 
 
@@ -169,6 +176,17 @@ def test_simulate_bwi_slice_mass_quarter():
         table = simulate_bwi(assemblage, make_resource(1, 1.0))
         for mass in table.slice_mass().values():
             assert abs(mass - 0.25) < 1e-10
+
+
+@given(seed=st.integers(0, 2**32 - 1), scenario=st.sampled_from(["bwi", "mdi", "channel"]),
+       n=st.integers(1, 2))
+def test_slice_mass_matches_per_key_accumulation(seed, scenario, n):
+    rng = np.random.default_rng(seed)
+    table = shuffled_table(rng, random_slice_labels(rng, scenario, n), rng.uniform)
+    masses, expected = CorrelationTable(scenario, table).slice_mass(), slice_mass_per_key(
+        scenario, table)
+    assert list(masses) == sorted(expected)
+    assert max(abs(masses[g] - m) for g, m in expected.items()) <= 1e-12
 
 
 def test_simulate_mdi_uniform_assemblage():
@@ -402,6 +420,6 @@ def test_arbitrary_measurement_no_false_positive():
     res = make_resource(1, 1.0)
     for seed in range(25):
         assemblage, _ = random_quantum("bwi", seed)
-        m = la.random_povm_element(np.random.default_rng(1000 + seed), 4)
+        m = random_povm_element(np.random.default_rng(1000 + seed), 4)
         table = simulate_bwi(assemblage, res, m)
         assert evaluate_bell(xi, table) >= -1e-7

@@ -4,7 +4,8 @@ The classical bound is exact: with a deterministic response f for Alice, the
 hidden-variable states may be chosen per (strategy, Bob input) as minimal
 eigenvectors, so the local minimum is
 ``min_f sum_y lambda_min(sum_x F_{f(x), x, y})`` and the enumeration over
-responses is exhaustive.
+responses is exhaustive.  It runs over chunks of strategies, one ``eigvalsh``
+per chunk, keeping the first minimising strategy in ``itertools.product`` order.
 
 The no-signalling number here is a certificate-style lower bound, not the
 exact polytope minimum: ``sum_{x,y} min_a lambda_min(F_{axy})`` is valid for
@@ -13,7 +14,8 @@ the report says so.
 
 The seesaw keeps Bob's processing fixed to the identity and alternates exact
 state and measurement updates, so every iterate is a quantum-feasible value;
-it brackets, never computes, the quantum bound.
+it brackets, never computes, the quantum bound.  All restarts advance as one
+stack over a leading restart axis, which a restart leaves when it stops.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .catalog import SELFTEST_SIGNS
 from .functionals import EPRFunctional
 
 ENUMERATION_GUARD = 10**6
+_CHUNK = 256  # strategies per batched eigvalsh in classical_bound
 
 
 @dataclass(frozen=True)
@@ -61,22 +64,27 @@ def _functional_grid(f: EPRFunctional):
 def classical_bound(f: EPRFunctional) -> BoundReport:
     """Exact minimum over local-hidden-state models, by strategy enumeration."""
     (a_vals, x_vals, y_vals), grid = _functional_grid(f)
-    n_strategies = len(a_vals) ** len(x_vals)
+    n_a, n_x = len(a_vals), len(x_vals)
+    n_strategies = n_a**n_x
     if n_strategies > ENUMERATION_GUARD:
-        raise ValueError(
-            f"{n_strategies} deterministic strategies exceed the enumeration guard"
-        )
-    columns = np.arange(len(x_vals))
-    best_value = np.inf
-    best: DeterministicStrategy | None = None
-    for choices in itertools.product(range(len(a_vals)), repeat=len(x_vals)):
-        operators = grid[choices, columns].sum(0)  # per y: sum_x F_{choice(x), x, y}
-        value = sum(np.linalg.eigvalsh(operators)[:, 0])
-        if value < best_value:
-            best_value = value
-            best = DeterministicStrategy({x: a_vals[c] for x, c in zip(x_vals, choices)},
-                                         dict(zip(y_vals, operators)))
-    return BoundReport("classical", float(best_value), witness=best)
+        raise ValueError(f"{n_strategies} deterministic strategies exceed the enumeration guard")
+    # Strategy i answers setting j with base-n_a digit j of i: itertools.product order.
+    places = n_a ** np.arange(n_x - 1, -1, -1)
+    best = np.inf, None, None  # value, choices, operators of the first minimising strategy
+    for start in range(0, n_strategies, _CHUNK):
+        choices = np.arange(start, min(start + _CHUNK, n_strategies))[:, None] // places % n_a
+        operators = grid[choices[:, 0], 0]  # (chunk, y, d, d): sum_x F_{choice(x), x, y}
+        for j in range(1, n_x):
+            operators += grid[choices[:, j], j]
+        values = sum(np.linalg.eigvalsh(operators)[..., 0].T)  # over y in order, per strategy
+        values[np.isnan(values)] = np.inf  # an overflowing strategy never wins, as in a `<` scan
+        i = values.argmin()  # the first minimum of the chunk
+        if values[i] < best[0]:
+            best = values[i], choices[i], operators[i]
+    value, choices, operators = best
+    witness = None if choices is None else DeterministicStrategy(
+        {x: a_vals[c] for x, c in zip(x_vals, choices)}, dict(zip(y_vals, operators)))
+    return BoundReport("classical", float(value), witness=witness)
 
 
 def ns_lower_bound(f: EPRFunctional) -> BoundReport:
@@ -95,40 +103,6 @@ def ns_lower_bound(f: EPRFunctional) -> BoundReport:
     )
 
 
-def _seesaw_once(f: EPRFunctional, rng: np.random.Generator,
-                 max_iterations: int, rel_tol: float):
-    (a_vals, x_vals, y_vals), grid = _functional_grid(f)
-    if a_vals != (0, 1):
-        raise ValueError("the seesaw measurement step needs a binary Alice alphabet")
-    db = f.dim
-    summed = grid.sum(2)  # (a, x, d, d): sum_y F_{axy}
-    povms = np.array([la.random_projective_povm(rng, 2) for _ in x_vals])  # (x, a, 2, 2)
-    trace = []
-    for _ in range(max_iterations):
-        # h = sum_{a,x} M_{a|x} (x) S_{ax}
-        h = np.einsum("xaij,axkl->ikjl", povms, summed).reshape(2 * db, 2 * db)
-        ground = la.eig_hermitian(h)[1][:, 0]
-        # With rho the ground projector and psi its vector as a (2, d) matrix,
-        # every tr_B[(I (x) S_{ax}) rho] is psi S_{ax}^T psi^dagger.
-        psi = ground.reshape(2, db)
-        conditioned = np.einsum("im,axkm,jk->axij", psi, summed, psi.conj())
-        # Measurement step: per x, put outcome 0 on the nonpositive eigenspace
-        # of the conditioned operator difference (ties go to outcome 0).
-        dvals, dvecs = la.eig_hermitian(conditioned[0] - conditioned[1])
-        kept = dvecs * (dvals <= 0)[:, None, :]
-        m0 = kept @ kept.conj().swapaxes(-2, -1)
-        povms = np.stack([m0, np.eye(2) - m0], axis=1)
-        # tr[(M (x) S) rho] = tr[M tr_B((I (x) S) rho)], so the new value needs no new h.
-        trace.append(float(np.einsum("xaij,axji->", povms, conditioned).real))
-        if len(trace) >= 2 and abs(trace[-2] - trace[-1]) <= rel_tol * max(1.0, abs(trace[-2])):
-            break
-    realisation = QuantumRealisation(
-        "bwi", np.outer(ground, ground.conj()), {x: tuple(m) for x, m in zip(x_vals, povms)},
-        channels={y: la.identity_map(db) for y in y_vals},
-    )
-    return trace[-1], trace, realisation
-
-
 def seesaw_quantum(f: EPRFunctional, seed: int = 0, restarts: int = 10,
                    max_iterations: int = 500, rel_tol: float = 1e-10) -> BoundReport:
     """Alternating minimisation over (state, Alice POVMs); Bob channels identity.
@@ -139,29 +113,56 @@ def seesaw_quantum(f: EPRFunctional, seed: int = 0, restarts: int = 10,
     """
     if restarts < 1:
         raise ValueError(f"the seesaw needs at least one restart, got {restarts}")
+    if max_iterations < 1:
+        raise ValueError(f"the seesaw needs at least one iteration, got {max_iterations}")
+    (a_vals, x_vals, y_vals), grid = _functional_grid(f)
+    if a_vals != (0, 1):
+        raise ValueError("the seesaw measurement step needs a binary Alice alphabet")
+    db = f.dim
+    summed = grid.sum(2)  # (a, x, d, d): sum_y F_{axy}
     root = np.random.default_rng(seed)
-    best_value = np.inf
-    best_trace: tuple = ()
-    best_witness = None
-    per_restart = []
-    for _ in range(restarts):
-        rng = np.random.default_rng(root.integers(2**63))
-        value, trace, witness = _seesaw_once(f, rng, max_iterations, rel_tol)
-        per_restart.append((value, len(trace)))
-        if value < best_value:
-            best_value = value
-            best_trace = tuple(trace)
-            best_witness = witness
+    rngs = [np.random.default_rng(root.integers(2**63)) for _ in range(restarts)]
+    # Every restart's POVMs (r, x, a, 2, 2), last ground vector and value trace.
+    povms = np.array([[la.random_projective_povm(rng, 2) for _ in x_vals] for rng in rngs])
+    grounds = np.empty((restarts, 2 * db), dtype=complex)
+    traces = [[] for _ in range(restarts)]
+    active = np.arange(restarts)  # the restarts still iterating, stacked on the leading axis
+    for iteration in range(max_iterations):
+        # h_r = sum_{a,x} M_{a|x} (x) S_{ax}
+        h = np.einsum("rxaij,axkl->rikjl", povms[active], summed).reshape(-1, 2 * db, 2 * db)
+        ground = la.eig_hermitian(h)[1][..., 0]
+        # With rho the ground projector and psi its vector as a (2, d) matrix,
+        # every tr_B[(I (x) S_{ax}) rho] is psi S_{ax}^T psi^dagger.
+        psi = ground.reshape(-1, 2, db)
+        conditioned = np.einsum("rim,axkm,rjk->raxij", psi, summed, psi.conj())
+        # Measurement step: per x, put outcome 0 on the nonpositive eigenspace
+        # of the conditioned operator difference (ties go to outcome 0).
+        dvals, dvecs = la.eig_hermitian(conditioned[:, 0] - conditioned[:, 1])
+        kept = dvecs * (dvals <= 0)[..., None, :]
+        m0 = kept @ kept.conj().swapaxes(-2, -1)
+        povms[active] = step = np.stack([m0, np.eye(2) - m0], axis=2)
+        grounds[active] = ground
+        # tr[(M (x) S) rho] = tr[M tr_B((I (x) S) rho)], so the new value needs no new h.
+        values = np.einsum("rxaij,raxji->r", step, conditioned).real
+        for r, value in zip(active.tolist(), values.tolist()):
+            traces[r].append(value)
+        if iteration:  # a restart stops once its last two values agree within rel_tol
+            previous = np.array([traces[r][-2] for r in active])
+            converged = np.abs(previous - values) <= rel_tol * np.maximum(1.0, np.abs(previous))
+            active = active[~converged]
+            if not active.size:
+                break
+    per_restart = tuple((trace[-1], len(trace)) for trace in traces)
+    best = min(range(restarts), key=lambda r: per_restart[r][0])  # the first minimum
     return BoundReport(
-        "seesaw",
-        float(best_value),
-        witness=best_witness,
+        "seesaw", per_restart[best][0], witness=QuantumRealisation(
+            "bwi", np.outer(grounds[best], grounds[best].conj()),
+            {x: tuple(m) for x, m in zip(x_vals, povms[best])},
+            channels={y: la.identity_map(db) for y in y_vals}),
         guaranteed_tight=False,
         note="quantum-achievable value; upper bound on the quantum minimum",
-        iterations=sum(n for _, n in per_restart),
-        restarts=restarts,
-        trace=best_trace,
-        per_restart=tuple(per_restart),
+        iterations=sum(n for _, n in per_restart), restarts=restarts,
+        trace=tuple(traces[best]), per_restart=per_restart,
     )
 
 

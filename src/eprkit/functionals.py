@@ -100,13 +100,17 @@ class BellCoefficients:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValueError(f"resource qubit count n must be a positive integer, got {self.n!r}")
-        # c/w labels are plain labels for one qubit and n-tuples for n qubits.
+        # c/w labels (plain for one qubit, n-tuples for n) are checked per axis, not per key.
         n_axes, names = len(SPECS[self.scenario].axes), SPECS[self.scenario].slice_axes
-        for labels in {key[n_axes:] for key in self.xi}:
-            qubits = {len(c) if isinstance(c, tuple) else 1 for c in labels}
-            if len(labels) != len(names) - n_axes or qubits != {self.n}:
-                raise ValueError(f"coefficient labels {labels} are not {self.n}-qubit labels "
-                                 f"{names[n_axes:]!r} of the keys {names!r}")
+        if isinstance(self.xi, LabelGrid):
+            lengths, axes = {len(self.xi.labels)}, self.xi.labels
+        else:
+            lengths, axes = set(map(len, self.xi)), tuple(map(set, zip(*self.xi)))
+        qubits = {len(c) if isinstance(c, tuple) else 1 for labels in axes[n_axes:] for c in labels}
+        if lengths - {len(names)} or qubits - {self.n}:
+            raise ValueError(f"coefficient keys of {sorted(lengths)} labels on "
+                             f"{sorted(qubits)} qubits are not {self.n}-qubit labels "
+                             f"{names[n_axes:]!r} of the keys {names!r}")
         object.__setattr__(self, "xi", LabelGrid.keyed(self.xi, len(names),
                                                        "coefficient table has no entry for"))
 

@@ -205,11 +205,6 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = ginibre(rng, dim, dim)
-    return (g + g.conj().T) / 2
-
-
 def random_projective_povm(rng: np.random.Generator, dim: int, n_outcomes: int = 2) -> list:
     """Projective POVM from a random orthonormal basis split into outcome blocks."""
     u = random_unitary(rng, dim)

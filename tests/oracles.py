@@ -152,6 +152,11 @@ def transpose_dual(kmap: la.KrausMap) -> la.KrausMap:
     )
 
 
+def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    g = la.ginibre(rng, dim, dim)
+    return (g + g.conj().T) / 2
+
+
 def random_povm_element(rng: np.random.Generator, dim: int) -> np.ndarray:
     """A random effect 0 <= M <= I (uniform spectrum in a Haar-random basis)."""
     u = la.random_unitary(rng, dim)

@@ -34,7 +34,7 @@ from eprkit.functionals import (
     reconstruct,
 )
 from eprkit.protocol import make_resource, selftest_marginal, simulate_bwi, simulate_channel, simulate_mdi
-from oracles import random_povm_element, transpose_dual
+from oracles import random_hermitian, random_povm_element, transpose_dual
 
 EXACT_CLASSICAL = 3 - np.sqrt(3)
 
@@ -99,7 +99,7 @@ def _random_psd_mdi_functional(seed: int) -> EPRFunctional:
 def _random_hermitian_mdi_functional(seed: int) -> EPRFunctional:
     rng = np.random.default_rng(seed)
     return EPRFunctional("mdi", {
-        (a, b, x): la.random_hermitian(rng, 2)
+        (a, b, x): random_hermitian(rng, 2)
         for a, b, x in itertools.product((0, 1), (0, 1), (1, 2, 3))
     })
 
@@ -219,8 +219,8 @@ def test_criterion_11_two_qubit_scaling():
     )
     round_trip = max(
         float(np.max(np.abs(reconstruct(decompose(
-            la.random_hermitian(np.random.default_rng(seed), 4), 2), 2)
-            - la.random_hermitian(np.random.default_rng(seed), 4))))
+            random_hermitian(np.random.default_rng(seed), 4), 2), 2)
+            - random_hermitian(np.random.default_rng(seed), 4))))
         for seed in range(50)
     )
     ok = worst >= -1e-7 and round_trip <= 1e-10

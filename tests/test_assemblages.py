@@ -18,7 +18,7 @@ from eprkit.assemblages import (
     transpose_assemblage,
     validate,
 )
-from oracles import conjugation_map, partial_trace, transpose_dual
+from oracles import conjugation_map, partial_trace, random_hermitian, transpose_dual
 
 
 def test_ptp_assemblage_validates_tightly():
@@ -405,7 +405,7 @@ def test_validate_matches_per_key_formulas(scenario, seed, n_a, n_x, n_other, no
     elements = dict(assemblage.elements)
     keys = list(elements)
     for i in rng.choice(len(keys), size=min(n_noisy, len(keys)), replace=False):
-        elements[keys[i]] = elements[keys[i]] + noise * la.random_hermitian(rng, assemblage.dim)
+        elements[keys[i]] = elements[keys[i]] + noise * random_hermitian(rng, assemblage.dim)
     if n_a == 2:  # trace moved between the two outcomes: one p(a|x) < 0, sums kept
         eye = shift * np.eye(assemblage.dim) / assemblage.dim
         elements[keys[0]] = elements[keys[0]] - eye

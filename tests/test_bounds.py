@@ -15,7 +15,7 @@ from eprkit.bounds import (
     selftest_value,
 )
 from eprkit.functionals import EPRFunctional
-from oracles import partial_trace
+from oracles import partial_trace, random_hermitian
 
 EXACT_CLASSICAL = 3 - np.sqrt(3)
 
@@ -23,7 +23,7 @@ EXACT_CLASSICAL = 3 - np.sqrt(3)
 def _random_bwi_functional(seed: int, scale: float = 1.0) -> EPRFunctional:
     rng = np.random.default_rng(seed)
     return EPRFunctional("bwi", {
-        (a, x, y): scale * la.random_hermitian(rng, 2)
+        (a, x, y): scale * random_hermitian(rng, 2)
         for a in (0, 1) for x in (1, 2, 3) for y in (0, 1)
     })
 
@@ -228,13 +228,52 @@ def _check_bounds_against_loops(f):
 def test_bounds_match_per_key_loops(seed, n_a, n_x, n_y, dim):
     rng = np.random.default_rng(seed)
     keys = list(itertools.product(range(n_a), range(1, n_x + 1), range(n_y)))
-    ops = {keys[i]: la.random_hermitian(rng, dim) for i in rng.permutation(len(keys))}
+    ops = {keys[i]: random_hermitian(rng, dim) for i in rng.permutation(len(keys))}
     _check_bounds_against_loops(EPRFunctional("bwi", ops))
 
 
 @pytest.mark.parametrize("normalized", [False, True])
 def test_bounds_match_per_key_loops_on_ptp(normalized):
     _check_bounds_against_loops(catalog.ptp_functional(normalized=normalized))
+
+
+@pytest.mark.parametrize("n_a, n_x", [(2, 10), (3, 7)])
+def test_bounds_match_per_key_loops_across_strategy_chunks(n_a, n_x):
+    # 1024 and 2187 strategies; these seeds put the minimum at strategy 584 and 1824.
+    rng = np.random.default_rng([n_a, n_x, 1])
+    keys = itertools.product(range(n_a), range(1, n_x + 1), range(2))
+    _check_bounds_against_loops(EPRFunctional("bwi", {key: random_hermitian(rng, 2)
+                                                      for key in keys}))
+
+
+def test_classical_bound_ties_keep_the_first_strategy_across_chunks():
+    # All 3**6 strategies tie at 0; the first answers every setting with the first label.
+    f = EPRFunctional("bwi", {(a, x, 0): np.zeros((2, 2)) for a in (4, 5, 6) for x in range(1, 7)})
+    report = classical_bound(f)
+    assert report.value == 0.0
+    assert report.witness.response == {x: 4 for x in range(1, 7)}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_classical_bound_skips_strategies_whose_operator_sum_overflows():
+    # Finite entries whose sums overflow for some strategies: those strategies'
+    # eigenvalues are NaN, and the minimum is taken over the others.
+    f = EPRFunctional("bwi", {(a, x, 0): (-1) ** a * 1e308 * np.eye(2)
+                              for a in (0, 1) for x in (1, 2, 3)})
+    value, response = _reference_classical(f)
+    report = classical_bound(f)
+    assert report.value == value == -1e308
+    assert report.witness.response == response
+
+
+def test_classical_bound_ties_keep_the_first_strategy_in_product_order():
+    # Every strategy answering x = 1 or x = 9 with a = 1 reaches -1; the first in
+    # itertools.product order (last setting fastest) is strategy 1: a = 1 at x = 9 only.
+    ops = {(a, x, 0): np.zeros((2, 2)) for a in (0, 1) for x in range(1, 10)}
+    ops[(1, 1, 0)], ops[(1, 9, 0)] = -la.proj(0, 1), -la.proj(1, 1)
+    report = classical_bound(EPRFunctional("bwi", ops))
+    assert report.value == -1.0
+    assert report.witness.response == {x: int(x == 9) for x in range(1, 10)}
 
 
 def _reference_seesaw_once(f, rng, max_iterations, rel_tol):
@@ -314,7 +353,7 @@ def _check_seesaw_against_reference(f, seed, restarts, max_iterations):
 def test_seesaw_matches_per_term_loop(seed, n_x, n_y, dim, restarts):
     rng = np.random.default_rng(seed)
     keys = list(itertools.product((0, 1), range(1, n_x + 1), range(n_y)))
-    ops = {keys[i]: la.random_hermitian(rng, dim) for i in rng.permutation(len(keys))}
+    ops = {keys[i]: random_hermitian(rng, dim) for i in rng.permutation(len(keys))}
     _check_seesaw_against_reference(EPRFunctional("bwi", ops), seed, restarts, 100)
 
 
@@ -325,4 +364,22 @@ def test_seesaw_witness_matches_per_term_loop():
 
 def test_seesaw_matches_per_term_loop_on_ptp():
     _check_seesaw_against_reference(catalog.ptp_functional(normalized=True), 0, 50, 500)
+
+
+def test_seesaw_restarts_leave_the_stack_at_different_iterations():
+    f = _random_bwi_functional(2)
+    _check_seesaw_against_reference(f, 2, 4, 10)
+    report = seesaw_quantum(f, seed=2, restarts=4, max_iterations=10)
+    assert [n for _, n in report.per_restart] == [10, 9, 8, 9]  # the first one hits the cap
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_seesaw_single_restart_matches_per_term_loop(seed):
+    _check_seesaw_against_reference(_random_bwi_functional(seed), seed, 1, 100)
+
+
+@pytest.mark.parametrize("max_iterations", [0, -1])
+def test_seesaw_rejects_fewer_than_one_iteration(max_iterations):
+    with pytest.raises(ValueError, match="at least one iteration"):
+        seesaw_quantum(catalog.ptp_functional(), max_iterations=max_iterations)
 

@@ -24,6 +24,7 @@ from eprkit.protocol import CorrelationTable
 from oracles import (
     bell_from_epr_per_key,
     evaluate_bell_per_key,
+    random_hermitian,
     random_slice_labels,
     shuffled_table,
 )
@@ -81,7 +82,7 @@ def test_reconstruct_rejects_missing_labels():
 @pytest.mark.parametrize("n", [1, 2])
 def test_round_trip_seeded_batch(n):
     for seed in range(500):
-        f = la.random_hermitian(np.random.default_rng(seed), 2**n)
+        f = random_hermitian(np.random.default_rng(seed), 2**n)
         assert np.max(np.abs(reconstruct(decompose(f, n), n) - f)) <= 1e-10
 
 
@@ -91,7 +92,7 @@ def test_decompose_matches_factorwise_rule(n):
     # 1/3 for the identity and (-1)^c [w = s] otherwise.
     paulis = [la.I2, la.PAULI_Z, la.PAULI_X, la.PAULI_Y]
     for seed in range(20):
-        f = la.random_hermitian(np.random.default_rng(seed), 2**n)
+        f = random_hermitian(np.random.default_rng(seed), 2**n)
         table = decompose(f, n)
         for key, combo in projector_strings(n):
             expected = 0.0
@@ -105,7 +106,7 @@ def test_decompose_matches_factorwise_rule(n):
 
 @given(st.integers(0, 2**32 - 1))
 def test_sparse_rule_reconstructs(seed):
-    f = la.random_hermitian(np.random.default_rng(seed), 2)
+    f = random_hermitian(np.random.default_rng(seed), 2)
     table = dict(zip(single_qubit_labels(), sparse_single_qubit_coefficients(f)))
     assert np.max(np.abs(reconstruct(table) - f)) < 1e-12
 
@@ -140,7 +141,7 @@ def test_evaluate_epr_on_a_sub_grid_matches_per_key_traces(seed, n_a, n_x, n_y):
     labels = [sorted(rng.choice(axis, size=k, replace=False))
               for axis, k in zip(assemblage.labels(), (n_a, n_x, n_y))]
     keys = list(itertools.product(*labels))
-    f = EPRFunctional("bwi", {keys[i]: la.random_hermitian(rng, 2)
+    f = EPRFunctional("bwi", {keys[i]: random_hermitian(rng, 2)
                               for i in rng.permutation(len(keys))})
     expected = sum(float(np.real(np.trace(op @ assemblage.elements[key])))
                    for key, op in f.operators.items())
@@ -235,7 +236,7 @@ def test_evaluate_bell_rejects_labels_the_table_lacks():
 def _pauli_sparse_operator(rng, dim):
     """A Hermitian operator whose single-qubit Pauli components are often exactly zero."""
     if dim != 2:
-        return la.random_hermitian(rng, dim)
+        return random_hermitian(rng, dim)
     weights = rng.normal(size=4) * (rng.uniform(size=4) < 0.6)
     return sum(c * p for c, p in zip(weights, (la.I2, la.PAULI_Z, la.PAULI_X, la.PAULI_Y)))
 
@@ -294,7 +295,7 @@ def test_bell_coefficients_reject_keys_of_another_qubit_count(scenario, key, n):
 def test_bell_coefficients_accept_the_labels_bell_from_epr_writes():
     rng = np.random.default_rng(2)
     for dim, n in ((2, 1), (4, 2), (8, 3)):
-        f = EPRFunctional("bwi", {(a, x, 0): la.random_hermitian(rng, dim)
+        f = EPRFunctional("bwi", {(a, x, 0): random_hermitian(rng, dim)
                                   for a in (0, 1) for x in (1, 2)})
         assert bell_from_epr(f).n == n
 

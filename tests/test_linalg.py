@@ -9,6 +9,7 @@ from oracles import (
     conjugation_map,
     partial_trace,
     partial_transpose,
+    random_hermitian,
     random_povm_element,
     transpose_dual,
 )
@@ -68,8 +69,8 @@ def test_partial_trace_entangled_marginal():
 
 def test_partial_trace_product_case():
     rng = np.random.default_rng(7)
-    a = la.random_hermitian(rng, 2)
-    b = la.random_hermitian(rng, 2)
+    a = random_hermitian(rng, 2)
+    b = random_hermitian(rng, 2)
     assert np.allclose(partial_trace(la.tensor(a, b), [2, 2], 0), np.trace(a) * b)
 
 
@@ -80,7 +81,7 @@ def test_partial_trace_swap():
 
 def test_partial_trace_preserves_trace():
     rng = np.random.default_rng(3)
-    m = la.random_hermitian(rng, 8)
+    m = random_hermitian(rng, 8)
     for idx, dims in [(0, [2, 4]), (1, [4, 2]), (2, [2, 2, 2])]:
         red = partial_trace(m, dims, idx)
         assert abs(np.trace(red) - np.trace(m)) < 1e-12
@@ -98,8 +99,8 @@ def test_partial_transpose_min_eigenvalue():
 
 def test_partial_transpose_product_case():
     rng = np.random.default_rng(11)
-    a = la.random_hermitian(rng, 2)
-    b = la.random_hermitian(rng, 2)
+    a = random_hermitian(rng, 2)
+    b = random_hermitian(rng, 2)
     got = partial_transpose(la.tensor(a, b), [2, 2], 1)
     assert np.allclose(got, la.tensor(a, b.T))
 
@@ -107,7 +108,7 @@ def test_partial_transpose_product_case():
 @given(st.integers(0, 2**32 - 1))
 def test_partial_transpose_involutive(seed):
     rng = np.random.default_rng(seed)
-    m = la.random_hermitian(rng, 4)
+    m = random_hermitian(rng, 4)
     assert np.allclose(partial_transpose(partial_transpose(m, [2, 2], 0), [2, 2], 0), m)
 
 
@@ -133,7 +134,7 @@ def test_eig_rejects_non_hermitian():
 
 def test_eig_hermitian_decomposes_a_stack_over_leading_axes():
     rng = np.random.default_rng(4)
-    stack = np.array([[la.random_hermitian(rng, 4) for _ in range(2)] for _ in range(3)])
+    stack = np.array([[random_hermitian(rng, 4) for _ in range(2)] for _ in range(3)])
     vals, vecs = la.eig_hermitian(stack)
     assert vals.shape == (3, 2, 4) and vecs.shape == (3, 2, 4, 4)
     for i, j in np.ndindex(3, 2):
@@ -149,7 +150,7 @@ def test_eig_residual_on_seeded_batch():
     # 1000 draws split over dims 2, 4, 8, 16.
     for i in range(1000):
         dim = [2, 4, 8, 16][i % 4]
-        m = la.random_hermitian(np.random.default_rng(i), dim)
+        m = random_hermitian(np.random.default_rng(i), dim)
         vals, vecs = la.eig_hermitian(m)
         assert np.max(np.abs(m @ vecs - vecs * vals)) <= 1e-9
         assert np.all(np.diff(vals) >= -1e-12)
@@ -185,7 +186,7 @@ def test_apply_choi_identity_round_trip():
 def test_apply_choi_discard_and_prepare():
     rng = np.random.default_rng(6)
     rho0 = la.random_density(rng, 2)
-    sigma = la.random_hermitian(rng, 2)
+    sigma = random_hermitian(rng, 2)
     got = la.apply_choi(la.tensor(rho0, la.I2 / 2), sigma)
     assert np.allclose(got, np.trace(sigma) * rho0)
 
@@ -246,8 +247,8 @@ def test_transpose_dual_property_and_involution(seed):
 
 def test_hermiticity_preserved_by_structural_ops():
     rng = np.random.default_rng(42)
-    a = la.random_hermitian(rng, 2)
-    b = la.random_hermitian(rng, 4)
+    a = random_hermitian(rng, 2)
+    b = random_hermitian(rng, 4)
     for m in (
         la.tensor(a, b),
         partial_trace(b, [2, 2], 0),

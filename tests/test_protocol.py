@@ -20,6 +20,7 @@ from eprkit.protocol import (
 from oracles import (
     apply_map_to_factors,
     partial_trace,
+    random_hermitian,
     random_povm_element,
     random_slice_labels,
     shuffled_table,
@@ -69,7 +70,7 @@ def test_make_resource_rejects_bad_arguments():
 def test_phi_plus_transpose_identity():
     # tr_1[(A (x) I) phi_plus] = A^T / 2 for arbitrary operators.
     for seed in range(50):
-        a = la.random_hermitian(np.random.default_rng(seed), 2)
+        a = random_hermitian(np.random.default_rng(seed), 2)
         lhs = partial_trace(la.tensor(a, la.I2) @ la.phi_plus(), [2, 2], 0)
         assert np.max(np.abs(lhs - a.T / 2)) < 1e-12
 
@@ -200,7 +201,7 @@ def test_simulate_mdi_uniform_assemblage():
 def test_simulate_mdi_chain_is_exact():
     # The coefficient-to-operator chain carries no prefactor in this scenario.
     rng = np.random.default_rng(12)
-    ops = {(a, b, x): la.random_hermitian(rng, 2)
+    ops = {(a, b, x): random_hermitian(rng, 2)
            for a in (0, 1) for b in (0, 1) for x in (1, 2, 3)}
     from eprkit.functionals import EPRFunctional
     f = EPRFunctional("mdi", ops)
@@ -293,7 +294,7 @@ def test_simulate_channel_chain_quarter_factor():
     from eprkit.functionals import EPRFunctional
     rng = np.random.default_rng(77)
     f = EPRFunctional("channel", {
-        (a, x): la.random_hermitian(rng, 4) for a in (0, 1) for x in (1, 2, 3)
+        (a, x): random_hermitian(rng, 4) for a in (0, 1) for x in (1, 2, 3)
     })
     xi = bell_from_epr(f)
     res = make_resource(1, 1.0)

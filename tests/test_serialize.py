@@ -9,10 +9,11 @@ from eprkit import serialize as ser
 from eprkit.assemblages import SPECS, random_quantum
 from eprkit.functionals import bell_from_epr
 from eprkit.protocol import make_resource, simulate, simulate_bwi
+from oracles import random_hermitian
 
 
 def test_matrix_round_trip_exact():
-    m = la.random_hermitian(np.random.default_rng(0), 4)
+    m = random_hermitian(np.random.default_rng(0), 4)
     back = ser.matrix_from_json(json.loads(json.dumps(ser.matrix_to_json(m))))
     assert np.array_equal(back, m)
 

@@ -233,6 +233,18 @@ class LabelGrid(Mapping):
         return cls(*product_grid(block, np.fromiter(block.values(), float, len(block)),
                                  n_axes, what))
 
+    def subgrid(self, labels, names: str, what: str) -> LabelGrid:
+        """The grid at ``labels``, which may select a sub-grid of its own: ValueError
+        "<what> <name> = <label>" names the first label an axis lacks."""
+        labels, grid = tuple(map(tuple, labels)), self.grid
+        if labels == self.labels:
+            return self
+        for axis, (wanted, present) in enumerate(zip(labels, self.labels)):
+            if not set(wanted) <= set(present):
+                raise ValueError(f"{what} {names[axis]} = {min(set(wanted) - set(present))}")
+            grid = grid.take([present.index(label) for label in wanted], axis)
+        return LabelGrid(labels, grid)
+
     @cached_property
     def _view(self) -> dict:
         return dict(zip(self, self.grid.ravel().tolist()))
@@ -254,7 +266,8 @@ class Assemblage:
     Each subclass is one scenario and adds one alphabet size ``n_<axis>`` per
     axis, in axis order: ``BwIAssemblage(elements, n_a, n_x, n_y)``.  The
     checked elements are held as one read-only array ``stack`` in key order;
-    ``elements`` maps each key to its view into that stack.
+    ``elements`` maps each key to its view into that stack.  ``grid`` puts
+    them on the grid of their labels once, when first read.
     """
 
     elements: dict
@@ -299,6 +312,12 @@ class Assemblage:
     def dim(self) -> int:
         return self.stack.shape[-1]
 
+    @cached_property
+    def grid(self) -> tuple[tuple, np.ndarray]:
+        """The sorted labels of each axis and the elements on their read-only grid
+        (*label counts, d, d); ValueError names the first missing element."""
+        return product_grid(self.elements, self.stack, len(self.spec.axes), "missing element")
+
 
 class StandardAssemblage(Assemblage, scenario="standard"):
     """Subnormalised conditional states sigma_{c|w} of a standard EPR scenario."""
@@ -332,8 +351,8 @@ def validate(assemblage, tol: float = DEFAULT_TOL) -> ValidationReport:
         first = next(key for key in itertools.product(*labels) if key not in elements)
         error = f"{missing} missing element{'s' * (missing > 1)}, the first {first}"
         return ValidationReport(assemblage.scenario, (), (error,), tol)
-    grid = product_grid(elements, assemblage.stack, len(labels), "missing element")[1]
-    conds = [("elements-psd", _psd_residual(assemblage.stack)), *assemblage.spec.conditions(grid)]
+    conds = [("elements-psd", _psd_residual(assemblage.stack)),
+             *assemblage.spec.conditions(assemblage.grid[1])]
     return ValidationReport(
         assemblage.scenario, tuple(ConditionResult(*c) for c in conds), (), tol)
 

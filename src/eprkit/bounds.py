@@ -16,18 +16,20 @@ The seesaw keeps Bob's processing fixed to the identity and alternates exact
 state and measurement updates, so every iterate is a quantum-feasible value;
 it brackets, never computes, the quantum bound.  All restarts advance as one
 stack over a leading restart axis, which a restart leaves when it stops.
+
+The self-test value I_E is one dot product of a marginal's (b, c, z, w)
+grid with constant weights.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg as la
-from .assemblages import QuantumRealisation
-from .catalog import SELFTEST_SIGNS
+from .assemblages import LabelGrid, QuantumRealisation
+from .catalog import SELFTEST_LABELS, SELFTEST_SIGNS
 from .functionals import EPRFunctional
 
 ENUMERATION_GUARD = 10**6
@@ -77,7 +79,6 @@ def classical_bound(f: EPRFunctional) -> BoundReport:
         for j in range(1, n_x):
             operators += grid[choices[:, j], j]
         values = sum(np.linalg.eigvalsh(operators)[..., 0].T)  # over y in order, per strategy
-        values[np.isnan(values)] = np.inf  # an overflowing strategy never wins, as in a `<` scan
         i = values.argmin()  # the first minimum of the chunk
         if values[i] < best[0]:
             best = values[i], choices[i], operators[i]
@@ -166,19 +167,17 @@ def seesaw_quantum(f: EPRFunctional, seed: int = 0, restarts: int = 10,
     )
 
 
-def selftest_value(marginal: dict) -> float:
-    """The twelve-term correlator functional I_E on a p(b, c | z, w) marginal."""
-    total = 0.0
-    for w in (1, 2, 3):
-        for z in (1, 2, 3, 4):
-            correlator = 0.0
-            for b, c in itertools.product((0, 1), (0, 1)):
-                key = (b, c, z, w)
-                if key not in marginal:
-                    raise ValueError(f"marginal is missing entry {key}")
-                correlator += (-1) ** (b + c) * marginal[key]
-            total += SELFTEST_SIGNS[w][z - 1] * correlator
-    return total
+# The weight (-1)^(b + c) SELFTEST_SIGNS[w][z - 1] of p(b, c | z, w) in I_E.
+_SELFTEST_WEIGHTS = np.einsum("b,c,wz->bczw", (1, -1), (1, -1),
+                              [SELFTEST_SIGNS[w] for w in SELFTEST_LABELS[3]])
+
+
+def selftest_value(marginal) -> float:
+    """The twelve-term correlator functional I_E on a p(b, c | z, w) marginal, a
+    ``LabelGrid`` or {key: p} block whose labels include ``SELFTEST_LABELS``."""
+    what = "self-test marginal has no probability for"
+    p = LabelGrid.keyed(marginal, 4, what).subgrid(SELFTEST_LABELS, "bczw", what)
+    return float(np.vdot(_SELFTEST_WEIGHTS, p.grid))
 
 
 SELFTEST_MAX = 4 * np.sqrt(3)

@@ -9,6 +9,7 @@ inputs only), and a channel-scenario embedding derived in this repository.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -133,17 +134,22 @@ def selftest_observables() -> dict:
     return out
 
 
-def canonical_selftest_marginal() -> dict:
-    """p(b, c | z, w) of the canonical strategy; reaches I_E = 4 sqrt(3)."""
+# The (b, c, z, w) labels of a self-test marginal p(b, c | z, w).
+SELFTEST_LABELS = ((0, 1), (0, 1), (1, 2, 3, 4), (1, 2, 3))
+
+
+@functools.cache
+def canonical_selftest_marginal() -> LabelGrid:
+    """The read-only p(b, c | z, w) of the canonical strategy; reaches I_E = 4 sqrt(3)."""
     observables = selftest_observables()
-    marginal = {}
+    marginal = np.empty(tuple(map(len, SELFTEST_LABELS)))
     for z, obs in observables.items():
         outcome_projs = la.observable_projectors(obs)
         for w in (1, 2, 3):
             for b, c in itertools.product((0, 1), (0, 1)):
                 p = np.real(np.trace(outcome_projs[b] @ sigma_tilde(c, w)))
-                marginal[(b, c, z, w)] = float(p)
-    return marginal
+                marginal[b, c, z - 1, w - 1] = p
+    return LabelGrid(SELFTEST_LABELS, marginal)
 
 
 def mdi_ptp_probabilities(method: str = "transposed-measurement") -> dict:

@@ -43,11 +43,13 @@ class EPRFunctional:
 
     Operator keys follow the scenario's axes: (a, x, y) for bwi, (a, b, x)
     for mdi, (a, x) for channel (dim-4 operators on output (x) Choi-input
-    factors).  The keys must cover the full product of their labels per axis.
-    ``bounds`` optionally carries known bound constants by name.  The checked
-    operators are held once, as the read-only ``grid`` (*label counts, d, d)
-    over the sorted ``labels`` of each axis; ``stack`` is that grid as
-    (keys, d, d) in key order, and ``operators`` maps each key to its view.
+    factors).  The keys must cover the full product of their labels per axis,
+    and the total magnitude of the entries must be finite, so that no bound
+    overflows.  ``bounds`` optionally carries known bound constants by name.
+    The checked operators are held once, as the read-only ``grid`` (*label
+    counts, d, d) over the sorted ``labels`` of each axis; ``stack`` is that
+    grid as (keys, d, d) in key order, and ``operators`` maps each key to its
+    view.
     """
 
     scenario: str
@@ -63,6 +65,9 @@ class EPRFunctional:
         n_axes = len(SPECS[self.scenario].axes)
         labels, grid = product_grid(self.operators, freeze_operators(self.operators), n_axes,
                                     "functional has no operator for")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.abs(grid).sum()):
+                raise ValueError("operator entries are too large: their total magnitude overflows")
         stack = grid.reshape(-1, *grid.shape[-2:])
         for name, value in (("stack", stack), ("labels", labels), ("grid", grid),
                             ("operators", dict(zip(itertools.product(*labels), stack)))):
@@ -255,11 +260,6 @@ def evaluate_bell(xi: BellCoefficients, table) -> float:
             f"scenario mismatch: coefficients are {xi.scenario!r}, "
             f"table is {table.scenario!r}"
         )
-    # The table's grid at the coefficients' labels, which may be a sub-grid of its own.
-    p, names = table.slice.grid, SPECS[xi.scenario].slice_axes
-    for axis, (wanted, present) in enumerate(zip(xi.xi.labels, table.slice.labels)):
-        if not set(wanted) <= set(present):
-            raise ValueError(f"correlation table has no probability for "
-                             f"{names[axis]} = {min(set(wanted) - set(present))}")
-        p = p.take([present.index(label) for label in wanted], axis)
-    return float(np.vdot(xi.xi.grid, p))
+    p = table.slice.subgrid(xi.xi.labels, SPECS[xi.scenario].slice_axes,
+                            "correlation table has no probability for")
+    return float(np.vdot(xi.xi.grid, p.grid))

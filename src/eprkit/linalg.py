@@ -64,11 +64,13 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian operator, or a stack of them over leading axes.
 
     Returns ascending eigenvalues and orthonormal eigenvector columns.
-    Non-Hermitian input (beyond ``HERMITICITY_TOL``) is rejected.
+    Non-Hermitian input (beyond ``HERMITICITY_TOL`` relative to its largest
+    entry, or absolute below 1) is rejected, so rounding that grows with the
+    entries passes.
     """
     m = np.asarray(m, dtype=complex)
     dev = np.max(np.abs(m - m.conj().swapaxes(-2, -1)))
-    if dev > HERMITICITY_TOL:
+    if dev > HERMITICITY_TOL and dev > HERMITICITY_TOL * np.max(np.abs(m)):
         raise ValueError(f"eig_hermitian requires a Hermitian operator (deviation {dev:.3e})")
     return np.linalg.eigh(m)
 

@@ -4,17 +4,18 @@ Only the designated slice (Bob's outcome b = 0 at his protocol setting,
 written ``*`` in the JSON schema) is materialised, together with the
 self-test marginals.  The slice is a ``LabelGrid`` over the slice axes of
 the Bell coefficient grids of :mod:`eprkit.functionals`: each simulator
-contracts the assemblage and resource grids and reshapes the result into it.
+contracts the assemblage's grid, built once per assemblage, with the
+resource grids and reshapes the result into it.  Each self-test marginal is
+a read-only ``LabelGrid`` over (b, c, z, w).
 
-Self-test marginals are synthetic: they are filled from the canonical
-saturating strategy, standing in for the device of a real run.  Runs on
-file-supplied correlation data are checked against the threshold instead
-(see the CLI).
+Self-test marginals are synthetic: every simulated table shares the one
+read-only marginal of the canonical saturating strategy, standing in for
+the device of a real run.  Runs on file-supplied correlation data are
+checked against the threshold instead (see the CLI).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -50,12 +51,6 @@ class ResourceAssemblage:
     stack: np.ndarray = field(repr=False, compare=False)
     labels: tuple = field(repr=False, compare=False)
 
-    def element(self, c, w) -> np.ndarray:
-        return self.elements[(c, w)]
-
-    def keys(self):
-        return self.elements.keys()
-
 
 def make_resource(n: int, r: float) -> ResourceAssemblage:
     """Build the n-qubit resource at mixing parameter r."""
@@ -75,8 +70,9 @@ def make_resource(n: int, r: float) -> ResourceAssemblage:
 class CorrelationTable:
     """Designated-slice probabilities plus self-test marginals for one run.
 
-    ``slice`` is a ``LabelGrid`` over the slice axes; a ``{key: p}`` slice must be the
-    full product of its labels, or empty in a table of self-test marginals only.
+    ``slice`` is a ``LabelGrid`` over the slice axes, and each ``selftest`` block
+    one over (b, c, z, w); a ``{key: p}`` block must be the full product of its
+    labels, and only the slice may be empty, in a table of self-test marginals only.
     """
 
     scenario: str
@@ -88,9 +84,11 @@ class CorrelationTable:
         grid = LabelGrid.keyed(self.slice, len(SPECS[self.scenario].slice_axes),
                                "correlation table has no probability for")
         object.__setattr__(self, "slice", grid)
+        object.__setattr__(self, "selftest", {
+            name: LabelGrid.keyed(block, 4, "self-test marginal has no probability for")
+            for name, block in self.selftest.items()})
         blocks = self.selftest.values()
-        p = np.concatenate([grid.grid.ravel(), *(np.fromiter(b.values(), float, len(b))
-                                                 for b in blocks)])
+        p = np.concatenate([grid.grid.ravel(), *(block.grid.ravel() for block in blocks)])
         bad = ~((p >= -PROB_TOL) & (p <= 1 + PROB_TOL))  # NaN is out of range too
         if bad.any():
             key = next(itertools.compress(itertools.chain(grid, *blocks), bad))
@@ -115,17 +113,6 @@ def _check_effect(m: np.ndarray, dim: int) -> np.ndarray:
     return m
 
 
-# The canonical marginal is a constant: computed once, copied into each table.
-_canonical_selftest = functools.cache(catalog.canonical_selftest_marginal)
-
-
-def _grid(assemblage) -> tuple:
-    """An assemblage's labels and its elements in grid order, (keys, d, d)."""
-    labels, grid = product_grid(assemblage.elements, assemblage.stack,
-                                len(assemblage.spec.axes), "missing element")
-    return labels, grid.reshape(-1, *grid.shape[-2:])
-
-
 def simulate_bwi(assemblage, resource: ResourceAssemblage, measurement=None) -> CorrelationTable:
     """Slice p(a, 0, c | x, y, *, w) = tr[M (sigma_{a|xy} (x) resource_{c|w})]."""
     if assemblage.scenario != "bwi":
@@ -136,13 +123,13 @@ def simulate_bwi(assemblage, resource: ResourceAssemblage, measurement=None) -> 
     if measurement is None:
         measurement = la.phi_plus(resource.n)
     m = _check_effect(measurement, d * d).reshape(d, d, d, d)
-    labels, sigma = _grid(assemblage)
+    labels, sigma = assemblage.grid
     # One operand at a time: a single three-operand einsum loops over all six indices at once.
-    half = np.einsum("pqrs,irp->iqs", m, sigma)
+    half = np.einsum("pqrs,irp->iqs", m, sigma.reshape(-1, d, d))
     p = np.einsum("iqs,jsq->ij", half, resource.stack).real
     return CorrelationTable(
-        "bwi", LabelGrid(labels + resource.labels, p), {"bc": dict(_canonical_selftest())},
-        {"r": resource.r, "n": resource.n},
+        "bwi", LabelGrid(labels + resource.labels, p),
+        {"bc": catalog.canonical_selftest_marginal()}, {"r": resource.r, "n": resource.n},
     )
 
 
@@ -152,29 +139,22 @@ def simulate_mdi(assemblage, resource: ResourceAssemblage) -> CorrelationTable:
         raise ValueError(f"expected an MDI assemblage, got {assemblage.scenario!r}")
     if resource.n != 1:
         raise ValueError("the MDI protocol uses a single-qubit resource")
-    labels, choi = _grid(assemblage)
+    labels, choi = assemblage.grid
     # 2 tr[R^T J] for every pair of elements J and resource elements R.
-    p = 2 * np.einsum("ist,jst->ij", choi, resource.stack).real
+    p = 2 * np.einsum("ist,jst->ij", choi.reshape(-1, *choi.shape[-2:]), resource.stack).real
     return CorrelationTable(
-        "mdi", LabelGrid(labels + resource.labels, p), {"bc": dict(_canonical_selftest())},
-        {"r": resource.r},
+        "mdi", LabelGrid(labels + resource.labels, p),
+        {"bc": catalog.canonical_selftest_marginal()}, {"r": resource.r},
     )
 
 
-def simulate_channel(
-    assemblage,
-    res_in: ResourceAssemblage,
-    res_out: ResourceAssemblage,
-    measurement=None,
-    independent_mixtures: bool = False,
-) -> CorrelationTable:
+def simulate_channel(assemblage, res_in: ResourceAssemblage, res_out: ResourceAssemblage,
+                     measurement=None) -> CorrelationTable:
     """Slice p(a, 0, c, d | x, *, *, w, u) of the channel protocol.
 
-    In the certifying mode the two resources must share one mixing parameter
-    and the mixture is applied to the aligned pair, i.e. the table is
+    The two resources must share one mixing parameter r, and the mixture is
+    applied to the aligned pair, i.e. the table is
     r * T(res, res) + (1 - r) * T(res^T, res^T) over the canonical elements.
-    ``independent_mixtures`` instead applies each resource's own mixture
-    (the product formula); such tables are diagnostic only and are tagged so.
     """
     if assemblage.scenario != "channel":
         raise ValueError(f"expected a channel assemblage, got {assemblage.scenario!r}")
@@ -183,32 +163,23 @@ def simulate_channel(
     if measurement is None:
         measurement = la.phi_plus(1)
     m = _check_effect(measurement, 4).reshape(2, 2, 2, 2)
-    (ax, choi), cw, du = _grid(assemblage), res_in.labels, res_out.labels
+    if res_in.r != res_out.r:
+        raise ValueError("the channel protocol needs one mixing parameter for both resources")
+    (ax, choi), cw, du = assemblage.grid, res_in.labels, res_out.labels
+    choi = choi.reshape(-1, *choi.shape[-2:])
 
-    def raw_table(inputs: np.ndarray, outputs: np.ndarray) -> np.ndarray:
-        """p[i, j, k] = tr[M (Omega_ij (x) outputs_k)], Omega_ij = element i applied to input j."""
-        omega = la.apply_choi(choi[:, None], inputs[None])
-        return np.einsum("pqrs,ijrp,ksq->ijk", m, omega, outputs).real
+    def raw_table(states: np.ndarray) -> np.ndarray:
+        """p[i, j, k] = tr[M (Omega_ij (x) states_k)], Omega_ij = element i applied to states_j."""
+        omega = la.apply_choi(choi[:, None], states[None])
+        return np.einsum("pqrs,ijrp,ksq->ijk", m, omega, states).real
 
-    if independent_mixtures:
-        p = raw_table(res_in.stack, res_out.stack)
-        meta = {"r_in": res_in.r, "r_out": res_out.r, "diagnostic": True}
-    else:
-        if res_in.r != res_out.r:
-            raise ValueError(
-                "certifying runs need a single mixing parameter; "
-                "pass independent_mixtures=True for diagnostics"
-            )
-        r = res_in.r
-        pure = np.stack([catalog.sigma_tilde(*key) for key in res_in.keys()])
-        flipped = pure.transpose(0, 2, 1)
-        p = r * raw_table(pure, pure) + (1 - r) * raw_table(flipped, flipped)
-        meta = {"r": r}
+    pure = np.stack([catalog.sigma_tilde(*key) for key in res_in.elements])
+    p = res_in.r * raw_table(pure) + (1 - res_in.r) * raw_table(pure.transpose(0, 2, 1))
     # p[(a, x), (c, w), (d, u)] into the slice order (a, x, c, d, w, u).
     grid = p.reshape(*map(len, (*ax, *cw, *du))).transpose(0, 1, 2, 4, 3, 5)
-    selftest = {block: dict(_canonical_selftest()) for block in ("bc", "bd")}
+    selftest = dict.fromkeys(("bc", "bd"), catalog.canonical_selftest_marginal())
     return CorrelationTable("channel", LabelGrid((*ax, cw[0], du[0], cw[1], du[1]), grid),
-                            selftest, meta)
+                            selftest, {"r": res_in.r})
 
 
 _PROTOCOLS = {
@@ -230,16 +201,12 @@ def simulate(assemblage, r: float, measurement=None, n: int | None = None) -> Co
     return _PROTOCOLS[assemblage.scenario](assemblage, r, measurement, n)
 
 
-def selftest_marginal(table: CorrelationTable, block: str = "bc") -> dict:
-    """The p(b, c | z, w) marginal feeding the self-test functional."""
+def selftest_marginal(table: CorrelationTable, block: str = "bc") -> LabelGrid:
+    """The p(b, c | z, w) marginal feeding the self-test functional, at its labels."""
     if block not in table.selftest:
         raise ValueError(f"correlation table has no self-test block {block!r}")
-    marginal = table.selftest[block]
-    needed = itertools.product((0, 1), (0, 1), (1, 2, 3, 4), (1, 2, 3))
-    missing = [key for key in needed if key not in marginal]
-    if missing:
-        raise ValueError(f"self-test marginal is missing entries, e.g. {missing[0]}")
-    return marginal
+    return table.selftest[block].subgrid(catalog.SELFTEST_LABELS, "bczw",
+                                         "self-test marginal has no probability for")
 
 
 def r_sweep(assemblage, functional, r_values, measurement=None) -> list[float]:

@@ -136,14 +136,15 @@ def functional_from_json(doc: dict):
 _SELFTEST = ("b,c|z,w", "bczw")
 
 
-def _block_to_json(keys, values, layout: str, names: str) -> dict:
-    """Probabilities keyed by a layout such as ``"a,0,c|x,y,*,w"``.
+def _block_to_json(block: LabelGrid, layout: str, names: str) -> dict:
+    """The probabilities of ``block`` keyed by a layout such as ``"a,0,c|x,y,*,w"``.
 
-    Each letter of the layout is the label of that name, formatted from the
-    entry's key (label texts or ints); every other character is written as is.
+    Each letter of the layout is the label text of that name in the entry's
+    key; every other character is written as is.
     """
     template = "".join(f"{{{names.index(ch)}}}" if ch.isalpha() else ch for ch in layout)
-    return {template.format(*key): float(p) for key, p in zip(keys, values)}
+    return {template.format(*key): p
+            for key, p in zip(label_texts(block), block.grid.ravel().tolist())}
 
 
 def _block_from_json(block: dict, layout: str, names: str) -> dict:
@@ -166,9 +167,8 @@ def table_to_json(table: CorrelationTable) -> dict:
     spec = SPECS[table.scenario]
     return {
         "scenario": table.scenario,
-        "slice": _block_to_json(label_texts(table.slice), table.slice.grid.ravel().tolist(),
-                                spec.layout, spec.slice_axes),
-        "selftest": {name: _block_to_json(block, block.values(), *_SELFTEST)
+        "slice": _block_to_json(table.slice, spec.layout, spec.slice_axes),
+        "selftest": {name: _block_to_json(block, *_SELFTEST)
                      for name, block in table.selftest.items()},
         "meta": dict(table.meta),
     }

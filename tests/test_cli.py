@@ -428,6 +428,14 @@ def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
 
+def _diagonal_operators(docs, scale=1e308):
+    """Every functional operator set to (-1)^a scale I."""
+    operators = docs["functional"]["operators"]
+    for key in operators:
+        s = (-1) ** int(key.split(",")[0]) * scale
+        operators[key] = [[[s, 0.0], [0.0, 0.0]], [[0.0, 0.0], [s, 0.0]]]
+
+
 def _add_element_outside_alphabets(docs):
     elements = docs["assemblage"]["elements"]
     elements["5,1,0"] = elements["0,1,0"]
@@ -479,6 +487,10 @@ def _add_element_outside_alphabets(docs):
     pytest.param(lambda d: d["coefficients"].update(n=2),
                  "eval --functional {coefficients} --correlations {correlations}",
                  id="qubit-count-not-matching-the-keys"),
+    *[pytest.param(_diagonal_operators, f"bound {kind} --functional {{functional}}",
+                   id=f"overflowing-operators-{kind}") for kind in ("classical", "ns-cert", "seesaw")],
+    pytest.param(lambda d: d["correlations"]["selftest"]["bc"].pop("0,0|1,1"),
+                 "selftest --correlations {correlations}", id="selftest-block-not-a-full-product"),
 ])
 def test_rejected_input_exits_two_with_one_json_error_line(capsys, tmp_path, mutate, argv):
     table = simulate_bwi(catalog.ptp_assemblage(), make_resource(1, 1.0))
@@ -504,6 +516,18 @@ def test_rejected_input_exits_two_with_one_json_error_line(capsys, tmp_path, mut
     assert json.loads(lines[0])["exit_code"] == 2
     if captured.out.strip():
         json.loads(captured.out, parse_constant=_reject_constant)
+
+
+def test_huge_finite_operators_bound_without_overflow(capsys, tmp_path):
+    docs = {"functional": ser.functional_to_json(catalog.ptp_functional())}
+    _diagonal_operators(docs, 1e300)
+    path = tmp_path / "functional.json"
+    path.write_text(json.dumps(docs["functional"]))
+    for kind in ("classical", "ns-cert", "seesaw"):
+        code = main(["bound", kind, "--functional", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert abs(json.loads(captured.out)["bound"]["value"] / -6e300 - 1) < 1e-12
 
 
 def test_help_exits_zero(capsys):

@@ -35,7 +35,6 @@ from .protocol import (
     CorrelationTable,
     ResourceAssemblage,
     make_resource,
-    r_sweep,
     selftest_marginal,
     simulate_bwi,
     simulate_channel,
@@ -62,7 +61,6 @@ __all__ = [
     "linalg",
     "make_resource",
     "protocol",
-    "r_sweep",
     "random_quantum",
     "realize_bwi",
     "realize_channel",

@@ -121,15 +121,8 @@ def _sample_bwi(rng, state, povms, sizes, db):
 
 
 def _sample_mdi(rng, state, povms, sizes, db):
-    # Random joint measurement on B (x) B_in, split into outcome branches.
-    d = 2 * db
-    u = la.random_unitary(rng, d)
-    cuts = sorted(rng.choice(np.arange(1, d), size=sizes["b"] - 1, replace=False))
-    instrument = {
-        b: la.KrausMap(d, 1, tuple(u[:, i].conj().reshape(1, d) for i in block),
-                       trace_preserving=False)
-        for b, block in enumerate(np.split(np.arange(d), cuts))
-    }
+    # Random projective measurement on B (x) B_in, one effect per outcome b.
+    instrument = tuple(la.random_projective_povm(rng, 2 * db, sizes["b"]))
     qr = QuantumRealisation("mdi", state, povms, instrument=instrument)
     return realize_mdi(qr), qr
 
@@ -210,6 +203,12 @@ def product_grid(keys, values, n_axes: int, what: str) -> tuple[tuple, np.ndarra
     grid = values.take(order, 0).reshape(*map(len, labels), *values.shape[1:])
     grid.setflags(write=False)
     return labels, grid
+
+
+def keyed_operators(labels, grid) -> dict:
+    """The inverse of ``product_grid``: the operators ``grid`` (*label counts, d, d) keyed
+    by the product of ``labels``, in key order, as views into the grid."""
+    return dict(zip(itertools.product(*labels), grid.reshape(-1, *grid.shape[-2:])))
 
 
 class LabelGrid(Mapping):
@@ -318,6 +317,14 @@ class Assemblage:
         (*label counts, d, d); ValueError names the first missing element."""
         return product_grid(self.elements, self.stack, len(self.spec.axes), "missing element")
 
+    @classmethod
+    def from_grid(cls, labels, grid) -> Assemblage:
+        """The assemblage of the elements ``grid`` (*label counts, d, d) keyed by
+        ``keyed_operators``; each alphabet size is the length of its axis's ``labels``."""
+        sizes = {f"n_{axis}": len(axis_labels)
+                 for axis, axis_labels in zip(SPECS[cls.scenario].axes, labels)}
+        return cls(keyed_operators(labels, grid), **sizes)
+
 
 class StandardAssemblage(Assemblage, scenario="standard"):
     """Subnormalised conditional states sigma_{c|w} of a standard EPR scenario."""
@@ -364,17 +371,18 @@ STATE_TOL = 1e-10
 class QuantumRealisation:
     """A shared state, Alice POVMs, and Bob-side processing for one scenario.
 
-    ``povms`` maps the setting x to a tuple of effects.  Bob's processing is
-    scenario specific: ``channels[y]`` for Bob-with-input, ``instrument[b]``
-    (jointly trace preserving over b) for MDI, ``channel`` for the channel
-    scenario.
+    ``povms`` maps the setting x to a tuple of effects, the same number for
+    every x.  Bob's processing is scenario specific: ``channels[y]`` for
+    Bob-with-input, ``instrument`` (the tuple of POVM effects E_b on
+    B (x) B_in that measures Bob's system with his input) for MDI, ``channel``
+    for the channel scenario.
     """
 
     scenario: str
     state: np.ndarray
     povms: dict
     channels: dict | None = None
-    instrument: dict | None = None
+    instrument: tuple | None = None
     channel: la.KrausMap | None = None
 
     def __post_init__(self):
@@ -384,79 +392,56 @@ class QuantumRealisation:
             raise ValueError("shared state is not positive semidefinite")
         if abs(np.trace(state) - 1) > STATE_TOL:
             raise ValueError("shared state does not have unit trace")
-        for x, effects in self.povms.items():
-            total = sum(effects)
-            if _max_abs(total - np.eye(total.shape[0])) > STATE_TOL:
-                raise ValueError(f"POVM for setting {x} does not sum to identity")
-            if _psd_residual(np.stack(effects)) > STATE_TOL:
-                raise ValueError(f"POVM effect for setting {x} is not PSD")
+        counts = sorted({len(effects) for effects in self.povms.values()})
+        if len(counts) > 1:
+            raise ValueError(f"Alice's POVMs have different outcome counts {counts}")
+        named = {f"POVM for setting {x}": effects for x, effects in self.povms.items()}
         if self.instrument is not None:
-            total = sum(
-                sum(k.conj().T @ k for k in branch.kraus_ops)
-                for branch in self.instrument.values()
-            )
-            if _max_abs(total - np.eye(total.shape[0])) > la.TRACE_PRESERVING_TOL:
-                raise ValueError("instrument branches are not jointly trace preserving")
-
-    @property
-    def alice_dim(self) -> int:
-        return next(iter(self.povms.values()))[0].shape[0]
+            named["instrument"] = self.instrument
+        for what, effects in named.items():  # one POVM check: PSD effects summing to I
+            effects = np.asarray(effects)
+            if _max_abs(effects.sum(0) - np.eye(effects.shape[-1])) > STATE_TOL:
+                raise ValueError(f"{what} does not sum to identity")
+            if _psd_residual(effects) > STATE_TOL:
+                raise ValueError(f"{what} has an effect that is not PSD")
 
     @property
     def bob_dim(self) -> int:
-        return self.state.shape[0] // self.alice_dim
+        return self.state.shape[0] // len(next(iter(self.povms.values()))[0])
 
-    def conditional_states(self) -> dict:
-        """Alice-conditioned states sigma_{a|x} = tr_A[(M_{a|x} (x) I) rho]."""
-        da, db = self.alice_dim, self.bob_dim
-        keys = [(a, x) for x, povm in self.povms.items() for a in range(len(povm))]
-        effects = np.stack([m for povm in self.povms.values() for m in povm])
-        states = np.einsum("nji,ikjl->nkl", effects, self.state.reshape(da, db, da, db))
-        return dict(zip(keys, states))
-
-
-def _alphabets(qr: QuantumRealisation) -> dict:
-    return {"n_a": len(next(iter(qr.povms.values()))), "n_x": len(qr.povms)}
+    def conditional_states(self) -> np.ndarray:
+        """Alice-conditioned states sigma_{a|x} = tr_A[(M_{a|x} (x) I) rho] on their (a, x) grid."""
+        effects = np.array(list(self.povms.values()))
+        da, db = effects.shape[-1], self.bob_dim
+        return np.einsum("xaji,ikjl->axkl", effects, self.state.reshape(da, db, da, db))
 
 
 def realize_bwi(qr: QuantumRealisation) -> BwIAssemblage:
     """Assemblage sigma_{a|xy} = E_y(tr_A[(M_{a|x} (x) I) rho])."""
     sigma = qr.conditional_states()
-    states = np.stack(list(sigma.values()))
-    # out[y][n] = sum_k K_k sigma_n K_k^dagger over the stacked Kraus operators K of channel y.
-    out = [np.einsum("koi,nij,kpj->nop", k, states, k.conj())
-           for k in (np.stack(channel.kraus_ops) for channel in qr.channels.values())]
-    elements = {(a, x, y): out[i][n] for n, (a, x) in enumerate(sigma)
-                for i, y in enumerate(qr.channels)}
-    return BwIAssemblage(elements, n_y=len(qr.channels), **_alphabets(qr))
+    # out[a, x, y] = sum_k K_k sigma_{a|x} K_k^dagger, K the stacked Kraus operators of channel y.
+    out = np.stack([np.einsum("koi,axij,kpj->axop", k, sigma, k.conj())
+                    for k in (np.stack(channel.kraus_ops) for channel in qr.channels.values())], 2)
+    return BwIAssemblage.from_grid((range(len(out)), list(qr.povms), list(qr.channels)), out)
 
 
 def realize_mdi(qr: QuantumRealisation) -> MDIAssemblage:
-    """Choi operators J_{ab|x}[i, k] = tr[E_b (sigma_{a|x} (x) |i><k|)] / d_in, E_b per branch."""
-    sigma = qr.conditional_states()
-    db = qr.bob_dim
-    d_in = next(iter(qr.instrument.values())).in_dim // db
-    effects = np.stack([sum(k.conj().T @ k for k in branch.kraus_ops)
-                        for branch in qr.instrument.values()])
-    j = np.einsum("bpkqi,nqp->nbik", effects.reshape(-1, db, d_in, db, d_in),
-                  np.stack(list(sigma.values()))) / d_in
-    elements = {(a, b, x): j[n, i] for n, (a, x) in enumerate(sigma)
-                for i, b in enumerate(qr.instrument)}
-    return MDIAssemblage(elements, n_b=len(qr.instrument), **_alphabets(qr))
+    """Choi operators J_{ab|x}[i, k] = tr[E_b (sigma_{a|x} (x) |i><k|)] / d_in."""
+    sigma, db, effects = qr.conditional_states(), qr.bob_dim, np.array(qr.instrument)
+    d_in = effects.shape[-1] // db
+    j = np.einsum("bpkqi,axqp->abxik", effects.reshape(-1, db, d_in, db, d_in), sigma) / d_in
+    return MDIAssemblage.from_grid((range(len(j)), range(len(effects)), list(qr.povms)), j)
 
 
 def realize_channel(qr: QuantumRealisation) -> ChannelAssemblage:
     """Choi operators J(I_{a|x}) = (Gamma (x) id)(sigma_{a|x} (x) phi_plus)."""
-    sigma = qr.conditional_states()
-    db = qr.bob_dim
+    sigma, db, dim = qr.conditional_states(), qr.bob_dim, 2 * qr.channel.out_dim
     # Gamma acts on B (x) C with C the first half of phi_plus on C (x) D.
     kraus = np.stack(qr.channel.kraus_ops).reshape(-1, qr.channel.out_dim, db, 2)
     phi = la.phi_plus(1).reshape(2, 2, 2, 2)
-    j = np.einsum("kosc,nst,cdef,kpte->nodpf", kraus, np.stack(list(sigma.values())), phi,
-                  kraus.conj())
-    dim = 2 * qr.channel.out_dim
-    elements = {key: m.reshape(dim, dim) for key, m in zip(sigma, j)}
-    return ChannelAssemblage(elements, **_alphabets(qr))
+    j = np.einsum("kosc,axst,cdef,kpte->axodpf", kraus, sigma, phi, kraus.conj())
+    return ChannelAssemblage.from_grid((range(len(j)), list(qr.povms)),
+                                       j.reshape(*sigma.shape[:2], dim, dim))
 
 
 def transpose_assemblage(assemblage):

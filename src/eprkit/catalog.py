@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .assemblages import BwIAssemblage, ChannelAssemblage, LabelGrid, StandardAssemblage
+from .assemblages import (BwIAssemblage, ChannelAssemblage, LabelGrid, StandardAssemblage,
+                          keyed_operators)
 from .functionals import EPRFunctional, BellCoefficients
 
 # Alice's measurement axes in the PTP example: x = 1, 2, 3 -> X, Y, Z.
@@ -52,6 +53,10 @@ def canonical_resource_assemblage() -> StandardAssemblage:
     )
 
 
+# The (a, x, y) labels of the PTP assemblage and functional.
+PTP_LABELS = ((0, 1), (1, 2, 3), (0, 1))
+
+
 def ptp_assemblage(additive_exponent: bool = False) -> BwIAssemblage:
     """The PTP assemblage: sigma_{a|x} partially transposed when y = 1.
 
@@ -59,30 +64,25 @@ def ptp_assemblage(additive_exponent: bool = False) -> BwIAssemblage:
     element.  ``additive_exponent`` switches to the a + [x=2] + [y=1] reading
     for comparison; that variant does not null the paired functional.
     """
-    elements = {}
-    for a, x, y in itertools.product((0, 1), (1, 2, 3), (0, 1)):
-        if additive_exponent:
-            e = a + (x == 2) + (y == 1)
-        else:
-            e = a + (x == 2) * (y == 1)
-        elements[(a, x, y)] = (la.I2 + (-1) ** e * ALICE_PAULI[x]) / 4
-    return BwIAssemblage(elements)
+    a, x, y = np.ix_(*PTP_LABELS)
+    e = a + (x == 2) + (y == 1) if additive_exponent else a + (x == 2) * (y == 1)
+    paulis = np.stack(list(ALICE_PAULI.values()))[:, None]  # over (x, y)
+    return BwIAssemblage.from_grid(PTP_LABELS, (la.I2 + (-1) ** e[..., None, None] * paulis) / 4)
 
 
 def ptp_functional(normalized: bool = False, beta_aq: float | None = None) -> EPRFunctional:
-    """The separating functional: twelve projectors, optionally shifted.
+    """The separating functional: twelve projectors I - 2 sigma^PTP_{a|xy}, optionally shifted.
 
     The normalized form subtracts beta_aq / 6 from every operator so that the
     almost-quantum bound moves to zero; beta_aq defaults to the published
-    constant and is overridable for negative controls.
+    constant and is overridable for negative controls, but must be finite.
     """
     if beta_aq is None:
         beta_aq = PTP.almost_quantum
+    if not math.isfinite(beta_aq):
+        raise ValueError(f"beta_aq must be finite, got {beta_aq}")
     shift = beta_aq / 6 if normalized else 0.0
-    operators = {}
-    for a, x, y in itertools.product((0, 1), (1, 2, 3), (0, 1)):
-        e = a + (x == 2) * (y == 1)
-        operators[(a, x, y)] = (la.I2 - (-1) ** e * ALICE_PAULI[x]) / 2 - shift * la.I2
+    operators = la.I2 - 2 * ptp_assemblage().grid[1] - shift * la.I2
     if normalized:
         bounds = {
             "classical": PTP.classical_exact - beta_aq,
@@ -95,7 +95,7 @@ def ptp_functional(normalized: bool = False, beta_aq: float | None = None) -> EP
             "almost_quantum": beta_aq,
             "no_signalling": PTP.no_signalling,
         }
-    return EPRFunctional("bwi", operators, bounds)
+    return EPRFunctional("bwi", keyed_operators(PTP_LABELS, operators), bounds)
 
 
 def ptp_bell_coefficients(beta_aq: float | None = None) -> BellCoefficients:
@@ -106,7 +106,7 @@ def ptp_bell_coefficients(beta_aq: float | None = None) -> BellCoefficients:
     """
     if beta_aq is None:
         beta_aq = PTP.almost_quantum
-    labels = ((0, 1), (1, 2, 3), (0, 1), (0, 1), (1, 2, 3))
+    labels = (*PTP_LABELS, (0, 1), (1, 2, 3))
     a, x, y, c, w = np.ix_(*labels)
     hit = (c == (a + 1 + y * (x == 2)) % 2) & (w == x % 3 + 1)
     return BellCoefficients("bwi", LabelGrid(labels, hit - (w == 1) * (beta_aq / 6)), n=1)
@@ -186,6 +186,13 @@ def mdi_ptp_probabilities(method: str = "transposed-measurement") -> dict:
     return out
 
 
+def _embed(grid: np.ndarray) -> np.ndarray:
+    """sum_y X_{axy} (x) |y><y| for X on its grid (a, x, y, d, d): the grid (a, x, d y, d y)."""
+    n_a, n_x, n_y, d = grid.shape[:4]
+    out = np.einsum("axyij,yz->axiyjz", grid, np.eye(n_y))
+    return out.reshape(n_a, n_x, d * n_y, d * n_y)
+
+
 def embedded_ptp_channel() -> tuple[ChannelAssemblage, EPRFunctional]:
     """Channel-scenario witness derived here by embedding the PTP pair.
 
@@ -195,25 +202,14 @@ def embedded_ptp_channel() -> tuple[ChannelAssemblage, EPRFunctional]:
     factor, so its value reproduces the PTP functional value exactly and its
     quantum bound stays at zero.
     """
-    bwi = ptp_assemblage()
     f_norm = ptp_functional(normalized=True)
-    assemblage = embed_bwi_in_channel(bwi)
-    operators = {}
-    for a, x in itertools.product((0, 1), (1, 2, 3)):
-        op = sum(
-            la.tensor(f_norm.operators[(a, x, y)], la.proj(y, 1)) for y in (0, 1)
-        )
-        operators[(a, x)] = 2 * op
-    return assemblage, EPRFunctional("channel", operators)
+    operators = keyed_operators(f_norm.labels[:2], 2 * _embed(f_norm.grid))
+    return embed_bwi_in_channel(ptp_assemblage()), EPRFunctional("channel", operators)
 
 
 def embed_bwi_in_channel(bwi: BwIAssemblage) -> ChannelAssemblage:
     """Control-decohering embedding of a two-input BwI assemblage."""
     if bwi.n_y != 2 or bwi.dim != 2:
         raise ValueError("embedding expects a qubit assemblage with two Bob inputs")
-    elements = {}
-    for a, x in itertools.product(range(bwi.n_a), range(1, bwi.n_x + 1)):
-        elements[(a, x)] = sum(
-            la.tensor(bwi.elements[(a, x, y)], la.proj(y, 1)) for y in (0, 1)
-        ) / 2
-    return ChannelAssemblage(elements, n_a=bwi.n_a, n_x=bwi.n_x)
+    labels, grid = bwi.grid
+    return ChannelAssemblage.from_grid(labels[:2], _embed(grid) / 2)

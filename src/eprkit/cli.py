@@ -18,6 +18,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -41,6 +42,17 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a usage error is one JSON line and exit 2, like any other
         raise CliError(2, f"{self.prog}: {message}")
+
+
+def _in_range(kind, lo, hi=math.inf):
+    """The argparse type of a ``kind`` value in [lo, hi]; any other text is a usage error."""
+    def parse(text: str):
+        value = kind(text)
+        if not lo <= value <= hi:  # NaN fails too
+            raise argparse.ArgumentTypeError(f"{text!r} is not in [{lo}, {hi}]")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid <name> value"
+    return parse
 
 
 def _validation_tol() -> float:
@@ -147,8 +159,6 @@ def cmd_bound(args, argv) -> int:
     functional, digest = _load(ser.functional_from_json, args.functional)
     if not isinstance(functional, EPRFunctional):
         raise CliError(1, "bounds take an operator-form functional")
-    if args.restarts < 1:
-        raise CliError(2, f"--restarts must be at least 1, got {args.restarts}")
     try:
         if args.kind == "classical":
             report = bd.classical_bound(functional)
@@ -355,6 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every ``main`` call."""
     parser = _Parser(prog="eprkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    mixing, seed = _in_range(float, 0.0, 1.0), _in_range(int, 0)
 
     p = sub.add_parser("validate", help="check the no-signalling conditions of an assemblage")
     p.add_argument("path")
@@ -368,16 +379,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="classical, no-signalling certificate, or seesaw bound")
     p.add_argument("kind", choices=["classical", "ns-cert", "seesaw"])
     p.add_argument("--functional", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--seed", type=seed, default=0)
+    p.add_argument("--restarts", type=_in_range(int, 1), default=10)
 
     p = sub.add_parser("simulate", help="run an activation protocol")
     p.add_argument("scenario", choices=list(SCENARIOS))
     p.add_argument("--assemblage", required=True)
-    p.add_argument("--r", type=float, default=1.0)
+    p.add_argument("--r", type=mixing, default=1.0)
     p.add_argument("--measurement", default="phi-plus",
                    help="'phi-plus' or a path to a matrix JSON")
-    p.add_argument("--n", type=int, default=0, help="resource qubit count (bwi only)")
+    p.add_argument("--n", type=_in_range(int, 0, 2), default=0,
+                   help="resource qubit count (bwi only; 0: the assemblage's own)")
     p.add_argument("--out")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -387,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo-ptp", help="end-to-end run of the worked example")
     p.add_argument("--out")
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--r", type=mixing, default=1.0)
+    p.add_argument("--seed", type=seed, default=0,
                    help="first seed of the 50 quantum-control draws")
     p.add_argument("--debug-beta-aq", type=float, default=None,
                    help="tamper with the almost-quantum constant (negative control)")

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .assemblages import SPECS, LabelGrid, freeze_operators, product_grid
+from .assemblages import SPECS, LabelGrid, freeze_operators, keyed_operators, product_grid
 
 # The scenarios with an activation protocol, i.e. a slice layout.
 SCENARIOS = tuple(name for name, spec in SPECS.items() if spec.layout)
@@ -70,7 +70,7 @@ class EPRFunctional:
                 raise ValueError("operator entries are too large: their total magnitude overflows")
         stack = grid.reshape(-1, *grid.shape[-2:])
         for name, value in (("stack", stack), ("labels", labels), ("grid", grid),
-                            ("operators", dict(zip(itertools.product(*labels), stack)))):
+                            ("operators", keyed_operators(labels, grid))):
             object.__setattr__(self, name, value)
         if not all(np.isfinite(v) for v in self.bounds.values()):
             raise ValueError(f"bound constants must be finite, got {self.bounds}")

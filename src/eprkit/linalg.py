@@ -117,12 +117,11 @@ def observable_projectors(obs: np.ndarray) -> dict[int, np.ndarray]:
 
 @dataclass(frozen=True)
 class KrausMap:
-    """A completely positive map given by Kraus operators (out_dim x in_dim each)."""
+    """A channel given by trace-preserving Kraus operators (out_dim x in_dim each)."""
 
     in_dim: int
     out_dim: int
     kraus_ops: tuple[np.ndarray, ...]
-    trace_preserving: bool = True
 
     def __post_init__(self):
         ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
@@ -133,11 +132,9 @@ class KrausMap:
                     f"({self.out_dim}, {self.in_dim})"
                 )
         object.__setattr__(self, "kraus_ops", ops)
-        if self.trace_preserving:
-            s = sum(k.conj().T @ k for k in ops)
-            dev = np.max(np.abs(s - np.eye(self.in_dim)))
-            if dev > TRACE_PRESERVING_TOL:
-                raise ValueError(f"map is not trace preserving (deviation {dev:.3e})")
+        dev = np.max(np.abs(sum(k.conj().T @ k for k in ops) - np.eye(self.in_dim)))
+        if dev > TRACE_PRESERVING_TOL:
+            raise ValueError(f"map is not trace preserving (deviation {dev:.3e})")
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)

@@ -23,14 +23,8 @@ import numpy as np
 
 from . import catalog
 from . import linalg as la
-from .assemblages import SPECS, LabelGrid, product_grid
-from .functionals import (
-    BellCoefficients,
-    EPRFunctional,
-    bell_from_epr,
-    evaluate_bell,
-    projector_strings,
-)
+from .assemblages import SPECS, LabelGrid, keyed_operators, product_grid
+from .functionals import projector_strings
 
 PROB_TOL = 1e-12
 EFFECT_TOL = 1e-10
@@ -62,8 +56,7 @@ def make_resource(n: int, r: float) -> ResourceAssemblage:
     pure = np.stack([la.tensor(*(catalog.sigma_tilde(c, w) for c, w in combo)) for combo in combos])
     labels, grid = product_grid(keys, r * pure + (1 - r) * pure.transpose(0, 2, 1), 2, "missing")
     stack = grid.reshape(-1, *grid.shape[2:])
-    return ResourceAssemblage(n, float(r), dict(zip(itertools.product(*labels), stack)), stack,
-                              labels)
+    return ResourceAssemblage(n, float(r), keyed_operators(labels, grid), stack, labels)
 
 
 @dataclass(frozen=True)
@@ -207,30 +200,3 @@ def selftest_marginal(table: CorrelationTable, block: str = "bc") -> LabelGrid:
         raise ValueError(f"correlation table has no self-test block {block!r}")
     return table.selftest[block].subgrid(catalog.SELFTEST_LABELS, "bczw",
                                          "self-test marginal has no probability for")
-
-
-def r_sweep(assemblage, functional, r_values, measurement=None) -> list[float]:
-    """Bell values across mixing parameters; affinity in r is asserted.
-
-    The affine consistency check compares each value against interpolation
-    between the r = 0 and r = 1 endpoints within 1e-10.
-    """
-    if isinstance(functional, EPRFunctional):
-        functional = bell_from_epr(functional)
-    if not isinstance(functional, BellCoefficients):
-        raise TypeError("functional must be an EPRFunctional or BellCoefficients")
-
-    def run(r: float) -> float:
-        return evaluate_bell(functional, simulate(assemblage, r, measurement, functional.n))
-
-    v0, v1 = run(0.0), run(1.0)
-    values = []
-    for r in r_values:
-        v = run(float(r))
-        predicted = r * v1 + (1 - r) * v0
-        if abs(v - predicted) > 1e-10:
-            raise AssertionError(
-                f"Bell value is not affine in r at r={r}: {v} vs predicted {predicted}"
-            )
-        values.append(v)
-    return values

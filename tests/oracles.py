@@ -148,7 +148,6 @@ def transpose_dual(kmap: la.KrausMap) -> la.KrausMap:
         kmap.in_dim,
         kmap.out_dim,
         tuple(k.conj() for k in kmap.kraus_ops),
-        trace_preserving=kmap.trace_preserving,
     )
 
 

@@ -104,13 +104,8 @@ def test_realize_bwi_alice_marginal_bob_input_independent():
 
 
 def _discard_and_measure_instrument():
-    # Trace out B, measure B_in in the Z basis: Kraus rows <i| (x) <b|.
-    e = np.eye(2)
-    branches = {}
-    for b in (0, 1):
-        ops = tuple(la.tensor(e[i].reshape(1, 2), e[b].reshape(1, 2)) for i in range(2))
-        branches[b] = la.KrausMap(4, 1, ops, trace_preserving=False)
-    return branches
+    # Trace out B, measure B_in in the Z basis: effects I (x) |b><b|.
+    return tuple(la.tensor(la.I2, la.proj(b, 1)) for b in (0, 1))
 
 
 def test_realize_mdi_discard_and_measure():
@@ -129,14 +124,8 @@ def test_realize_mdi_discard_and_measure():
 
 def test_realize_mdi_uniform_noise():
     # Uniform Alice outcome and uniform Bob outcome: every Choi element I/8.
-    e = np.eye(2)
-    branches = {}
-    for b in (0, 1):
-        ops = tuple(la.tensor(e[i].reshape(1, 2), e[j].reshape(1, 2)) / np.sqrt(2)
-                    for i in range(2) for j in range(2))
-        branches[b] = la.KrausMap(4, 1, ops, trace_preserving=False)
     povms = {x: (la.I2 / 2, la.I2 / 2) for x in (1, 2, 3)}
-    qr = QuantumRealisation("mdi", la.phi_plus(), povms, instrument=branches)
+    qr = QuantumRealisation("mdi", la.phi_plus(), povms, instrument=(np.eye(4) / 2,) * 2)
     assemblage = realize_mdi(qr)
     for j in assemblage.elements.values():
         assert np.allclose(j, np.eye(2) / 8)
@@ -144,11 +133,7 @@ def test_realize_mdi_uniform_noise():
 
 def test_realize_mdi_bell_measurement():
     phi = la.phi_plus()
-    basis = np.linalg.eigh(phi)[1]
-    ops0 = (basis[:, 3].conj().reshape(1, 4),)  # the maximally entangled direction
-    ops1 = tuple(basis[:, i].conj().reshape(1, 4) for i in range(3))
-    instrument = {0: la.KrausMap(4, 1, ops0, trace_preserving=False),
-                  1: la.KrausMap(4, 1, ops1, trace_preserving=False)}
+    instrument = (phi, np.eye(4) - phi)  # b = 0 on the maximally entangled direction
     povms = {x: (la.proj(0, x), la.proj(1, x)) for x in (1, 2, 3)}
     qr = QuantumRealisation("mdi", phi, povms, instrument=instrument)
     assemblage = realize_mdi(qr)
@@ -175,7 +160,7 @@ def test_realize_channel_discard_bob_forward_input():
     assemblage = realize_channel(qr)
     sigma = qr.conditional_states()
     for (a, x), j in assemblage.elements.items():
-        p = np.real(np.trace(sigma[(a, x)]))
+        p = np.real(np.trace(sigma[a, x - 1]))
         assert np.allclose(j, p * la.phi_plus(), atol=1e-12)
     assert validate(assemblage).passed
 
@@ -189,7 +174,7 @@ def test_realize_channel_discard_input_forward_bob():
     assemblage = realize_channel(qr)
     sigma = qr.conditional_states()
     for (a, x), j in assemblage.elements.items():
-        assert np.allclose(j, la.tensor(sigma[(a, x)], la.I2 / 2), atol=1e-12)
+        assert np.allclose(j, la.tensor(sigma[a, x - 1], la.I2 / 2), atol=1e-12)
 
 
 def test_realize_channel_output_trace_condition():
@@ -301,12 +286,24 @@ def test_quantum_realisation_rejects_unnormalised_state():
 
 
 def test_quantum_realisation_rejects_leaky_instrument():
-    e = np.eye(2)
-    branches = {0: la.KrausMap(4, 1, (la.tensor(e[0].reshape(1, 2), e[0].reshape(1, 2)),),
-                               trace_preserving=False)}
-    with pytest.raises(ValueError):
+    instrument = (la.tensor(la.proj(0, 1), la.proj(0, 1)),)
+    with pytest.raises(ValueError, match="instrument does not sum to identity"):
         QuantumRealisation("mdi", la.phi_plus(),
-                           {1: (la.proj(0, 1), la.proj(1, 1))}, instrument=branches)
+                           {1: (la.proj(0, 1), la.proj(1, 1))}, instrument=instrument)
+
+
+def test_quantum_realisation_rejects_instrument_effect_not_psd():
+    # Z (x) I and its complement sum to the identity, but Z (x) I has eigenvalue -1.
+    negative = la.tensor(la.PAULI_Z, la.I2)
+    with pytest.raises(ValueError, match="instrument has an effect that is not PSD"):
+        QuantumRealisation("mdi", la.phi_plus(), {1: (la.proj(0, 1), la.proj(1, 1))},
+                           instrument=(negative, np.eye(4) - negative))
+
+
+def test_quantum_realisation_rejects_povms_with_different_outcome_counts():
+    povms = {1: (la.proj(0, 1), la.proj(1, 1)), 2: (la.I2,)}
+    with pytest.raises(ValueError, match="different outcome counts"):
+        QuantumRealisation("bwi", la.phi_plus(), povms, channels={0: la.identity_map(2)})
 
 
 def test_standard_assemblage_psd_check():

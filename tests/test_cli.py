@@ -375,15 +375,27 @@ def test_channel_pipeline_end_to_end(capsys, tmp_path):
 
 
 def test_dump_round_trips_bit_identical(capsys, tmp_path):
-    names = ["ptp-assemblage", "ptp-functional-raw", "ptp-functional-normalized",
-             "ptp-bell-coefficients", "canonical-resource",
-             "embedded-channel-assemblage", "embedded-channel-functional"]
-    for name in names:
+    # sha256 of each dump's bytes: a rewrite of the catalog must keep them byte for byte.
+    digests = {
+        "ptp-assemblage": "4a0c1d9ff683ca63194a29e65c6d35f12d88825276cf7bc9eca4baa66b841bed",
+        "ptp-functional-raw": "6eb0270079c083c9de6f2c8e5705cdfce7ff2cfe0d196b37a2ec1d0cfe2c2335",
+        "ptp-functional-normalized":
+            "e8120a1cb3975a10464b79cfcf6436e6b95210e7eed266b64275630374dde58c",
+        "ptp-bell-coefficients":
+            "63c48b696cf69026d7de5a59ff048a2b6c895ab0c3c6122cfbe7de5d2c166cfa",
+        "canonical-resource": "49313fdc8add3ad5e5fb9ef06c28c3a9911d6833e4c59169d1dd8b915a78288b",
+        "embedded-channel-assemblage":
+            "658b5bcfbaad2d7adc3d657acded0e04c902ac7c2c4ade93205ff31893d3ae18",
+        "embedded-channel-functional":
+            "d1b8b53eed4325277cef381026fc35bdb9610943df50a2f0fad92abd7abd7b33",
+    }
+    for name, digest in digests.items():
         path = tmp_path / f"{name}.json"
         assert main(["dump", name, "--out", str(path)]) == 0
         capsys.readouterr()
         text = path.read_text()
         assert ser.dumps(json.loads(text)) == text
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, name
 
 
 def test_out_overwrites_existing_file_exactly(capsys, tmp_path):
@@ -463,6 +475,12 @@ def _add_element_outside_alphabets(docs):
     pytest.param(lambda d: d["assemblage"]["elements"].update({"0,1,0": [[[0.25, 0.0]]]}),
                  "validate {assemblage}", id="one-by-one-element"),
     pytest.param(None, "demo-ptp --r 2", id="mixing-parameter-above-one"),
+    pytest.param(None, "demo-ptp --debug-beta-aq inf", id="non-finite-beta-aq"),
+    *[pytest.param(None, f"simulate bwi --assemblage {{assemblage}} {flags}", id=name)
+      for flags, name in (("--r 2", "simulated-mixing-parameter-above-one"),
+                          ("--r nan", "simulated-mixing-parameter-nan"),
+                          ("--n 3", "resource-qubit-count-three"))],
+    pytest.param(None, "bound seesaw --functional {functional} --seed -1", id="negative-seed"),
     pytest.param(None, "bound seesaw --functional {functional} --restarts 0", id="zero-restarts"),
     pytest.param(None, "selftest --correlations {correlations} --epsilon nan",
                  id="non-finite-epsilon"),

@@ -11,7 +11,6 @@ from eprkit.functionals import bell_from_epr, evaluate_bell, evaluate_epr
 from eprkit.protocol import (
     CorrelationTable,
     make_resource,
-    r_sweep,
     selftest_marginal,
     simulate_bwi,
     simulate_channel,
@@ -286,11 +285,9 @@ def test_simulate_mdi_matches_direct_physics():
     for seed in range(10):
         assemblage, qr = random_quantum("mdi", seed)
         table = simulate_mdi(assemblage, res)
-        effects = {b: sum(k.conj().T @ k for k in branch.kraus_ops)
-                   for b, branch in qr.instrument.items()}
         for (a, b, x, c, z), p in table.slice.items():
             direct = np.real(np.trace(
-                la.tensor(qr.povms[x][a], effects[b])
+                la.tensor(qr.povms[x][a], qr.instrument[b])
                 @ la.tensor(qr.state, res.elements[(c, z)])
             ))
             assert abs(p - direct) < 1e-12
@@ -325,35 +322,6 @@ def test_selftest_marginal_missing_settings():
     table = CorrelationTable("bwi", {}, {"bc": {(0, 0, 1, 1): 1.0}})
     with pytest.raises(ValueError):
         selftest_marginal(table)
-
-
-def test_r_sweep_quantum_assemblage():
-    assemblage, _ = random_quantum("bwi", 9)
-    xi = catalog.ptp_bell_coefficients()
-    values = r_sweep(assemblage, xi, [0.0, 0.5, 1.0])
-    assert all(v >= -1e-7 for v in values)
-    assert abs(values[1] - (values[0] + values[2]) / 2) < 1e-10
-
-
-def test_r_sweep_ptp_midpoint_is_mean():
-    values = r_sweep(catalog.ptp_assemblage(), catalog.ptp_bell_coefficients(),
-                     [0.0, 0.5, 1.0])
-    assert abs(values[1] - (values[0] + values[2]) / 2) < 1e-10
-    assert values[2] < -0.05  # the activation value itself
-
-
-def test_r_sweep_consistent_with_direct_simulation():
-    assemblage, _ = random_quantum("bwi", 13)
-    xi = catalog.ptp_bell_coefficients()
-    direct = evaluate_bell(xi, simulate_bwi(assemblage, make_resource(1, 1.0)))
-    (swept,) = r_sweep(assemblage, xi, [1.0])
-    assert abs(direct - swept) < 1e-12
-
-
-def test_r_sweep_accepts_epr_functional():
-    assemblage, _ = random_quantum("bwi", 14)
-    values = r_sweep(assemblage, catalog.ptp_functional(normalized=True), [0.0, 1.0])
-    assert all(v >= -1e-7 for v in values)
 
 
 @given(st.floats(0.0, 1.0))

@@ -18,28 +18,33 @@ import sys
 import numpy as np
 
 from eprkit import catalog
-from eprkit.assemblages import random_quantum
+from eprkit.assemblages import SPECS, sample_quantum
+from eprkit.cli import _in_range
 from eprkit.functionals import evaluate_bell
-from eprkit.protocol import make_resource, simulate_bwi
+from eprkit.protocol import bwi_slices, make_resource, simulate_bwi
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--steps", type=int, default=11)
-    parser.add_argument("--controls", type=int, default=20)
+    parser.add_argument("--steps", type=_in_range(int, 1), default=11)
+    parser.add_argument("--controls", type=_in_range(int, 1), default=20)
     parser.add_argument("--csv", help="optional CSV output path")
     args = parser.parse_args()
 
     xi = catalog.ptp_bell_coefficients()
     ptp = catalog.ptp_assemblage()
-    controls = [random_quantum("bwi", seed)[0] for seed in range(args.controls)]
+    labels, controls, _ = sample_quantum("bwi", range(args.controls))
 
     rows = []
     for r in np.linspace(0.0, 1.0, args.steps):
         resource = make_resource(1, float(r))
         example = evaluate_bell(xi, simulate_bwi(ptp, resource))
-        values = [evaluate_bell(xi, simulate_bwi(c, resource)) for c in controls]
-        rows.append((float(r), example, min(values)))
+        # Every control's slice in one contraction, then one Bell value per control.
+        slice_labels, p = bwi_slices(labels, controls, resource)
+        coefficients = xi.xi.subgrid(slice_labels, SPECS["bwi"].slice_axes,
+                                     "Bell coefficients have no entry for")
+        values = p.reshape(len(p), -1) @ coefficients.grid.ravel()
+        rows.append((float(r), example, float(values.min())))
 
     print(f"{'r':>6}  {'example':>12}  {'min control':>12}")
     for r, example, worst in rows:

@@ -64,8 +64,8 @@ def _max_abs(m) -> float:
 
 
 def _psd_residual(ms) -> float:
-    """How far below zero the least eigenvalue of a stack of operators lies, or 0."""
-    return max(0.0, -float(np.linalg.eigvalsh(ms)[:, 0].min()))
+    """How far below zero the least eigenvalue of an operator, or of a stack of them, lies, or 0."""
+    return max(0.0, -float(np.linalg.eigvalsh(ms)[..., 0].min()))
 
 
 def _standard_conditions(grid):
@@ -114,22 +114,45 @@ def _channel_conditions(grid):
     ]
 
 
-def _sample_bwi(rng, state, povms, sizes, db):
-    channels = {y: la.random_channel(rng, db, db) for y in range(sizes["y"])}
-    qr = QuantumRealisation("bwi", state, povms, channels=channels)
-    return realize_bwi(qr), qr
+def _bwi_grid(qr: QuantumRealisation):
+    sigma, kraus = qr.conditional_states(), [c.kraus_ops for c in qr.channels.values()]
+    # sum_k K_k sigma K_k^dagger through the superoperator S_opij = sum_k K_koi conj(K_kpj)
+    # of each channel y: one product per channel instead of one per Kraus operator.
+    out = np.stack([np.einsum("...axij,...opij->...axop", sigma,
+                              np.einsum("...koi,...kpj->...opij", k, k.conj())) for k in kraus], -3)
+    return (range(out.shape[-5]), list(qr.povms), list(qr.channels)), out
 
 
-def _sample_mdi(rng, state, povms, sizes, db):
-    # Random projective measurement on B (x) B_in, one effect per outcome b.
-    instrument = tuple(la.random_projective_povm(rng, 2 * db, sizes["b"]))
-    qr = QuantumRealisation("mdi", state, povms, instrument=instrument)
-    return realize_mdi(qr), qr
+def _mdi_grid(qr: QuantumRealisation):
+    sigma, db, effects = qr.conditional_states(), qr.bob_dim, np.asarray(qr.instrument)
+    d_in = effects.shape[-1] // db
+    blocks = effects.reshape(*effects.shape[:-2], db, d_in, db, d_in)
+    j = np.einsum("...bpkqi,...axqp->...abxik", blocks, sigma) / d_in
+    return (range(j.shape[-5]), range(effects.shape[-3]), list(qr.povms)), j
 
 
-def _sample_channel(rng, state, povms, sizes, db):
-    qr = QuantumRealisation("channel", state, povms, channel=la.random_channel(rng, 2 * db, 2))
-    return realize_channel(qr), qr
+def _channel_grid(qr: QuantumRealisation):
+    sigma, db, out = qr.conditional_states(), qr.bob_dim, qr.channel.out_dim
+    # Gamma acts on B (x) C with C the first half of phi_plus on C (x) D.
+    kraus = qr.channel.kraus_ops.reshape(*qr.channel.kraus_ops.shape[:-1], db, 2)
+    phi = la.phi_plus(1).reshape(2, 2, 2, 2)
+    j = np.einsum("...kosc,...axst,cdef,...kpte->...axodpf", kraus, sigma, phi, kraus.conj())
+    return (range(j.shape[-6]), list(qr.povms)), j.reshape(*sigma.shape[:-2], 2 * out, 2 * out)
+
+
+def _sample_bwi(rngs, sizes, db):
+    # Each generator draws the isometries of Bob's channels y = 0, 1, ... in turn.
+    kraus = la.random_channel(rngs[..., None].repeat(sizes["y"], -1), db, db).kraus_ops
+    return {"channels": dict(enumerate(la.KrausMap(db, db, k) for k in np.moveaxis(kraus, -4, 0)))}
+
+
+def _sample_mdi(rngs, sizes, db):
+    # A random projective measurement on B (x) B_in, one effect per outcome b.
+    return {"instrument": la.random_projective_povm(rngs, 2 * db, sizes["b"])}
+
+
+def _sample_channel(rngs, sizes, db):
+    return {"channel": la.random_channel(rngs, 2 * db, 2)}
 
 
 @dataclass(frozen=True)
@@ -144,9 +167,11 @@ class Scenario:
     labels that read out each tensor factor of a functional operator, in
     factor order.  ``conditions(grid)`` gives the no-signalling residuals
     after ``elements-psd`` as (name, residual) pairs, from the elements on
-    their grid of shape (*alphabet sizes, d, d); ``sample(rng, state, povms,
-    sizes, db)`` draws Bob's processing for a Bob system of dimension ``db``
-    and realises the assemblage.
+    their grid of shape (*alphabet sizes, d, d).  ``sample(rngs, sizes, db)``
+    draws Bob's processing, as ``QuantumRealisation`` keywords, for a Bob
+    system of dimension ``db`` from the generators ``rngs``; ``realize(qr)``
+    gives the labels and grid (..., *label counts, d, d) of the elements of a
+    realisation or a stack of them.
     """
 
     axes: str
@@ -155,6 +180,7 @@ class Scenario:
     layout: str = ""
     resources: tuple = ()
     sample: Callable | None = None
+    realize: Callable | None = None
 
     @property
     def default_sizes(self) -> dict:
@@ -168,12 +194,12 @@ class Scenario:
 
 SPECS = {
     "standard": Scenario("cw", "w", _standard_conditions),
-    "bwi": Scenario("axy", "x", _bwi_conditions, "a,0,c|x,y,*,w", ("cw",), _sample_bwi),
-    "mdi": Scenario("abx", "x", _mdi_conditions, "a,b,c|x,*,z", ("cz",), _sample_mdi),
+    "bwi": Scenario("axy", "x", _bwi_conditions, "a,0,c|x,y,*,w", ("cw",), _sample_bwi, _bwi_grid),
+    "mdi": Scenario("abx", "x", _mdi_conditions, "a,b,c|x,*,z", ("cz",), _sample_mdi, _mdi_grid),
     # Factor 0 of a channel operator is Bob's output, read out by the second
     # resource (d, u); factor 1 is the Choi input, read out by the first (c, w).
     "channel": Scenario("ax", "x", _channel_conditions, "a,0,c,d|x,*,*,w,u", ("du", "cw"),
-                        _sample_channel),
+                        _sample_channel, _channel_grid),
 }
 
 
@@ -371,28 +397,30 @@ STATE_TOL = 1e-10
 class QuantumRealisation:
     """A shared state, Alice POVMs, and Bob-side processing for one scenario.
 
-    ``povms`` maps the setting x to a tuple of effects, the same number for
-    every x.  Bob's processing is scenario specific: ``channels[y]`` for
-    Bob-with-input, ``instrument`` (the tuple of POVM effects E_b on
-    B (x) B_in that measures Bob's system with his input) for MDI, ``channel``
-    for the channel scenario.
+    ``povms`` maps the setting x to its effects, the same number for every x.
+    Bob's processing is scenario specific and must act on Bob's system of
+    dimension d_B: ``channels[y]`` (input d_B) for Bob-with-input,
+    ``instrument`` (the POVM effects E_b on B (x) B_in, 2 d_B square) for MDI,
+    ``channel`` (input B (x) C, 2 d_B) for the channel scenario.  Every array
+    may carry the same leading axes, a stack of realisations that is checked
+    and realised at once.
     """
 
     scenario: str
     state: np.ndarray
     povms: dict
     channels: dict | None = None
-    instrument: tuple | None = None
+    instrument: tuple | np.ndarray | None = None
     channel: la.KrausMap | None = None
 
     def __post_init__(self):
         state = la.hermitian(self.state, tol=1e-10)
         object.__setattr__(self, "state", state)
-        if la.min_eigenvalue(state) < -STATE_TOL:
+        if _psd_residual(state) > STATE_TOL:
             raise ValueError("shared state is not positive semidefinite")
-        if abs(np.trace(state) - 1) > STATE_TOL:
+        if _max_abs(np.einsum("...ii->...", state) - 1) > STATE_TOL:
             raise ValueError("shared state does not have unit trace")
-        counts = sorted({len(effects) for effects in self.povms.values()})
+        counts = sorted({np.shape(effects)[-3] for effects in self.povms.values()})
         if len(counts) > 1:
             raise ValueError(f"Alice's POVMs have different outcome counts {counts}")
         named = {f"POVM for setting {x}": effects for x, effects in self.povms.items()}
@@ -400,53 +428,72 @@ class QuantumRealisation:
             named["instrument"] = self.instrument
         for what, effects in named.items():  # one POVM check: PSD effects summing to I
             effects = np.asarray(effects)
-            if _max_abs(effects.sum(0) - np.eye(effects.shape[-1])) > STATE_TOL:
+            if _max_abs(effects.sum(-3) - np.eye(effects.shape[-1])) > STATE_TOL:
                 raise ValueError(f"{what} does not sum to identity")
             if _psd_residual(effects) > STATE_TOL:
                 raise ValueError(f"{what} has an effect that is not PSD")
+        db = self.bob_dim
+        inputs = {f"channel for input {y}": (channel.in_dim, db)
+                  for y, channel in (self.channels or {}).items()}
+        if self.instrument is not None:
+            inputs["instrument"] = (np.shape(self.instrument)[-1], 2 * db)
+        if self.channel is not None:
+            inputs["channel"] = (self.channel.in_dim, 2 * db)
+        for what, (dim, expected) in inputs.items():
+            if dim != expected:
+                raise ValueError(f"{what} acts on dimension {dim}, not {expected} "
+                                 f"for Bob's system of dimension {db}")
 
     @property
     def bob_dim(self) -> int:
-        return self.state.shape[0] // len(next(iter(self.povms.values()))[0])
+        return self.state.shape[-1] // np.shape(next(iter(self.povms.values())))[-1]
 
     def conditional_states(self) -> np.ndarray:
-        """Alice-conditioned states sigma_{a|x} = tr_A[(M_{a|x} (x) I) rho] on their (a, x) grid."""
-        effects = np.array(list(self.povms.values()))
+        """Alice-conditioned states sigma_{a|x} = tr_A[(M_{a|x} (x) I) rho] on their
+        (..., a, x) grid."""
+        effects = np.stack([np.asarray(e) for e in self.povms.values()], -4)
         da, db = effects.shape[-1], self.bob_dim
-        return np.einsum("xaji,ikjl->axkl", effects, self.state.reshape(da, db, da, db))
+        rho = self.state.reshape(*self.state.shape[:-2], da, db, da, db)
+        return np.einsum("...xaji,...ikjl->...axkl", effects, rho)
 
 
 def realize_bwi(qr: QuantumRealisation) -> BwIAssemblage:
     """Assemblage sigma_{a|xy} = E_y(tr_A[(M_{a|x} (x) I) rho])."""
-    sigma = qr.conditional_states()
-    # out[a, x, y] = sum_k K_k sigma_{a|x} K_k^dagger, K the stacked Kraus operators of channel y.
-    out = np.stack([np.einsum("koi,axij,kpj->axop", k, sigma, k.conj())
-                    for k in (np.stack(channel.kraus_ops) for channel in qr.channels.values())], 2)
-    return BwIAssemblage.from_grid((range(len(out)), list(qr.povms), list(qr.channels)), out)
+    return BwIAssemblage.from_grid(*_bwi_grid(qr))
 
 
 def realize_mdi(qr: QuantumRealisation) -> MDIAssemblage:
     """Choi operators J_{ab|x}[i, k] = tr[E_b (sigma_{a|x} (x) |i><k|)] / d_in."""
-    sigma, db, effects = qr.conditional_states(), qr.bob_dim, np.array(qr.instrument)
-    d_in = effects.shape[-1] // db
-    j = np.einsum("bpkqi,axqp->abxik", effects.reshape(-1, db, d_in, db, d_in), sigma) / d_in
-    return MDIAssemblage.from_grid((range(len(j)), range(len(effects)), list(qr.povms)), j)
+    return MDIAssemblage.from_grid(*_mdi_grid(qr))
 
 
 def realize_channel(qr: QuantumRealisation) -> ChannelAssemblage:
     """Choi operators J(I_{a|x}) = (Gamma (x) id)(sigma_{a|x} (x) phi_plus)."""
-    sigma, db, dim = qr.conditional_states(), qr.bob_dim, 2 * qr.channel.out_dim
-    # Gamma acts on B (x) C with C the first half of phi_plus on C (x) D.
-    kraus = np.stack(qr.channel.kraus_ops).reshape(-1, qr.channel.out_dim, db, 2)
-    phi = la.phi_plus(1).reshape(2, 2, 2, 2)
-    j = np.einsum("kosc,axst,cdef,kpte->axodpf", kraus, sigma, phi, kraus.conj())
-    return ChannelAssemblage.from_grid((range(len(j)), list(qr.povms)),
-                                       j.reshape(*sigma.shape[:2], dim, dim))
+    return ChannelAssemblage.from_grid(*_channel_grid(qr))
 
 
 def transpose_assemblage(assemblage):
     """Elementwise transpose; involutive and scenario preserving."""
     return replace(assemblage, elements={key: m.T for key, m in assemblage.elements.items()})
+
+
+def sample_quantum(scenario: str, seeds, alphabets: dict | None = None, n: int = 1):
+    """``random_quantum`` for one seed or an array-like of them, drawn and realised as
+    one stack: the labels of each element axis, the Hermitian-checked elements on their
+    grid (*seed axes, *label counts, d, d) and the realisation stack."""
+    spec = SPECS.get(scenario)
+    if spec is None or spec.sample is None:
+        raise ValueError(f"no random quantum assemblages for scenario {scenario!r}")
+    rngs = np.asarray(np.frompyfunc(np.random.default_rng, 1, 1)(seeds), dtype=object)
+    sizes = {**spec.default_sizes, **(alphabets or {})}
+    db = 2**n
+    state = la.random_density(rngs, 2 * db)
+    # Each generator draws Alice's POVMs x = 1, 2, ... in turn.
+    effects = la.random_projective_povm(rngs[..., None].repeat(sizes["x"], -1), 2, sizes["a"])
+    povms = dict(zip(range(1, sizes["x"] + 1), np.moveaxis(effects, -4, 0)))
+    qr = QuantumRealisation(scenario, state, povms, **spec.sample(rngs, sizes, db))
+    labels, grid = spec.realize(qr)
+    return labels, la.hermitian(grid), qr
 
 
 def random_quantum(scenario: str, seed: int, alphabets: dict | None = None, n: int = 1):
@@ -456,14 +503,9 @@ def random_quantum(scenario: str, seed: int, alphabets: dict | None = None, n: i
     (random orthonormal basis, random rank split), and Bob's processing comes
     from random isometries with a dimension-2 environment.  ``n`` is the qubit
     count of Bob's system; Bob-with-input draws use it as the output system.
+    The generator ``default_rng(seed)`` draws the state, Alice's POVMs for
+    x = 1, 2, ..., then Bob's channels for y = 0, 1, ..., his instrument or
+    his channel.  One seed is the stack of one of ``sample_quantum``.
     """
-    spec = SPECS.get(scenario)
-    if spec is None or spec.sample is None:
-        raise ValueError(f"no random quantum assemblages for scenario {scenario!r}")
-    rng = np.random.default_rng(seed)
-    sizes = {**spec.default_sizes, **(alphabets or {})}
-    db = 2**n
-    state = la.random_density(rng, 2 * db)
-    povms = {x: tuple(la.random_projective_povm(rng, 2, sizes["a"]))
-             for x in range(1, sizes["x"] + 1)}
-    return spec.sample(rng, state, povms, sizes, db)
+    labels, grid, qr = sample_quantum(scenario, seed, alphabets, n)
+    return CONTAINERS[scenario].from_grid(labels, grid), qr

@@ -124,7 +124,7 @@ def seesaw_quantum(f: EPRFunctional, seed: int = 0, restarts: int = 10,
     root = np.random.default_rng(seed)
     rngs = [np.random.default_rng(root.integers(2**63)) for _ in range(restarts)]
     # Every restart's POVMs (r, x, a, 2, 2), last ground vector and value trace.
-    povms = np.array([[la.random_projective_povm(rng, 2) for _ in x_vals] for rng in rngs])
+    povms = la.random_projective_povm([[rng] * len(x_vals) for rng in rngs], 2)
     grounds = np.empty((restarts, 2 * db), dtype=complex)
     traces = [[] for _ in range(restarts)]
     active = np.arange(restarts)  # the restarts still iterating, stacked on the leading axis

@@ -23,13 +23,11 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import bounds as bd
 from . import catalog
 from . import protocol
 from . import serialize as ser
-from .assemblages import DEFAULT_TOL, SPECS, random_quantum, validate
+from .assemblages import DEFAULT_TOL, SPECS, sample_quantum, validate
 from .functionals import SCENARIOS, EPRFunctional, bell_from_epr, evaluate_bell, evaluate_epr
 
 
@@ -306,12 +304,15 @@ def cmd_demo_ptp(args, argv) -> int:
     stage("bell-evaluation", bell_ok, value=bell, functional_scale_value=4 * bell,
           expected=expected, tolerance=1e-4, strictly_negative=bell < -0.05)
 
-    worst = np.inf
-    for seed in range(args.seed, args.seed + 50):
-        control, _ = random_quantum("bwi", seed)
-        value = evaluate_bell(xi, protocol.simulate_bwi(control, resource))
-        worst = min(worst, value)
-    stage("quantum-controls", worst >= -1e-7, worst_value=worst, seeds=50, tolerance=1e-7)
+    # Bell values of 50 seeded quantum controls, drawn and simulated as one stack.
+    labels, controls, _ = sample_quantum("bwi", range(args.seed, args.seed + 50))
+    slice_labels, p = protocol.bwi_slices(labels, controls, resource)
+    coefficients = xi.xi.subgrid(slice_labels, SPECS["bwi"].slice_axes,
+                                 "Bell coefficients have no entry for")
+    values = p.reshape(len(p), -1) @ coefficients.grid.ravel()
+    worst = float(values.min())
+    stage("quantum-controls", worst >= -1e-7, worst_value=worst, seeds=50, tolerance=1e-7,
+          worst_seed=args.seed + int(values.argmin()), margin=worst + 1e-7)
 
     report = _report(
         argv, {}, started,

@@ -75,10 +75,6 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(m)
 
 
-def min_eigenvalue(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(np.asarray(m, dtype=complex))[0])
-
-
 def proj(c: int, w: int) -> np.ndarray:
     """Eigenprojector of the Pauli labelled by ``w`` with eigenvalue (-1)^c."""
     if c not in (0, 1) or w not in (1, 2, 3):
@@ -117,63 +113,47 @@ def observable_projectors(obs: np.ndarray) -> dict[int, np.ndarray]:
 
 @dataclass(frozen=True)
 class KrausMap:
-    """A channel given by trace-preserving Kraus operators (out_dim x in_dim each)."""
+    """A channel given by trace-preserving Kraus operators (out_dim x in_dim each).
+
+    ``kraus_ops`` is held as one read-only array (..., k, out_dim, in_dim); its
+    leading axes, if any, make it a stack of channels, each checked.
+    """
 
     in_dim: int
     out_dim: int
-    kraus_ops: tuple[np.ndarray, ...]
+    kraus_ops: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
-        for k in ops:
-            if k.shape != (self.out_dim, self.in_dim):
-                raise ValueError(
-                    f"Kraus operator shape {k.shape} does not match "
-                    f"({self.out_dim}, {self.in_dim})"
-                )
+        ops = np.array(self.kraus_ops, dtype=complex, order="C")
+        if ops.ndim < 3 or ops.shape[-2:] != (self.out_dim, self.in_dim):
+            raise ValueError(
+                f"Kraus operators of shape {ops.shape} do not match ({self.out_dim}, {self.in_dim})"
+            )
+        ops.setflags(write=False)
         object.__setattr__(self, "kraus_ops", ops)
-        dev = np.max(np.abs(sum(k.conj().T @ k for k in ops) - np.eye(self.in_dim)))
+        gram = np.einsum("...kji,...kjl->...il", ops.conj(), ops)
+        dev = np.max(np.abs(gram - np.eye(self.in_dim)))
         if dev > TRACE_PRESERVING_TOL:
             raise ValueError(f"map is not trace preserving (deviation {dev:.3e})")
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (self.in_dim, self.in_dim):
+        if rho.shape[-2:] != (self.in_dim, self.in_dim):
             raise ValueError(f"state of shape {rho.shape} does not match in_dim {self.in_dim}")
-        out = np.zeros((self.out_dim, self.out_dim), dtype=complex)
-        for k in self.kraus_ops:
-            out += k @ rho @ k.conj().T
-        return out
+        k = self.kraus_ops
+        return np.einsum("...koi,...ij,...kpj->...op", k, rho, k.conj())
 
 
 def identity_map(dim: int = 2) -> KrausMap:
     return KrausMap(dim, dim, (np.eye(dim, dtype=complex),))
 
 
-def choi(kmap: KrausMap) -> np.ndarray:
-    """Choi operator J = (K (x) id)(phi_plus) on out (x) in factors.
-
-    Uses the normalised entangled state, so trace-preserving maps give
-    unit-trace Choi operators and ``tr_out J = I / in_dim``.
-    """
-    d = kmap.in_dim
-    n = int(np.log2(d))
-    if 2**n != d:
-        raise ValueError(f"in_dim must be a power of 2, got {d}")
-    phi = phi_plus(n)
-    ops = [tensor(k, np.eye(d)) for k in kmap.kraus_ops]
-    out = np.zeros((kmap.out_dim * d, kmap.out_dim * d), dtype=complex)
-    for f in ops:
-        out += f @ phi @ f.conj().T
-    return out
-
-
 def apply_choi(j: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Recover the map action from a Choi operator.
 
     ``j`` lives on out (x) in; the contraction is
-    ``in_dim * tr_in[(I_out (x) rho^T) j]`` so that
-    ``apply_choi(choi(K), rho) == K(rho)``.  Leading axes of ``j`` and
+    ``in_dim * tr_in[(I_out (x) rho^T) j]``, so that it acts as K on the Choi
+    operator ``(K (x) id)(phi_plus)`` of a map K.  Leading axes of ``j`` and
     ``rho`` broadcast against each other, so stacks act in one contraction.
     """
     j, rho = np.asarray(j), np.asarray(rho, dtype=complex)
@@ -185,46 +165,69 @@ def apply_choi(j: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return in_dim * np.einsum("...olpk,...lk->...op", blocks, rho)
 
 
-# --- random instance generators (deterministic in the passed Generator) ---
+# --- random instance generators (deterministic in the passed Generators) ---
 
 
-def ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+def _draws(rngs, draw) -> list:
+    """The outputs of ``draw(rng)``, each stacked over the leading axes ``np.shape(rngs)``.
+
+    ``rngs`` is one numpy Generator (no leading axes) or an array-like of them,
+    which draw in turn in row-major order.  Only the draws run per generator;
+    every generator below does the rest once over the stack.
+    """
+    rngs = np.asarray(rngs, dtype=object)
+    if not rngs.size:
+        raise ValueError("no generators to draw from")
+    parts = zip(*(draw(rng) for rng in rngs.flat))
+    return [np.reshape(part, rngs.shape + np.shape(part[0])) for part in parts]
 
 
-def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = ginibre(rng, dim, dim)
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+def ginibre(rngs, rows: int, cols: int) -> np.ndarray:
+    # One draw of the real parts, then the imaginary parts: the same stream as two.
+    z = _draws(rngs, lambda rng: (rng.standard_normal((2, rows, cols)),))[0]
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
 
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    q, r = np.linalg.qr(ginibre(rng, dim, dim))
-    # Fix the phase ambiguity of QR so the draw is a well-defined Haar sample.
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+def random_density(rngs, dim: int) -> np.ndarray:
+    g = ginibre(rngs, dim, dim)
+    rho = g @ g.conj().swapaxes(-2, -1)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def random_projective_povm(rng: np.random.Generator, dim: int, n_outcomes: int = 2) -> list:
-    """Projective POVM from a random orthonormal basis split into outcome blocks."""
-    u = random_unitary(rng, dim)
-    cuts = sorted(rng.choice(np.arange(1, dim), size=n_outcomes - 1, replace=False))
-    blocks = np.split(np.arange(dim), cuts)
-    effects = []
-    for block in blocks:
-        v = u[:, block]
-        effects.append(v @ v.conj().T)
-    return effects
+def _isometry(g: np.ndarray) -> np.ndarray:
+    """The Q factor of the QR decomposition of each matrix of ``g``, with the phase
+    ambiguity of QR fixed so that a Ginibre draw gives a well-defined Haar sample."""
+    q, r = np.linalg.qr(g)
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diagonal / np.abs(diagonal))[..., None, :]
 
 
-def random_channel(rng: np.random.Generator, in_dim: int, out_dim: int, env_dim: int = 2) -> KrausMap:
+def random_projective_povm(rngs, dim: int, n_outcomes: int = 2) -> np.ndarray:
+    """Projective POVM effects (..., n_outcomes, dim, dim) from a random orthonormal
+    basis split into outcome blocks at random cuts.
+
+    Each generator draws a Ginibre matrix, then the n_outcomes - 1 cuts.
+    """
+    if not 1 <= n_outcomes <= dim:
+        raise ValueError(f"a projective POVM on dimension {dim} cannot have {n_outcomes} outcomes")
+    if dim <= 2:  # at most one candidate cut: the choice is fixed and draws nothing
+        g, cuts = ginibre(rngs, dim, dim), np.arange(1, n_outcomes)
+    else:
+        z, cuts = _draws(rngs, lambda rng: (rng.standard_normal((2, dim, dim)), rng.choice(
+            np.arange(1, dim), size=n_outcomes - 1, replace=False)))
+        g, cuts = z[..., 0, :, :] + 1j * z[..., 1, :, :], np.sort(cuts, -1)
+    u = _isometry(g)
+    # mask[..., o, j]: basis vector j lies in block o, the blocks split at the cuts.
+    block = (np.arange(dim) >= cuts[..., None]).sum(-2)
+    mask = block[..., None, :] == np.arange(n_outcomes)[:, None]
+    return np.einsum("...ij,...oj,...kj->...oik", u, mask, u.conj())
+
+
+def random_channel(rngs, in_dim: int, out_dim: int, env_dim: int = 2) -> KrausMap:
     """Random isometry channel (Stinespring dilation with the given environment)."""
     if out_dim * env_dim < in_dim:
         raise ValueError("out_dim * env_dim must be at least in_dim for an isometry")
-    g = ginibre(rng, out_dim * env_dim, in_dim)
-    q, r = np.linalg.qr(g)
-    v = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    kraus = []
-    for e in range(env_dim):
-        rows = [e + out * env_dim for out in range(out_dim)]
-        kraus.append(v[rows, :])
-    return KrausMap(in_dim, out_dim, tuple(kraus))
+    v = _isometry(ginibre(rngs, out_dim * env_dim, in_dim))
+    # Row out * env_dim + e of the isometry is row ``out`` of Kraus operator e.
+    kraus = v.reshape(*v.shape[:-2], out_dim, env_dim, in_dim).swapaxes(-3, -2)
+    return KrausMap(in_dim, out_dim, kraus)

@@ -81,11 +81,9 @@ class CorrelationTable:
             name: LabelGrid.keyed(block, 4, "self-test marginal has no probability for")
             for name, block in self.selftest.items()})
         blocks = self.selftest.values()
-        p = np.concatenate([grid.grid.ravel(), *(block.grid.ravel() for block in blocks)])
-        bad = ~((p >= -PROB_TOL) & (p <= 1 + PROB_TOL))  # NaN is out of range too
-        if bad.any():
-            key = next(itertools.compress(itertools.chain(grid, *blocks), bad))
-            raise ValueError(f"probability out of range at {key}: {p[bad][0]}")
+        _check_probabilities(
+            np.concatenate([grid.grid.ravel(), *(block.grid.ravel() for block in blocks)]),
+            itertools.chain(grid, *blocks))
 
     def slice_mass(self) -> LabelGrid:
         """Total slice probability per setting tuple (outcome labels summed out)."""
@@ -94,6 +92,15 @@ class CorrelationTable:
         outcomes = tuple(i for i, label in enumerate(spec.slice_axes) if label not in right)
         settings = [labels for i, labels in enumerate(self.slice.labels) if i not in outcomes]
         return LabelGrid(settings, self.slice.grid.sum(outcomes))
+
+
+def _check_probabilities(p: np.ndarray, keys) -> None:
+    """ValueError naming the first of ``keys`` (one per entry of ``p``, in order) whose
+    probability lies outside [0, 1] by more than PROB_TOL; NaN is out of range too."""
+    bad = ~((p >= -PROB_TOL) & (p <= 1 + PROB_TOL))
+    if bad.any():
+        key = next(itertools.compress(keys, bad.ravel()))
+        raise ValueError(f"probability out of range at {key}: {p[bad][0]}")
 
 
 def _check_effect(m: np.ndarray, dim: int) -> np.ndarray:
@@ -106,22 +113,32 @@ def _check_effect(m: np.ndarray, dim: int) -> np.ndarray:
     return m
 
 
-def simulate_bwi(assemblage, resource: ResourceAssemblage, measurement=None) -> CorrelationTable:
-    """Slice p(a, 0, c | x, y, *, w) = tr[M (sigma_{a|xy} (x) resource_{c|w})]."""
-    if assemblage.scenario != "bwi":
-        raise ValueError(f"expected a Bob-with-input assemblage, got {assemblage.scenario!r}")
-    d = assemblage.dim
+def bwi_slices(labels, sigma, resource: ResourceAssemblage, measurement=None):
+    """The slice labels and p(a, 0, c | x, y, *, w) = tr[M (sigma_{a|xy} (x) resource_{c|w})]
+    on its grid, for BwI elements ``sigma`` on their grid (..., a, x, y, d, d) over
+    ``labels``: one contraction and one range check for a whole stack of assemblages."""
+    d = sigma.shape[-1]
     if d != 2**resource.n:
         raise ValueError(f"assemblage dim {d} does not match resource on {resource.n} qubits")
     if measurement is None:
         measurement = la.phi_plus(resource.n)
     m = _check_effect(measurement, d * d).reshape(d, d, d, d)
-    labels, sigma = assemblage.grid
+    lead = sigma.shape[:-5]
     # One operand at a time: a single three-operand einsum loops over all six indices at once.
-    half = np.einsum("pqrs,irp->iqs", m, sigma.reshape(-1, d, d))
-    p = np.einsum("iqs,jsq->ij", half, resource.stack).real
+    half = np.einsum("pqrs,...irp->...iqs", m, sigma.reshape(*lead, -1, d, d))
+    p = np.einsum("...iqs,jsq->...ij", half, resource.stack).real
+    labels = (*map(tuple, labels), *resource.labels)
+    p = p.reshape(*lead, *map(len, labels))
+    _check_probabilities(p, itertools.product(*map(range, lead), *labels))
+    return labels, p
+
+
+def simulate_bwi(assemblage, resource: ResourceAssemblage, measurement=None) -> CorrelationTable:
+    """Slice p(a, 0, c | x, y, *, w) = tr[M (sigma_{a|xy} (x) resource_{c|w})]."""
+    if assemblage.scenario != "bwi":
+        raise ValueError(f"expected a Bob-with-input assemblage, got {assemblage.scenario!r}")
     return CorrelationTable(
-        "bwi", LabelGrid(labels + resource.labels, p),
+        "bwi", LabelGrid(*bwi_slices(*assemblage.grid, resource, measurement)),
         {"bc": catalog.canonical_selftest_marginal()}, {"r": resource.r, "n": resource.n},
     )
 

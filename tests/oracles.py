@@ -151,6 +151,97 @@ def transpose_dual(kmap: la.KrausMap) -> la.KrausMap:
     )
 
 
+def min_eigenvalue(m: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(np.asarray(m, dtype=complex))[0])
+
+
+def choi(kmap: la.KrausMap) -> np.ndarray:
+    """Choi operator J = (K (x) id)(phi_plus) on out (x) in factors, one Kraus operator
+    at a time.
+
+    Uses the normalised entangled state, so trace-preserving maps give
+    unit-trace Choi operators and ``tr_out J = I / in_dim``.
+    """
+    d = kmap.in_dim
+    n = int(np.log2(d))
+    if 2**n != d:
+        raise ValueError(f"in_dim must be a power of 2, got {d}")
+    phi = la.phi_plus(n)
+    ops = [la.tensor(k, np.eye(d)) for k in kmap.kraus_ops]
+    out = np.zeros((kmap.out_dim * d, kmap.out_dim * d), dtype=complex)
+    for f in ops:
+        out += f @ phi @ f.conj().T
+    return out
+
+
+def _random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """The Q factor of a Ginibre draw, QR's phases fixed."""
+    q, r = np.linalg.qr(rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A Haar-random unitary."""
+    return _random_isometry(rng, dim, dim)
+
+
+def _per_seed_povm(rng, dim, n_outcomes):
+    """A random orthonormal basis split into outcome blocks at random cuts, one block
+    at a time."""
+    u = random_unitary(rng, dim)
+    cuts = sorted(rng.choice(np.arange(1, dim), size=n_outcomes - 1, replace=False))
+    return [u[:, block] @ u[:, block].conj().T for block in np.split(np.arange(dim), cuts)]
+
+
+def _per_seed_channel(rng, in_dim, out_dim, env_dim=2):
+    """The Kraus operators of a random isometry, one environment state at a time."""
+    v = _random_isometry(rng, out_dim * env_dim, in_dim)
+    return [v[[e + out * env_dim for out in range(out_dim)], :] for e in range(env_dim)]
+
+
+def random_quantum_per_seed(scenario: str, seed: int, alphabets=None, n: int = 1):
+    """The seeded random quantum sampler one seed, one draw and one element at a time.
+
+    Returns the realisation as a dict (state, Alice's effects per x, and Bob's
+    Kraus operators per y, instrument effects or channel Kraus operators under
+    ``bob``) and the elements keyed like the scenario's container.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = {**SPECS[scenario].default_sizes, **(alphabets or {})}
+    db = 2**n
+    g = rng.standard_normal((2 * db, 2 * db)) + 1j * rng.standard_normal((2 * db, 2 * db))
+    state = g @ g.conj().T
+    state = state / np.trace(state).real
+    povms = {x: _per_seed_povm(rng, 2, sizes["a"]) for x in range(1, sizes["x"] + 1)}
+    if scenario == "bwi":
+        bob = {y: _per_seed_channel(rng, db, db) for y in range(sizes["y"])}
+    elif scenario == "mdi":
+        bob = _per_seed_povm(rng, 2 * db, sizes["b"])
+    else:
+        bob = _per_seed_channel(rng, 2 * db, 2)
+
+    def sigma(a, x):
+        return partial_trace(la.tensor(povms[x][a], np.eye(db)) @ state, [2, db], 0)
+
+    elements = {}
+    for a, x in itertools.product(range(sizes["a"]), povms):
+        if scenario == "bwi":
+            for y, kraus in bob.items():
+                elements[(a, x, y)] = sum(k @ sigma(a, x) @ k.conj().T for k in kraus)
+        elif scenario == "mdi":
+            # J[i, k] = tr[E_b (sigma_{a|x} (x) |i><k|)] / 2 on Bob's qubit input B_in.
+            units = np.eye(2)
+            for b, effect in enumerate(bob):
+                elements[(a, b, x)] = np.array(
+                    [[np.trace(effect @ la.tensor(sigma(a, x), np.outer(units[i], units[k])))
+                      for k in range(2)] for i in range(2)]) / 2
+        else:
+            gamma = la.KrausMap(2 * db, 2, tuple(bob))
+            elements[(a, x)] = apply_map_to_factors(
+                gamma, la.tensor(sigma(a, x), la.phi_plus(1)), [db, 2, 2], [0, 1])
+    return {"state": state, "povms": povms, "bob": bob}, elements
+
+
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = la.ginibre(rng, dim, dim)
     return (g + g.conj().T) / 2
@@ -158,7 +249,7 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def random_povm_element(rng: np.random.Generator, dim: int) -> np.ndarray:
     """A random effect 0 <= M <= I (uniform spectrum in a Haar-random basis)."""
-    u = la.random_unitary(rng, dim)
+    u = random_unitary(rng, dim)
     vals = rng.uniform(0.0, 1.0, size=dim)
     return (u * vals) @ u.conj().T
 

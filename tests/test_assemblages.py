@@ -15,10 +15,18 @@ from eprkit.assemblages import (
     realize_bwi,
     realize_channel,
     realize_mdi,
+    sample_quantum,
     transpose_assemblage,
     validate,
 )
-from oracles import conjugation_map, partial_trace, random_hermitian, transpose_dual
+from oracles import (
+    conjugation_map,
+    min_eigenvalue,
+    partial_trace,
+    random_hermitian,
+    random_quantum_per_seed,
+    transpose_dual,
+)
 
 
 def test_ptp_assemblage_validates_tightly():
@@ -209,6 +217,65 @@ def test_random_quantum_seed_sweep_distinct():
     assert len(seen) == 200
 
 
+# MDI instruments on B (x) B_in (dimension 4) have two to four outcomes; with two and
+# three their rank cuts are drawn at random.
+SAMPLER_CASES = [("bwi", {}, 1), ("bwi", {}, 2), ("mdi", {}, 1), ("channel", {}, 1),
+                 ("bwi", {"a": 1, "x": 4, "y": 3}, 1), ("mdi", {"b": 3, "x": 2}, 1),
+                 ("mdi", {"a": 1, "b": 4}, 1), ("channel", {"x": 1}, 1)]
+
+
+@pytest.mark.parametrize("scenario, alphabets, n", SAMPLER_CASES)
+def test_stacked_draw_matches_per_seed_oracle(scenario, alphabets, n):
+    seeds = [0, 7, 123456, 5, 2**40]
+    labels, grid, qr = sample_quantum(scenario, seeds, alphabets, n)
+    assert grid.shape[0] == len(seeds) and qr.state.shape[0] == len(seeds)
+    for k, seed in enumerate(seeds):
+        realisation, elements = random_quantum_per_seed(scenario, seed, alphabets, n)
+        single, single_qr = random_quantum(scenario, seed, alphabets, n)
+        for got in (CONTAINERS[scenario].from_grid(labels, grid[k]), single):
+            assert got.elements.keys() == elements.keys()
+            for key, m in elements.items():
+                assert np.max(np.abs(got.elements[key] - m)) <= 1e-15
+        assert np.max(np.abs(qr.state[k] - realisation["state"])) <= 1e-15
+        assert np.max(np.abs(single_qr.state - realisation["state"])) <= 1e-15
+        for x, effects in realisation["povms"].items():
+            assert np.max(np.abs(qr.povms[x][k] - np.array(effects))) <= 1e-15
+        if scenario == "mdi":
+            assert np.max(np.abs(qr.instrument[k] - np.array(realisation["bob"]))) <= 1e-15
+        elif scenario == "channel":
+            assert np.max(np.abs(qr.channel.kraus_ops[k] - np.array(realisation["bob"]))) <= 1e-15
+        else:
+            for y, kraus in realisation["bob"].items():
+                assert np.max(np.abs(qr.channels[y].kraus_ops[k] - np.array(kraus))) <= 1e-15
+
+
+def test_stacked_realisation_with_one_bad_member_fails_its_check():
+    _, _, qr = sample_quantum("bwi", range(6))
+    kraus = np.array(qr.channels[0].kraus_ops)
+    kraus[3] *= 1.001  # one isometry of the stack is no longer trace preserving
+    with pytest.raises(ValueError, match="not trace preserving"):
+        la.KrausMap(2, 2, kraus)
+    state = np.array(qr.state)
+    state[4] *= 1.001
+    with pytest.raises(ValueError, match="unit trace"):
+        QuantumRealisation("bwi", state, qr.povms, channels=qr.channels)
+
+
+def test_stacked_grid_with_one_non_hermitian_element_fails_its_check():
+    _, grid, _ = sample_quantum("bwi", range(6))
+    grid = np.array(grid)
+    grid[2, 1, 0, 1, 0, 1] += 1e-6  # one off-diagonal entry of one element of member 2
+    with pytest.raises(ValueError, match="not Hermitian"):
+        la.hermitian(grid)
+
+
+def test_sample_quantum_rejects_scenarios_without_sampler_and_empty_seed_lists():
+    with pytest.raises(ValueError, match="no random quantum assemblages"):
+        sample_quantum("standard", [0, 1])
+    with pytest.raises(ValueError, match="no generators to draw from"):
+        sample_quantum("bwi", [])
+
+
 def test_random_quantum_degenerate_alphabets():
     assemblage, _ = random_quantum("bwi", 0, {"a": 2, "x": 1, "y": 1})
     assert validate(assemblage).passed
@@ -306,6 +373,20 @@ def test_quantum_realisation_rejects_povms_with_different_outcome_counts():
         QuantumRealisation("bwi", la.phi_plus(), povms, channels={0: la.identity_map(2)})
 
 
+@pytest.mark.parametrize("scenario, processing, message", [
+    # Effects on B alone, without B_in: they would realise 1x1 Choi operators.
+    ("mdi", {"instrument": (la.proj(0, 1), la.proj(1, 1))}, "instrument acts on dimension 2"),
+    ("bwi", {"channels": {0: la.identity_map(2), 1: la.identity_map(4)}},
+     "channel for input 1 acts on dimension 4"),
+    ("channel", {"channel": la.identity_map(2)}, "channel acts on dimension 2"),
+])
+def test_quantum_realisation_rejects_bob_processing_of_wrong_dimension(scenario, processing,
+                                                                       message):
+    with pytest.raises(ValueError, match=message):
+        QuantumRealisation(scenario, la.phi_plus(), {1: (la.proj(0, 1), la.proj(1, 1))},
+                           **processing)
+
+
 def test_standard_assemblage_psd_check():
     # Element (0, 1) is Z/2, which has a negative eigenvalue.
     elements = {
@@ -330,7 +411,7 @@ def _probabilities_residual(p, a_rng, x_rng):
 def _reference_residuals(assemblage):
     """validate's residuals from the per-key formulas, one element at a time."""
     el, rngs = assemblage.elements, assemblage.labels()
-    out = [("elements-psd", max(0.0, -min(la.min_eigenvalue(m) for m in el.values())))]
+    out = [("elements-psd", max(0.0, -min(min_eigenvalue(m) for m in el.values())))]
     if assemblage.scenario == "standard":
         c_rng, w_rng = rngs
         totals = {w: sum(el[(c, w)] for c in c_rng) for w in w_rng}

@@ -15,7 +15,7 @@ from eprkit.bounds import (
     selftest_value,
 )
 from eprkit.functionals import EPRFunctional
-from oracles import partial_trace, random_hermitian
+from oracles import min_eigenvalue, partial_trace, random_hermitian
 
 EXACT_CLASSICAL = 3 - np.sqrt(3)
 
@@ -38,7 +38,7 @@ def test_classical_bound_ptp_raw():
     report = classical_bound(catalog.ptp_functional())
     assert abs(report.value - EXACT_CLASSICAL) < 1e-10
     assert abs(report.value - catalog.PTP.classical) < 5e-5
-    witness_value = sum(la.min_eigenvalue(g) for g in report.witness.operators.values())
+    witness_value = sum(min_eigenvalue(g) for g in report.witness.operators.values())
     assert abs(witness_value - report.value) < 1e-10
 
 
@@ -209,7 +209,7 @@ def _reference_classical(f):
     best_value, best = np.inf, None
     for choices in itertools.product(a_vals, repeat=len(x_vals)):
         response = dict(zip(x_vals, choices))
-        value = sum(la.min_eigenvalue(sum(f.operators[(response[x], x, y)] for x in x_vals))
+        value = sum(min_eigenvalue(sum(f.operators[(response[x], x, y)] for x in x_vals))
                     for y in y_vals)
         if value < best_value:
             best_value, best = value, response
@@ -218,7 +218,7 @@ def _reference_classical(f):
 
 def _reference_ns(f):
     a_vals, x_vals, y_vals = f.labels
-    return sum(min(la.min_eigenvalue(f.operators[(a, x, y)]) for a in a_vals)
+    return sum(min(min_eigenvalue(f.operators[(a, x, y)]) for a in a_vals)
                for x in x_vals for y in y_vals)
 
 

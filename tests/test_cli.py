@@ -18,7 +18,9 @@ from eprkit import linalg as la
 from eprkit import serialize as ser
 from eprkit.assemblages import SPECS, BwIAssemblage, MDIAssemblage
 from eprkit.cli import build_parser, main
+from eprkit.functionals import bell_from_epr, evaluate_bell
 from eprkit.protocol import CorrelationTable, make_resource, simulate_bwi
+from oracles import random_quantum_per_seed
 
 
 def run(capsys, *argv):
@@ -349,6 +351,23 @@ def test_demo_transposed_resource_still_passes(capsys):
     assert code == 0
     controls = next(c for c in report["checks"] if c["name"] == "quantum-controls")
     assert controls["passed"] is True
+
+
+@pytest.mark.parametrize("seed, r", [(0, 1.0), (7, 0.3), (123456, 0.0), (31, 0.77)])
+def test_demo_quantum_controls_match_the_per_seed_loop(capsys, seed, r):
+    code, report = run(capsys, "demo-ptp", "--seed", str(seed), "--r", repr(r))
+    assert code == 0
+    controls = next(c for c in report["checks"] if c["name"] == "quantum-controls")
+    xi = bell_from_epr(catalog.ptp_functional(normalized=True))
+    resource = make_resource(1, r)
+    values = {s: evaluate_bell(xi, simulate_bwi(
+        BwIAssemblage(random_quantum_per_seed("bwi", s)[1]), resource))
+        for s in range(seed, seed + 50)}
+    worst_seed = min(values, key=values.get)
+    assert abs(controls["worst_value"] - values[worst_seed]) <= 1e-12
+    assert controls["worst_seed"] == worst_seed
+    assert controls["margin"] == controls["worst_value"] + 1e-7
+    assert controls["seeds"] == 50 and controls["passed"] is True
 
 
 def test_demo_tampered_constant_fails_at_bell_stage(capsys):

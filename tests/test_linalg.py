@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from eprkit import linalg as la
 from oracles import (
     apply_map_to_factors,
+    choi,
     conjugation_map,
+    min_eigenvalue,
     partial_trace,
     partial_transpose,
     random_hermitian,
@@ -157,7 +159,7 @@ def test_eig_residual_on_seeded_batch():
 
 
 def test_choi_identity_is_phi_plus():
-    assert np.allclose(la.choi(la.identity_map(2)), la.phi_plus())
+    assert np.allclose(choi(la.identity_map(2)), la.phi_plus())
 
 
 def test_choi_discard_and_prepare():
@@ -167,12 +169,12 @@ def test_choi_discard_and_prepare():
         for i in range(2)
         for j in range(2)
     )
-    j = la.choi(la.KrausMap(2, 2, kraus))
+    j = choi(la.KrausMap(2, 2, kraus))
     assert np.allclose(j, la.tensor(rho0, la.I2 / 2))
 
 
 def test_choi_of_x_conjugation():
-    j = la.choi(conjugation_map(la.PAULI_X))
+    j = choi(conjugation_map(la.PAULI_X))
     xi = la.tensor(la.PAULI_X, la.I2)
     assert np.allclose(j, xi @ la.phi_plus() @ xi)
 
@@ -192,7 +194,7 @@ def test_apply_choi_discard_and_prepare():
 
 
 def test_apply_choi_x_conjugation_on_z():
-    j = la.choi(conjugation_map(la.PAULI_X))
+    j = choi(conjugation_map(la.PAULI_X))
     assert np.allclose(la.apply_choi(j, la.PAULI_Z), -la.PAULI_Z)
 
 
@@ -201,15 +203,15 @@ def test_apply_choi_matches_kraus_action(seed):
     rng = np.random.default_rng(seed)
     kmap = la.random_channel(rng, 2, 2)
     rho = la.random_density(rng, 2)
-    assert np.max(np.abs(la.apply_choi(la.choi(kmap), rho) - kmap(rho))) < 1e-12
+    assert np.max(np.abs(la.apply_choi(choi(kmap), rho) - kmap(rho))) < 1e-12
 
 
 @given(st.integers(0, 2**32 - 1))
 def test_choi_of_tp_map_is_state(seed):
     rng = np.random.default_rng(seed)
     kmap = la.random_channel(rng, 2, 2)
-    j = la.choi(kmap)
-    assert la.min_eigenvalue(j) >= -1e-10
+    j = choi(kmap)
+    assert min_eigenvalue(j) >= -1e-10
     assert np.allclose(partial_trace(j, [2, 2], 0), la.I2 / 2, atol=1e-10)
     assert abs(np.trace(j) - 1) < 1e-10
 
@@ -294,6 +296,28 @@ def test_random_projective_povm_is_projective():
         assert np.allclose(total, np.eye(4), atol=1e-10)
         for e in effects:
             assert np.max(np.abs(e @ e - e)) < 1e-10
+
+
+def test_random_draws_stack_over_the_generator_axes():
+    # Each generator draws in turn, row-major: a (2, 3) array of generators with each
+    # row one generator draws three POVMs per generator, in order.
+    stacked = la.random_projective_povm([[np.random.default_rng(s)] * 3 for s in (4, 9)], 4, 3)
+    assert stacked.shape == (2, 3, 3, 4, 4)
+    for row, seed in enumerate((4, 9)):
+        rng = np.random.default_rng(seed)
+        for col in range(3):
+            assert np.array_equal(stacked[row, col], la.random_projective_povm(rng, 4, 3))
+    channels = la.random_channel([np.random.default_rng(s) for s in range(5)], 2, 2)
+    assert channels.kraus_ops.shape == (5, 2, 2, 2)
+    for seed in range(5):
+        single = la.random_channel(np.random.default_rng(seed), 2, 2)
+        assert np.array_equal(channels.kraus_ops[seed], single.kraus_ops)
+
+
+@pytest.mark.parametrize("n_outcomes", [0, 3])
+def test_random_projective_povm_rejects_impossible_outcome_counts(n_outcomes):
+    with pytest.raises(ValueError, match="cannot have"):
+        la.random_projective_povm(np.random.default_rng(0), 2, n_outcomes)
 
 
 def test_random_povm_element_is_valid_effect():

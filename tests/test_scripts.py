@@ -29,6 +29,14 @@ def test_mixture_sweep_prints_and_writes_one_row_per_step(tmp_path):
     assert abs(float(rows[-1][1]) + 0.103375) < 1e-4
 
 
+def test_mixture_sweep_rejects_counts_below_one_with_a_usage_error():
+    for args in (("--controls", "0"), ("--controls", "-3"), ("--steps", "0")):
+        result = _run("mixture_sweep.py", *args)
+        assert result.returncode == 2, (args, result.stderr)
+        assert f"error: argument {args[0]}" in result.stderr and "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+
 def test_seesaw_search_prints_the_bracket():
     result = _run("seesaw_search.py", "--restarts", "2")
     assert result.returncode == 0, result.stderr

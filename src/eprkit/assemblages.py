@@ -309,9 +309,9 @@ class Assemblage:
         dataclass(frozen=True)(cls)
 
     def __post_init__(self):
-        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
-                   for n in self.sizes.values()):
-            raise ValueError(f"alphabet sizes must be positive integers, got {self.sizes}")
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and 1 <= n < 2**63
+                   for n in self.sizes.values()):  # 2**63: the length of a range overflows
+            raise ValueError(f"alphabet sizes must be integers in [1, 2**63), got {self.sizes}")
         stack, labels = freeze_operators(self.elements), self.labels()
         outside = [k for k in self.elements
                    if len(k) != len(labels) or not all(i in axis for i, axis in zip(k, labels))]
@@ -423,15 +423,19 @@ class QuantumRealisation:
         counts = sorted({np.shape(effects)[-3] for effects in self.povms.values()})
         if len(counts) > 1:
             raise ValueError(f"Alice's POVMs have different outcome counts {counts}")
-        named = {f"POVM for setting {x}": effects for x, effects in self.povms.items()}
+        povms = [([f"POVM for setting {x}" for x in self.povms],
+                  np.stack([np.asarray(effects) for effects in self.povms.values()]))]
         if self.instrument is not None:
-            named["instrument"] = self.instrument
-        for what, effects in named.items():  # one POVM check: PSD effects summing to I
-            effects = np.asarray(effects)
-            if _max_abs(effects.sum(-3) - np.eye(effects.shape[-1])) > STATE_TOL:
-                raise ValueError(f"{what} does not sum to identity")
-            if _psd_residual(effects) > STATE_TOL:
-                raise ValueError(f"{what} has an effect that is not PSD")
+            povms.append((["instrument"], np.asarray(self.instrument)[None]))
+        for names, effects in povms:  # one POVM check per stack: PSD effects summing to I
+            n = len(names)
+            sums = np.abs(effects.sum(-3) - np.eye(effects.shape[-1])).reshape(n, -1).max(1)
+            least = np.linalg.eigvalsh(effects)[..., 0].reshape(n, -1).min(1)
+            for what, deviation, eigenvalue in zip(names, sums, least):
+                if deviation > STATE_TOL:
+                    raise ValueError(f"{what} does not sum to identity")
+                if -eigenvalue > STATE_TOL:
+                    raise ValueError(f"{what} has an effect that is not PSD")
         db = self.bob_dim
         inputs = {f"channel for input {y}": (channel.in_dim, db)
                   for y, channel in (self.channels or {}).items()}

@@ -76,7 +76,7 @@ def _load(loader, path: str, types=dict):
         raise CliError(2, f"{path}: the top-level JSON value is a {type(doc).__name__}")
     try:
         return loader(doc), digest
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise CliError(2, f"{path}: {exc}") from exc
 
 

@@ -6,16 +6,19 @@ Index keys are comma-joined integers (settings 1-based, outcomes 0-based);
 the protocol setting is written ``*``; multi-qubit c/w labels join their
 components with ``.``.
 
-Hermiticity and index completeness are enforced on load, so malformed files
-fail at parse time rather than inside the numerics.
+Each document is read and written in one pass: ``dumps`` writes the text of
+``json.dumps`` (indent 2, sorted keys, ASCII) byte for byte, and matrices are
+checked Hermitian once, as a stack, by the container they are loaded into.
+Malformed files fail at load rather than inside the numerics.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
-from operator import itemgetter
+import math
 
 import numpy as np
 
@@ -31,16 +34,26 @@ class SchemaError(ValueError):
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
+    """Rows of [re, im] pairs: nested lists of floats, for a matrix or a stack of them."""
+    return np.ascontiguousarray(m, dtype=complex).view(float).reshape(*np.shape(m), 2).tolist()
+
+
+def _matrix(rows) -> np.ndarray:
+    """The complex view of rows of [re, im] pairs of real numbers, not checked Hermitian."""
+    try:
+        m = np.array(rows)
+        if m.dtype == object and set(map(type, m.flat)) <= {int, float, bool}:  # ints past 64 bits
+            m = m.astype(float)  # OverflowError past the float range
+        if m.dtype.kind not in "biuf" or m.ndim != 3 or m.shape[-1] != 2:
+            raise ValueError(f"expected (d, d', 2) real numbers, got {m.dtype} of shape {m.shape}")
+        return m.astype(float, copy=False).view(complex)[..., 0]  # no arithmetic: inf cannot warn
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"malformed matrix entry: {exc}") from exc
 
 
 def matrix_from_json(rows) -> np.ndarray:
     try:
-        m = np.array([[complex(re, im) for re, im in row] for row in rows])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed matrix entry: {exc}") from exc
-    try:
-        return la.hermitian(m)
+        return la.hermitian(_matrix(rows))
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -77,22 +90,15 @@ def _spec(scenario, known=SPECS):
 
 
 def assemblage_to_json(assemblage) -> dict:
-    return {
-        "scenario": assemblage.scenario,
-        "alphabets": assemblage.sizes,
-        "elements": {
-            _key_to_str(key): matrix_to_json(m) for key, m in sorted(assemblage.elements.items())
-        },
-    }
+    elements = zip(map(_key_to_str, assemblage.elements), matrix_to_json(assemblage.stack))
+    return {"scenario": assemblage.scenario, "alphabets": assemblage.sizes,
+            "elements": dict(elements)}
 
 
 def assemblage_from_json(doc: dict):
     scenario = doc.get("scenario")
     axes = _spec(scenario).axes
-    elements = {
-        _key_from_str(key): matrix_from_json(rows)
-        for key, rows in doc.get("elements", {}).items()
-    }
+    elements = {_key_from_str(key): _matrix(rows) for key, rows in doc.get("elements", {}).items()}
     alphabets = doc.get("alphabets", {})
     kwargs = {f"n_{name}": alphabets[name] for name in axes if name in alphabets}
     return CONTAINERS[scenario](elements, **kwargs)
@@ -103,9 +109,7 @@ def functional_to_json(f) -> dict:
         return {
             "scenario": f.scenario,
             "form": "epr",
-            "operators": {
-                _key_to_str(k): matrix_to_json(m) for k, m in sorted(f.operators.items())
-            },
+            "operators": dict(zip(map(_key_to_str, f.operators), matrix_to_json(f.stack))),
             "bounds": dict(f.bounds),
         }
     if isinstance(f, BellCoefficients):
@@ -121,10 +125,8 @@ def functional_to_json(f) -> dict:
 def functional_from_json(doc: dict):
     form = doc.get("form")
     if form == "epr":
-        operators = {
-            _key_from_str(k): matrix_from_json(rows)
-            for k, rows in doc.get("operators", {}).items()
-        }
+        operators = {_key_from_str(k): _matrix(rows)
+                     for k, rows in doc.get("operators", {}).items()}
         return EPRFunctional(doc["scenario"], operators, dict(doc.get("bounds", {})))
     if form == "bell":
         xi = {_key_from_str(k): float(v) for k, v in doc.get("coefficients", {}).items()}
@@ -148,19 +150,32 @@ def _block_to_json(block: LabelGrid, layout: str, names: str) -> dict:
 
 
 def _block_from_json(block: dict, layout: str, names: str) -> dict:
-    pattern = layout.replace("|", ",|,").split(",")
-    labels = itemgetter(*[pattern.index(name) for name in names])
-    fixed = itemgetter(*[i for i, field in enumerate(pattern) if not field.isalpha()])
-    out = {}
-    for text, p in block.items():
-        fields = text.replace("|", ",|,").split(",")
-        if len(fields) != len(pattern) or fixed(fields) != fixed(pattern):
-            raise SchemaError(f"key {text!r} does not match the layout {layout!r}")
+    """The {label tuple: probability} entries of a block keyed by ``layout``: its keys split in
+    one join and checked per column, each distinct label text parsed once."""
+    values, keys = list(block.values()), list(block)
+    if not keys:
+        return {}
+    pattern = layout.replace("|", ",|,").split(",") + ["\n"]  # each key's fields, then "\n"
+    fields = (",\n,".join(keys) + ",\n").replace("|", ",|,").split(",")
+    columns = [fields[i::len(pattern)] for i in range(len(pattern))]
+    try:
+        if len(fields) != len(pattern) * len(keys) or any(  # "\n" parses as no label
+                set(column) != {field} for column, field in zip(columns, pattern)
+                if not field.isalpha()):
+            raise SchemaError(f"key {keys[0]!r} does not match the layout {layout!r}")
         try:
-            out[tuple(map(_parse_label, labels(fields)))] = float(p)
+            values = list(map(float, values))
+            parsed = [{text: _parse_label(text) for text in set(columns[pattern.index(name)])}
+                      for name in names]
         except ValueError as exc:
-            raise SchemaError(f"malformed key {text!r}: {exc}") from exc
-    return out
+            raise SchemaError(f"malformed key {keys[0]!r}: {exc}") from exc
+        labels = [map(p.get, columns[pattern.index(name)]) for p, name in zip(parsed, names)]
+        return dict(zip(zip(*labels), values))
+    except (TypeError, ValueError, OverflowError):
+        if len(keys) == 1:
+            raise
+    return {key: p for item in block.items()  # one key at a time, to name the first that fails
+            for key, p in _block_from_json(dict([item]), layout, names).items()}
 
 
 def table_to_json(table: CorrelationTable) -> dict:
@@ -202,16 +217,11 @@ def bound_report_to_json(report: BoundReport) -> dict:
         witness = {
             "type": "quantum-realisation",
             "state": matrix_to_json(w.state),
-            "povms": {
-                str(x): [matrix_to_json(m) for m in effects]
-                for x, effects in sorted(w.povms.items())
-            },
+            "povms": {str(x): matrix_to_json(effects) for x, effects in sorted(w.povms.items())},
         }
         if w.channels is not None:
-            witness["channels"] = {
-                str(y): [matrix_to_json(k) for k in kmap.kraus_ops]
-                for y, kmap in sorted(w.channels.items())
-            }
+            witness["channels"] = {str(y): matrix_to_json(kmap.kraus_ops)
+                                   for y, kmap in sorted(w.channels.items())}
         doc["witness"] = witness
     return doc
 
@@ -226,8 +236,49 @@ def _json_default(obj):
     raise TypeError(f"object of type {type(obj).__name__} is not JSON serialisable")
 
 
+_scalar = json.JSONEncoder(allow_nan=False, default=_json_default).encode
+
+
+def _run(values) -> tuple | None:
+    """The shape and leaves of nested lists of one length per level over finite floats, or None."""
+    shape, leaves = [], [values]
+    while set(map(type, leaves)) <= {list, tuple} and len(lengths := set(map(len, leaves))) == 1:
+        shape.append(lengths.pop())
+        leaves = list(itertools.chain.from_iterable(leaves))
+    finite = set(map(type, leaves)) == {float} and all(map(math.isfinite, leaves))
+    return (tuple(shape), leaves) if all(shape) and finite else None
+
+
+@functools.lru_cache
+def _template(shape: tuple, nl: str, keyed: bool) -> str:
+    """A run's text on a line indented as ``nl``: a ``{}`` field per leaf, and per key if keyed."""
+    inner = nl + "  "
+    item = "{}: " * keyed + (_template(shape[1:], inner, False) if shape[1:] else "{}")
+    items = f",{inner}".join([item] * shape[0])
+    return f"{{{{{inner}{items}{nl}}}}}" if keyed else f"[{inner}{items}{nl}]"
+
+
+def _encode(obj, nl: str) -> str:
+    """``obj`` as ``dumps`` writes it on a line indented as ``nl``: runs in one format call, and
+    each key of any other object as json.dumps writes it, before its value, or its exception."""
+    if not isinstance(obj, (list, tuple, dict)) or not obj:
+        return _scalar(obj)  # scalars and empty containers, as json.dumps writes them
+    keyed, inner = isinstance(obj, dict), nl + "  "
+    keys, values = zip(*sorted(obj.items())) if keyed else ((), obj)
+    run = (not keyed or set(map(type, keys)) == {str}) and _run(values)
+    if run:  # the fields in order: each key, if any, then the leaves of its value
+        fields = zip(*[map(_scalar, keys)] * keyed,
+                     *[map(float.__repr__, run[1])] * math.prod(run[0][1:]))
+        return _template(run[0], nl, keyed).format(*itertools.chain.from_iterable(fields))
+    texts = [f"{_scalar({k: 0})[1:-4]}: {_encode(v, inner)}" for k, v in zip(keys, values)]
+    text = f",{inner}".join(texts if keyed else [_encode(v, inner) for v in obj])
+    return f"{{{inner}{text}{nl}}}" if keyed else f"[{inner}{text}{nl}]"
+
+
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=_json_default) + "\n"
+    """The text of ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
+    default=_json_default)`` and a newline, or the exception it raises."""
+    return _encode(doc, "\n") + "\n"
 
 
 def load_path(path) -> tuple:

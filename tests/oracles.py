@@ -2,10 +2,13 @@
 random keyed inputs they are compared on."""
 
 import itertools
+import json
+from operator import itemgetter
 
 import numpy as np
 
 from eprkit import linalg as la
+from eprkit import serialize as ser
 from eprkit.assemblages import SPECS
 from eprkit.functionals import decompose
 
@@ -257,3 +260,38 @@ def random_povm_element(rng: np.random.Generator, dim: int) -> np.ndarray:
 def steering_effect(c: int, w: int) -> np.ndarray:
     """Charlie effect whose steering reproduces sigma_tilde: all plus signs."""
     return la.proj(c, w)
+
+
+def dumps(doc) -> str:
+    """The stdlib writer of the JSON documents: indent 2, sorted keys, ASCII, no NaN."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
+                      default=ser._json_default) + "\n"
+
+
+def matrix_from_json_per_entry(rows) -> np.ndarray:
+    """A matrix from rows of [re, im] pairs, one ``complex`` per entry, checked Hermitian."""
+    try:
+        m = np.array([[complex(re, im) for re, im in row] for row in rows])
+    except (TypeError, ValueError) as exc:
+        raise ser.SchemaError(f"malformed matrix entry: {exc}") from exc
+    try:
+        return la.hermitian(m)
+    except ValueError as exc:
+        raise ser.SchemaError(str(exc)) from exc
+
+
+def block_from_json_per_key(block: dict, layout: str, names: str) -> dict:
+    """The {label tuple: probability} entries of a probability block, one key at a time."""
+    pattern = layout.replace("|", ",|,").split(",")
+    labels = itemgetter(*[pattern.index(name) for name in names])
+    fixed = itemgetter(*[i for i, field in enumerate(pattern) if not field.isalpha()])
+    out = {}
+    for text, p in block.items():
+        fields = text.replace("|", ",|,").split(",")
+        if len(fields) != len(pattern) or fixed(fields) != fixed(pattern):
+            raise ser.SchemaError(f"key {text!r} does not match the layout {layout!r}")
+        try:
+            out[tuple(map(ser._parse_label, labels(fields)))] = float(p)
+        except ValueError as exc:
+            raise ser.SchemaError(f"malformed key {text!r}: {exc}") from exc
+    return out

@@ -345,6 +345,24 @@ def test_quantum_realisation_rejects_bad_povm():
                            channels={0: la.identity_map(2)})
 
 
+@pytest.mark.parametrize("povms, message", [
+    # Setting 2 has a negative effect, setting 3 does not sum to I: setting 2 is named.
+    ({1: (la.proj(0, 1), la.proj(1, 1)), 2: (la.PAULI_Z, la.I2 - la.PAULI_Z), 3: (la.I2, la.I2)},
+     "POVM for setting 2 has an effect that is not PSD"),
+    ({1: (la.proj(0, 2), la.proj(1, 2)), 2: (la.I2, la.I2), 3: (la.PAULI_Z, la.I2 - la.PAULI_Z)},
+     "POVM for setting 2 does not sum to identity"),
+])
+def test_quantum_realisation_names_the_first_failing_setting(povms, message):
+    with pytest.raises(ValueError, match=message):
+        QuantumRealisation("bwi", la.phi_plus(), povms, channels={0: la.identity_map(2)})
+
+
+def test_alphabet_sizes_beyond_a_range_are_rejected():
+    elements = catalog.ptp_assemblage().elements
+    with pytest.raises(ValueError, match="alphabet sizes must be integers"):
+        BwIAssemblage(elements, n_x=10**400)
+
+
 def test_quantum_realisation_rejects_unnormalised_state():
     povms = {1: (la.proj(0, 1), la.proj(1, 1))}
     with pytest.raises(ValueError):

@@ -472,6 +472,9 @@ def _add_element_outside_alphabets(docs):
     elements["5,1,0"] = elements["0,1,0"]
 
 
+_HUGE = (10**400, -10**400)
+
+
 @pytest.mark.parametrize("mutate, argv", [
     pytest.param(lambda d: d["functional"]["operators"]["0,1,0"][0].__setitem__(0, [math.nan, 0]),
                  "eval --functional {functional} --assemblage {assemblage}",
@@ -528,6 +531,25 @@ def _add_element_outside_alphabets(docs):
                    id=f"overflowing-operators-{kind}") for kind in ("classical", "ns-cert", "seesaw")],
     pytest.param(lambda d: d["correlations"]["selftest"]["bc"].pop("0,0|1,1"),
                  "selftest --correlations {correlations}", id="selftest-block-not-a-full-product"),
+    # Integers too large for a float, written as digits, wherever a number is read.
+    *[pytest.param(lambda d, n=n: d["assemblage"]["elements"]["0,1,0"][0][0].__setitem__(0, n),
+                   "validate {assemblage}", id=f"huge-matrix-entry-{n > 0}") for n in _HUGE],
+    *[pytest.param(lambda d, n=n: d["assemblage"]["alphabets"].update(x=n),
+                   "validate {assemblage}", id=f"huge-alphabet-size-{n > 0}") for n in _HUGE],
+    *[pytest.param(lambda d, n=n: d["functional"]["operators"]["0,1,0"][1][1].__setitem__(0, n),
+                   "bound classical --functional {functional}", id=f"huge-operator-entry-{n > 0}")
+      for n in _HUGE],
+    *[pytest.param(lambda d, n=n: d["correlations"]["slice"].update({"0,0,0|1,0,*,1": n}), argv,
+                   id=f"huge-probability-{name}-{n > 0}") for n in _HUGE for name, argv in (
+        ("selftest", "selftest --correlations {correlations}"),
+        ("bell", "eval --functional {coefficients} --correlations {correlations}"),
+        ("epr", "eval --functional {functional} --correlations {correlations}"))],
+    *[pytest.param(lambda d, n=n: d["correlations"]["selftest"]["bc"].update({"0,0|1,1": n}),
+                   "selftest --correlations {correlations}", id=f"huge-selftest-entry-{n > 0}")
+      for n in _HUGE],
+    *[pytest.param(lambda d, n=n: d["coefficients"]["coefficients"].update({"0,1,0,0,1": n}),
+                   "eval --functional {coefficients} --correlations {correlations}",
+                   id=f"huge-coefficient-{n > 0}") for n in _HUGE],
 ])
 def test_rejected_input_exits_two_with_one_json_error_line(capsys, tmp_path, mutate, argv):
     table = simulate_bwi(catalog.ptp_assemblage(), make_resource(1, 1.0))
@@ -654,7 +676,7 @@ def test_mutated_catalog_documents_keep_the_cli_contract(catalog_files, data):
                                       "wrong-scenario"]))
     value = data.draw({
         "non-finite": st.sampled_from([math.nan, math.inf, -math.inf]),
-        "wrong-type": st.sampled_from(["x", None, {}, [], True, 0, -1, 2.5]),
+        "wrong-type": st.sampled_from(["x", None, {}, [], True, 0, -1, 2.5, 10**400, -10**400]),
         "wrong-scenario": st.sampled_from([*SPECS, "tripartite", None, 7]),
     }.get(kind, st.none()))
     with open(paths["mutated"], "w") as fh:

@@ -133,10 +133,10 @@ def _mdi_grid(qr: QuantumRealisation):
 
 def _channel_grid(qr: QuantumRealisation):
     sigma, db, out = qr.conditional_states(), qr.bob_dim, qr.channel.out_dim
-    # Gamma acts on B (x) C with C the first half of phi_plus on C (x) D.
+    # Gamma acts on B (x) C; phi_plus on C (x) D is delta_cd delta_ef / 2, so C becomes D.
     kraus = qr.channel.kraus_ops.reshape(*qr.channel.kraus_ops.shape[:-1], db, 2)
-    phi = la.phi_plus(1).reshape(2, 2, 2, 2)
-    j = np.einsum("...kosc,...axst,cdef,...kpte->...axodpf", kraus, sigma, phi, kraus.conj())
+    half = np.einsum("...axst,...kptf->...axkspf", sigma, kraus.conj())
+    j = np.einsum("...kosd,...axkspf->...axodpf", kraus, half) / 2
     return (range(j.shape[-6]), list(qr.povms)), j.reshape(*sigma.shape[:-2], 2 * out, 2 * out)
 
 
@@ -485,6 +485,12 @@ def sample_quantum(scenario: str, seeds, alphabets: dict | None = None, n: int =
     """``random_quantum`` for one seed or an array-like of them, drawn and realised as
     one stack: the labels of each element axis, the Hermitian-checked elements on their
     grid (*seed axes, *label counts, d, d) and the realisation stack."""
+    labels, grid, qr = _sample(scenario, seeds, alphabets, n)
+    return labels, la.hermitian(grid), qr
+
+
+def _sample(scenario: str, seeds, alphabets: dict | None, n: int):
+    """``sample_quantum`` with its elements not yet checked."""
     spec = SPECS.get(scenario)
     if spec is None or spec.sample is None:
         raise ValueError(f"no random quantum assemblages for scenario {scenario!r}")
@@ -496,8 +502,7 @@ def sample_quantum(scenario: str, seeds, alphabets: dict | None = None, n: int =
     effects = la.random_projective_povm(rngs[..., None].repeat(sizes["x"], -1), 2, sizes["a"])
     povms = dict(zip(range(1, sizes["x"] + 1), np.moveaxis(effects, -4, 0)))
     qr = QuantumRealisation(scenario, state, povms, **spec.sample(rngs, sizes, db))
-    labels, grid = spec.realize(qr)
-    return labels, la.hermitian(grid), qr
+    return (*spec.realize(qr), qr)
 
 
 def random_quantum(scenario: str, seed: int, alphabets: dict | None = None, n: int = 1):
@@ -511,5 +516,5 @@ def random_quantum(scenario: str, seed: int, alphabets: dict | None = None, n: i
     x = 1, 2, ..., then Bob's channels for y = 0, 1, ..., his instrument or
     his channel.  One seed is the stack of one of ``sample_quantum``.
     """
-    labels, grid, qr = sample_quantum(scenario, seed, alphabets, n)
-    return CONTAINERS[scenario].from_grid(labels, grid), qr
+    labels, grid, qr = _sample(scenario, seed, alphabets, n)
+    return CONTAINERS[scenario].from_grid(labels, grid), qr  # the container checks its elements

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import linalg as la
 from .assemblages import (BwIAssemblage, ChannelAssemblage, LabelGrid, StandardAssemblage,
-                          keyed_operators)
-from .functionals import EPRFunctional, BellCoefficients
+                          keyed_operators, product_grid)
+from .functionals import EPRFunctional, BellCoefficients, projector_strings
 
 # Alice's measurement axes in the PTP example: x = 1, 2, 3 -> X, Y, Z.
 ALICE_PAULI = {1: la.PAULI_X, 2: la.PAULI_Y, 3: la.PAULI_Z}
@@ -47,10 +47,17 @@ def sigma_tilde(c: int, w: int) -> np.ndarray:
     return (la.I2 + sign * (-1) ** c * la.PAULI_BY_SETTING[w]) / 4
 
 
+@functools.cache
+def canonical_resource_grid(n: int) -> tuple[tuple, np.ndarray]:
+    """The sorted (c, w) labels of the n-qubit canonical resource and its elements
+    prod_i sigma_tilde(c_i, w_i) on their read-only grid (*label counts, 2**n, 2**n)."""
+    keys, combos = zip(*projector_strings(n))
+    pure = np.stack([la.tensor(*(sigma_tilde(c, w) for c, w in combo)) for combo in combos])
+    return product_grid(keys, pure, 2, "missing")
+
+
 def canonical_resource_assemblage() -> StandardAssemblage:
-    return StandardAssemblage(
-        {(c, w): sigma_tilde(c, w) for c in (0, 1) for w in (1, 2, 3)}
-    )
+    return StandardAssemblage.from_grid(*canonical_resource_grid(1))
 
 
 # The (a, x, y) labels of the PTP assemblage and functional.
@@ -141,15 +148,9 @@ SELFTEST_LABELS = ((0, 1), (0, 1), (1, 2, 3, 4), (1, 2, 3))
 @functools.cache
 def canonical_selftest_marginal() -> LabelGrid:
     """The read-only p(b, c | z, w) of the canonical strategy; reaches I_E = 4 sqrt(3)."""
-    observables = selftest_observables()
-    marginal = np.empty(tuple(map(len, SELFTEST_LABELS)))
-    for z, obs in observables.items():
-        outcome_projs = la.observable_projectors(obs)
-        for w in (1, 2, 3):
-            for b, c in itertools.product((0, 1), (0, 1)):
-                p = np.real(np.trace(outcome_projs[b] @ sigma_tilde(c, w)))
-                marginal[b, c, z - 1, w - 1] = p
-    return LabelGrid(SELFTEST_LABELS, marginal)
+    projectors = la.observable_projectors(np.stack(list(selftest_observables().values())))
+    p = np.trace(projectors[:, :, None, None] @ canonical_resource_grid(1)[1], axis1=-2, axis2=-1)
+    return LabelGrid(SELFTEST_LABELS, p.real.transpose(1, 2, 0, 3))
 
 
 def mdi_ptp_probabilities(method: str = "transposed-measurement") -> dict:

@@ -89,26 +89,16 @@ def proj_string(cs, ws) -> np.ndarray:
 
 def phi_plus(n: int = 1) -> np.ndarray:
     """Normalised maximally entangled state on two n-qubit registers."""
-    d = 2**n
-    v = np.zeros(d * d, dtype=complex)
-    for k in range(d):
-        v[k * d + k] = 1.0
-    v /= np.sqrt(d)
+    v = np.eye(2**n, dtype=complex).ravel() / np.sqrt(2**n)
     return np.outer(v, v.conj())
 
 
-def observable_projectors(obs: np.ndarray) -> dict[int, np.ndarray]:
-    """Outcome projectors {0, 1} of a two-outcome +/-1 observable.
-
-    Outcome b corresponds to eigenvalue (-1)^b; eigenvalues are split by sign.
-    """
+def observable_projectors(obs: np.ndarray) -> np.ndarray:
+    """Outcome projectors (..., b, d, d) of a two-outcome +/-1 observable, or of a stack of
+    them: outcome b is eigenvalue (-1)^b, and eigenvalues are split by sign."""
     vals, vecs = eig_hermitian(obs)
-    p_plus = np.zeros_like(obs, dtype=complex)
-    for i, lam in enumerate(vals):
-        if lam > 0:
-            v = vecs[:, i : i + 1]
-            p_plus += v @ v.conj().T
-    return {0: p_plus, 1: np.eye(obs.shape[0], dtype=complex) - p_plus}
+    p_plus = np.einsum("...ik,...k,...jk->...ij", vecs, vals > 0, vecs.conj())
+    return np.stack([p_plus, np.eye(obs.shape[-1]) - p_plus], -3)
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,13 @@ checked against the threshold instead (see the CLI).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from . import catalog
 from . import linalg as la
-from .assemblages import SPECS, LabelGrid, keyed_operators, product_grid
-from .functionals import projector_strings
+from .assemblages import SPECS, LabelGrid, keyed_operators
 
 PROB_TOL = 1e-12
 EFFECT_TOL = 1e-10
@@ -52,9 +51,9 @@ def make_resource(n: int, r: float) -> ResourceAssemblage:
         raise ValueError(f"resource qubit count must be 1 or 2, got {n}")
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"mixing parameter must lie in [0, 1], got {r}")
-    keys, combos = zip(*projector_strings(n))
-    pure = np.stack([la.tensor(*(catalog.sigma_tilde(c, w) for c, w in combo)) for combo in combos])
-    labels, grid = product_grid(keys, r * pure + (1 - r) * pure.transpose(0, 2, 1), 2, "missing")
+    labels, pure = catalog.canonical_resource_grid(n)
+    grid = r * pure + (1 - r) * pure.swapaxes(-1, -2)
+    grid.setflags(write=False)
     stack = grid.reshape(-1, *grid.shape[2:])
     return ResourceAssemblage(n, float(r), keyed_operators(labels, grid), stack, labels)
 
@@ -72,8 +71,9 @@ class CorrelationTable:
     slice: LabelGrid
     selftest: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+    checked: InitVar[bool] = False  # True: the caller has range-checked every block
 
-    def __post_init__(self):
+    def __post_init__(self, checked):
         grid = LabelGrid.keyed(self.slice, len(SPECS[self.scenario].slice_axes),
                                "correlation table has no probability for")
         object.__setattr__(self, "slice", grid)
@@ -81,9 +81,10 @@ class CorrelationTable:
             name: LabelGrid.keyed(block, 4, "self-test marginal has no probability for")
             for name, block in self.selftest.items()})
         blocks = self.selftest.values()
-        _check_probabilities(
-            np.concatenate([grid.grid.ravel(), *(block.grid.ravel() for block in blocks)]),
-            itertools.chain(grid, *blocks))
+        if not checked:
+            _check_probabilities(
+                np.concatenate([grid.grid.ravel(), *(block.grid.ravel() for block in blocks)]),
+                itertools.chain(grid, *blocks))
 
     def slice_mass(self) -> LabelGrid:
         """Total slice probability per setting tuple (outcome labels summed out)."""
@@ -140,7 +141,7 @@ def simulate_bwi(assemblage, resource: ResourceAssemblage, measurement=None) -> 
     return CorrelationTable(
         "bwi", LabelGrid(*bwi_slices(*assemblage.grid, resource, measurement)),
         {"bc": catalog.canonical_selftest_marginal()}, {"r": resource.r, "n": resource.n},
-    )
+        checked=True)  # bwi_slices checked the slice; the canonical marginal lies in range
 
 
 def simulate_mdi(assemblage, resource: ResourceAssemblage) -> CorrelationTable:
@@ -183,7 +184,7 @@ def simulate_channel(assemblage, res_in: ResourceAssemblage, res_out: ResourceAs
         omega = la.apply_choi(choi[:, None], states[None])
         return np.einsum("pqrs,ijrp,ksq->ijk", m, omega, states).real
 
-    pure = np.stack([catalog.sigma_tilde(*key) for key in res_in.elements])
+    pure = catalog.canonical_resource_grid(1)[1].reshape(-1, 2, 2)
     p = res_in.r * raw_table(pure) + (1 - res_in.r) * raw_table(pure.transpose(0, 2, 1))
     # p[(a, x), (c, w), (d, u)] into the slice order (a, x, c, d, w, u).
     grid = p.reshape(*map(len, (*ax, *cw, *du))).transpose(0, 1, 2, 4, 3, 5)

@@ -167,11 +167,11 @@ def _block_from_json(block: dict, layout: str, names: str) -> dict:
             values = list(map(float, values))
             parsed = [{text: _parse_label(text) for text in set(columns[pattern.index(name)])}
                       for name in names]
-        except ValueError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"malformed key {keys[0]!r}: {exc}") from exc
         labels = [map(p.get, columns[pattern.index(name)]) for p, name in zip(parsed, names)]
         return dict(zip(zip(*labels), values))
-    except (TypeError, ValueError, OverflowError):
+    except SchemaError:
         if len(keys) == 1:
             raise
     return {key: p for item in block.items()  # one key at a time, to name the first that fails

@@ -7,10 +7,11 @@ from operator import itemgetter
 
 import numpy as np
 
+from eprkit import catalog
 from eprkit import linalg as la
 from eprkit import serialize as ser
 from eprkit.assemblages import SPECS
-from eprkit.functionals import decompose
+from eprkit.functionals import decompose, projector_strings
 
 
 def apply_map_to_factors(kmap: la.KrausMap, state: np.ndarray, dims, targets) -> np.ndarray:
@@ -257,6 +258,49 @@ def random_povm_element(rng: np.random.Generator, dim: int) -> np.ndarray:
     return (u * vals) @ u.conj().T
 
 
+def resource_per_key(n: int, r: float) -> tuple[dict, tuple]:
+    """The n-qubit resource one key at a time: r K + (1 - r) K^T for K the Kronecker
+    product of sigma_tilde over the qubits of each key, keyed in the product order of
+    the sorted (c, w) labels, and those labels."""
+    elements = {}
+    for key, combo in projector_strings(n):
+        k = la.tensor(*(catalog.sigma_tilde(c, w) for c, w in combo))
+        elements[key] = r * k + (1 - r) * k.T
+    labels = tuple(tuple(sorted(set(axis))) for axis in zip(*elements))
+    return {key: elements[key] for key in itertools.product(*labels)}, labels
+
+
+def observable_projectors_per_eigenvalue(obs: np.ndarray) -> dict:
+    """Outcome projectors {0, 1} of one +/-1 observable, one eigenvector at a time."""
+    vals, vecs = la.eig_hermitian(obs)
+    p_plus = np.zeros_like(obs, dtype=complex)
+    for i, lam in enumerate(vals):
+        if lam > 0:
+            v = vecs[:, i : i + 1]
+            p_plus += v @ v.conj().T
+    return {0: p_plus, 1: np.eye(obs.shape[0], dtype=complex) - p_plus}
+
+
+def selftest_marginal_per_entry() -> np.ndarray:
+    """p(b, c | z, w) of the canonical strategy on its (b, c, z, w) grid, one trace each."""
+    marginal = np.empty((2, 2, 4, 3))
+    for z, obs in catalog.selftest_observables().items():
+        projectors = observable_projectors_per_eigenvalue(obs)
+        for b, c, w in itertools.product((0, 1), (0, 1), (1, 2, 3)):
+            marginal[b, c, z - 1, w - 1] = np.real(np.trace(projectors[b] @ catalog.sigma_tilde(c, w)))
+    return marginal
+
+
+def channel_grid_einsum(qr) -> np.ndarray:
+    """The channel realisation's elements (..., a, x, 2 out, 2 out), by one four-operand
+    einsum of the Kraus operators, the conditional states and phi_plus."""
+    sigma, db, out = qr.conditional_states(), qr.bob_dim, qr.channel.out_dim
+    kraus = qr.channel.kraus_ops.reshape(*qr.channel.kraus_ops.shape[:-1], db, 2)
+    phi = la.phi_plus(1).reshape(2, 2, 2, 2)
+    j = np.einsum("...kosc,...axst,cdef,...kpte->...axodpf", kraus, sigma, phi, kraus.conj())
+    return j.reshape(*sigma.shape[:-2], 2 * out, 2 * out)
+
+
 def steering_effect(c: int, w: int) -> np.ndarray:
     """Charlie effect whose steering reproduces sigma_tilde: all plus signs."""
     return la.proj(c, w)
@@ -292,6 +336,6 @@ def block_from_json_per_key(block: dict, layout: str, names: str) -> dict:
             raise ser.SchemaError(f"key {text!r} does not match the layout {layout!r}")
         try:
             out[tuple(map(ser._parse_label, labels(fields)))] = float(p)
-        except ValueError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ser.SchemaError(f"malformed key {text!r}: {exc}") from exc
     return out

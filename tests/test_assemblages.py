@@ -20,6 +20,7 @@ from eprkit.assemblages import (
     validate,
 )
 from oracles import (
+    channel_grid_einsum,
     conjugation_map,
     min_eigenvalue,
     partial_trace,
@@ -183,6 +184,14 @@ def test_realize_channel_discard_input_forward_bob():
     sigma = qr.conditional_states()
     for (a, x), j in assemblage.elements.items():
         assert np.allclose(j, la.tensor(sigma[a, x - 1], la.I2 / 2), atol=1e-12)
+
+
+@pytest.mark.parametrize("alphabets", [None, {"a": 1, "x": 4}, {"x": 1}])
+def test_channel_grid_matches_the_four_operand_einsum(alphabets):
+    _, grid, qr = sample_quantum("channel", range(40, 48), alphabets)
+    expected = channel_grid_einsum(qr)
+    assert grid.shape == expected.shape
+    assert np.max(np.abs(grid - expected)) <= 1e-15
 
 
 def test_realize_channel_output_trace_condition():

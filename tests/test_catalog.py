@@ -8,7 +8,7 @@ from eprkit import linalg as la
 from eprkit.assemblages import random_quantum, validate
 from eprkit.bounds import SELFTEST_MAX, selftest_value
 from eprkit.functionals import bell_from_epr, evaluate_epr
-from oracles import partial_trace, steering_effect
+from oracles import partial_trace, selftest_marginal_per_entry, steering_effect
 
 
 def test_constants_consistency():
@@ -105,6 +105,12 @@ def test_canonical_strategy_saturates():
     for z, w in itertools.product((1, 2, 3, 4), (1, 2, 3)):
         total = sum(marginal[(b, c, z, w)] for b in (0, 1) for c in (0, 1))
         assert abs(total - 1) < 1e-12
+
+
+def test_canonical_marginal_matches_the_per_entry_traces():
+    marginal = catalog.canonical_selftest_marginal()
+    assert marginal.labels == catalog.SELFTEST_LABELS
+    assert marginal.grid.tobytes() == selftest_marginal_per_entry().tobytes()
 
 
 def test_canonical_strategy_assemblage_validates():

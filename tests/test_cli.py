@@ -475,6 +475,13 @@ def _add_element_outside_alphabets(docs):
 _HUGE = (10**400, -10**400)
 
 
+def _set_probability(docs, block, key, value):
+    """Set one probability of the correlation file; returns the key the error must name."""
+    correlations = docs["correlations"]
+    (correlations["slice"] if block == "slice" else correlations["selftest"][block])[key] = value
+    return key
+
+
 @pytest.mark.parametrize("mutate, argv", [
     pytest.param(lambda d: d["functional"]["operators"]["0,1,0"][0].__setitem__(0, [math.nan, 0]),
                  "eval --functional {functional} --assemblage {assemblage}",
@@ -550,6 +557,11 @@ _HUGE = (10**400, -10**400)
     *[pytest.param(lambda d, n=n: d["coefficients"]["coefficients"].update({"0,1,0,0,1": n}),
                    "eval --functional {coefficients} --correlations {correlations}",
                    id=f"huge-coefficient-{n > 0}") for n in _HUGE],
+    # A probability that is no finite number names its key.
+    *[pytest.param(lambda d, v=v, where=where: _set_probability(d, *where, v),
+                   "selftest --correlations {correlations}", id=f"{name}-probability-{where[0]}")
+      for v, name in ((None, "null"), (10**400, "huge-integer"))
+      for where in (("slice", "0,0,0|1,0,*,1"), ("bc", "0,0|1,1"))],
 ])
 def test_rejected_input_exits_two_with_one_json_error_line(capsys, tmp_path, mutate, argv):
     table = simulate_bwi(catalog.ptp_assemblage(), make_resource(1, 1.0))
@@ -557,8 +569,7 @@ def test_rejected_input_exits_two_with_one_json_error_line(capsys, tmp_path, mut
             "coefficients": ser.functional_to_json(catalog.ptp_bell_coefficients()),
             "assemblage": ser.assemblage_to_json(catalog.ptp_assemblage()),
             "correlations": ser.table_to_json(table)}
-    if mutate:
-        mutate(docs)
+    named = mutate(docs) if mutate else None  # a mutation may return a text the error names
     paths = {"directory": str(tmp_path), "unwritable": str(tmp_path / "missing" / "out.json"),
              "deep": str(tmp_path / "deep.json")}
     with open(paths["deep"], "w") as fh:
@@ -572,7 +583,10 @@ def test_rejected_input_exits_two_with_one_json_error_line(capsys, tmp_path, mut
     assert code == 2
     lines = captured.err.splitlines()
     assert len(lines) == 1 and "Traceback" not in captured.err
-    assert json.loads(lines[0])["exit_code"] == 2
+    error = json.loads(lines[0])
+    assert error["exit_code"] == 2
+    if isinstance(named, str):
+        assert named in error["error"]
     if captured.out.strip():
         json.loads(captured.out, parse_constant=_reject_constant)
 

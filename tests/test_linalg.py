@@ -9,10 +9,12 @@ from oracles import (
     choi,
     conjugation_map,
     min_eigenvalue,
+    observable_projectors_per_eigenvalue,
     partial_trace,
     partial_transpose,
     random_hermitian,
     random_povm_element,
+    random_unitary,
     transpose_dual,
 )
 
@@ -326,3 +328,18 @@ def test_random_povm_element_is_valid_effect():
         vals = np.linalg.eigvalsh(m)
         assert vals[0] >= -1e-10
         assert vals[-1] <= 1 + 1e-10
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_observable_projectors_of_a_stack_match_the_per_eigenvalue_sum(dim):
+    rng = np.random.default_rng(dim)
+    observables = []
+    for _ in range(6):
+        u = random_unitary(rng, dim)
+        observables.append((u * rng.choice([-1.0, 1.0], dim)) @ u.conj().T)
+    projectors = la.observable_projectors(np.stack(observables))
+    assert projectors.shape == (6, 2, dim, dim)
+    for obs, got in zip(observables, projectors):
+        expected = observable_projectors_per_eigenvalue(obs)
+        assert np.max(np.abs(got - np.stack([expected[0], expected[1]]))) <= 1e-15
+        assert np.allclose(got[0] - got[1], obs, atol=1e-12)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprkit import catalog
@@ -22,6 +22,7 @@ from oracles import (
     random_hermitian,
     random_povm_element,
     random_slice_labels,
+    resource_per_key,
     shuffled_table,
     slice_mass_per_key,
 )
@@ -57,6 +58,31 @@ def test_make_resource_is_valid_standard_assemblage():
     for r in (0.0, 0.5, 1.0):
         res = make_resource(1, r)
         assert validate(StandardAssemblage(dict(res.elements))).passed
+
+
+@settings(max_examples=60)
+@given(n=st.sampled_from([1, 2]), r=st.floats(0.0, 1.0))
+def test_make_resource_matches_the_per_key_construction(n, r):
+    res = make_resource(n, r)
+    elements, labels = resource_per_key(n, r)
+    assert list(res.elements) == list(elements) and res.labels == labels
+    for got, expected in zip(res.elements.values(), elements.values()):
+        assert got.tobytes() == expected.tobytes()
+    assert res.stack.tobytes() == np.stack(list(elements.values())).tobytes()
+
+
+def test_resource_grids_are_read_only_and_share_no_writable_memory():
+    for n in (1, 2):
+        _, pure = catalog.canonical_resource_grid(n)
+        assert not pure.flags.writeable
+        low, high = make_resource(n, 0.25), make_resource(n, 0.75)
+        for res in (low, high):
+            assert not res.stack.flags.writeable
+            assert not any(m.flags.writeable for m in res.elements.values())
+            assert not np.shares_memory(res.stack, pure)
+            with pytest.raises(ValueError):
+                res.stack[0, 0, 0] = 1.0
+        assert not np.shares_memory(low.stack, high.stack)
 
 
 def test_make_resource_rejects_bad_arguments():

@@ -14,8 +14,11 @@ the report says so.
 
 The seesaw keeps Bob's processing fixed to the identity and alternates exact
 state and measurement updates, so every iterate is a quantum-feasible value;
-it brackets, never computes, the quantum bound.  All restarts advance as one
-stack over a leading restart axis, which a restart leaves when it stops.
+it brackets, never computes, the quantum bound.  Each restart is one row of
+Alice's real Pauli coefficients, and the rows advance as one stack that a
+restart leaves when it stops.  An iteration is one matrix product for the
+Hamiltonians, one checked eigendecomposition and one product for the
+conditioned differences, whence the measurement step and value in closed form.
 
 The self-test value I_E is one dot product of a marginal's (b, c, z, w)
 grid with constant weights.
@@ -34,6 +37,7 @@ from .functionals import EPRFunctional
 
 ENUMERATION_GUARD = 10**6
 _CHUNK = 256  # strategies per batched eigvalsh in classical_bound
+_TINY = np.finfo(float).smallest_subnormal  # floors divisors that are 0 only with their dividends
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,20 @@ def ns_lower_bound(f: EPRFunctional) -> BoundReport:
     )
 
 
+def _nonpositive_projector(e: np.ndarray) -> np.ndarray:
+    """Coefficients (..., 4) over sigma = ``la.PAULIS`` (I, Z, X, Y) of the projector onto
+    the nonpositive eigenspace of G = e . sigma / 2, for real e (..., 4).  G's eigenvalues
+    are (e_0 -+ |e_vec|) / 2: the projector is I if both are <= 0, (I - e_vec . sigma /
+    |e_vec|) / 2 if only the lower one is, and 0 otherwise."""
+    # G's positive multiples share the projector; at max_k |e_k| = 1 (or e = 0), |e_vec|
+    # neither overflows nor loses digits to subnormal components.
+    e = e / np.maximum(np.abs(e).max(-1, keepdims=True), _TINY)
+    norm = np.hypot.reduce(e[..., 1:], axis=-1, keepdims=True)
+    lower, upper = e[..., :1] <= norm, e[..., :1] <= -norm
+    unit = e[..., 1:] / np.maximum(norm, _TINY)  # |e_vec| = 0 only where e_vec = 0
+    return np.concatenate([lower / 2 + upper / 2, unit * ((lower != upper) / -2)], -1)
+
+
 def seesaw_quantum(f: EPRFunctional, seed: int = 0, restarts: int = 10,
                    max_iterations: int = 500, rel_tol: float = 1e-10) -> BoundReport:
     """Alternating minimisation over (state, Alice POVMs); Bob channels identity.
@@ -119,52 +137,48 @@ def seesaw_quantum(f: EPRFunctional, seed: int = 0, restarts: int = 10,
     (a_vals, x_vals, y_vals), grid = _functional_grid(f)
     if a_vals != (0, 1):
         raise ValueError("the seesaw measurement step needs a binary Alice alphabet")
-    db = f.dim
-    summed = grid.sum(2)  # (a, x, d, d): sum_y F_{axy}
+    db, n_x = f.dim, len(x_vals)
+    summed = grid.sum(2)  # (a, x, d, d): S_{ax} = sum_y F_{axy}
+    # h = sum_{x,k} c_xk sigma_k (x) D_x + I (x) sum_x S_{1x} with D_x = S_{0x} - S_{1x}:
+    # the row coef = (c_10, ..., c_{n_x}3, 1) times this basis.
+    ops = np.concatenate([summed[0] - summed[1], summed[1].sum(0, keepdims=True)])
+    basis = np.einsum("kij,xab->xkiajb", la.PAULIS, ops).reshape(-1, 4 * db * db)[:4 * n_x + 1]
     root = np.random.default_rng(seed)
     rngs = [np.random.default_rng(root.integers(2**63)) for _ in range(restarts)]
-    # Every restart's POVMs (r, x, a, 2, 2), last ground vector and value trace.
-    povms = la.random_projective_povm([[rng] * len(x_vals) for rng in rngs], 2)
+    # Every restart's row, c_xk = tr[sigma_k M_{0|x}] / 2, last ground vector and value trace.
+    m0 = la.random_projective_povm([[rng] * n_x for rng in rngs], 2)[:, :, 0]
+    coef = np.ones((restarts, 4 * n_x + 1))
+    coef[:, :-1] = np.einsum("kji,rxij->rxk", la.PAULIS, m0).real.reshape(restarts, -1) / 2
     grounds = np.empty((restarts, 2 * db), dtype=complex)
     traces = [[] for _ in range(restarts)]
     active = np.arange(restarts)  # the restarts still iterating, stacked on the leading axis
     for iteration in range(max_iterations):
-        # h_r = sum_{a,x} M_{a|x} (x) S_{ax}
-        h = np.einsum("rxaij,axkl->rikjl", povms[active], summed).reshape(-1, 2 * db, 2 * db)
-        ground = la.eig_hermitian(h)[1][..., 0]
-        # With rho the ground projector and psi its vector as a (2, d) matrix,
-        # every tr_B[(I (x) S_{ax}) rho] is psi S_{ax}^T psi^dagger.
-        psi = ground.reshape(-1, 2, db)
-        conditioned = np.einsum("rim,axkm,rjk->raxij", psi, summed, psi.conj())
-        # Measurement step: per x, put outcome 0 on the nonpositive eigenspace
-        # of the conditioned operator difference (ties go to outcome 0).
-        dvals, dvecs = la.eig_hermitian(conditioned[:, 0] - conditioned[:, 1])
-        kept = dvecs * (dvals <= 0)[..., None, :]
-        m0 = kept @ kept.conj().swapaxes(-2, -1)
-        povms[active] = step = np.stack([m0, np.eye(2) - m0], axis=2)
-        grounds[active] = ground
-        # tr[(M (x) S) rho] = tr[M tr_B((I (x) S) rho)], so the new value needs no new h.
-        values = np.einsum("rxaij,raxji->r", step, conditioned).real
+        psi = la.eig_hermitian((coef[active] @ basis).reshape(-1, 2 * db, 2 * db))[1][..., 0]
+        # e_n = <psi|basis_n|psi>, so e_xk = tr[sigma_k G_x] for G_x = tr_B[(I (x) D_x) rho].
+        e = ((psi.conj()[:, :, None] * psi[:, None]).reshape(len(psi), -1) @ basis.T).real
+        coef[active, :-1] = step = _nonpositive_projector(
+            e[:, :-1].reshape(-1, n_x, 4)).reshape(len(psi), -1)
+        grounds[active] = psi
+        values = (step * e[:, :-1]).sum(1) + e[:, -1]  # tr[h rho] for the new h
         for r, value in zip(active.tolist(), values.tolist()):
             traces[r].append(value)
         if iteration:  # a restart stops once its last two values agree within rel_tol
-            previous = np.array([traces[r][-2] for r in active])
             converged = np.abs(previous - values) <= rel_tol * np.maximum(1.0, np.abs(previous))
-            active = active[~converged]
+            active, values = active[~converged], values[~converged]
             if not active.size:
                 break
+        previous = values
     per_restart = tuple((trace[-1], len(trace)) for trace in traces)
     best = min(range(restarts), key=lambda r: per_restart[r][0])  # the first minimum
-    return BoundReport(
-        "seesaw", per_restart[best][0], witness=QuantumRealisation(
-            "bwi", np.outer(grounds[best], grounds[best].conj()),
-            {x: tuple(m) for x, m in zip(x_vals, povms[best])},
-            channels={y: la.identity_map(db) for y in y_vals}),
-        guaranteed_tight=False,
-        note="quantum-achievable value; upper bound on the quantum minimum",
-        iterations=sum(n for _, n in per_restart), restarts=restarts,
-        trace=tuple(traces[best]), per_restart=per_restart,
-    )
+    effects = (coef[best, :-1].reshape(n_x, 4) @ la.PAULIS.reshape(4, 4)).reshape(n_x, 2, 2)
+    witness = QuantumRealisation(
+        "bwi", np.outer(grounds[best], grounds[best].conj()),
+        {x: (m, np.eye(2) - m) for x, m in zip(x_vals, effects)},
+        channels=dict.fromkeys(y_vals, la.identity_map(db)))
+    return BoundReport("seesaw", per_restart[best][0], witness, guaranteed_tight=False,
+                       note="quantum-achievable value; upper bound on the quantum minimum",
+                       iterations=sum(n for _, n in per_restart), restarts=restarts,
+                       trace=tuple(traces[best]), per_restart=per_restart)
 
 
 # The weight (-1)^(b + c) SELFTEST_SIGNS[w][z - 1] of p(b, c | z, w) in I_E.

@@ -88,20 +88,11 @@ def ptp_functional(normalized: bool = False, beta_aq: float | None = None) -> EP
         beta_aq = PTP.almost_quantum
     if not math.isfinite(beta_aq):
         raise ValueError(f"beta_aq must be finite, got {beta_aq}")
-    shift = beta_aq / 6 if normalized else 0.0
-    operators = la.I2 - 2 * ptp_assemblage().grid[1] - shift * la.I2
-    if normalized:
-        bounds = {
-            "classical": PTP.classical_exact - beta_aq,
-            "almost_quantum": 0.0,
-            "no_signalling": -beta_aq,
-        }
-    else:
-        bounds = {
-            "classical": PTP.classical_exact,
-            "almost_quantum": beta_aq,
-            "no_signalling": PTP.no_signalling,
-        }
+    # The normalisation spreads beta_aq over the |X| |Y| = 6 operators: every bound moves by it.
+    shift = beta_aq if normalized else 0.0
+    operators = la.I2 - 2 * ptp_assemblage().grid[1] - shift / 6 * la.I2
+    bounds = {"classical": PTP.classical_exact - shift, "almost_quantum": beta_aq - shift,
+              "no_signalling": PTP.no_signalling - shift}
     return EPRFunctional("bwi", keyed_operators(PTP_LABELS, operators), bounds)
 
 

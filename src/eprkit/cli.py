@@ -157,13 +157,10 @@ def cmd_bound(args, argv) -> int:
     functional, digest = _load(ser.functional_from_json, args.functional)
     if not isinstance(functional, EPRFunctional):
         raise CliError(1, "bounds take an operator-form functional")
+    seesaw = functools.partial(bd.seesaw_quantum, seed=args.seed, restarts=args.restarts)
+    bound = {"classical": bd.classical_bound, "ns-cert": bd.ns_lower_bound, "seesaw": seesaw}
     try:
-        if args.kind == "classical":
-            report = bd.classical_bound(functional)
-        elif args.kind == "ns-cert":
-            report = bd.ns_lower_bound(functional)
-        else:
-            report = bd.seesaw_quantum(functional, seed=args.seed, restarts=args.restarts)
+        report = bound[args.kind](functional)
     except ValueError as exc:
         raise CliError(1, str(exc)) from exc
     fields = {"bound": ser.bound_report_to_json(report)}
@@ -174,18 +171,10 @@ def cmd_bound(args, argv) -> int:
     if args.kind == "ns-cert":
         fields["note"] = report.note
     if args.kind == "seesaw" and functional.bounds:
-        lo = functional.bounds.get("almost_quantum")
-        hi = functional.bounds.get("classical")
-        bracket = {"tolerance": 1e-4}
-        if lo is not None:
-            bracket["lower"] = lo
-        if hi is not None:
-            bracket["upper"] = hi
-        ok = (lo is None or report.value >= lo - 1e-4) and (
-            hi is None or report.value <= hi + 1e-4
-        )
-        bracket["passed"] = ok
-        fields["bracket_check"] = bracket
+        lo, hi = functional.bounds.get("almost_quantum"), functional.bounds.get("classical")
+        bracket = {key: v for key, v in (("lower", lo), ("upper", hi)) if v is not None}
+        fields["bracket_check"] = {**bracket, "tolerance": 1e-4, "passed": (
+            lo is None or report.value >= lo - 1e-4) and (hi is None or report.value <= hi + 1e-4)}
     _emit(_report(argv, {args.functional: digest}, started, **fields))
     return 0
 

@@ -130,8 +130,7 @@ _PAULI_TO_PROJECTORS = np.array([[1 / 3] * 6] + [
 @functools.cache
 def _pauli_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The 4^n Pauli strings stacked in kron order, and their projector coefficients."""
-    strings = np.stack([la.tensor(*s) for s in itertools.product(
-        (la.I2, la.PAULI_Z, la.PAULI_X, la.PAULI_Y), repeat=n)])
+    strings = np.stack([la.tensor(*s) for s in itertools.product(la.PAULIS, repeat=n)])
     to_projectors = functools.reduce(np.kron, [_PAULI_TO_PROJECTORS] * n)
     for shared in (strings, to_projectors):
         shared.setflags(write=False)

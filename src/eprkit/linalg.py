@@ -30,6 +30,7 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 # Setting label -> Pauli operator (w = 1, 2, 3).
 PAULI_BY_SETTING = {1: PAULI_Z, 2: PAULI_X, 3: PAULI_Y}
+PAULIS = np.stack([I2, PAULI_Z, PAULI_X, PAULI_Y])  # I, then the settings' Paulis in order
 
 
 def hermitian(entries, tol: float = HERMITICITY_TOL) -> np.ndarray:

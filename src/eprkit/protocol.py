@@ -16,6 +16,7 @@ checked against the threshold instead (see the CLI).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import InitVar, dataclass, field
 
@@ -104,14 +105,22 @@ def _check_probabilities(p: np.ndarray, keys) -> None:
         raise ValueError(f"probability out of range at {key}: {p[bad][0]}")
 
 
-def _check_effect(m: np.ndarray, dim: int) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
+def _check_effect(m, n: int) -> np.ndarray:
+    """``m`` checked as an effect on two n-qubit registers; None is phi_plus, checked once."""
+    if m is None:
+        return _phi_plus_effect(n)
+    m, dim = np.asarray(m, dtype=complex), 4**n
     if m.shape != (dim, dim):
         raise ValueError(f"measurement element must be {dim}x{dim}, got {m.shape}")
     vals = np.linalg.eigvalsh(m)
     if vals[0] < -EFFECT_TOL or vals[-1] > 1 + EFFECT_TOL:
         raise ValueError("measurement element is not a valid effect (0 <= M <= I)")
     return m
+
+
+@functools.cache
+def _phi_plus_effect(n: int) -> np.ndarray:
+    return _check_effect(la.hermitian(la.phi_plus(n)), n)  # a read-only copy
 
 
 def bwi_slices(labels, sigma, resource: ResourceAssemblage, measurement=None):
@@ -121,9 +130,7 @@ def bwi_slices(labels, sigma, resource: ResourceAssemblage, measurement=None):
     d = sigma.shape[-1]
     if d != 2**resource.n:
         raise ValueError(f"assemblage dim {d} does not match resource on {resource.n} qubits")
-    if measurement is None:
-        measurement = la.phi_plus(resource.n)
-    m = _check_effect(measurement, d * d).reshape(d, d, d, d)
+    m = _check_effect(measurement, resource.n).reshape(d, d, d, d)
     lead = sigma.shape[:-5]
     # One operand at a time: a single three-operand einsum loops over all six indices at once.
     half = np.einsum("pqrs,...irp->...iqs", m, sigma.reshape(*lead, -1, d, d))
@@ -171,9 +178,7 @@ def simulate_channel(assemblage, res_in: ResourceAssemblage, res_out: ResourceAs
         raise ValueError(f"expected a channel assemblage, got {assemblage.scenario!r}")
     if res_in.n != 1 or res_out.n != 1:
         raise ValueError("the channel protocol uses single-qubit resources")
-    if measurement is None:
-        measurement = la.phi_plus(1)
-    m = _check_effect(measurement, 4).reshape(2, 2, 2, 2)
+    m = _check_effect(measurement, 1).reshape(2, 2, 2, 2)
     if res_in.r != res_out.r:
         raise ValueError("the channel protocol needs one mixing parameter for both resources")
     (ax, choi), cw, du = assemblage.grid, res_in.labels, res_out.labels

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from eprkit import catalog
 from eprkit import linalg as la
 from eprkit.bounds import (
     SELFTEST_MAX,
+    _nonpositive_projector,
     classical_bound,
     ns_lower_bound,
     seesaw_quantum,
@@ -131,6 +133,60 @@ def test_seesaw_is_scale_invariant(scale):
     value = seesaw_quantum(f, seed=6, restarts=3).value
     scaled = seesaw_quantum(_random_bwi_functional(6, scale), seed=6, restarts=3).value
     assert abs(scaled - scale * value) <= 1e-12 * abs(scale * value)
+
+
+def _measurement_step(g):
+    """M_{0|x} of the closed-form step for conditioned differences g (..., 2, 2)."""
+    return np.einsum("...k,kij->...ij", _nonpositive_projector(
+        np.einsum("kji,...ij->...k", la.PAULIS, g).real), la.PAULIS)
+
+
+@given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300]))
+def test_closed_form_measurement_step_matches_eigendecomposition(seed, scale):
+    g = scale * np.stack([random_hermitian(np.random.default_rng(seed), 2) for _ in range(8)])
+    vals, vecs = la.eig_hermitian(g)
+    kept = vecs * (vals <= 0)[..., None, :]  # the projector onto the nonpositive eigenspace
+    assert np.max(np.abs(_measurement_step(g) - kept @ kept.conj().swapaxes(-2, -1))) <= 1e-12
+
+
+@pytest.mark.parametrize("g, m0", [
+    pytest.param(np.diag([0.0, 1.0]), la.proj(0, 1), id="zero-eigenvalue-to-outcome-0"),
+    pytest.param((la.I2 + la.PAULI_X) / 2, la.proj(1, 2), id="zero-eigenvalue-off-axis"),
+    pytest.param(np.diag([0.0, -1.0]), la.I2, id="zero-and-negative"),
+    pytest.param(np.zeros((2, 2)), la.I2, id="zero"),
+    pytest.param(np.array([[2, 1j], [-1j, 2]]), np.zeros((2, 2)), id="positive-definite"),
+    pytest.param(-np.array([[2, 1j], [-1j, 2]]), la.I2, id="negative-definite"),
+])
+def test_closed_form_measurement_step_exact_cases(g, m0):
+    assert np.array_equal(_measurement_step(g), m0)
+
+
+@pytest.mark.parametrize("scale", [1e-320, 1e-310, 1e300])
+def test_seesaw_at_extreme_scales(scale):
+    f = catalog.ptp_functional(normalized=True)
+    scaled = EPRFunctional("bwi", {key: scale * op for key, op in f.operators.items()})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow or underflow warning fails the test
+        value = seesaw_quantum(scaled, seed=0, restarts=10).value
+    assert np.isfinite(value)
+    if scale >= 1e-310:  # at 1e-320 the entries keep only a few significant digits
+        assert abs(value / scale - seesaw_quantum(f, seed=0, restarts=10).value) <= 1e-9
+
+
+def test_seesaw_takes_one_eigendecomposition_per_stacked_iteration(monkeypatch):
+    calls = []
+    real_eig_hermitian = la.eig_hermitian
+
+    def counting_eig_hermitian(m):
+        calls.append(len(m))
+        return real_eig_hermitian(m)
+
+    monkeypatch.setattr(la, "eig_hermitian", counting_eig_hermitian)
+    report = seesaw_quantum(_random_bwi_functional(2), seed=2, restarts=4, max_iterations=10)
+    monkeypatch.undo()
+    assert len(calls) == max(n for _, n in report.per_restart)
+    # Each call takes the restarts still iterating, as one stack.
+    assert calls == [sum(n > i for _, n in report.per_restart) for i in range(len(calls))]
 
 
 def test_seesaw_rejects_non_binary_alice():
@@ -354,7 +410,7 @@ def _check_seesaw_against_reference(f, seed, restarts, max_iterations):
     return True
 
 
-@given(seed=st.integers(0, 2**32 - 1), n_x=st.integers(1, 6), n_y=st.integers(1, 2),
+@given(seed=st.integers(0, 2**32 - 1), n_x=st.integers(1, 10), n_y=st.integers(1, 2),
        dim=st.sampled_from([2, 4]), restarts=st.integers(1, 3))
 def test_seesaw_matches_per_term_loop(seed, n_x, n_y, dim, restarts):
     rng = np.random.default_rng(seed)

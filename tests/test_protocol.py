@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from eprkit import catalog
 from eprkit import linalg as la
+from eprkit import protocol
 from eprkit.assemblages import BwIAssemblage, MDIAssemblage, StandardAssemblage, random_quantum, validate
 from eprkit.bounds import SELFTEST_MAX, selftest_value
 from eprkit.functionals import bell_from_epr, evaluate_bell, evaluate_epr
@@ -122,10 +123,36 @@ def test_simulate_bwi_zero_measurement():
 
 
 def test_simulate_bwi_rejects_invalid_effect():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a valid effect"):
         simulate_bwi(catalog.ptp_assemblage(), make_resource(1, 1.0), 2 * np.eye(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a valid effect"):
         simulate_bwi(catalog.ptp_assemblage(), make_resource(1, 1.0), -np.eye(4))
+    with pytest.raises(ValueError, match="must be 4x4, got"):
+        simulate_bwi(catalog.ptp_assemblage(), make_resource(1, 1.0), np.eye(2))
+
+
+def _simulate(assemblage, resource, measurement=None):
+    if assemblage.scenario == "bwi":
+        return simulate_bwi(assemblage, resource, measurement)
+    return simulate_channel(assemblage, resource, resource, measurement)
+
+
+@pytest.mark.parametrize("scenario, n", [("bwi", 1), ("bwi", 2), ("channel", 1)])
+def test_default_effect_is_built_and_checked_once(monkeypatch, scenario, n):
+    assemblage, resource = random_quantum(scenario, 3, n=n)[0], make_resource(n, 0.5)
+    phi_plus = la.phi_plus(n)
+    _simulate(assemblage, resource)  # builds the default effect of n qubits, if not yet built
+    calls = []
+    for module, name in ((la, "phi_plus"), (np.linalg, "eigvalsh")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda m, real=real, name=name: (
+            calls.append(name), real(m))[1])
+    default = _simulate(assemblage, resource)
+    assert calls == []  # neither rebuilt nor checked again
+    explicit = _simulate(assemblage, resource, phi_plus)
+    assert calls == ["eigvalsh"]  # an effect the caller passes is checked on every call
+    assert np.array_equal(default.slice.grid, explicit.slice.grid)
+    assert not protocol._check_effect(None, n).flags.writeable
 
 
 def test_simulate_bwi_rejects_other_scenarios():

@@ -115,12 +115,18 @@ def _channel_conditions(grid):
 
 
 def _bwi_grid(qr: QuantumRealisation):
-    sigma, kraus = qr.conditional_states(), [c.kraus_ops for c in qr.channels.values()]
-    # sum_k K_k sigma K_k^dagger through the superoperator S_opij = sum_k K_koi conj(K_kpj)
-    # of each channel y: one product per channel instead of one per Kraus operator.
-    out = np.stack([np.einsum("...axij,...opij->...axop", sigma,
-                              np.einsum("...koi,...kpj->...opij", k, k.conj())) for k in kraus], -3)
-    return (range(out.shape[-5]), list(qr.povms), list(qr.channels)), out
+    channels = list(qr.channels.values())
+    sigma, d_in, d = qr.conditional_states(), qr.bob_dim, channels[0].out_dim
+    # sum_k K_k sigma K_k^dagger = sum_ij sigma_ij S_ij, S_ij[o, p] = sum_k K_koi conj(K_kpj): one
+    # product per channel for S, then one for all elements, with S over (i, j), (y, o, p).
+    flat = [c.kraus_ops.reshape(*c.kraus_ops.shape[:-2], -1) for c in channels]
+    s = np.stack([np.einsum("...kn,...km->...nm", k, k.conj()) for k in flat], -3)
+    *lead, n_y = s.shape[:-2]
+    s = np.moveaxis(s.reshape(*lead, n_y, d, d_in, d, d_in), (-3, -1), (-5, -4))
+    out = np.einsum("...an,...nm->...am", sigma.reshape(*sigma.shape[:-4], -1, d_in * d_in),
+                    s.reshape(*lead, d_in * d_in, -1))
+    return (range(sigma.shape[-4]), list(qr.povms), list(qr.channels)), out.reshape(
+        *sigma.shape[:-2], n_y, d, d)
 
 
 def _mdi_grid(qr: QuantumRealisation):
@@ -140,19 +146,18 @@ def _channel_grid(qr: QuantumRealisation):
     return (range(j.shape[-6]), list(qr.povms)), j.reshape(*sigma.shape[:-2], 2 * out, 2 * out)
 
 
-def _sample_bwi(rngs, sizes, db):
-    # Each generator draws the isometries of Bob's channels y = 0, 1, ... in turn.
-    kraus = la.random_channel(rngs[..., None].repeat(sizes["y"], -1), db, db).kraus_ops
-    return {"channels": dict(enumerate(la.KrausMap(db, db, k) for k in np.moveaxis(kraus, -4, 0)))}
+def _sample_bwi(sizes, db):  # Bob's channels y = 0, 1, ..., each stack checked once
+    return (sizes["y"], 2 * db, db), None, lambda g: {"channels": dict(enumerate(
+        la.KrausMap(db, db, k) for k in np.moveaxis(la.stinespring(g, db), -4, 0)))}
 
 
-def _sample_mdi(rngs, sizes, db):
-    # A random projective measurement on B (x) B_in, one effect per outcome b.
-    return {"instrument": la.random_projective_povm(rngs, 2 * db, sizes["b"])}
+def _sample_mdi(sizes, db):  # a projective measurement on B (x) B_in, its cuts drawn last
+    return (2 * db, 2 * db), la.cut_draw(2 * db, sizes["b"]), lambda g, cuts: {
+        "instrument": la.projective_povm(g, sizes["b"], cuts)}
 
 
-def _sample_channel(rngs, sizes, db):
-    return {"channel": la.random_channel(rngs, 2 * db, 2)}
+def _sample_channel(sizes, db):
+    return (4, 2 * db), None, lambda g: {"channel": la.KrausMap(2 * db, 2, la.stinespring(g, 2))}
 
 
 @dataclass(frozen=True)
@@ -167,11 +172,12 @@ class Scenario:
     labels that read out each tensor factor of a functional operator, in
     factor order.  ``conditions(grid)`` gives the no-signalling residuals
     after ``elements-psd`` as (name, residual) pairs, from the elements on
-    their grid of shape (*alphabet sizes, d, d).  ``sample(rngs, sizes, db)``
-    draws Bob's processing, as ``QuantumRealisation`` keywords, for a Bob
-    system of dimension ``db`` from the generators ``rngs``; ``realize(qr)``
-    gives the labels and grid (..., *label counts, d, d) of the elements of a
-    realisation or a stack of them.
+    their grid of shape (*alphabet sizes, d, d).  ``sample(sizes, db)`` gives,
+    for Bob's processing on a system of dimension ``db``, its Ginibre shape,
+    the draw each generator makes after its normals (or None) and ``build``:
+    its ``QuantumRealisation`` keywords from the Ginibre matrices and the
+    outputs of that draw.  ``realize(qr)`` gives the labels and grid (...,
+    *label counts, d, d) of the elements of a realisation or a stack of them.
     """
 
     axes: str
@@ -201,6 +207,18 @@ SPECS = {
     "channel": Scenario("ax", "x", _channel_conditions, "a,0,c,d|x,*,*,w,u", ("du", "cw"),
                         _sample_channel, _channel_grid),
 }
+
+
+class ReadOnlyDict(dict):
+    """A dict whose entries are fixed once it is built: every mutating method raises."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):  # copies and pickles rebuild it instead of filling an empty one
+        return type(self), (dict(self),)
 
 
 def freeze_operators(operators: dict) -> np.ndarray:
@@ -291,8 +309,8 @@ class Assemblage:
     Each subclass is one scenario and adds one alphabet size ``n_<axis>`` per
     axis, in axis order: ``BwIAssemblage(elements, n_a, n_x, n_y)``.  The
     checked elements are held as one read-only array ``stack`` in key order;
-    ``elements`` maps each key to its view into that stack.  ``grid`` puts
-    them on the grid of their labels once, when first read.
+    ``elements`` is the read-only dict of each key's view into that stack.
+    ``grid`` puts them on the grid of their labels once, when first read.
     """
 
     elements: dict
@@ -318,7 +336,7 @@ class Assemblage:
         if outside:
             raise ValueError(f"element key {outside[0]} lies outside the alphabets {self.sizes}")
         object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "elements", dict(zip(self.elements, stack)))
+        object.__setattr__(self, "elements", ReadOnlyDict(zip(self.elements, stack)))
 
     @property
     def spec(self) -> Scenario:
@@ -457,8 +475,14 @@ class QuantumRealisation:
         (..., a, x) grid."""
         effects = np.stack([np.asarray(e) for e in self.povms.values()], -4)
         da, db = effects.shape[-1], self.bob_dim
-        rho = self.state.reshape(*self.state.shape[:-2], da, db, da, db)
-        return np.einsum("...xaji,...ikjl->...axkl", effects, rho)
+        # sigma_{a|x}[k, l] = sum_ij M_{a|x}[j, i] rho[(i, k), (j, l)]: one product over (i, j).
+        # An einsum of flattened operands adds the terms in the order of the index form, so
+        # the bits stay those of that form; ``@`` (BLAS) rounds differently in the last bit.
+        rho = self.state.reshape(*self.state.shape[:-2], da, db, da, db).swapaxes(-3, -2)
+        sigma = np.einsum("...xn,...nm->...xm",
+                          effects.swapaxes(-1, -2).reshape(*effects.shape[:-4], -1, da * da),
+                          rho.reshape(*rho.shape[:-4], da * da, db * db))
+        return sigma.reshape(*effects.shape[:-2], db, db).swapaxes(-4, -3)
 
 
 def realize_bwi(qr: QuantumRealisation) -> BwIAssemblage:
@@ -484,7 +508,9 @@ def transpose_assemblage(assemblage):
 def sample_quantum(scenario: str, seeds, alphabets: dict | None = None, n: int = 1):
     """``random_quantum`` for one seed or an array-like of them, drawn and realised as
     one stack: the labels of each element axis, the Hermitian-checked elements on their
-    grid (*seed axes, *label counts, d, d) and the realisation stack."""
+    grid (*seed axes, *label counts, d, d) and the realisation stack.  Each seed's
+    generator draws as in ``random_quantum``: one ``standard_normal`` call, then the
+    cuts of an MDI instrument."""
     labels, grid, qr = _sample(scenario, seeds, alphabets, n)
     return labels, la.hermitian(grid), qr
 
@@ -497,11 +523,13 @@ def _sample(scenario: str, seeds, alphabets: dict | None, n: int):
     rngs = np.asarray(np.frompyfunc(np.random.default_rng, 1, 1)(seeds), dtype=object)
     sizes = {**spec.default_sizes, **(alphabets or {})}
     db = 2**n
-    state = la.random_density(rngs, 2 * db)
-    # Each generator draws Alice's POVMs x = 1, 2, ... in turn.
-    effects = la.random_projective_povm(rngs[..., None].repeat(sizes["x"], -1), 2, sizes["a"])
-    povms = dict(zip(range(1, sizes["x"] + 1), np.moveaxis(effects, -4, 0)))
-    qr = QuantumRealisation(scenario, state, povms, **spec.sample(rngs, sizes, db))
+    la.cut_draw(2, sizes["a"])  # checks Alice's outcome count; her qubit POVMs draw no cuts
+    shape, then, build = spec.sample(sizes, db)
+    state, alice, *bob = la.ginibre_stacks(rngs, (2 * db, 2 * db), (sizes["x"], 2, 2), shape,
+                                           then=then)
+    effects = np.moveaxis(la.projective_povm(alice, sizes["a"]), -4, 0)
+    povms = dict(zip(range(1, sizes["x"] + 1), effects))
+    qr = QuantumRealisation(scenario, la.density(state), povms, **build(*bob))
     return (*spec.realize(qr), qr)
 
 
@@ -512,9 +540,12 @@ def random_quantum(scenario: str, seed: int, alphabets: dict | None = None, n: i
     (random orthonormal basis, random rank split), and Bob's processing comes
     from random isometries with a dimension-2 environment.  ``n`` is the qubit
     count of Bob's system; Bob-with-input draws use it as the output system.
-    The generator ``default_rng(seed)`` draws the state, Alice's POVMs for
-    x = 1, 2, ..., then Bob's channels for y = 0, 1, ..., his instrument or
-    his channel.  One seed is the stack of one of ``sample_quantum``.
+    The generator ``default_rng(seed)`` draws all its normals in one
+    ``standard_normal`` call: the state's Ginibre matrix, those of Alice's
+    POVMs for x = 1, 2, ..., then those of Bob's channels for y = 0, 1, ...,
+    his instrument or his channel, each matrix's real parts before its
+    imaginary parts; an MDI instrument's rank cuts are drawn last.  One seed
+    is the stack of one of ``sample_quantum``.
     """
     labels, grid, qr = _sample(scenario, seed, alphabets, n)
     return CONTAINERS[scenario].from_grid(labels, grid), qr  # the container checks its elements

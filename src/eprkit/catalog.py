@@ -64,12 +64,14 @@ def canonical_resource_assemblage() -> StandardAssemblage:
 PTP_LABELS = ((0, 1), (1, 2, 3), (0, 1))
 
 
+@functools.cache
 def ptp_assemblage(additive_exponent: bool = False) -> BwIAssemblage:
     """The PTP assemblage: sigma_{a|x} partially transposed when y = 1.
 
     The sign exponent is a + [x=2][y=1]: the transpose flips only the Pauli-Y
     element.  ``additive_exponent`` switches to the a + [x=2] + [y=1] reading
-    for comparison; that variant does not null the paired functional.
+    for comparison; that variant does not null the paired functional.  Each
+    variant is built once and shared, read-only like every assemblage.
     """
     a, x, y = np.ix_(*PTP_LABELS)
     e = a + (x == 2) + (y == 1) if additive_exponent else a + (x == 2) * (y == 1)
@@ -83,9 +85,16 @@ def ptp_functional(normalized: bool = False, beta_aq: float | None = None) -> EP
     The normalized form subtracts beta_aq / 6 from every operator so that the
     almost-quantum bound moves to zero; beta_aq defaults to the published
     constant and is overridable for negative controls, but must be finite.
+    Both forms at the published constant are built once and shared, read-only
+    like every functional.
     """
-    if beta_aq is None:
-        beta_aq = PTP.almost_quantum
+    if beta_aq is None or beta_aq == PTP.almost_quantum:
+        return _ptp_functional(bool(normalized), PTP.almost_quantum)
+    return _ptp_functional.__wrapped__(normalized, beta_aq)  # other constants are not kept
+
+
+@functools.cache
+def _ptp_functional(normalized: bool, beta_aq: float) -> EPRFunctional:
     if not math.isfinite(beta_aq):
         raise ValueError(f"beta_aq must be finite, got {beta_aq}")
     # The normalisation spreads beta_aq over the |X| |Y| = 6 operators: every bound moves by it.
@@ -156,26 +165,21 @@ def mdi_ptp_probabilities(method: str = "transposed-measurement") -> dict:
     * ``"controlled-transpose"``: transpose applied to Bob's half of the
       state, p = tr[(M_{a|x} (x) N_b) (id (x) T^y)(phi_plus)].
     """
-    n_effects = {
-        0: (la.I2 + la.PAULI_Y) / 3,
-        1: (2 * la.I2 - la.PAULI_Y) / 3,
-    }
-    phi = la.phi_plus()
-    out = {}
-    for a, x, y in itertools.product((0, 1), (1, 2, 3), (0, 1)):
-        m = (la.I2 + (-1) ** a * ALICE_PAULI[x]) / 2
-        for b, n_b in n_effects.items():
-            if method == "transposed-measurement":
-                eff = n_b.T if y == 1 else n_b
-                p = np.trace(la.tensor(m, eff) @ phi)
-            elif method == "controlled-transpose":
-                # (id (x) T)(phi_plus) is phi_plus with the row and column axes of a factor swapped.
-                state = phi.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4) if y else phi
-                p = np.trace(la.tensor(m, n_b) @ state)
-            else:
-                raise ValueError(f"unknown method {method!r}")
-            out[(a, b, x, y)] = float(np.real(p))
-    return out
+    n_b = np.stack([la.I2 + la.PAULI_Y, 2 * la.I2 - la.PAULI_Y]) / 3
+    phi = la.phi_plus().reshape(2, 2, 2, 2)  # rows (i, k) and columns (j, l): A, then B
+    # Bob's effects E_{b|y} and the state S_y that they meet, per control input y.
+    if method == "transposed-measurement":
+        effects, states = np.stack([n_b, n_b.swapaxes(-1, -2)]), np.stack([phi, phi])
+    elif method == "controlled-transpose":
+        # (id (x) T)(phi_plus) is phi_plus with the row and column axes of a factor swapped.
+        effects, states = np.stack([n_b, n_b]), np.stack([phi, phi.transpose(2, 1, 0, 3)])
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    m = (la.I2 + np.array([1, -1])[:, None, None, None] * np.stack(list(ALICE_PAULI.values()))) / 2
+    # tr[(M_{a|x} (x) E_{b|y}) S_y] = sum M[i, j] E[k, l] S[j, l, i, k], on the (a, x, y, b) grid.
+    p = np.einsum("axij,ybkl,yjlik->axyb", m, effects, states).real
+    keys = itertools.product((0, 1), (1, 2, 3), (0, 1), (0, 1))
+    return {(a, b, x, y): v for (a, x, y, b), v in zip(keys, p.ravel().tolist())}
 
 
 def _embed(grid: np.ndarray) -> np.ndarray:

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .assemblages import SPECS, LabelGrid, freeze_operators, keyed_operators, product_grid
+from .assemblages import (SPECS, LabelGrid, ReadOnlyDict, freeze_operators, keyed_operators,
+                          product_grid)
 
 # The scenarios with an activation protocol, i.e. a slice layout.
 SCENARIOS = tuple(name for name, spec in SPECS.items() if spec.layout)
@@ -48,8 +49,8 @@ class EPRFunctional:
     overflows.  ``bounds`` optionally carries known bound constants by name.
     The checked operators are held once, as the read-only ``grid`` (*label
     counts, d, d) over the sorted ``labels`` of each axis; ``stack`` is that
-    grid as (keys, d, d) in key order, and ``operators`` maps each key to its
-    view.
+    grid as (keys, d, d) in key order, and ``operators`` the read-only dict of
+    each key's view; ``bounds`` is read-only too.
     """
 
     scenario: str
@@ -70,7 +71,8 @@ class EPRFunctional:
                 raise ValueError("operator entries are too large: their total magnitude overflows")
         stack = grid.reshape(-1, *grid.shape[-2:])
         for name, value in (("stack", stack), ("labels", labels), ("grid", grid),
-                            ("operators", keyed_operators(labels, grid))):
+                            ("operators", ReadOnlyDict(keyed_operators(labels, grid))),
+                            ("bounds", ReadOnlyDict(self.bounds))):
             object.__setattr__(self, name, value)
         if not all(np.isfinite(v) for v in self.bounds.values()):
             raise ValueError(f"bound constants must be finite, got {self.bounds}")
@@ -178,7 +180,7 @@ def reconstruct(xi: dict, n: int = 1) -> np.ndarray:
     for key, combo in projector_strings(n):
         if key not in xi:
             raise ValueError(f"missing coefficient label {key}")
-        out += xi[key] * la.proj_string(*zip(*combo))
+        out += xi[key] * la.tensor(*(la.proj(c, w) for c, w in combo))
     return out
 
 

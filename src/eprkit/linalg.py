@@ -16,6 +16,7 @@ Conventions fixed once, used package-wide:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,11 +82,6 @@ def proj(c: int, w: int) -> np.ndarray:
     if c not in (0, 1) or w not in (1, 2, 3):
         raise ValueError(f"projector labels out of range: c={c}, w={w}")
     return (I2 + (-1) ** c * PAULI_BY_SETTING[w]) / 2
-
-
-def proj_string(cs, ws) -> np.ndarray:
-    """Tensor product of single-qubit projectors, factor i labelled (cs[i], ws[i])."""
-    return tensor(*(proj(c, w) for c, w in zip(cs, ws)))
 
 
 def phi_plus(n: int = 1) -> np.ndarray:
@@ -159,30 +155,38 @@ def apply_choi(j: np.ndarray, rho: np.ndarray) -> np.ndarray:
 # --- random instance generators (deterministic in the passed Generators) ---
 
 
-def _draws(rngs, draw) -> list:
-    """The outputs of ``draw(rng)``, each stacked over the leading axes ``np.shape(rngs)``.
-
-    ``rngs`` is one numpy Generator (no leading axes) or an array-like of them,
-    which draw in turn in row-major order.  Only the draws run per generator;
-    every generator below does the rest once over the stack.
-    """
-    rngs = np.asarray(rngs, dtype=object)
+def ginibre_stacks(rngs, *shapes, then=None) -> list:
+    """Complex Ginibre stacks (*np.shape(rngs), *shape), one per shape in turn, then the
+    outputs of ``then(rng)``, stacked alike.  ``rngs`` is one numpy Generator or an
+    array-like of them, which draw in turn in row-major order: each makes one
+    ``standard_normal`` call (each matrix's real parts, then its imaginary parts), then
+    ``then(rng)``.  Only the draws run per generator; the rest runs once over the stack."""
+    rngs, sizes = np.asarray(rngs, dtype=object), [2 * math.prod(shape) for shape in shapes]
     if not rngs.size:
         raise ValueError("no generators to draw from")
-    parts = zip(*(draw(rng) for rng in rngs.flat))
-    return [np.reshape(part, rngs.shape + np.shape(part[0])) for part in parts]
+    total = sum(sizes)
+    draws = [(rng.standard_normal(total), *(then(rng) if then else ())) for rng in rngs.flat]
+    z, *later = [np.array(part).reshape(rngs.shape + np.shape(part[0])) for part in zip(*draws)]
+    out, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        part = z[..., start:start + size].reshape(*rngs.shape, *shape[:-2], 2, *shape[-2:])
+        out.append(part[..., 0, :, :] + 1j * part[..., 1, :, :])
+        start += size
+    return out + later
 
 
 def ginibre(rngs, rows: int, cols: int) -> np.ndarray:
-    # One draw of the real parts, then the imaginary parts: the same stream as two.
-    z = _draws(rngs, lambda rng: (rng.standard_normal((2, rows, cols)),))[0]
-    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    return ginibre_stacks(rngs, (rows, cols))[0]
+
+
+def density(g: np.ndarray) -> np.ndarray:
+    """The state g g^dagger / tr[g g^dagger] of each matrix of a Ginibre stack."""
+    rho = g @ g.conj().swapaxes(-2, -1)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_density(rngs, dim: int) -> np.ndarray:
-    g = ginibre(rngs, dim, dim)
-    rho = g @ g.conj().swapaxes(-2, -1)
-    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    return density(ginibre(rngs, dim, dim))
 
 
 def _isometry(g: np.ndarray) -> np.ndarray:
@@ -193,20 +197,20 @@ def _isometry(g: np.ndarray) -> np.ndarray:
     return q * (diagonal / np.abs(diagonal))[..., None, :]
 
 
-def random_projective_povm(rngs, dim: int, n_outcomes: int = 2) -> np.ndarray:
-    """Projective POVM effects (..., n_outcomes, dim, dim) from a random orthonormal
-    basis split into outcome blocks at random cuts.
-
-    Each generator draws a Ginibre matrix, then the n_outcomes - 1 cuts.
-    """
+def cut_draw(dim: int, n_outcomes: int):
+    """Each generator's draw after its normals for a random projective POVM on ``dim``: the
+    n_outcomes - 1 cuts of its basis, or None on dim <= 2, with at most one candidate cut."""
     if not 1 <= n_outcomes <= dim:
         raise ValueError(f"a projective POVM on dimension {dim} cannot have {n_outcomes} outcomes")
-    if dim <= 2:  # at most one candidate cut: the choice is fixed and draws nothing
-        g, cuts = ginibre(rngs, dim, dim), np.arange(1, n_outcomes)
-    else:
-        z, cuts = _draws(rngs, lambda rng: (rng.standard_normal((2, dim, dim)), rng.choice(
-            np.arange(1, dim), size=n_outcomes - 1, replace=False)))
-        g, cuts = z[..., 0, :, :] + 1j * z[..., 1, :, :], np.sort(cuts, -1)
+    if dim > 2:
+        return lambda rng: (rng.choice(np.arange(1, dim), size=n_outcomes - 1, replace=False),)
+
+
+def projective_povm(g: np.ndarray, n_outcomes: int, cuts=None) -> np.ndarray:
+    """Projective POVM effects (..., n_outcomes, dim, dim): the orthonormal basis of each
+    Ginibre matrix of ``g`` split into blocks at ``cuts`` (default 1, ..., n_outcomes - 1)."""
+    dim = g.shape[-1]
+    cuts = np.arange(1, n_outcomes) if cuts is None else np.sort(cuts, -1)
     u = _isometry(g)
     # mask[..., o, j]: basis vector j lies in block o, the blocks split at the cuts.
     block = (np.arange(dim) >= cuts[..., None]).sum(-2)
@@ -214,11 +218,27 @@ def random_projective_povm(rngs, dim: int, n_outcomes: int = 2) -> np.ndarray:
     return np.einsum("...ij,...oj,...kj->...oik", u, mask, u.conj())
 
 
+def random_projective_povm(rngs, dim: int, n_outcomes: int = 2) -> np.ndarray:
+    """Projective POVM effects (..., n_outcomes, dim, dim) from a random orthonormal
+    basis split into outcome blocks at random cuts.
+
+    Each generator draws a Ginibre matrix, then the n_outcomes - 1 cuts.
+    """
+    g, *cuts = ginibre_stacks(rngs, (dim, dim), then=cut_draw(dim, n_outcomes))
+    return projective_povm(g, n_outcomes, *cuts)
+
+
+def stinespring(g: np.ndarray, out_dim: int) -> np.ndarray:
+    """Unchecked Kraus operators (..., env_dim, out_dim, in_dim) of the isometries of the
+    Ginibre matrices ``g`` (..., out_dim * env_dim, in_dim)."""
+    if g.shape[-2] < g.shape[-1]:
+        raise ValueError("out_dim * env_dim must be at least in_dim for an isometry")
+    v = _isometry(g)
+    # Row out * env_dim + e of the isometry is row ``out`` of Kraus operator e.
+    return v.reshape(*v.shape[:-2], out_dim, -1, v.shape[-1]).swapaxes(-3, -2)
+
+
 def random_channel(rngs, in_dim: int, out_dim: int, env_dim: int = 2) -> KrausMap:
     """Random isometry channel (Stinespring dilation with the given environment)."""
-    if out_dim * env_dim < in_dim:
-        raise ValueError("out_dim * env_dim must be at least in_dim for an isometry")
-    v = _isometry(ginibre(rngs, out_dim * env_dim, in_dim))
-    # Row out * env_dim + e of the isometry is row ``out`` of Kraus operator e.
-    kraus = v.reshape(*v.shape[:-2], out_dim, env_dim, in_dim).swapaxes(-3, -2)
-    return KrausMap(in_dim, out_dim, kraus)
+    g = ginibre(rngs, out_dim * env_dim, in_dim)
+    return KrausMap(in_dim, out_dim, stinespring(g, out_dim))

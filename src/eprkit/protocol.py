@@ -130,11 +130,13 @@ def bwi_slices(labels, sigma, resource: ResourceAssemblage, measurement=None):
     d = sigma.shape[-1]
     if d != 2**resource.n:
         raise ValueError(f"assemblage dim {d} does not match resource on {resource.n} qubits")
-    m = _check_effect(measurement, resource.n).reshape(d, d, d, d)
     lead = sigma.shape[:-5]
-    # One operand at a time: a single three-operand einsum loops over all six indices at once.
-    half = np.einsum("pqrs,...irp->...iqs", m, sigma.reshape(*lead, -1, d, d))
-    p = np.einsum("...iqs,jsq->...ij", half, resource.stack).real
+    # p_ij = sum M[(p, q), (r, s)] sigma_i[r, p] R_j[s, q]: a product over (r, p) with M's
+    # axes ordered (r, p), (q, s), then one over (q, s), as einsums of the flattened operands
+    # (``@`` would round differently in the last bits; see ``conditional_states``).
+    m = _check_effect(measurement, resource.n).reshape(d, d, d, d).transpose(2, 0, 1, 3)
+    half = np.einsum("in,nm->im", sigma.reshape(-1, d * d), m.reshape(d * d, d * d))
+    p = np.einsum("im,jm->ij", half, resource.stack.swapaxes(-1, -2).reshape(-1, d * d)).real
     labels = (*map(tuple, labels), *resource.labels)
     p = p.reshape(*lead, *map(len, labels))
     _check_probabilities(p, itertools.product(*map(range, lead), *labels))

@@ -10,7 +10,7 @@ import numpy as np
 from eprkit import catalog
 from eprkit import linalg as la
 from eprkit import serialize as ser
-from eprkit.assemblages import SPECS
+from eprkit.assemblages import SPECS, QuantumRealisation
 from eprkit.functionals import decompose, projector_strings
 
 
@@ -244,6 +244,83 @@ def random_quantum_per_seed(scenario: str, seed: int, alphabets=None, n: int = 1
             elements[(a, x)] = apply_map_to_factors(
                 gamma, la.tensor(sigma(a, x), la.phi_plus(1)), [db, 2, 2], [0, 1])
     return {"state": state, "povms": povms, "bob": bob}, elements
+
+
+def sample_per_call(scenario: str, seeds, alphabets=None, n: int = 1):
+    """The stacked sampler with one generator call per drawn matrix: the state, Alice's
+    POVMs for x = 1, 2, ..., then Bob's processing, each from the public ``la.random_*``
+    generators, every generator drawing in turn.  Returns the labels, the unchecked
+    grid and the realisation, like ``assemblages._sample``."""
+    spec = SPECS[scenario]
+    rngs = np.asarray(np.frompyfunc(np.random.default_rng, 1, 1)(seeds), dtype=object)
+    sizes = {**spec.default_sizes, **(alphabets or {})}
+    db = 2**n
+    state = la.random_density(rngs, 2 * db)
+    effects = la.random_projective_povm(rngs[..., None].repeat(sizes["x"], -1), 2, sizes["a"])
+    povms = dict(zip(range(1, sizes["x"] + 1), np.moveaxis(effects, -4, 0)))
+    if scenario == "bwi":
+        kraus = la.random_channel(rngs[..., None].repeat(sizes["y"], -1), db, db).kraus_ops
+        bob = {"channels": {y: la.KrausMap(db, db, k)
+                            for y, k in enumerate(np.moveaxis(kraus, -4, 0))}}
+    elif scenario == "mdi":
+        bob = {"instrument": la.random_projective_povm(rngs, 2 * db, sizes["b"])}
+    else:
+        bob = {"channel": la.random_channel(rngs, 2 * db, 2)}
+    qr = QuantumRealisation(scenario, state, povms, **bob)
+    return (*spec.realize(qr), qr)
+
+
+def realisation_arrays(qr) -> dict:
+    """Every array of a realisation, by name."""
+    arrays = {"state": qr.state, **{f"povm {x}": e for x, e in qr.povms.items()}}
+    arrays.update({f"channel {y}": c.kraus_ops for y, c in (qr.channels or {}).items()})
+    if qr.instrument is not None:
+        arrays["instrument"] = np.asarray(qr.instrument)
+    if qr.channel is not None:
+        arrays["channel"] = qr.channel.kraus_ops
+    return arrays
+
+
+def conditional_states_einsum(qr) -> np.ndarray:
+    """sigma_{a|x} on their (..., a, x) grid by one einsum over the full index form."""
+    effects = np.stack([np.asarray(e) for e in qr.povms.values()], -4)
+    da, db = effects.shape[-1], qr.bob_dim
+    rho = qr.state.reshape(*qr.state.shape[:-2], da, db, da, db)
+    return np.einsum("...xaji,...ikjl->...axkl", effects, rho)
+
+
+def bwi_grid_einsum(qr) -> np.ndarray:
+    """The BwI elements (..., a, x, y, d, d): per channel, its superoperator S_opij and
+    one einsum of S with the conditional states."""
+    sigma = conditional_states_einsum(qr)
+    return np.stack([np.einsum("...axij,...opij->...axop", sigma,
+                               np.einsum("...koi,...kpj->...opij", k, k.conj()))
+                     for k in (c.kraus_ops for c in qr.channels.values())], -3)
+
+
+def bwi_slices_einsum(sigma: np.ndarray, resource_stack: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """p[..., i, j] = tr[M (sigma_i (x) R_j)] for the elements sigma (..., i, d, d), by two
+    einsums over the full index form."""
+    d = sigma.shape[-1]
+    half = np.einsum("pqrs,...irp->...iqs", m.reshape(d, d, d, d), sigma)
+    return np.einsum("...iqs,jsq->...ij", half, resource_stack).real
+
+
+def mdi_ptp_probabilities_per_key(method: str) -> dict:
+    """p(a, b | x, y) of the MDI controlled-transpose example, one kron and trace per key."""
+    n_effects = {0: (la.I2 + la.PAULI_Y) / 3, 1: (2 * la.I2 - la.PAULI_Y) / 3}
+    phi = la.phi_plus()
+    out = {}
+    for a, x, y in itertools.product((0, 1), (1, 2, 3), (0, 1)):
+        m = (la.I2 + (-1) ** a * catalog.ALICE_PAULI[x]) / 2
+        for b, n_b in n_effects.items():
+            if method == "transposed-measurement":
+                p = np.trace(la.tensor(m, n_b.T if y == 1 else n_b) @ phi)
+            else:  # the partial transpose of phi_plus on Bob's factor
+                state = partial_transpose(phi, [2, 2], 1) if y else phi
+                p = np.trace(la.tensor(m, n_b) @ state)
+            out[(a, b, x, y)] = float(np.real(p))
+    return out
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

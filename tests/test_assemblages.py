@@ -20,12 +20,16 @@ from eprkit.assemblages import (
     validate,
 )
 from oracles import (
+    bwi_grid_einsum,
     channel_grid_einsum,
+    conditional_states_einsum,
     conjugation_map,
     min_eigenvalue,
     partial_trace,
     random_hermitian,
     random_quantum_per_seed,
+    realisation_arrays,
+    sample_per_call,
     transpose_dual,
 )
 
@@ -256,6 +260,84 @@ def test_stacked_draw_matches_per_seed_oracle(scenario, alphabets, n):
         else:
             for y, kraus in realisation["bob"].items():
                 assert np.max(np.abs(qr.channels[y].kraus_ops[k] - np.array(kraus))) <= 1e-15
+
+
+# Bob-with-input on one and two qubits, MDI instruments with two and three outcomes (their
+# rank cuts drawn on dimension 4) and channels, each on non-default alphabets.
+SAMPLES = st.one_of(
+    st.tuples(st.just("bwi"), st.fixed_dictionaries(
+        {"a": st.integers(1, 2), "x": st.integers(1, 4), "y": st.integers(1, 3)}),
+        st.integers(1, 2)),
+    st.tuples(st.just("mdi"), st.fixed_dictionaries(
+        {"a": st.integers(1, 2), "b": st.integers(2, 3), "x": st.integers(1, 4)}), st.just(1)),
+    st.tuples(st.just("channel"), st.fixed_dictionaries(
+        {"a": st.integers(1, 2), "x": st.integers(1, 4)}), st.just(1)),
+)
+
+
+@given(sample=SAMPLES, seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
+def test_one_normal_draw_per_generator_gives_the_per_call_stream(sample, seeds):
+    scenario, alphabets, n = sample
+    labels, grid, qr = sample_quantum(scenario, seeds, alphabets, n)
+    expected_labels, expected_grid, expected_qr = sample_per_call(scenario, seeds, alphabets, n)
+    assert list(map(list, labels)) == list(map(list, expected_labels))
+    assert np.array_equal(grid, expected_grid)
+    got, expected = realisation_arrays(qr), realisation_arrays(expected_qr)
+    assert got.keys() == expected.keys()
+    for name, array in expected.items():
+        assert np.array_equal(got[name], array), name
+
+
+def test_bwi_sampling_asks_each_generator_once_for_its_normals(monkeypatch):
+    seeds, generators, make = range(10, 60), [], np.random.default_rng
+    expected = sample_quantum("bwi", seeds)
+
+    class CountingGenerator:
+        def __init__(self, seed):
+            self.rng, self.normal_calls = make(seed), 0
+            generators.append(self)
+
+        def standard_normal(self, *args, **kwargs):
+            self.normal_calls += 1
+            return self.rng.standard_normal(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    labels, grid, qr = sample_quantum("bwi", seeds)
+    assert [g.normal_calls for g in generators] == [1] * len(seeds)
+    assert np.array_equal(grid, expected[1])
+    assert np.array_equal(qr.state, expected[2].state)
+
+
+def test_bwi_sampling_checks_each_channel_stack_once(monkeypatch):
+    checked, check = [], la.KrausMap.__post_init__
+
+    def counting_check(kmap):
+        checked.append(kmap.kraus_ops.shape)
+        check(kmap)
+
+    monkeypatch.setattr(la.KrausMap, "__post_init__", counting_check)
+    _, _, qr = sample_quantum("bwi", range(7), {"y": 3})
+    assert checked == [(7, 2, 2, 2)] * 3 and len(qr.channels) == 3
+
+
+@pytest.mark.parametrize("scenario, alphabets, n", SAMPLER_CASES)
+def test_product_kernels_match_the_index_form_einsums(scenario, alphabets, n):
+    _, grid, qr = sample_quantum(scenario, range(30, 60), alphabets, n)
+    assert np.max(np.abs(qr.conditional_states() - conditional_states_einsum(qr))) <= 1e-15
+    if scenario == "bwi":
+        assert np.max(np.abs(grid - bwi_grid_einsum(qr))) <= 1e-15
+
+
+def test_bwi_grid_takes_channels_with_different_kraus_counts():
+    rng = np.random.default_rng(11)
+    povms = {x: la.random_projective_povm(rng, 2) for x in (1, 2, 3)}
+    channels = {0: la.identity_map(2), 1: la.random_channel(rng, 2, 2, env_dim=3)}
+    qr = QuantumRealisation("bwi", la.random_density(rng, 4), povms, channels=channels)
+    labels, grid = realize_bwi(qr).grid
+    assert np.max(np.abs(grid - bwi_grid_einsum(qr))) <= 1e-15
 
 
 def test_stacked_realisation_with_one_bad_member_fails_its_check():

@@ -1,14 +1,17 @@
+import copy
 import itertools
 import math
 
 import numpy as np
+import pytest
 
 from eprkit import catalog
 from eprkit import linalg as la
 from eprkit.assemblages import random_quantum, validate
 from eprkit.bounds import SELFTEST_MAX, selftest_value
 from eprkit.functionals import bell_from_epr, evaluate_epr
-from oracles import partial_trace, selftest_marginal_per_entry, steering_effect
+from oracles import (mdi_ptp_probabilities_per_key, partial_trace, selftest_marginal_per_entry,
+                     steering_effect)
 
 
 def test_constants_consistency():
@@ -168,3 +171,48 @@ def test_embedded_quantum_assemblage_stays_nonnegative():
         embedded = catalog.embed_bwi_in_channel(bwi)
         assert validate(embedded).passed
         assert evaluate_epr(functional, embedded) >= -1e-7
+
+
+def test_ptp_catalog_objects_are_built_once_and_read_only():
+    assemblage, f_raw = catalog.ptp_assemblage(), catalog.ptp_functional()
+    f_norm = catalog.ptp_functional(normalized=True)
+    assert catalog.ptp_assemblage() is assemblage
+    assert catalog.ptp_functional(beta_aq=catalog.PTP.almost_quantum) is f_raw
+    assert catalog.ptp_functional(True, catalog.PTP.almost_quantum) is f_norm
+    fresh = catalog._ptp_functional.__wrapped__(True, catalog.PTP.almost_quantum)
+    for mapping in (assemblage.elements, f_raw.operators, f_norm.operators, f_norm.bounds):
+        key = next(iter(mapping))
+        for write in (lambda: mapping.__setitem__(key, 0.0), lambda: mapping.__delitem__(key),
+                      lambda: mapping.update({key: 0.0}), lambda: mapping.pop(key),
+                      lambda: mapping.setdefault((9,), 0.0), mapping.popitem, mapping.clear):
+            with pytest.raises(TypeError, match="read-only"):
+                write()
+    for array in (assemblage.stack, assemblage.grid[1], assemblage.elements[(0, 1, 0)],
+                  f_norm.stack, f_norm.grid, f_norm.operators[(0, 1, 0)]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    copied = copy.deepcopy(f_norm.bounds)  # a copy is built whole, not filled in
+    assert type(copied) is type(f_norm.bounds) and copied == f_norm.bounds
+    # Every write failed, so the shared objects still equal freshly built ones.
+    assert catalog.ptp_functional(normalized=True).bounds == fresh.bounds
+    assert np.array_equal(catalog.ptp_functional(normalized=True).stack, fresh.stack)
+    assert len(assemblage.elements) == 12 and f_norm.operators.keys() == fresh.operators.keys()
+
+
+def test_ptp_functionals_at_other_constants_are_not_kept():
+    before = catalog._ptp_functional.cache_info().currsize
+    for beta in (2.0, 0.5, -1.0):
+        f = catalog.ptp_functional(normalized=True, beta_aq=beta)
+        assert f is not catalog.ptp_functional(normalized=True, beta_aq=beta)
+        assert f.bounds["almost_quantum"] == 0.0
+        assert catalog.ptp_functional(beta_aq=beta).bounds["almost_quantum"] == beta
+    assert catalog._ptp_functional.cache_info().currsize == before <= 2
+    with pytest.raises(ValueError, match="finite"):
+        catalog.ptp_functional(beta_aq=float("nan"))
+
+
+@pytest.mark.parametrize("method", ["transposed-measurement", "controlled-transpose"])
+def test_mdi_ptp_probabilities_match_the_per_key_loop(method):
+    got, expected = catalog.mdi_ptp_probabilities(method), mdi_ptp_probabilities_per_key(method)
+    assert list(got) == list(expected)
+    assert max(abs(got[key] - p) for key, p in expected.items()) <= 1e-15

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -374,6 +375,36 @@ def test_demo_tampered_constant_fails_at_bell_stage(capsys):
     code, report = run(capsys, "demo-ptp", "--debug-beta-aq", "1.0")
     assert code == 1
     assert report["failed_stage"] == "bell-evaluation"
+
+
+# sha256 of the default demo-ptp report without its duration_s line, per (seed, r),
+# recorded at commit c1e8726, before the catalog objects were shared and the controls
+# drawn with one normal draw per generator.
+DEMO_REPORT_DIGESTS = {
+    (0, "0"): "68110c8ae4ce5224f4b5c95921ff45b4f657a8990dda7210b9d4e3416a85ff02",
+    (0, "0.3"): "f1a51f98c9901f0fd8ba04538c3790398747dd398050a3ee34221724d78423bb",
+    (0, "1"): "a2dde29d024a8836289ffefe75dcfa562f1991e215f62ff2d70f5b0d9790d57c",
+    (17, "0"): "d73162994a6e318d3467bba4ce8afe99428c69d8bffb2b3a0713f261f239e95f",
+    (17, "0.3"): "8c43c8c05da4eb09bf239c99a2414b7dffc3cfe1ea60c1013b281a55f1781b7e",
+    (17, "1"): "482835eb55cdd460e69ef2f833d8ba31c6acd37542f29ed87a797f5514a3a23c",
+}
+
+
+@pytest.mark.parametrize("seed, r", list(DEMO_REPORT_DIGESTS))
+def test_demo_reports_keep_their_bytes_around_a_tampered_run(capsys, monkeypatch, seed, r):
+    monkeypatch.delenv("EPRKIT_TOL", raising=False)
+
+    def digest(*extra):
+        capsys.readouterr()
+        code = main(["demo-ptp", "--seed", str(seed), "--r", r, *extra])
+        text = re.sub(r'\n  "duration_s": [^\n]*', "", capsys.readouterr().out)
+        return code, hashlib.sha256(text.encode()).hexdigest()
+
+    assert digest() == (0, DEMO_REPORT_DIGESTS[seed, r])
+    # A tampered constant builds its own functional and leaves the shared ones as they were.
+    code, report = run(capsys, "demo-ptp", "--seed", str(seed), "--r", r, "--debug-beta-aq", "2.0")
+    assert code == 1 and report["failed_stage"] == "bell-evaluation"
+    assert digest() == (0, DEMO_REPORT_DIGESTS[seed, r])
 
 
 def test_channel_pipeline_end_to_end(capsys, tmp_path):

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from eprkit import catalog
 from eprkit import linalg as la
 from eprkit import protocol
-from eprkit.assemblages import BwIAssemblage, MDIAssemblage, StandardAssemblage, random_quantum, validate
+from eprkit.assemblages import (BwIAssemblage, MDIAssemblage, StandardAssemblage, random_quantum,
+                                sample_quantum, validate)
 from eprkit.bounds import SELFTEST_MAX, selftest_value
 from eprkit.functionals import bell_from_epr, evaluate_bell, evaluate_epr
 from eprkit.protocol import (
@@ -19,6 +20,7 @@ from eprkit.protocol import (
 )
 from oracles import (
     apply_map_to_factors,
+    bwi_slices_einsum,
     partial_trace,
     random_hermitian,
     random_povm_element,
@@ -421,3 +423,16 @@ def test_arbitrary_measurement_no_false_positive():
         m = random_povm_element(np.random.default_rng(1000 + seed), 4)
         table = simulate_bwi(assemblage, res, m)
         assert evaluate_bell(xi, table) >= -1e-7
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_bwi_slices_match_the_index_form_einsums(n):
+    rng, d = np.random.default_rng(40 + n), 2**n
+    labels, grid, _ = sample_quantum("bwi", range(20), n=n)
+    for r in (0.0, 0.3, 1.0):
+        resource = make_resource(n, r)
+        for m in (None, random_povm_element(rng, d * d)):
+            _, p = protocol.bwi_slices(labels, grid, resource, m)
+            expected = bwi_slices_einsum(grid.reshape(20, -1, d, d), resource.stack,
+                                         la.phi_plus(n) if m is None else m)
+            assert np.max(np.abs(p.reshape(expected.shape) - expected)) <= 1e-15

@@ -8,69 +8,18 @@ level of observed correlations.
 """
 
 from . import bounds, catalog, linalg, protocol, serialize
-from .assemblages import (
-    BwIAssemblage,
-    ChannelAssemblage,
-    MDIAssemblage,
-    QuantumRealisation,
-    StandardAssemblage,
-    ValidationReport,
-    random_quantum,
-    realize_bwi,
-    realize_channel,
-    realize_mdi,
-    transpose_assemblage,
-    validate,
-)
-from .functionals import (
-    BellCoefficients,
-    EPRFunctional,
-    bell_from_epr,
-    decompose,
-    evaluate_bell,
-    evaluate_epr,
-    reconstruct,
-)
-from .protocol import (
-    CorrelationTable,
-    ResourceAssemblage,
-    make_resource,
-    selftest_marginal,
-    simulate_bwi,
-    simulate_channel,
-    simulate_mdi,
-)
+from .assemblages import (BwIAssemblage, ChannelAssemblage, MDIAssemblage, QuantumRealisation,
+                          StandardAssemblage, ValidationReport, random_quantum, realize_bwi,
+                          realize_channel, realize_mdi, transpose_assemblage, validate)
+from .functionals import (BellCoefficients, EPRFunctional, bell_from_epr, decompose, evaluate_bell,
+                          evaluate_epr, reconstruct)
+from .protocol import (CorrelationTable, ResourceAssemblage, make_resource, selftest_marginal,
+                       simulate_bwi, simulate_channel, simulate_mdi)
 
-__all__ = [
-    "BellCoefficients",
-    "BwIAssemblage",
-    "ChannelAssemblage",
-    "CorrelationTable",
-    "EPRFunctional",
-    "MDIAssemblage",
-    "QuantumRealisation",
-    "ResourceAssemblage",
-    "StandardAssemblage",
-    "ValidationReport",
-    "bell_from_epr",
-    "bounds",
-    "catalog",
-    "decompose",
-    "evaluate_bell",
-    "evaluate_epr",
-    "linalg",
-    "make_resource",
-    "protocol",
-    "random_quantum",
-    "realize_bwi",
-    "realize_channel",
-    "realize_mdi",
-    "reconstruct",
-    "selftest_marginal",
-    "serialize",
-    "simulate_bwi",
-    "simulate_channel",
-    "simulate_mdi",
-    "transpose_assemblage",
-    "validate",
-]
+__all__ = ["BellCoefficients", "BwIAssemblage", "ChannelAssemblage", "CorrelationTable",
+           "EPRFunctional", "MDIAssemblage", "QuantumRealisation", "ResourceAssemblage",
+           "StandardAssemblage", "ValidationReport", "bell_from_epr", "bounds", "catalog",
+           "decompose", "evaluate_bell", "evaluate_epr", "linalg", "make_resource", "protocol",
+           "random_quantum", "realize_bwi", "realize_channel", "realize_mdi", "reconstruct",
+           "selftest_marginal", "serialize", "simulate_bwi", "simulate_channel", "simulate_mdi",
+           "transpose_assemblage", "validate"]

@@ -270,11 +270,12 @@ class LabelGrid(Mapping):
 
     @classmethod
     def keyed(cls, block, n_axes: int, what: str) -> LabelGrid:
-        """``block`` if it is a LabelGrid, else its {key: float} entries by ``product_grid``."""
+        """``block`` if it is a LabelGrid, else that of a (labels, grid) pair or of its
+        {key: float} entries by ``product_grid``."""
         if isinstance(block, cls):
             return block
-        return cls(*product_grid(block, np.fromiter(block.values(), float, len(block)),
-                                 n_axes, what))
+        return cls(*block if isinstance(block, tuple) else product_grid(
+            block, np.fromiter(block.values(), float, len(block)), n_axes, what))
 
     def subgrid(self, labels, names: str, what: str) -> LabelGrid:
         """The grid at ``labels``, which may select a sub-grid of its own: ValueError

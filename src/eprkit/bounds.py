@@ -127,8 +127,9 @@ def seesaw_quantum(f: EPRFunctional, seed: int = 0, restarts: int = 10,
     """Alternating minimisation over (state, Alice POVMs); Bob channels identity.
 
     The value sequence of each restart is monotone non-increasing; the report
-    keeps the best restart and its realisation as a quantum-achievable witness,
-    and the final value and iteration count of every restart in order.
+    keeps the first restart within the stopping rule's ``rel_tol * max(1, |v|)``
+    of the least final value v, and its realisation as a quantum-achievable
+    witness, and the final value and iteration count of every restart in order.
     """
     if restarts < 1:
         raise ValueError(f"the seesaw needs at least one restart, got {restarts}")
@@ -169,7 +170,8 @@ def seesaw_quantum(f: EPRFunctional, seed: int = 0, restarts: int = 10,
                 break
         previous = values
     per_restart = tuple((trace[-1], len(trace)) for trace in traces)
-    best = min(range(restarts), key=lambda r: per_restart[r][0])  # the first minimum
+    low = min(value for value, _ in per_restart)  # restarts tied to rounding keep the first
+    best = next(r for r, (v, _) in enumerate(per_restart) if v - low <= rel_tol * max(1, abs(low)))
     effects = (coef[best, :-1].reshape(n_x, 4) @ la.PAULIS.reshape(4, 4)).reshape(n_x, 2, 2)
     witness = QuantumRealisation(
         "bwi", np.outer(grounds[best], grounds[best].conj()),

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import linalg as la
 from .assemblages import (BwIAssemblage, ChannelAssemblage, LabelGrid, StandardAssemblage,
-                          keyed_operators, product_grid)
-from .functionals import EPRFunctional, BellCoefficients, projector_strings
+                          product_grid)
+from .functionals import BellCoefficients, EPRFunctional, bell_from_epr, projector_strings
 
 # Alice's measurement axes in the PTP example: x = 1, 2, 3 -> X, Y, Z.
 ALICE_PAULI = {1: la.PAULI_X, 2: la.PAULI_Y, 3: la.PAULI_Z}
@@ -102,7 +102,13 @@ def _ptp_functional(normalized: bool, beta_aq: float) -> EPRFunctional:
     operators = la.I2 - 2 * ptp_assemblage().grid[1] - shift / 6 * la.I2
     bounds = {"classical": PTP.classical_exact - shift, "almost_quantum": beta_aq - shift,
               "no_signalling": PTP.no_signalling - shift}
-    return EPRFunctional("bwi", keyed_operators(PTP_LABELS, operators), bounds)
+    return EPRFunctional("bwi", (PTP_LABELS, operators), bounds)
+
+
+@functools.cache
+def ptp_epr_coefficients() -> BellCoefficients:
+    """``bell_from_epr`` of ``ptp_functional(normalized=True)``, built once and shared."""
+    return bell_from_epr(ptp_functional(normalized=True))
 
 
 def ptp_bell_coefficients(beta_aq: float | None = None) -> BellCoefficients:
@@ -199,7 +205,7 @@ def embedded_ptp_channel() -> tuple[ChannelAssemblage, EPRFunctional]:
     quantum bound stays at zero.
     """
     f_norm = ptp_functional(normalized=True)
-    operators = keyed_operators(f_norm.labels[:2], 2 * _embed(f_norm.grid))
+    operators = (f_norm.labels[:2], 2 * _embed(f_norm.grid))
     return embed_bwi_in_channel(ptp_assemblage()), EPRFunctional("channel", operators)
 
 

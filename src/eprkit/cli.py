@@ -14,9 +14,7 @@ it affects validation verdicts only, never report formatting.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -215,13 +213,10 @@ def cmd_simulate(args, argv) -> int:
 
 
 def _csv_text(scenario: str, value_name: str, grid) -> str:
-    """CSV of a slice grid: one column per slice label, then the value."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow([*SPECS[scenario].slice_axes, value_name])
-    writer.writerows([*key, f"{v:.17g}"]
-                     for key, v in zip(ser.label_texts(grid), grid.grid.ravel().tolist()))
-    return buf.getvalue()
+    """CSV of a slice grid: one column per slice label, then the value; no field needs quotes."""
+    names, layout = SPECS[scenario].slice_axes, ",".join(SPECS[scenario].slice_axes)
+    rows = zip(ser.key_texts(grid.labels, layout, names), grid.grid.ravel().tolist())
+    return "".join([f"{layout},{value_name}\r\n", *(f"{key},{v:.17g}\r\n" for key, v in rows)])
 
 
 def cmd_selftest(args, argv) -> int:
@@ -260,8 +255,8 @@ def cmd_demo_ptp(args, argv) -> int:
 
     assemblage = catalog.ptp_assemblage()
     f_raw = catalog.ptp_functional()
-    f_norm = catalog.ptp_functional(normalized=True, beta_aq=beta_aq)
-    xi = bell_from_epr(f_norm)
+    xi = (catalog.ptp_epr_coefficients() if args.debug_beta_aq is None  # a tampered one per call
+          else bell_from_epr(catalog.ptp_functional(normalized=True, beta_aq=beta_aq)))
 
     rep = validate(assemblage, tol=_validation_tol())
     stage("validate", rep.passed, max_residual=rep.max_residual)

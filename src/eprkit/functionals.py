@@ -44,13 +44,14 @@ class EPRFunctional:
 
     Operator keys follow the scenario's axes: (a, x, y) for bwi, (a, b, x)
     for mdi, (a, x) for channel (dim-4 operators on output (x) Choi-input
-    factors).  The keys must cover the full product of their labels per axis,
-    and the total magnitude of the entries must be finite, so that no bound
-    overflows.  ``bounds`` optionally carries known bound constants by name.
-    The checked operators are held once, as the read-only ``grid`` (*label
-    counts, d, d) over the sorted ``labels`` of each axis; ``stack`` is that
-    grid as (keys, d, d) in key order, and ``operators`` the read-only dict of
-    each key's view; ``bounds`` is read-only too.
+    factors).  The keys must cover the full product of their labels per axis
+    (or the operators come on that grid, as a (labels, grid) pair like the one
+    ``product_grid`` returns), and the total magnitude of the entries must be
+    finite, so that no bound overflows.  The checked operators are held once,
+    as the read-only ``grid`` (*label counts, d, d) over the sorted ``labels``
+    of each axis; ``stack`` is that grid as (keys, d, d) in key order, and
+    ``operators`` the read-only dict of each key's view.  ``bounds``
+    optionally carries known bound constants by name, read-only too.
     """
 
     scenario: str
@@ -63,9 +64,9 @@ class EPRFunctional:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        n_axes = len(SPECS[self.scenario].axes)
-        labels, grid = product_grid(self.operators, freeze_operators(self.operators), n_axes,
-                                    "functional has no operator for")
+        labels, grid = (self.operators[0], la.hermitian(self.operators[1])) if isinstance(
+            self.operators, tuple) else product_grid(self.operators, freeze_operators(
+                self.operators), len(SPECS[self.scenario].axes), "functional has no operator for")
         with np.errstate(over="ignore"):
             if not np.isfinite(np.abs(grid).sum()):
                 raise ValueError("operator entries are too large: their total magnitude overflows")

@@ -7,9 +7,10 @@ the protocol setting is written ``*``; multi-qubit c/w labels join their
 components with ``.``.
 
 Each document is read and written in one pass: ``dumps`` writes the text of
-``json.dumps`` (indent 2, sorted keys, ASCII) byte for byte, and matrices are
-checked Hermitian once, as a stack, by the container they are loaded into.
-Malformed files fail at load rather than inside the numerics.
+``json.dumps`` (indent 2, sorted keys, ASCII) byte for byte; a keyed block of
+the full product of its labels is read onto its grid, each distinct label text
+parsed once and all its values in one array, and any other block key by key,
+naming the first key that fails; its container checks matrices once, as a stack.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import hashlib
 import itertools
 import json
 import math
+from json.encoder import encode_basestring_ascii as _string
+from types import MappingProxyType
 
 import numpy as np
 
@@ -38,13 +41,13 @@ def matrix_to_json(m: np.ndarray) -> list:
     return np.ascontiguousarray(m, dtype=complex).view(float).reshape(*np.shape(m), 2).tolist()
 
 
-def _matrix(rows) -> np.ndarray:
-    """The complex view of rows of [re, im] pairs of real numbers, not checked Hermitian."""
+def _matrix(rows, ndim: int = 3) -> np.ndarray:
+    """The complex view of rows of [re, im] real pairs (at ``ndim`` 4, of a list of such)."""
     try:
         m = np.array(rows)
         if m.dtype == object and set(map(type, m.flat)) <= {int, float, bool}:  # ints past 64 bits
             m = m.astype(float)  # OverflowError past the float range
-        if m.dtype.kind not in "biuf" or m.ndim != 3 or m.shape[-1] != 2:
+        if m.dtype.kind not in "biuf" or m.ndim != ndim or m.shape[-1] != 2:
             raise ValueError(f"expected (d, d', 2) real numbers, got {m.dtype} of shape {m.shape}")
         return m.astype(float, copy=False).view(complex)[..., 0]  # no arithmetic: inf cannot warn
     except (TypeError, ValueError, OverflowError) as exc:
@@ -59,28 +62,58 @@ def matrix_from_json(rows) -> np.ndarray:
 
 
 def _label(value) -> str:
-    if isinstance(value, tuple):
-        return ".".join(str(v) for v in value)
-    return str(value)
+    return ".".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def _parse_label(text: str):
-    if "." in text:
-        return tuple(int(v) for v in text.split("."))
-    return int(text)
+    return tuple(map(int, text.split("."))) if "." in text else int(text)
 
 
-def _key_to_str(key) -> str:
-    return ",".join(_label(v) for v in key)
-
-
-def label_texts(grid: LabelGrid):
-    """The label texts of each key of ``grid``, in its key order."""
-    return itertools.product(*[[_label(v) for v in axis] for axis in grid.labels])
+@functools.lru_cache(maxsize=16)
+def key_texts(labels: tuple, layout: str, names: str) -> MappingProxyType:
+    """The read-only {key text: (key, position)} over the product of ``labels`` of ``names``,
+    built once; in ``layout`` (such as ``"a,0,c|x,y,*,w"``) each letter is its label's text."""
+    template = "".join(f"{{{names.index(ch)}}}" if ch.isalpha() else ch for ch in layout)
+    texts = itertools.product(*[[_label(v) for v in axis] for axis in labels])
+    return MappingProxyType(dict(zip(itertools.starmap(template.format, texts),
+                                     zip(itertools.product(*labels), itertools.count()))))
 
 
 def _key_from_str(text: str) -> tuple:
     return tuple(_parse_label(part) for part in text.split(","))
+
+
+def _per_key(block: dict, read) -> dict:  # comma-joined label keys, read one at a time
+    return {_key_from_str(key): read(value) for key, value in block.items()}
+
+
+def _split(keys: list, layout: str, names: str) -> list:
+    """The label texts of each of ``names`` in ``keys`` laid out as ``layout``, one column per
+    name: the keys split in one join and checked per column, or SchemaError naming keys[0]."""
+    pattern = layout.replace("|", ",|,").split(",") + ["\n"]  # each key's fields, then "\n"
+    fields = (",\n,".join(keys) + ",\n").replace("|", ",|,").split(",")
+    columns = [fields[i::len(pattern)] for i in range(len(pattern))]
+    if len(fields) != len(pattern) * len(keys) or any(  # "\n" parses as no label
+            set(column) != {field} for column, field in zip(columns, pattern)
+            if not field.isalpha()):
+        raise SchemaError(f"key {keys[0]!r} does not match the layout {layout!r}")
+    return [columns[pattern.index(name)] for name in names]
+
+
+def _grid(block: dict, layout: str, names: str, read):
+    """The sorted labels of each of ``names``, their ``key_texts`` and ``read`` of the values of
+    ``block`` in that order, on their grid (*label counts, *value shape), if those texts are
+    exactly its keys, each distinct label text parsed once; else None."""
+    try:
+        labels = tuple(tuple(sorted({_parse_label(text) for text in set(column)}))
+                       for column in _split(list(block), layout, names))
+        keys = math.prod(map(len, labels)) == len(block) and key_texts(labels, layout, names)
+        if not (keys and keys.keys() == block.keys()):
+            return None
+        values = read(list(map(block.__getitem__, keys)))
+    except (TypeError, ValueError, OverflowError, IndexError, AttributeError):  # no keys, not a
+        return None  # dict, labels that do not sort, or a key or value that fails to read
+    return labels, keys, values.reshape(*map(len, labels), *values.shape[1:])
 
 
 def _spec(scenario, known=SPECS):
@@ -90,7 +123,8 @@ def _spec(scenario, known=SPECS):
 
 
 def assemblage_to_json(assemblage) -> dict:
-    elements = zip(map(_key_to_str, assemblage.elements), matrix_to_json(assemblage.stack))
+    elements = zip((",".join(map(_label, key)) for key in assemblage.elements),
+                   matrix_to_json(assemblage.stack))
     return {"scenario": assemblage.scenario, "alphabets": assemblage.sizes,
             "elements": dict(elements)}
 
@@ -98,7 +132,11 @@ def assemblage_to_json(assemblage) -> dict:
 def assemblage_from_json(doc: dict):
     scenario = doc.get("scenario")
     axes = _spec(scenario).axes
-    elements = {_key_from_str(key): _matrix(rows) for key, rows in doc.get("elements", {}).items()}
+    block = doc.get("elements", {})
+    grid = _grid(block, ",".join(axes), axes, lambda rows: _matrix(rows, 4))
+    stack = grid and grid[2].reshape(-1, *grid[2].shape[-2:])
+    elements = {key: stack[i] for key, i in map(grid[1].get, block)} if grid else _per_key(
+        block, _matrix)  # in the file's key order; one key at a time names the first that fails
     alphabets = doc.get("alphabets", {})
     kwargs = {f"n_{name}": alphabets[name] for name in axes if name in alphabets}
     return CONTAINERS[scenario](elements, **kwargs)
@@ -106,30 +144,37 @@ def assemblage_from_json(doc: dict):
 
 def functional_to_json(f) -> dict:
     if isinstance(f, EPRFunctional):
+        axes = SPECS[f.scenario].axes
         return {
             "scenario": f.scenario,
             "form": "epr",
-            "operators": dict(zip(map(_key_to_str, f.operators), matrix_to_json(f.stack))),
+            "operators": dict(zip(key_texts(f.labels, ",".join(axes), axes),
+                                  matrix_to_json(f.stack))),
             "bounds": dict(f.bounds),
         }
     if isinstance(f, BellCoefficients):
+        names = SPECS[f.scenario].slice_axes
         return {
             "scenario": f.scenario,
             "form": "bell",
             "n": f.n,
-            "coefficients": dict(zip(map(",".join, label_texts(f.xi)), f.xi.grid.ravel().tolist())),
+            "coefficients": dict(zip(key_texts(f.xi.labels, ",".join(names), names),
+                                     f.xi.grid.ravel().tolist())),
         }
     raise TypeError(f"cannot serialise {type(f).__name__}")
 
 
 def functional_from_json(doc: dict):
-    form = doc.get("form")
+    form, scenario = doc.get("form"), doc.get("scenario")
+    spec = SPECS[scenario] if scenario in SCENARIOS else None
     if form == "epr":
-        operators = {_key_from_str(k): _matrix(rows)
-                     for k, rows in doc.get("operators", {}).items()}
+        block = doc.get("operators", {})
+        grid = spec and _grid(block, ",".join(spec.axes), spec.axes, lambda rows: _matrix(rows, 4))
+        operators = grid[::2] if grid and grid[2].shape[-1] == grid[2].shape[-2] else _per_key(
+            block, _matrix)
         return EPRFunctional(doc["scenario"], operators, dict(doc.get("bounds", {})))
     if form == "bell":
-        xi = {_key_from_str(k): float(v) for k, v in doc.get("coefficients", {}).items()}
+        xi = _per_key(doc.get("coefficients", {}), float)
         return BellCoefficients(doc["scenario"], xi, doc.get("n", 1))
     raise SchemaError(f"unknown functional form {form!r}")
 
@@ -139,43 +184,24 @@ _SELFTEST = ("b,c|z,w", "bczw")
 
 
 def _block_to_json(block: LabelGrid, layout: str, names: str) -> dict:
-    """The probabilities of ``block`` keyed by a layout such as ``"a,0,c|x,y,*,w"``.
-
-    Each letter of the layout is the label text of that name in the entry's
-    key; every other character is written as is.
-    """
-    template = "".join(f"{{{names.index(ch)}}}" if ch.isalpha() else ch for ch in layout)
-    return {template.format(*key): p
-            for key, p in zip(label_texts(block), block.grid.ravel().tolist())}
+    """The probabilities of ``block`` keyed by a layout such as ``"a,0,c|x,y,*,w"``."""
+    return dict(zip(key_texts(block.labels, layout, names), block.grid.ravel().tolist()))
 
 
-def _block_from_json(block: dict, layout: str, names: str) -> dict:
-    """The {label tuple: probability} entries of a block keyed by ``layout``: its keys split in
-    one join and checked per column, each distinct label text parsed once."""
-    values, keys = list(block.values()), list(block)
-    if not keys:
-        return {}
-    pattern = layout.replace("|", ",|,").split(",") + ["\n"]  # each key's fields, then "\n"
-    fields = (",\n,".join(keys) + ",\n").replace("|", ",|,").split(",")
-    columns = [fields[i::len(pattern)] for i in range(len(pattern))]
-    try:
-        if len(fields) != len(pattern) * len(keys) or any(  # "\n" parses as no label
-                set(column) != {field} for column, field in zip(columns, pattern)
-                if not field.isalpha()):
-            raise SchemaError(f"key {keys[0]!r} does not match the layout {layout!r}")
+def _block_from_json(block: dict, layout: str, names: str):
+    """The (labels, grid) pair of a ``_grid`` block of probabilities keyed by ``layout``, else
+    its {label tuple: probability} entries, read key by key to name the first that fails."""
+    grid = _grid(block, layout, names, lambda values: np.array(list(map(float, values))))
+    if grid:
+        return grid[::2]
+    entries = {}
+    for text, p in zip(block, block.values()):
+        columns = _split([text], layout, names)
         try:
-            values = list(map(float, values))
-            parsed = [{text: _parse_label(text) for text in set(columns[pattern.index(name)])}
-                      for name in names]
+            entries[tuple(_parse_label(label) for label, in columns)] = float(p)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"malformed key {keys[0]!r}: {exc}") from exc
-        labels = [map(p.get, columns[pattern.index(name)]) for p, name in zip(parsed, names)]
-        return dict(zip(zip(*labels), values))
-    except SchemaError:
-        if len(keys) == 1:
-            raise
-    return {key: p for item in block.items()  # one key at a time, to name the first that fails
-            for key, p in _block_from_json(dict([item]), layout, names).items()}
+            raise SchemaError(f"malformed key {text!r}: {exc}") from exc
+    return entries
 
 
 def table_to_json(table: CorrelationTable) -> dict:
@@ -258,19 +284,39 @@ def _template(shape: tuple, nl: str, keyed: bool) -> str:
     return f"{{{{{inner}{items}{nl}}}}}" if keyed else f"[{inner}{items}{nl}]"
 
 
+# The text of a value of each of these types as json.dumps writes it; _scalar writes the rest.
+_SCALARS = {str: _string, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+            float: lambda x: float.__repr__(x) if math.isfinite(x) else _scalar(x),  # or raises
+            type(None): lambda _: "null"}
+
+
+@functools.lru_cache
+def _flat(inner: str):
+    """json's writer of a list or object of scalars, its items on lines indented as ``inner``."""
+    return json.JSONEncoder(allow_nan=False, sort_keys=True, default=_json_default,
+                            separators=("," + inner, ": ")).encode
+
+
 def _encode(obj, nl: str) -> str:
-    """``obj`` as ``dumps`` writes it on a line indented as ``nl``: runs in one format call, and
-    each key of any other object as json.dumps writes it, before its value, or its exception."""
-    if not isinstance(obj, (list, tuple, dict)) or not obj:
-        return _scalar(obj)  # scalars and empty containers, as json.dumps writes them
+    """``obj`` as ``dumps`` writes it on a line indented as ``nl``, or its exception: runs in one
+    format call, lists and objects of scalars in one call of the stdlib writer, the items of
+    any other list or object one by one."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar or not isinstance(obj, (list, tuple, dict)) or not obj:
+        return (scalar or _scalar)(obj)  # _scalar: other scalars and empty lists and objects
     keyed, inner = isinstance(obj, dict), nl + "  "
+    if set(map(type, obj.values() if keyed else obj)) <= _SCALARS.keys():  # keys: json's too
+        text = _flat(inner)(obj)
+        return f"{text[0]}{inner}{text[1:-1]}{nl}{text[-1]}"
     keys, values = zip(*sorted(obj.items())) if keyed else ((), obj)
-    run = (not keyed or set(map(type, keys)) == {str}) and _run(values)
+    strings = not keyed or set(map(type, keys)) == {str}
+    run = strings and type(values[0]) in (list, tuple) and _run(values)
     if run:  # the fields in order: each key, if any, then the leaves of its value
-        fields = zip(*[map(_scalar, keys)] * keyed,
+        fields = zip(*[map(_string, keys)] * keyed,
                      *[map(float.__repr__, run[1])] * math.prod(run[0][1:]))
         return _template(run[0], nl, keyed).format(*itertools.chain.from_iterable(fields))
-    texts = [f"{_scalar({k: 0})[1:-4]}: {_encode(v, inner)}" for k, v in zip(keys, values)]
+    texts = [f"{_string(k) if strings else _scalar({k: 0})[1:-4]}: {_encode(v, inner)}"
+             for k, v in zip(keys, values)]  # each key, as json writes it, before its value
     text = f",{inner}".join(texts if keyed else [_encode(v, inner) for v in obj])
     return f"{{{inner}{text}{nl}}}" if keyed else f"[{inner}{text}{nl}]"
 

@@ -10,8 +10,10 @@ import numpy as np
 from eprkit import catalog
 from eprkit import linalg as la
 from eprkit import serialize as ser
-from eprkit.assemblages import SPECS, QuantumRealisation
-from eprkit.functionals import decompose, projector_strings
+from eprkit.assemblages import CONTAINERS, SPECS, QuantumRealisation
+from eprkit.functionals import (SCENARIOS, BellCoefficients, EPRFunctional, decompose,
+                                projector_strings)
+from eprkit.protocol import CorrelationTable
 
 
 def apply_map_to_factors(kmap: la.KrausMap, state: np.ndarray, dims, targets) -> np.ndarray:
@@ -416,3 +418,37 @@ def block_from_json_per_key(block: dict, layout: str, names: str) -> dict:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ser.SchemaError(f"malformed key {text!r}: {exc}") from exc
     return out
+
+
+def assemblage_from_json_per_key(doc: dict):
+    """An assemblage document read one element key and one matrix at a time (``ser._matrix``
+    reads one matrix; its own reference is ``matrix_from_json_per_entry``)."""
+    scenario = doc.get("scenario")
+    axes = ser._spec(scenario).axes
+    elements = {ser._key_from_str(key): ser._matrix(rows)
+                for key, rows in doc.get("elements", {}).items()}
+    alphabets = doc.get("alphabets", {})
+    kwargs = {f"n_{name}": alphabets[name] for name in axes if name in alphabets}
+    return CONTAINERS[scenario](elements, **kwargs)
+
+
+def functional_from_json_per_key(doc: dict):
+    """A functional document read one operator or coefficient key at a time."""
+    form = doc.get("form")
+    if form == "epr":
+        operators = {ser._key_from_str(k): ser._matrix(rows)
+                     for k, rows in doc.get("operators", {}).items()}
+        return EPRFunctional(doc["scenario"], operators, dict(doc.get("bounds", {})))
+    if form == "bell":
+        xi = {ser._key_from_str(k): float(v) for k, v in doc.get("coefficients", {}).items()}
+        return BellCoefficients(doc["scenario"], xi, doc.get("n", 1))
+    raise ser.SchemaError(f"unknown functional form {form!r}")
+
+
+def table_from_json_per_key(doc: dict) -> CorrelationTable:
+    """A correlation table document read one probability key at a time."""
+    spec = ser._spec(doc.get("scenario"), SCENARIOS)
+    slc = block_from_json_per_key(doc.get("slice", {}), spec.layout, spec.slice_axes)
+    selftest = {name: block_from_json_per_key(block, *ser._SELFTEST)
+                for name, block in doc.get("selftest", {}).items()}
+    return CorrelationTable(doc["scenario"], slc, selftest, dict(doc.get("meta", {})))

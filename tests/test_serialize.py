@@ -1,5 +1,7 @@
 import contextlib
+import copy
 import io
+import itertools
 import json
 import math
 import re
@@ -13,9 +15,9 @@ import oracles
 from eprkit import catalog
 from eprkit import linalg as la
 from eprkit import serialize as ser
-from eprkit.assemblages import CONTAINERS, SPECS, random_quantum
+from eprkit.assemblages import CONTAINERS, SPECS, Assemblage, random_quantum
 from eprkit.cli import main
-from eprkit.functionals import bell_from_epr
+from eprkit.functionals import BellCoefficients, EPRFunctional, bell_from_epr
 from eprkit.protocol import make_resource, simulate, simulate_bwi
 from oracles import random_hermitian, random_slice_labels
 
@@ -83,7 +85,6 @@ def test_two_qubit_labels_round_trip():
 def test_bell_coefficient_labels_round_trip_n2():
     f2 = catalog.ptp_functional(normalized=True)
     ops = {k: la.tensor(v, la.I2 / 2) for k, v in f2.operators.items()}
-    from eprkit.functionals import EPRFunctional
     xi = bell_from_epr(EPRFunctional("bwi", ops))
     back = ser.functional_from_json(json.loads(ser.dumps(ser.functional_to_json(xi))))
     assert back.xi == xi.xi
@@ -200,8 +201,15 @@ def test_block_parse_matches_the_per_key_scan(data):
         with pytest.raises(type(exc), match=re.escape(str(exc))):
             ser._block_from_json(block, layout, names)
     else:
-        assert repr(list(ser._block_from_json(block, layout, names).items())) == repr(
-            list(expected.items()))
+        got = ser._block_from_json(block, layout, names)
+        if isinstance(got, tuple):  # a full product on its grid: the same entries, in its order
+            labels, grid = got
+            assert grid.shape == tuple(map(len, labels))
+            entries = dict(zip(itertools.product(*labels), grid.ravel().tolist()))
+            assert sorted(map(repr, entries.items())) == sorted(map(repr, expected.items()))
+            assert len(entries) == len(expected)
+        else:  # entries read one key at a time, in key order
+            assert repr(list(got.items())) == repr(list(expected.items()))
 
 
 def test_block_parse_reads_multi_qubit_labels_and_an_empty_block():
@@ -254,3 +262,120 @@ def test_matrix_parse_matches_the_per_entry_parse(matrix_file, data):
         got = ser.assemblage_from_json(doc)
         assert got.elements.keys() == expected.elements.keys()
         assert got.stack.tobytes() == expected.stack.tobytes()
+
+
+def _operator_block(rng, labels, dim):
+    """{key text: rows} of random Hermitian matrices over the full product of ``labels``, in
+    shuffled key order."""
+    table = oracles.shuffled_table(rng, labels, lambda: random_hermitian(rng, dim))
+    return {",".join(map(ser._label, key)): ser.matrix_to_json(m) for key, m in table.items()}
+
+
+def _random_doc(data, rng):
+    """A document of one kind, its keyed blocks over drawn alphabets, and those blocks."""
+    kind = data.draw(st.sampled_from(["assemblage", "epr", "bell", "table"]))
+    protocols = [name for name, spec in SPECS.items() if spec.layout]
+    scenario = data.draw(st.sampled_from([*SPECS] if kind == "assemblage" else protocols))
+    spec, n = SPECS[scenario], data.draw(st.integers(1, 2))
+    if kind in ("assemblage", "epr"):
+        labels = random_slice_labels(rng, scenario, n)[:len(spec.axes)] if spec.layout else [
+            (0, 1), (1, 2, 3, 4)]  # standard: four settings, not the default three
+        dim = {"bwi": 2**n, "mdi": 2, "channel": 4, "standard": 2}[scenario]
+        block = _operator_block(rng, labels, dim)
+        if kind == "epr":
+            return {"scenario": scenario, "form": "epr", "operators": block,
+                    "bounds": {"classical": 1.5}}, [block]
+        declared = {axis: len(axis_labels) + data.draw(st.integers(0, 1))  # oversized by one
+                    for axis, axis_labels in zip(spec.axes, labels)}
+        return {"scenario": scenario, "alphabets": declared, "elements": block}, [block]
+    labels = random_slice_labels(rng, scenario, n)
+    if kind == "bell":
+        names = spec.slice_axes
+        block = _block(rng, labels, ",".join(names), names)
+        return {"scenario": scenario, "form": "bell", "n": n, "coefficients": block}, [block]
+    selftest = {name: _block(rng, [(0, 1), (0, 1), (1, 2, 3, 4), (1, 2, 3)], *ser._SELFTEST)
+                for name in data.draw(st.sampled_from([["bc"], ["bc", "bd"], []]))}
+    block = _block(rng, labels, spec.layout, spec.slice_axes)
+    return {"scenario": scenario, "slice": block, "selftest": selftest, "meta": {"r": 0.5}}, [
+        block, *selftest.values()]
+
+
+def _mutate_block(data, block):
+    """One drawn change to a keyed block: a key dropped, renamed, aliased or broken, or a value,
+    a matrix entry or a matrix shape broken."""
+    kind = data.draw(st.sampled_from(["drop", "alias", "rename", "label", "field-count",
+                                      "mixed-labels", "value", "entry", "shape"]))
+    key = data.draw(st.sampled_from(list(block)))
+    fields = key.replace("|", ",|,").split(",")
+    i = data.draw(st.sampled_from([i for i, field in enumerate(fields) if field not in ("|", "*")]))
+    value = block[key]
+    if kind == "drop":
+        del block[key]
+    elif kind in ("alias", "rename", "label", "mixed-labels"):
+        fields[i] = {"alias": "0" + fields[i], "rename": f" {fields[i]}",
+                     "mixed-labels": fields[i] + ".1" if "." not in fields[i] else "1"}.get(
+            kind) or data.draw(st.sampled_from(_BAD_LABELS))
+        text = ",".join(fields).replace(",|,", "|")
+        if kind != "alias":  # an alias is a second key text for the same key
+            del block[key]
+        block[text] = value
+    elif kind == "field-count":
+        del block[key]
+        block[",".join(data.draw(st.sampled_from([fields[:-1], fields + ["0"]])))] = value
+    elif not isinstance(value, list):  # a probability or a coefficient
+        block[key] = data.draw(st.sampled_from([*_BAD_VALUES, -0.0, 1e-320, 1e300]))
+    elif kind == "entry":
+        row = data.draw(st.integers(0, len(value) - 1))
+        value[row][data.draw(st.integers(0, len(value) - 1))] = data.draw(st.sampled_from(
+            [[entry, 0.0] for entry in _BAD_ENTRIES] + [[1.0, 1.0], [True, 0.0], [10**25, 0]]))
+    else:  # a matrix of another size, or every matrix of one non-square shape
+        if data.draw(st.booleans()):
+            block[key] = value[:-1] if len(value) > 1 else value + value
+        else:
+            for k in block:
+                block[k] = [row[:-1] + [row[0]] * 2 for row in block[k]]
+
+
+def _loaded(load, doc):
+    """What ``load`` makes of ``doc``: every key order, label, array's bytes and read-only
+    flag, or the type and message of the exception it raises."""
+    try:
+        obj = load(copy.deepcopy(doc))
+    except Exception as exc:
+        return type(exc), str(exc)
+    out = [type(obj), obj.scenario]
+    if isinstance(obj, Assemblage):
+        out += [repr(list(obj.elements)), obj.sizes, obj.stack.tobytes()]  # elements: its rows
+        try:  # the grid that validate and the simulators read
+            labels, grid = obj.grid
+            out += [repr(labels), grid.tobytes(), grid.flags.writeable]
+        except Exception as exc:
+            out.append((type(exc), str(exc)))
+        return out
+    if isinstance(obj, EPRFunctional):
+        return out + [repr(list(obj.operators)), repr(obj.labels), obj.grid.tobytes(),
+                      obj.stack.tobytes(), obj.grid.flags.writeable, repr(obj.bounds)]
+    blocks = [obj.xi] if isinstance(obj, BellCoefficients) else [obj.slice, *obj.selftest.values()]
+    out += [repr(getattr(obj, "n", None)), repr(getattr(obj, "meta", None)),
+            list(getattr(obj, "selftest", {}))]
+    return out + [(repr(b.labels), b.grid.tobytes(), b.grid.flags.writeable) for b in blocks]
+
+
+_LOADERS = {"assemblage": (ser.assemblage_from_json, oracles.assemblage_from_json_per_key),
+            "epr": (ser.functional_from_json, oracles.functional_from_json_per_key),
+            "bell": (ser.functional_from_json, oracles.functional_from_json_per_key),
+            "table": (ser.table_from_json, oracles.table_from_json_per_key)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_loaders_match_the_per_key_loaders(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    doc, blocks = _random_doc(data, rng)
+    for _ in range(data.draw(st.integers(0, 2))):
+        block = data.draw(st.sampled_from(blocks))
+        if block:
+            _mutate_block(data, block)
+    kind = doc.get("form", "table" if "slice" in doc else "assemblage")
+    load, per_key = _LOADERS[kind]
+    assert _loaded(load, doc) == _loaded(per_key, doc)

@@ -12,7 +12,7 @@ from .assemblages import (BwIAssemblage, ChannelAssemblage, MDIAssemblage, Quant
                           StandardAssemblage, ValidationReport, random_quantum, realize_bwi,
                           realize_channel, realize_mdi, transpose_assemblage, validate)
 from .functionals import (BellCoefficients, EPRFunctional, bell_from_epr, decompose, evaluate_bell,
-                          evaluate_epr, reconstruct)
+                          evaluate_epr)
 from .protocol import (CorrelationTable, ResourceAssemblage, make_resource, selftest_marginal,
                        simulate_bwi, simulate_channel, simulate_mdi)
 
@@ -20,6 +20,6 @@ __all__ = ["BellCoefficients", "BwIAssemblage", "ChannelAssemblage", "Correlatio
            "EPRFunctional", "MDIAssemblage", "QuantumRealisation", "ResourceAssemblage",
            "StandardAssemblage", "ValidationReport", "bell_from_epr", "bounds", "catalog",
            "decompose", "evaluate_bell", "evaluate_epr", "linalg", "make_resource", "protocol",
-           "random_quantum", "realize_bwi", "realize_channel", "realize_mdi", "reconstruct",
+           "random_quantum", "realize_bwi", "realize_channel", "realize_mdi",
            "selftest_marginal", "serialize", "simulate_bwi", "simulate_channel", "simulate_mdi",
            "transpose_assemblage", "validate"]

@@ -4,8 +4,8 @@ The classical bound is exact: with a deterministic response f for Alice, the
 hidden-variable states may be chosen per (strategy, Bob input) as minimal
 eigenvectors, so the local minimum is
 ``min_f sum_y lambda_min(sum_x F_{f(x), x, y})`` and the enumeration over
-responses is exhaustive.  It runs over chunks of strategies, one ``eigvalsh``
-per chunk, keeping the first minimising strategy in ``itertools.product`` order.
+responses is exhaustive.  ``la.eigvalsh`` screens each chunk of strategies, LAPACK values those
+within its rounding of the least: the value and first minimiser are LAPACK's, bit for bit.
 
 The no-signalling number here is a certificate-style lower bound, not the
 exact polytope minimum: ``sum_{x,y} min_a lambda_min(F_{axy})`` is valid for
@@ -31,18 +31,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .assemblages import LabelGrid, QuantumRealisation
+from .assemblages import LabelGrid, QuantumRealisation, ReadOnlyDict
 from .catalog import SELFTEST_LABELS, SELFTEST_SIGNS
 from .functionals import EPRFunctional
 
 ENUMERATION_GUARD = 10**6
-_CHUNK = 256  # strategies per batched eigvalsh in classical_bound
+_CHUNK = 256  # strategies summed and screened at once in classical_bound
 _TINY = np.finfo(float).smallest_subnormal  # floors divisors that are 0 only with their dividends
 
 
 @dataclass(frozen=True)
 class DeterministicStrategy:
-    """A deterministic Alice response x -> a with its per-input operators."""
+    """A deterministic Alice response x -> a with its per-input operators, both read-only."""
 
     response: dict
     operators: dict  # y -> sum_x F_{response[x], x, y}
@@ -76,19 +76,31 @@ def classical_bound(f: EPRFunctional) -> BoundReport:
         raise ValueError(f"{n_strategies} deterministic strategies exceed the enumeration guard")
     # Strategy i answers setting j with base-n_a digit j of i: itertools.product order.
     places = n_a ** np.arange(n_x - 1, -1, -1)
+    # A screened value lies within 4 n_y (n_y + 8) ulps of norm >= ||O_y|| of LAPACK's (32 per
+    # eigenvalue, where LAPACK's 2x2 errors reach 9 and the closed form's 3, and 4 n_y per
+    # summand), so a chunk's first LAPACK minimiser lies within twice that of its least.
+    norm = f.dim * np.abs(grid).max((0, 2, 3, 4), initial=0).sum()
+    window = 8 * len(y_vals) * (len(y_vals) + 8) * (np.finfo(float).eps * norm + _TINY)
     best = np.inf, None, None  # value, choices, operators of the first minimising strategy
     for start in range(0, n_strategies, _CHUNK):
         choices = np.arange(start, min(start + _CHUNK, n_strategies))[:, None] // places % n_a
         operators = grid[choices[:, 0], 0]  # (chunk, y, d, d): sum_x F_{choice(x), x, y}
         for j in range(1, n_x):
             operators += grid[choices[:, j], j]
-        values = sum(np.linalg.eigvalsh(operators)[..., 0].T)  # over y in order, per strategy
+        screened = sum(la.eigvalsh(operators)[..., 0].T)  # over y in order, per strategy
+        # Every strategy whose LAPACK value may be the chunk's least gets that value.
+        near = np.flatnonzero(screened <= screened.min() + window)
+        values = sum(np.linalg.eigvalsh(operators[near])[..., 0].T)
         i = values.argmin()  # the first minimum of the chunk
         if values[i] < best[0]:
-            best = values[i], choices[i], operators[i]
+            best = values[i], choices[near[i]], operators[near[i]]
     value, choices, operators = best
-    witness = None if choices is None else DeterministicStrategy(
-        {x: a_vals[c] for x, c in zip(x_vals, choices)}, dict(zip(y_vals, operators)))
+    if choices is None:
+        return BoundReport("classical", float(value))
+    operators = operators.copy()  # the winner's own (y, d, d) array, not the chunk's
+    operators.setflags(write=False)
+    witness = DeterministicStrategy(ReadOnlyDict({x: a_vals[c] for x, c in zip(x_vals, choices)}),
+                                    ReadOnlyDict(zip(y_vals, operators)))
     return BoundReport("classical", float(value), witness=witness)
 
 
@@ -176,7 +188,7 @@ def seesaw_quantum(f: EPRFunctional, seed: int = 0, restarts: int = 10,
     witness = QuantumRealisation(
         "bwi", np.outer(grounds[best], grounds[best].conj()),
         {x: (m, np.eye(2) - m) for x, m in zip(x_vals, effects)},
-        channels=dict.fromkeys(y_vals, la.identity_map(db)))
+        channels=dict.fromkeys(y_vals, la.KrausMap(db, db, (np.eye(db),))))
     return BoundReport("seesaw", per_restart[best][0], witness, guaranteed_tight=False,
                        note="quantum-achievable value; upper bound on the quantum minimum",
                        iterations=sum(n for _, n in per_restart), restarts=restarts,

@@ -82,12 +82,6 @@ class EPRFunctional:
     def dim(self) -> int:
         return self.stack.shape[-1]
 
-    def shifted(self, offset: float) -> "EPRFunctional":
-        """Add ``offset * I`` to every operator (bounds metadata dropped)."""
-        return EPRFunctional(
-            self.scenario, dict(zip(self.operators, self.stack + offset * np.eye(self.dim)))
-        )
-
 
 @dataclass(frozen=True)
 class BellCoefficients:
@@ -173,16 +167,6 @@ def decompose(f: np.ndarray, n: int | None = None) -> dict:
 def _pauli(ops: np.ndarray, n: int) -> np.ndarray:
     """Pauli coefficients tr[f P_s] / 2^n of a stack of n-qubit operators, (..., 4**n)."""
     return np.einsum("sij,...ji->...s", _pauli_basis(n)[0], ops).real / 2**n
-
-
-def reconstruct(xi: dict, n: int = 1) -> np.ndarray:
-    """Inverse of a coefficient table: sum of weighted projector strings."""
-    out = np.zeros((2**n, 2**n), dtype=complex)
-    for key, combo in projector_strings(n):
-        if key not in xi:
-            raise ValueError(f"missing coefficient label {key}")
-        out += xi[key] * la.tensor(*(la.proj(c, w) for c, w in combo))
-    return out
 
 
 def sparse_single_qubit_coefficients(ops: np.ndarray) -> np.ndarray:

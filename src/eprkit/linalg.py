@@ -10,8 +10,8 @@ Conventions fixed once, used package-wide:
   so Choi operators of trace-preserving maps have unit trace.
 * ``apply_choi`` contracts with the factor ``in_dim`` (2 for a qubit input),
   i.e. ``apply_choi(J, rho) = in_dim * tr_in[(I_out (x) rho^T) J]``.
-* Projector labels: ``w = 1 -> Z``, ``w = 2 -> X``, ``w = 3 -> Y``, with
-  ``proj(c, w) = (I + (-1)^c P_w) / 2``.
+* Projector labels: ``w = 1 -> Z``, ``w = 2 -> X``, ``w = 3 -> Y``, with the
+  projector ``(I + (-1)^c P_w) / 2`` labelled (c, w).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 # Setting label -> Pauli operator (w = 1, 2, 3).
 PAULI_BY_SETTING = {1: PAULI_Z, 2: PAULI_X, 3: PAULI_Y}
 PAULIS = np.stack([I2, PAULI_Z, PAULI_X, PAULI_Y])  # I, then the settings' Paulis in order
+_SIGNS = np.array([-1.0, 1.0])
 
 
 def hermitian(entries, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -77,11 +78,17 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(m)
 
 
-def proj(c: int, w: int) -> np.ndarray:
-    """Eigenprojector of the Pauli labelled by ``w`` with eigenvalue (-1)^c."""
-    if c not in (0, 1) or w not in (1, 2, 3):
-        raise ValueError(f"projector labels out of range: c={c}, w={w}")
-    return (I2 + (-1) ** c * PAULI_BY_SETTING[w]) / 2
+def eigvalsh(m) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian operator or stack, read like ``np.linalg.eigvalsh``
+    from the diagonal and lower triangle: LAPACK's, but at 2x2 the closed form
+    ``a/2 + d/2 -+ hypot(a/2 - d/2, |b|)``, within a few ulps of the norm and free of LAPACK's
+    per-matrix cost.  Compare or search with it; print LAPACK's bits."""
+    m = np.asarray(m)
+    if m.shape[-2:] != (2, 2):
+        return np.linalg.eigvalsh(m)
+    a, d = m[..., 0, 0].real / 2, m[..., 1, 1].real / 2
+    radius = np.hypot(a - d, abs(m[..., 1, 0]))[..., None]
+    return (a + d)[..., None] + radius * _SIGNS
 
 
 def phi_plus(n: int = 1) -> np.ndarray:
@@ -131,10 +138,6 @@ class KrausMap:
         return np.einsum("...koi,...ij,...kpj->...op", k, rho, k.conj())
 
 
-def identity_map(dim: int = 2) -> KrausMap:
-    return KrausMap(dim, dim, (np.eye(dim, dtype=complex),))
-
-
 def apply_choi(j: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Recover the map action from a Choi operator.
 
@@ -175,18 +178,10 @@ def ginibre_stacks(rngs, *shapes, then=None) -> list:
     return out + later
 
 
-def ginibre(rngs, rows: int, cols: int) -> np.ndarray:
-    return ginibre_stacks(rngs, (rows, cols))[0]
-
-
 def density(g: np.ndarray) -> np.ndarray:
     """The state g g^dagger / tr[g g^dagger] of each matrix of a Ginibre stack."""
     rho = g @ g.conj().swapaxes(-2, -1)
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
-
-
-def random_density(rngs, dim: int) -> np.ndarray:
-    return density(ginibre(rngs, dim, dim))
 
 
 def _isometry(g: np.ndarray) -> np.ndarray:
@@ -236,9 +231,3 @@ def stinespring(g: np.ndarray, out_dim: int) -> np.ndarray:
     v = _isometry(g)
     # Row out * env_dim + e of the isometry is row ``out`` of Kraus operator e.
     return v.reshape(*v.shape[:-2], out_dim, -1, v.shape[-1]).swapaxes(-3, -2)
-
-
-def random_channel(rngs, in_dim: int, out_dim: int, env_dim: int = 2) -> KrausMap:
-    """Random isometry channel (Stinespring dilation with the given environment)."""
-    g = ginibre(rngs, out_dim * env_dim, in_dim)
-    return KrausMap(in_dim, out_dim, stinespring(g, out_dim))

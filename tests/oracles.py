@@ -140,6 +140,10 @@ def partial_transpose(m: np.ndarray, subsystem_dims, transposed_index: int) -> n
     return t.transpose(axes).reshape(total, total)
 
 
+def identity_map(dim: int = 2) -> la.KrausMap:
+    return la.KrausMap(dim, dim, (np.eye(dim, dtype=complex),))
+
+
 def conjugation_map(u: np.ndarray) -> la.KrausMap:
     u = np.asarray(u, dtype=complex)
     return la.KrausMap(u.shape[1], u.shape[0], (u,))
@@ -155,6 +159,28 @@ def transpose_dual(kmap: la.KrausMap) -> la.KrausMap:
         kmap.out_dim,
         tuple(k.conj() for k in kmap.kraus_ops),
     )
+
+
+def proj(c: int, w: int) -> np.ndarray:
+    """Eigenprojector of the Pauli labelled by ``w`` with eigenvalue (-1)^c."""
+    if c not in (0, 1) or w not in (1, 2, 3):
+        raise ValueError(f"projector labels out of range: c={c}, w={w}")
+    return (la.I2 + (-1) ** c * la.PAULI_BY_SETTING[w]) / 2
+
+
+def reconstruct(xi: dict, n: int = 1) -> np.ndarray:
+    """Inverse of a coefficient table: sum of weighted projector strings."""
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for key, combo in projector_strings(n):
+        if key not in xi:
+            raise ValueError(f"missing coefficient label {key}")
+        out += xi[key] * la.tensor(*(proj(c, w) for c, w in combo))
+    return out
+
+
+def shifted(f: EPRFunctional, offset: float) -> EPRFunctional:
+    """``f`` with ``offset * I`` added to every operator (bounds metadata dropped)."""
+    return EPRFunctional(f.scenario, dict(zip(f.operators, f.stack + offset * np.eye(f.dim))))
 
 
 def min_eigenvalue(m: np.ndarray) -> float:
@@ -189,6 +215,23 @@ def _random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarr
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """A Haar-random unitary."""
     return _random_isometry(rng, dim, dim)
+
+
+def ginibre(rngs, rows: int, cols: int) -> np.ndarray:
+    """A complex Ginibre stack (*np.shape(rngs), rows, cols), one draw per generator."""
+    return la.ginibre_stacks(rngs, (rows, cols))[0]
+
+
+def random_density(rngs, dim: int) -> np.ndarray:
+    """The state of one Ginibre draw per generator."""
+    return la.density(ginibre(rngs, dim, dim))
+
+
+def random_channel(rngs, in_dim: int, out_dim: int, env_dim: int = 2) -> la.KrausMap:
+    """A random isometry channel (Stinespring dilation with the given environment), one
+    per generator."""
+    g = ginibre(rngs, out_dim * env_dim, in_dim)
+    return la.KrausMap(in_dim, out_dim, la.stinespring(g, out_dim))
 
 
 def _per_seed_povm(rng, dim, n_outcomes):
@@ -250,24 +293,24 @@ def random_quantum_per_seed(scenario: str, seed: int, alphabets=None, n: int = 1
 
 def sample_per_call(scenario: str, seeds, alphabets=None, n: int = 1):
     """The stacked sampler with one generator call per drawn matrix: the state, Alice's
-    POVMs for x = 1, 2, ..., then Bob's processing, each from the public ``la.random_*``
-    generators, every generator drawing in turn.  Returns the labels, the unchecked
+    POVMs for x = 1, 2, ..., then Bob's processing, each from the ``random_*``
+    generators here, every generator drawing in turn.  Returns the labels, the unchecked
     grid and the realisation, like ``assemblages._sample``."""
     spec = SPECS[scenario]
     rngs = np.asarray(np.frompyfunc(np.random.default_rng, 1, 1)(seeds), dtype=object)
     sizes = {**spec.default_sizes, **(alphabets or {})}
     db = 2**n
-    state = la.random_density(rngs, 2 * db)
+    state = random_density(rngs, 2 * db)
     effects = la.random_projective_povm(rngs[..., None].repeat(sizes["x"], -1), 2, sizes["a"])
     povms = dict(zip(range(1, sizes["x"] + 1), np.moveaxis(effects, -4, 0)))
     if scenario == "bwi":
-        kraus = la.random_channel(rngs[..., None].repeat(sizes["y"], -1), db, db).kraus_ops
+        kraus = random_channel(rngs[..., None].repeat(sizes["y"], -1), db, db).kraus_ops
         bob = {"channels": {y: la.KrausMap(db, db, k)
                             for y, k in enumerate(np.moveaxis(kraus, -4, 0))}}
     elif scenario == "mdi":
         bob = {"instrument": la.random_projective_povm(rngs, 2 * db, sizes["b"])}
     else:
-        bob = {"channel": la.random_channel(rngs, 2 * db, 2)}
+        bob = {"channel": random_channel(rngs, 2 * db, 2)}
     qr = QuantumRealisation(scenario, state, povms, **bob)
     return (*spec.realize(qr), qr)
 
@@ -326,8 +369,25 @@ def mdi_ptp_probabilities_per_key(method: str) -> dict:
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = la.ginibre(rng, dim, dim)
+    g = ginibre(rng, dim, dim)
     return (g + g.conj().T) / 2
+
+
+def classical_bound_lapack(f: EPRFunctional, eigvalsh=np.linalg.eigvalsh):
+    """The value, response and (y, d, d) operators of the first minimising deterministic
+    strategy in ``itertools.product`` order, every strategy's value from one ``eigvalsh``
+    call (LAPACK's by default): each operator summed over x in order, each value over y."""
+    (a_vals, x_vals, y_vals), grid = f.labels, f.grid
+    choices = np.array(list(itertools.product(range(len(a_vals)), repeat=len(x_vals))))
+    operators = grid[choices[:, 0], 0]
+    for j in range(1, len(x_vals)):
+        operators = operators + grid[choices[:, j], j]
+    least = eigvalsh(operators)[..., 0]
+    values = 0
+    for y in range(len(y_vals)):
+        values = values + least[:, y]
+    i = int(np.argmin(values))  # the first minimum
+    return values[i], {x: a_vals[c] for x, c in zip(x_vals, choices[i])}, operators[i]
 
 
 def random_povm_element(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -382,7 +442,7 @@ def channel_grid_einsum(qr) -> np.ndarray:
 
 def steering_effect(c: int, w: int) -> np.ndarray:
     """Charlie effect whose steering reproduces sigma_tilde: all plus signs."""
-    return la.proj(c, w)
+    return proj(c, w)
 
 
 def dumps(doc) -> str:

@@ -31,10 +31,10 @@ from eprkit.functionals import (
     decompose,
     evaluate_bell,
     evaluate_epr,
-    reconstruct,
 )
 from eprkit.protocol import make_resource, selftest_marginal, simulate_bwi, simulate_channel, simulate_mdi
-from oracles import random_hermitian, random_povm_element, transpose_dual
+from oracles import (ginibre, random_channel, random_density, random_hermitian, random_povm_element,
+                     reconstruct, transpose_dual)
 
 EXACT_CLASSICAL = 3 - np.sqrt(3)
 
@@ -91,7 +91,7 @@ def _random_psd_mdi_functional(seed: int) -> EPRFunctional:
     rng = np.random.default_rng(seed)
     ops = {}
     for a, b, x in itertools.product((0, 1), (0, 1), (1, 2, 3)):
-        g = la.ginibre(rng, 2, 2)
+        g = ginibre(rng, 2, 2)
         ops[(a, b, x)] = g @ g.conj().T / 2
     return EPRFunctional("mdi", ops)
 
@@ -180,9 +180,9 @@ def test_criterion_08_transpose_dual_oracle():
     worst = 0.0
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        phi = la.random_channel(rng, 2, 2)
+        phi = random_channel(rng, 2, 2)
         psi = transpose_dual(phi)
-        rho = la.random_density(rng, 2)
+        rho = random_density(rng, 2)
         worst = max(worst, float(np.max(np.abs(phi(rho).T - psi(rho.T)))))
     ok = worst <= 1e-10
     _verdict(8, ok, f"transpose-dual identity worst deviation {worst:.2e} over 100 pairs")

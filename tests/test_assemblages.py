@@ -9,6 +9,7 @@ from eprkit.assemblages import (
     CONTAINERS,
     BwIAssemblage,
     ChannelAssemblage,
+    STATE_TOL,
     QuantumRealisation,
     StandardAssemblage,
     random_quantum,
@@ -24,10 +25,15 @@ from oracles import (
     channel_grid_einsum,
     conditional_states_einsum,
     conjugation_map,
+    identity_map,
     min_eigenvalue,
     partial_trace,
+    proj,
+    random_channel,
+    random_density,
     random_hermitian,
     random_quantum_per_seed,
+    random_unitary,
     realisation_arrays,
     sample_per_call,
     transpose_dual,
@@ -69,9 +75,9 @@ def test_validate_reports_missing_keys_as_structural():
 
 
 def _pauli_realisation(channels=None):
-    povms = {x: (la.proj(0, w), la.proj(1, w)) for x, w in [(1, 2), (2, 3), (3, 1)]}
+    povms = {x: (proj(0, w), proj(1, w)) for x, w in [(1, 2), (2, 3), (3, 1)]}
     if channels is None:
-        channels = {0: la.identity_map(2), 1: la.identity_map(2)}
+        channels = {0: identity_map(2), 1: identity_map(2)}
     return QuantumRealisation("bwi", la.phi_plus(), povms, channels=channels)
 
 
@@ -86,10 +92,10 @@ def test_realize_bwi_steering_identity():
 
 def test_realize_bwi_product_state_is_unsteerable():
     rng = np.random.default_rng(2)
-    rho_a = la.random_density(rng, 2)
-    rho_b = la.random_density(rng, 2)
+    rho_a = random_density(rng, 2)
+    rho_b = random_density(rng, 2)
     povms = {x: tuple(la.random_projective_povm(rng, 2)) for x in (1, 2, 3)}
-    channels = {0: la.identity_map(2), 1: la.random_channel(rng, 2, 2)}
+    channels = {0: identity_map(2), 1: random_channel(rng, 2, 2)}
     qr = QuantumRealisation("bwi", la.tensor(rho_a, rho_b), povms, channels=channels)
     assemblage = realize_bwi(qr)
     for (a, x, y), sigma in assemblage.elements.items():
@@ -98,7 +104,7 @@ def test_realize_bwi_product_state_is_unsteerable():
 
 
 def test_realize_bwi_z_conjugation_channel():
-    channels = {0: la.identity_map(2), 1: conjugation_map(la.PAULI_Z)}
+    channels = {0: identity_map(2), 1: conjugation_map(la.PAULI_Z)}
     assemblage = realize_bwi(_pauli_realisation(channels))
     for a in (0, 1):
         for x in (1, 2, 3):
@@ -118,13 +124,13 @@ def test_realize_bwi_alice_marginal_bob_input_independent():
 
 def _discard_and_measure_instrument():
     # Trace out B, measure B_in in the Z basis: effects I (x) |b><b|.
-    return tuple(la.tensor(la.I2, la.proj(b, 1)) for b in (0, 1))
+    return tuple(la.tensor(la.I2, proj(b, 1)) for b in (0, 1))
 
 
 def test_realize_mdi_discard_and_measure():
     rng = np.random.default_rng(4)
-    rho_a = la.random_density(rng, 2)
-    rho_b = la.random_density(rng, 2)
+    rho_a = random_density(rng, 2)
+    rho_b = random_density(rng, 2)
     povms = {x: tuple(la.random_projective_povm(rng, 2)) for x in (1, 2, 3)}
     qr = QuantumRealisation("mdi", la.tensor(rho_a, rho_b), povms,
                             instrument=_discard_and_measure_instrument())
@@ -132,7 +138,7 @@ def test_realize_mdi_discard_and_measure():
     assert validate(assemblage).passed
     for (a, b, x), j in assemblage.elements.items():
         p = np.real(np.trace(povms[x][a] @ rho_a))
-        assert np.allclose(j, p * la.proj(b, 1).T / 2, atol=1e-12)
+        assert np.allclose(j, p * proj(b, 1).T / 2, atol=1e-12)
 
 
 def test_realize_mdi_uniform_noise():
@@ -147,7 +153,7 @@ def test_realize_mdi_uniform_noise():
 def test_realize_mdi_bell_measurement():
     phi = la.phi_plus()
     instrument = (phi, np.eye(4) - phi)  # b = 0 on the maximally entangled direction
-    povms = {x: (la.proj(0, x), la.proj(1, x)) for x in (1, 2, 3)}
+    povms = {x: (proj(0, x), proj(1, x)) for x in (1, 2, 3)}
     qr = QuantumRealisation("mdi", phi, povms, instrument=instrument)
     assemblage = realize_mdi(qr)
     rep = validate(assemblage)
@@ -161,7 +167,7 @@ def test_realize_mdi_bell_measurement():
 def _channel_realisation(gamma, seed=8):
     rng = np.random.default_rng(seed)
     povms = {x: tuple(la.random_projective_povm(rng, 2)) for x in (1, 2, 3)}
-    return QuantumRealisation("channel", la.random_density(rng, 4), povms, channel=gamma)
+    return QuantumRealisation("channel", random_density(rng, 4), povms, channel=gamma)
 
 
 def test_realize_channel_discard_bob_forward_input():
@@ -334,8 +340,8 @@ def test_product_kernels_match_the_index_form_einsums(scenario, alphabets, n):
 def test_bwi_grid_takes_channels_with_different_kraus_counts():
     rng = np.random.default_rng(11)
     povms = {x: la.random_projective_povm(rng, 2) for x in (1, 2, 3)}
-    channels = {0: la.identity_map(2), 1: la.random_channel(rng, 2, 2, env_dim=3)}
-    qr = QuantumRealisation("bwi", la.random_density(rng, 4), povms, channels=channels)
+    channels = {0: identity_map(2), 1: random_channel(rng, 2, 2, env_dim=3)}
+    qr = QuantumRealisation("bwi", random_density(rng, 4), povms, channels=channels)
     labels, grid = realize_bwi(qr).grid
     assert np.max(np.abs(grid - bwi_grid_einsum(qr))) <= 1e-15
 
@@ -389,7 +395,7 @@ def test_transpose_of_real_assemblage_is_identity():
                   for x in (1, 2, 3)}
     qr = QuantumRealisation(
         "bwi", np.diag([0.4, 0.1, 0.2, 0.3]).astype(complex), diag_povms,
-        channels={0: la.identity_map(2), 1: la.identity_map(2)},
+        channels={0: identity_map(2), 1: identity_map(2)},
     )
     assemblage = realize_bwi(qr)
     flipped = transpose_assemblage(assemblage)
@@ -433,19 +439,55 @@ def test_quantum_realisation_rejects_bad_povm():
     povms = {1: (la.I2, la.I2)}  # sums to 2I
     with pytest.raises(ValueError):
         QuantumRealisation("bwi", la.phi_plus(), povms,
-                           channels={0: la.identity_map(2)})
+                           channels={0: identity_map(2)})
 
 
 @pytest.mark.parametrize("povms, message", [
     # Setting 2 has a negative effect, setting 3 does not sum to I: setting 2 is named.
-    ({1: (la.proj(0, 1), la.proj(1, 1)), 2: (la.PAULI_Z, la.I2 - la.PAULI_Z), 3: (la.I2, la.I2)},
+    ({1: (proj(0, 1), proj(1, 1)), 2: (la.PAULI_Z, la.I2 - la.PAULI_Z), 3: (la.I2, la.I2)},
      "POVM for setting 2 has an effect that is not PSD"),
-    ({1: (la.proj(0, 2), la.proj(1, 2)), 2: (la.I2, la.I2), 3: (la.PAULI_Z, la.I2 - la.PAULI_Z)},
+    ({1: (proj(0, 2), proj(1, 2)), 2: (la.I2, la.I2), 3: (la.PAULI_Z, la.I2 - la.PAULI_Z)},
      "POVM for setting 2 does not sum to identity"),
 ])
 def test_quantum_realisation_names_the_first_failing_setting(povms, message):
     with pytest.raises(ValueError, match=message):
-        QuantumRealisation("bwi", la.phi_plus(), povms, channels={0: la.identity_map(2)})
+        QuantumRealisation("bwi", la.phi_plus(), povms, channels={0: identity_map(2)})
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
+@pytest.mark.parametrize("where, message", [
+    ("state", "shared state is not positive semidefinite"),
+    ("povm", "POVM for setting 2 has an effect that is not PSD"),
+    ("instrument", "instrument has an effect that is not PSD"),
+])
+def test_quantum_realisation_decides_psd_at_the_tolerance(where, message, factor, stacked):
+    # One operator of one member has least eigenvalue -factor * STATE_TOL; stacked, it is
+    # member 1 of 3, whose others are rank deficient, so that they sit on the boundary too.
+    rng = np.random.default_rng(11)
+    least = -factor * STATE_TOL
+
+    def spectral(*spectrum):
+        u = random_unitary(rng, len(spectrum))
+        return (u * spectrum) @ u.conj().T
+
+    def member(bad):
+        state = spectral(0.5, 0.3, 0.2 - least, least) if bad == "state" else la.phi_plus()
+        m = spectral(least, 0.6) if bad == "povm" else proj(0, 2)
+        e = spectral(least, 0.3, 0.6, 1.0) if bad == "instrument" else np.diag([1.0, 1, 0, 0])
+        return state, {1: (proj(0, 1), proj(1, 1)), 2: (m, la.I2 - m)}, (e, np.eye(4) - e)
+
+    n = 3 if stacked else 1
+    members = [member(where if i == n // 2 else None) for i in range(n)]
+    state, povms, instrument = members[0]
+    if stacked:
+        state, instrument = (np.stack([m[k] for m in members]) for k in (0, 2))
+        povms = {x: np.stack([m[1][x] for m in members]) for x in (1, 2)}
+    if factor > 1:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            QuantumRealisation("mdi", state, povms, instrument=instrument)
+    else:
+        QuantumRealisation("mdi", state, povms, instrument=instrument)
 
 
 def test_alphabet_sizes_beyond_a_range_are_rejected():
@@ -455,44 +497,44 @@ def test_alphabet_sizes_beyond_a_range_are_rejected():
 
 
 def test_quantum_realisation_rejects_unnormalised_state():
-    povms = {1: (la.proj(0, 1), la.proj(1, 1))}
+    povms = {1: (proj(0, 1), proj(1, 1))}
     with pytest.raises(ValueError):
         QuantumRealisation("bwi", 2 * la.phi_plus(), povms,
-                           channels={0: la.identity_map(2)})
+                           channels={0: identity_map(2)})
 
 
 def test_quantum_realisation_rejects_leaky_instrument():
-    instrument = (la.tensor(la.proj(0, 1), la.proj(0, 1)),)
+    instrument = (la.tensor(proj(0, 1), proj(0, 1)),)
     with pytest.raises(ValueError, match="instrument does not sum to identity"):
         QuantumRealisation("mdi", la.phi_plus(),
-                           {1: (la.proj(0, 1), la.proj(1, 1))}, instrument=instrument)
+                           {1: (proj(0, 1), proj(1, 1))}, instrument=instrument)
 
 
 def test_quantum_realisation_rejects_instrument_effect_not_psd():
     # Z (x) I and its complement sum to the identity, but Z (x) I has eigenvalue -1.
     negative = la.tensor(la.PAULI_Z, la.I2)
     with pytest.raises(ValueError, match="instrument has an effect that is not PSD"):
-        QuantumRealisation("mdi", la.phi_plus(), {1: (la.proj(0, 1), la.proj(1, 1))},
+        QuantumRealisation("mdi", la.phi_plus(), {1: (proj(0, 1), proj(1, 1))},
                            instrument=(negative, np.eye(4) - negative))
 
 
 def test_quantum_realisation_rejects_povms_with_different_outcome_counts():
-    povms = {1: (la.proj(0, 1), la.proj(1, 1)), 2: (la.I2,)}
+    povms = {1: (proj(0, 1), proj(1, 1)), 2: (la.I2,)}
     with pytest.raises(ValueError, match="different outcome counts"):
-        QuantumRealisation("bwi", la.phi_plus(), povms, channels={0: la.identity_map(2)})
+        QuantumRealisation("bwi", la.phi_plus(), povms, channels={0: identity_map(2)})
 
 
 @pytest.mark.parametrize("scenario, processing, message", [
     # Effects on B alone, without B_in: they would realise 1x1 Choi operators.
-    ("mdi", {"instrument": (la.proj(0, 1), la.proj(1, 1))}, "instrument acts on dimension 2"),
-    ("bwi", {"channels": {0: la.identity_map(2), 1: la.identity_map(4)}},
+    ("mdi", {"instrument": (proj(0, 1), proj(1, 1))}, "instrument acts on dimension 2"),
+    ("bwi", {"channels": {0: identity_map(2), 1: identity_map(4)}},
      "channel for input 1 acts on dimension 4"),
-    ("channel", {"channel": la.identity_map(2)}, "channel acts on dimension 2"),
+    ("channel", {"channel": identity_map(2)}, "channel acts on dimension 2"),
 ])
 def test_quantum_realisation_rejects_bob_processing_of_wrong_dimension(scenario, processing,
                                                                        message):
     with pytest.raises(ValueError, match=message):
-        QuantumRealisation(scenario, la.phi_plus(), {1: (la.proj(0, 1), la.proj(1, 1))},
+        QuantumRealisation(scenario, la.phi_plus(), {1: (proj(0, 1), proj(1, 1))},
                            **processing)
 
 

@@ -17,7 +17,8 @@ from eprkit.bounds import (
     selftest_value,
 )
 from eprkit.functionals import EPRFunctional
-from oracles import min_eigenvalue, partial_trace, random_hermitian
+from oracles import (classical_bound_lapack, min_eigenvalue, partial_trace, proj, random_density,
+                     random_hermitian, random_unitary, shifted)
 
 EXACT_CLASSICAL = 3 - np.sqrt(3)
 
@@ -58,8 +59,8 @@ def test_classical_bound_identity_shift_covariance():
     f = _random_bwi_functional(3)
     base = classical_bound(f).value
     for c in (-0.7, 0.31):
-        shifted = classical_bound(f.shifted(c)).value
-        assert abs(shifted - (base + c * 6)) < 1e-10  # |X| |Y| = 6
+        value = classical_bound(shifted(f, c)).value
+        assert abs(value - (base + c * 6)) < 1e-10  # |X| |Y| = 6
 
 
 def test_classical_bound_enumeration_guard():
@@ -80,7 +81,7 @@ def test_ns_lower_bound_identity_family():
 
 
 def test_ns_lower_bound_negative_definite_operator():
-    ops = {(a, x, y): la.proj(0, 1) for a in (0, 1) for x in (1, 2, 3) for y in (0, 1)}
+    ops = {(a, x, y): proj(0, 1) for a in (0, 1) for x in (1, 2, 3) for y in (0, 1)}
     ops[(0, 1, 0)] = -np.eye(2)
     report = ns_lower_bound(EPRFunctional("bwi", ops))
     assert report.value < 0
@@ -150,8 +151,8 @@ def test_closed_form_measurement_step_matches_eigendecomposition(seed, scale):
 
 
 @pytest.mark.parametrize("g, m0", [
-    pytest.param(np.diag([0.0, 1.0]), la.proj(0, 1), id="zero-eigenvalue-to-outcome-0"),
-    pytest.param((la.I2 + la.PAULI_X) / 2, la.proj(1, 2), id="zero-eigenvalue-off-axis"),
+    pytest.param(np.diag([0.0, 1.0]), proj(0, 1), id="zero-eigenvalue-to-outcome-0"),
+    pytest.param((la.I2 + la.PAULI_X) / 2, proj(1, 2), id="zero-eigenvalue-off-axis"),
     pytest.param(np.diag([0.0, -1.0]), la.I2, id="zero-and-negative"),
     pytest.param(np.zeros((2, 2)), la.I2, id="zero"),
     pytest.param(np.array([[2, 1j], [-1j, 2]]), np.zeros((2, 2)), id="positive-definite"),
@@ -217,7 +218,7 @@ def test_selftest_value_uniform_is_zero():
 
 def test_selftest_value_unsteered_resource_is_zero():
     # Product resource sigma_{c|w} = rho / 2: Charlie's outcome is a coin flip.
-    rho = la.random_density(np.random.default_rng(5), 2)
+    rho = random_density(np.random.default_rng(5), 2)
     marginal = {}
     for z, obs in catalog.selftest_observables().items():
         projs = la.observable_projectors(obs)
@@ -312,6 +313,62 @@ def test_bounds_match_per_key_loops_across_strategy_chunks(n_a, n_x):
                                                       for key in keys}))
 
 
+def _levels_functional(seed: int, n_x: int, n_y: int, dim: int, rotated: bool) -> EPRFunctional:
+    """Operators u diag(levels) u^dagger over a few levels and one common basis u: many
+    strategies tie exactly, and rounding splits others by an ulp or two."""
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, dim) if rotated else np.eye(dim)
+    return EPRFunctional("bwi", {
+        key: (u * rng.choice([0.1, 0.2, 0.3, 0.7], dim)) @ u.conj().T
+        for key in itertools.product((0, 1), range(1, n_x + 1), range(n_y))})
+
+
+def _assert_classical_bound_is_lapacks(f):
+    value, response, operators = classical_bound_lapack(f)
+    report = classical_bound(f)
+    assert report.value.hex() == float(value).hex()
+    assert report.witness.response == response
+    assert np.array_equal(np.stack(list(report.witness.operators.values())), operators)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_x=st.integers(1, 10), n_y=st.integers(1, 3),
+       dim=st.sampled_from([2, 2, 4]), kind=st.sampled_from(["random", "levels", "rotated"]),
+       scale=st.sampled_from([1e-320, 1.0, 1e300]))
+def test_classical_bound_is_the_lapack_enumeration_to_the_bit(seed, n_x, n_y, dim, kind, scale):
+    if kind == "random":
+        rng = np.random.default_rng(seed)
+        f = EPRFunctional("bwi", {key: random_hermitian(rng, dim) for key in
+                                  itertools.product((0, 1), range(1, n_x + 1), range(n_y))})
+    else:
+        f = _levels_functional(seed, n_x, n_y, dim, kind == "rotated")
+    f = EPRFunctional("bwi", (f.labels, scale * f.grid))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_classical_bound_is_lapacks(f)
+
+
+@pytest.mark.parametrize("seed, n_x, rotated", [(38, 8, False), (41, 8, False), (1, 3, True),
+                                                (2, 8, True)])
+def test_classical_bound_keeps_lapacks_minimiser_where_the_screen_disagrees(seed, n_x, rotated):
+    f = _levels_functional(seed, n_x, 2, 2, rotated)
+    # The closed-form screen alone would pick another first minimiser on these functionals.
+    assert classical_bound_lapack(f, la.eigvalsh)[1] != classical_bound_lapack(f)[1]
+    _assert_classical_bound_is_lapacks(f)
+
+
+def test_classical_witness_is_frozen():
+    witness = classical_bound(catalog.ptp_functional()).witness
+    with pytest.raises(TypeError):
+        witness.response[1] = 1
+    with pytest.raises(TypeError):
+        witness.operators[0] = np.eye(2)
+    operators = list(witness.operators.values())
+    for op in operators:
+        with pytest.raises(ValueError):
+            op[0, 0] = 0  # read-only
+        assert op.base is operators[0].base and op.base.shape == (2, 2, 2)
+
+
 def test_classical_bound_ties_keep_the_first_strategy_across_chunks():
     # All 3**6 strategies tie at 0; the first answers every setting with the first label.
     f = EPRFunctional("bwi", {(a, x, 0): np.zeros((2, 2)) for a in (4, 5, 6) for x in range(1, 7)})
@@ -332,7 +389,7 @@ def test_classical_bound_ties_keep_the_first_strategy_in_product_order():
     # Every strategy answering x = 1 or x = 9 with a = 1 reaches -1; the first in
     # itertools.product order (last setting fastest) is strategy 1: a = 1 at x = 9 only.
     ops = {(a, x, 0): np.zeros((2, 2)) for a in (0, 1) for x in range(1, 10)}
-    ops[(1, 1, 0)], ops[(1, 9, 0)] = -la.proj(0, 1), -la.proj(1, 1)
+    ops[(1, 1, 0)], ops[(1, 9, 0)] = -proj(0, 1), -proj(1, 1)
     report = classical_bound(EPRFunctional("bwi", ops))
     assert report.value == -1.0
     assert report.witness.response == {x: int(x == 9) for x in range(1, 10)}

@@ -22,7 +22,7 @@ from eprkit.cli import build_parser, main
 from eprkit.functionals import bell_from_epr, evaluate_bell
 from eprkit.protocol import CorrelationTable, make_resource, simulate_bwi
 from oracles import dumps as stdlib_dumps
-from oracles import random_quantum_per_seed
+from oracles import proj, random_quantum_per_seed
 
 
 def run(capsys, *argv):
@@ -222,7 +222,7 @@ def test_eval_reads_each_input_once_and_digests_those_bytes(capsys, ptp_files, m
 def test_bound_guard_violation_exits_one(capsys, tmp_path):
     elements = {(a, b, x): np.eye(2, dtype=complex) / 8
                 for a in (0, 1) for b in (0, 1) for x in (1, 2, 3)}
-    ops = {f"{a},{b},{x}": ser.matrix_to_json(la.proj(0, 1))
+    ops = {f"{a},{b},{x}": ser.matrix_to_json(proj(0, 1))
            for a in (0, 1) for b in (0, 1) for x in (1, 2, 3)}
     path = tmp_path / "mdi_functional.json"
     path.write_text(ser.dumps({"scenario": "mdi", "form": "epr", "operators": ops}))

@@ -15,7 +15,6 @@ from eprkit.functionals import (
     evaluate_bell,
     evaluate_epr,
     projector_strings,
-    reconstruct,
     single_qubit_labels,
     sparse_single_qubit_coefficients,
 )
@@ -24,8 +23,11 @@ from eprkit.protocol import CorrelationTable
 from oracles import (
     bell_from_epr_per_key,
     evaluate_bell_per_key,
+    proj,
     random_hermitian,
     random_slice_labels,
+    reconstruct,
+    shifted,
     shuffled_table,
 )
 import eprkit.catalog as catalog
@@ -38,7 +40,7 @@ def test_decompose_identity():
 
 
 def test_decompose_projector():
-    table = decompose(la.proj(0, 1))
+    table = decompose(proj(0, 1))
     assert np.isclose(table[(0, 1)], 2 / 3)
     assert np.isclose(table[(1, 1)], -1 / 3)
     for w in (2, 3):
@@ -311,6 +313,6 @@ def test_normalized_ptp_nonnegative_on_quantum_assemblages():
 
 def test_shifted_adds_identity():
     f = catalog.ptp_functional()
-    g = f.shifted(-0.5)
+    g = shifted(f, -0.5)
     for k in f.operators:
         assert np.allclose(g.operators[k], f.operators[k] - 0.5 * la.I2)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,10 +10,14 @@ from oracles import (
     apply_map_to_factors,
     choi,
     conjugation_map,
+    identity_map,
     min_eigenvalue,
     observable_projectors_per_eigenvalue,
     partial_trace,
     partial_transpose,
+    proj,
+    random_channel,
+    random_density,
     random_hermitian,
     random_povm_element,
     random_unitary,
@@ -61,7 +67,7 @@ def test_tensor_identity():
 
 
 def test_tensor_of_projectors_is_rank_one():
-    p = la.tensor(la.proj(0, 1), la.proj(0, 2))
+    p = la.tensor(proj(0, 1), proj(0, 2))
     assert np.allclose(p @ p, p)
     assert np.isclose(np.trace(p).real, 1.0)
     assert np.linalg.matrix_rank(p) == 1
@@ -160,8 +166,31 @@ def test_eig_residual_on_seeded_batch():
         assert np.all(np.diff(vals) >= -1e-12)
 
 
+@given(entries=st.lists(st.tuples(*[st.floats(-1, 1)] * 4), min_size=1, max_size=8),
+       scale=st.sampled_from([1e-320, 1e-310, 1e-300, 1e-150, 1.0, 1e150, 1e300]))
+def test_eigvalsh_closed_form_is_lapacks_within_ulps_of_the_norm(entries, scale):
+    a, d, re, im = np.array(entries).T * scale
+    m = np.zeros((len(entries), 2, 2), dtype=complex)
+    m.real[:, 0, 0], m.real[:, 1, 1], m.real[:, 1, 0], m.real[:, 0, 1] = a, d, re, re
+    m.imag[:, 1, 0], m.imag[:, 0, 1] = im, -im
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow or underflow warning fails the test
+        vals, lapack = la.eigvalsh(m), np.linalg.eigvalsh(m)
+    assert np.all(vals[:, 0] <= vals[:, 1])
+    norm = np.abs(lapack).max(1, keepdims=True)
+    assert np.all(np.abs(vals - lapack) <= 16 * np.spacing(norm))
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 3, 4, 8]),
+       shape=st.sampled_from([(), (1,), (3,), (2, 3)]))
+def test_eigvalsh_is_lapacks_beyond_2x2(seed, dim, shape):
+    rng = np.random.default_rng(seed)
+    m = np.reshape([random_hermitian(rng, dim) for _ in np.ndindex(shape)], (*shape, dim, dim))
+    assert np.array_equal(la.eigvalsh(m), np.linalg.eigvalsh(m))
+
+
 def test_choi_identity_is_phi_plus():
-    assert np.allclose(choi(la.identity_map(2)), la.phi_plus())
+    assert np.allclose(choi(identity_map(2)), la.phi_plus())
 
 
 def test_choi_discard_and_prepare():
@@ -183,13 +212,13 @@ def test_choi_of_x_conjugation():
 
 def test_apply_choi_identity_round_trip():
     rng = np.random.default_rng(5)
-    sigma = la.random_density(rng, 2)
+    sigma = random_density(rng, 2)
     assert np.allclose(la.apply_choi(la.phi_plus(), sigma), sigma)
 
 
 def test_apply_choi_discard_and_prepare():
     rng = np.random.default_rng(6)
-    rho0 = la.random_density(rng, 2)
+    rho0 = random_density(rng, 2)
     sigma = random_hermitian(rng, 2)
     got = la.apply_choi(la.tensor(rho0, la.I2 / 2), sigma)
     assert np.allclose(got, np.trace(sigma) * rho0)
@@ -203,15 +232,15 @@ def test_apply_choi_x_conjugation_on_z():
 @given(st.integers(0, 2**32 - 1))
 def test_apply_choi_matches_kraus_action(seed):
     rng = np.random.default_rng(seed)
-    kmap = la.random_channel(rng, 2, 2)
-    rho = la.random_density(rng, 2)
+    kmap = random_channel(rng, 2, 2)
+    rho = random_density(rng, 2)
     assert np.max(np.abs(la.apply_choi(choi(kmap), rho) - kmap(rho))) < 1e-12
 
 
 @given(st.integers(0, 2**32 - 1))
 def test_choi_of_tp_map_is_state(seed):
     rng = np.random.default_rng(seed)
-    kmap = la.random_channel(rng, 2, 2)
+    kmap = random_channel(rng, 2, 2)
     j = choi(kmap)
     assert min_eigenvalue(j) >= -1e-10
     assert np.allclose(partial_trace(j, [2, 2], 0), la.I2 / 2, atol=1e-10)
@@ -219,11 +248,11 @@ def test_choi_of_tp_map_is_state(seed):
 
 
 def test_transpose_dual_identity_and_x():
-    ident = transpose_dual(la.identity_map(2))
+    ident = transpose_dual(identity_map(2))
     assert np.allclose(ident.kraus_ops[0], la.I2)
     xdual = transpose_dual(conjugation_map(la.PAULI_X))
     assert np.allclose(xdual.kraus_ops[0], la.PAULI_X)
-    rho = la.random_density(np.random.default_rng(0), 2)
+    rho = random_density(np.random.default_rng(0), 2)
     lhs = (la.PAULI_X @ rho @ la.PAULI_X).T
     assert np.allclose(lhs, xdual(rho.T))
 
@@ -233,17 +262,17 @@ def test_transpose_dual_diag_phase():
     dual = transpose_dual(conjugation_map(u))
     assert np.allclose(dual.kraus_ops[0], np.diag([1, -1j]))
     for seed in range(100):
-        rho = la.random_density(np.random.default_rng(seed), 2)
+        rho = random_density(np.random.default_rng(seed), 2)
         assert np.max(np.abs((u @ rho @ u.conj().T).T - dual(rho.T))) < 1e-12
 
 
 @given(st.integers(0, 2**32 - 1))
 def test_transpose_dual_property_and_involution(seed):
     rng = np.random.default_rng(seed)
-    kmap = la.random_channel(rng, 2, 2)
+    kmap = random_channel(rng, 2, 2)
     dual = transpose_dual(kmap)
     double = transpose_dual(dual)
-    rho = la.random_density(rng, 2)
+    rho = random_density(rng, 2)
     assert np.max(np.abs(kmap(rho).T - dual(rho.T))) < 1e-10
     # Involution holds as action equality, not operator-list equality.
     assert np.max(np.abs(double(rho) - kmap(rho))) < 1e-12
@@ -263,16 +292,16 @@ def test_hermiticity_preserved_by_structural_ops():
 
 def test_projector_basis_completeness():
     for w in (1, 2, 3):
-        assert np.allclose(la.proj(0, w) + la.proj(1, w), la.I2)
+        assert np.allclose(proj(0, w) + proj(1, w), la.I2)
         for c in (0, 1):
-            p = la.proj(c, w)
+            p = proj(c, w)
             assert np.max(np.abs(p @ p - p)) < 1e-12
 
 
 def test_apply_map_to_factors():
     rng = np.random.default_rng(9)
-    kmap = la.random_channel(rng, 4, 2)
-    state = la.random_density(rng, 16)
+    kmap = random_channel(rng, 4, 2)
+    state = random_density(rng, 16)
     out = apply_map_to_factors(kmap, state, [2, 2, 2, 2], [1, 2])
     assert out.shape == (8, 8)
     assert abs(np.trace(out) - 1) < 1e-10
@@ -284,8 +313,8 @@ def test_apply_map_to_factors():
 
 
 def test_random_generators_deterministic():
-    a = la.random_channel(np.random.default_rng(123), 2, 2)
-    b = la.random_channel(np.random.default_rng(123), 2, 2)
+    a = random_channel(np.random.default_rng(123), 2, 2)
+    b = random_channel(np.random.default_rng(123), 2, 2)
     for ka, kb in zip(a.kraus_ops, b.kraus_ops):
         assert np.array_equal(ka, kb)
 
@@ -309,10 +338,10 @@ def test_random_draws_stack_over_the_generator_axes():
         rng = np.random.default_rng(seed)
         for col in range(3):
             assert np.array_equal(stacked[row, col], la.random_projective_povm(rng, 4, 3))
-    channels = la.random_channel([np.random.default_rng(s) for s in range(5)], 2, 2)
+    channels = random_channel([np.random.default_rng(s) for s in range(5)], 2, 2)
     assert channels.kraus_ops.shape == (5, 2, 2, 2)
     for seed in range(5):
-        single = la.random_channel(np.random.default_rng(seed), 2, 2)
+        single = random_channel(np.random.default_rng(seed), 2, 2)
         assert np.array_equal(channels.kraus_ops[seed], single.kraus_ops)
 
 

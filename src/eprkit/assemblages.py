@@ -463,6 +463,9 @@ class QuantumRealisation:
         if self.instrument is not None:
             povms.append((["instrument"], np.asarray(self.instrument)[None]))
         for names, effects in povms:  # one POVM check per stack: PSD effects summing to I
+            finite = np.isfinite(effects).reshape(len(names), -1).all(1)
+            if not finite.all():  # first: a NaN would fail every later comparison silently
+                raise ValueError(f"{names[finite.argmin()]} has non-finite entries")
             sums = np.abs(effects.sum(-3) - np.eye(effects.shape[-1])).reshape(len(names), -1)
             psd = _psd_within(effects, STATE_TOL, stacked)  # else one POVM at a time, in order
             for what, deviation, each in zip(names, sums.max(1), effects):
@@ -525,8 +528,9 @@ def sample_quantum(scenario: str, seeds, alphabets: dict | None = None, n: int =
     """``random_quantum`` for one seed or an array-like of them, drawn and realised as
     one stack: the labels of each element axis, the Hermitian-checked elements on their
     grid (*seed axes, *label counts, d, d) and the realisation stack.  Each seed's
-    generator draws as in ``random_quantum``: one ``standard_normal`` call, then the
-    cuts of an MDI instrument."""
+    generator, ``default_rng(seed)`` bit for bit but seeded with the others in one pass
+    (``la.generators``), draws as in ``random_quantum``: one ``standard_normal`` call, then
+    the cuts of an MDI instrument."""
     labels, grid, qr = _sample(scenario, seeds, alphabets, n)
     return labels, la.hermitian(grid), qr
 
@@ -536,7 +540,7 @@ def _sample(scenario: str, seeds, alphabets: dict | None, n: int):
     spec = SPECS.get(scenario)
     if spec is None or spec.sample is None:
         raise ValueError(f"no random quantum assemblages for scenario {scenario!r}")
-    rngs = np.asarray(np.frompyfunc(np.random.default_rng, 1, 1)(seeds), dtype=object)
+    rngs = la.generators(seeds)
     sizes = {**spec.default_sizes, **(alphabets or {})}
     db = 2**n
     la.cut_draw(2, sizes["a"])  # checks Alice's outcome count; her qubit POVMs draw no cuts
@@ -556,12 +560,12 @@ def random_quantum(scenario: str, seed: int, alphabets: dict | None = None, n: i
     (random orthonormal basis, random rank split), and Bob's processing comes
     from random isometries with a dimension-2 environment.  ``n`` is the qubit
     count of Bob's system; Bob-with-input draws use it as the output system.
-    The generator ``default_rng(seed)`` draws all its normals in one
-    ``standard_normal`` call: the state's Ginibre matrix, those of Alice's
-    POVMs for x = 1, 2, ..., then those of Bob's channels for y = 0, 1, ...,
-    his instrument or his channel, each matrix's real parts before its
-    imaginary parts; an MDI instrument's rank cuts are drawn last.  One seed
-    is the stack of one of ``sample_quantum``.
+    The generator, ``default_rng(seed)`` bit for bit (``la.generators``),
+    draws all its normals in one ``standard_normal`` call: the state's Ginibre
+    matrix, those of Alice's POVMs for x = 1, 2, ..., then those of Bob's
+    channels for y = 0, 1, ..., his instrument or his channel, each matrix's
+    real parts before its imaginary parts; an MDI instrument's rank cuts are
+    drawn last.  One seed is the stack of one of ``sample_quantum``.
     """
     labels, grid, qr = _sample(scenario, seed, alphabets, n)
     return CONTAINERS[scenario].from_grid(labels, grid), qr  # the container checks its elements

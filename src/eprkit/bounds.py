@@ -5,7 +5,8 @@ hidden-variable states may be chosen per (strategy, Bob input) as minimal
 eigenvectors, so the local minimum is
 ``min_f sum_y lambda_min(sum_x F_{f(x), x, y})`` and the enumeration over
 responses is exhaustive.  ``la.eigvalsh`` screens each chunk of strategies, LAPACK values those
-within its rounding of the least: the value and first minimiser are LAPACK's, bit for bit.
+within its rounding of the least (or all of a chunk too small to repay the screen): the value
+and first minimiser are LAPACK's, bit for bit.
 
 The no-signalling number here is a certificate-style lower bound, not the
 exact polytope minimum: ``sum_{x,y} min_a lambda_min(F_{axy})`` is valid for
@@ -37,6 +38,7 @@ from .functionals import EPRFunctional
 
 ENUMERATION_GUARD = 10**6
 _CHUNK = 256  # strategies summed and screened at once in classical_bound
+_SCREENED = 32  # a chunk of fewer strategies skips the screen: LAPACK values them all
 _TINY = np.finfo(float).smallest_subnormal  # floors divisors that are 0 only with their dividends
 
 
@@ -87,9 +89,11 @@ def classical_bound(f: EPRFunctional) -> BoundReport:
         operators = grid[choices[:, 0], 0]  # (chunk, y, d, d): sum_x F_{choice(x), x, y}
         for j in range(1, n_x):
             operators += grid[choices[:, j], j]
-        screened = sum(la.eigvalsh(operators)[..., 0].T)  # over y in order, per strategy
-        # Every strategy whose LAPACK value may be the chunk's least gets that value.
-        near = np.flatnonzero(screened <= screened.min() + window)
+        near = np.arange(len(choices))  # the strategies that LAPACK values
+        if len(choices) >= _SCREENED:
+            screened = sum(la.eigvalsh(operators)[..., 0].T)  # over y in order, per strategy
+            # Every strategy whose LAPACK value may be the chunk's least gets that value.
+            near = np.flatnonzero(screened <= screened.min() + window)
         values = sum(np.linalg.eigvalsh(operators[near])[..., 0].T)
         i = values.argmin()  # the first minimum of the chunk
         if values[i] < best[0]:
@@ -141,7 +145,10 @@ def seesaw_quantum(f: EPRFunctional, seed: int = 0, restarts: int = 10,
     The value sequence of each restart is monotone non-increasing; the report
     keeps the first restart within the stopping rule's ``rel_tol * max(1, |v|)``
     of the least final value v, and its realisation as a quantum-achievable
-    witness, and the final value and iteration count of every restart in order.
+    witness, and the final value and iteration count of every restart in order.  Restart
+    r starts from projective POVMs drawn by ``default_rng(s_r)``, bit for bit but all seeded
+    in one pass (``la.generators``), where s_0, s_1, ... are ``default_rng(seed)``'s
+    ``integers(2**63)``; each draws its n_x 2x2 Ginibre matrices in one call.
     """
     if restarts < 1:
         raise ValueError(f"the seesaw needs at least one restart, got {restarts}")
@@ -156,10 +163,9 @@ def seesaw_quantum(f: EPRFunctional, seed: int = 0, restarts: int = 10,
     # the row coef = (c_10, ..., c_{n_x}3, 1) times this basis.
     ops = np.concatenate([summed[0] - summed[1], summed[1].sum(0, keepdims=True)])
     basis = np.einsum("kij,xab->xkiajb", la.PAULIS, ops).reshape(-1, 4 * db * db)[:4 * n_x + 1]
-    root = np.random.default_rng(seed)
-    rngs = [np.random.default_rng(root.integers(2**63)) for _ in range(restarts)]
+    rngs = la.generators(np.random.default_rng(seed).integers(2**63, size=restarts))
     # Every restart's row, c_xk = tr[sigma_k M_{0|x}] / 2, last ground vector and value trace.
-    m0 = la.random_projective_povm([[rng] * n_x for rng in rngs], 2)[:, :, 0]
+    m0 = la.projective_povm(la.ginibre_stacks(rngs, (n_x, 2, 2))[0], 2)[:, :, 0]
     coef = np.ones((restarts, 4 * n_x + 1))
     coef[:, :-1] = np.einsum("kji,rxij->rxk", la.PAULIS, m0).real.reshape(restarts, -1) / 2
     grounds = np.empty((restarts, 2 * db), dtype=complex)

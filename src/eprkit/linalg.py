@@ -16,7 +16,9 @@ Conventions fixed once, used package-wide:
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +125,8 @@ class KrausMap:
             raise ValueError(
                 f"Kraus operators of shape {ops.shape} do not match ({self.out_dim}, {self.in_dim})"
             )
+        if not np.isfinite(ops).all():  # a NaN would pass the deviation check below
+            raise ValueError("Kraus operators have non-finite entries")
         ops.setflags(write=False)
         object.__setattr__(self, "kraus_ops", ops)
         gram = np.einsum("...kji,...kjl->...il", ops.conj(), ops)
@@ -156,6 +160,94 @@ def apply_choi(j: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 # --- random instance generators (deterministic in the passed Generators) ---
+
+# numpy's SeedSequence hash (NEP 19): its constants do not depend on the seed.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_M32 = 0xFFFFFFFF
+# mix(x, y) = L x - R y mod 2**32, taken as L x + (2**32 - R) y so that no lane borrows.
+_MIX_L, _MIX_NEG_R = 0xCA01F9DD, -0x4973F715 & _M32
+
+
+@functools.cache
+def _hash_steps(const: int, mult: int, count: int) -> tuple:
+    """The (xor, multiplier) pairs of the first ``count`` steps of one of SeedSequence's hashes."""
+    return tuple((const, const := const * mult & _M32) for _ in range(count))
+
+
+def _seed_states(seeds: list) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` of each int s >= 0, as rows (len(seeds),
+    4), in one pass.  Each 32-bit word of SeedSequence's pool is one Python int whose 64-bit
+    lane i holds it for seed i, so a product with a 32-bit constant stays in its lane and
+    masking each lane to its low 32 bits is the hash's mod 2**32.  A seed's entropy is its
+    32-bit words, low first, which its lanes hold up to the widest seed's; the pool takes
+    the first four (0 past a seed's last word, as SeedSequence pads), and each further word
+    mixes in only the lanes of the seeds that have it."""
+    if min(seeds) < 0:
+        raise ValueError("expected non-negative integer")
+    n, n_words = len(seeds), max(4, -(-max(seeds).bit_length() // 32))
+    words = np.frombuffer(b"".join(s.to_bytes(4 * n_words, "little") for s in seeds),
+                          "<u4").reshape(n, n_words).astype("<u8")
+    ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * n, "little")
+    low = _M32 * ones  # the low 32 bits of every lane, which hold the hash's words
+    # Source words by index: the pool's four, then the entropy words past the fourth.
+    pool = [int.from_bytes(column.tobytes(), "little") for column in words.T]
+    # pool[dst] = mix(pool[dst], hashmix(pool[src])), in the lanes of ``has`` only: every
+    # pool word into every other, then each further entropy word into every pool word.
+    mixes = [(src, dst, low) for src in range(4) for dst in range(4) if src != dst] + [
+        (i, dst, int.from_bytes((words[:, i:].any(1) * np.uint64(_M32)).tobytes(), "little"))
+        for i in range(4, n_words) for dst in range(4)]
+    steps = iter(_hash_steps(_INIT_A, _MULT_A, 4 * n_words))  # one pair per hashmix call
+    for i, (xor, mult) in zip(range(4), steps):
+        v = (pool[i] ^ xor * ones) * mult & low
+        pool[i] = (v ^ v >> 16) & low
+    for (src, dst, has), (xor, mult) in zip(mixes, steps):
+        v = (pool[src] ^ xor * ones) * mult & low
+        v = (_MIX_L * pool[dst] & low) + _MIX_NEG_R * ((v ^ v >> 16) & low) & low
+        pool[dst] ^= (v ^ v >> 16 ^ pool[dst]) & has
+    out = []  # generate_state's 32-bit words, each uint64's low half first
+    for i, (xor, mult) in enumerate(_hash_steps(_INIT_B, _MULT_B, 8)):
+        v = (pool[i % 4] ^ xor * ones) * mult & low
+        out.append((v ^ v >> 16) & low)
+    state = b"".join((out[k] | out[k + 1] << 32).to_bytes(8 * n, "little") for k in (0, 2, 4, 6))
+    return np.frombuffer(state, "<u8").reshape(4, n).T.astype(np.uint64, order="C")
+
+
+@functools.cache
+def _pcg64():
+    """numpy's Generator and PCG64, and a SeedSequence stand-in that hands PCG64 fixed state
+    words; numpy.random is imported by the first seeded call."""
+    from numpy.random import PCG64, Generator, SeedSequence
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        def __init__(self, seed, words):
+            self.seed, self.words = seed, words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("only PCG64's four uint64 state words are stored")
+            return self.words
+
+        def __reduce__(self):  # pickled generators carry the SeedSequence it stands in for
+            return SeedSequence, (self.seed,)
+
+    return Generator, PCG64, StateWords
+
+
+def generators(seeds) -> np.ndarray:
+    """``np.random.default_rng(s)`` for every int s >= 0 of ``seeds``, an int or an
+    array-like of them, as an object array of shape np.shape(seeds): the same streams bit
+    for bit, with SeedSequence's hash run once over all seeds.  A negative seed raises
+    ValueError and a non-integer TypeError, as ``default_rng`` does.  Their ``seed_seq``
+    holds only PCG64's state words, so they cannot ``spawn``, and pickles as
+    ``SeedSequence(s)``."""
+    seeds = np.asarray(seeds, dtype=object)
+    out = np.empty(seeds.shape, dtype=object)
+    if seeds.size:
+        generator, pcg64, state_words = _pcg64()
+        flat = [operator.index(s) for s in seeds.flat]
+        out.flat = [generator(pcg64(state_words(*row))) for row in zip(flat, _seed_states(flat))]
+    return out
 
 
 def ginibre_stacks(rngs, *shapes, then=None) -> list:
@@ -211,16 +303,6 @@ def projective_povm(g: np.ndarray, n_outcomes: int, cuts=None) -> np.ndarray:
     block = (np.arange(dim) >= cuts[..., None]).sum(-2)
     mask = block[..., None, :] == np.arange(n_outcomes)[:, None]
     return np.einsum("...ij,...oj,...kj->...oik", u, mask, u.conj())
-
-
-def random_projective_povm(rngs, dim: int, n_outcomes: int = 2) -> np.ndarray:
-    """Projective POVM effects (..., n_outcomes, dim, dim) from a random orthonormal
-    basis split into outcome blocks at random cuts.
-
-    Each generator draws a Ginibre matrix, then the n_outcomes - 1 cuts.
-    """
-    g, *cuts = ginibre_stacks(rngs, (dim, dim), then=cut_draw(dim, n_outcomes))
-    return projective_povm(g, n_outcomes, *cuts)
 
 
 def stinespring(g: np.ndarray, out_dim: int) -> np.ndarray:

@@ -227,6 +227,16 @@ def random_density(rngs, dim: int) -> np.ndarray:
     return la.density(ginibre(rngs, dim, dim))
 
 
+def random_projective_povm(rngs, dim: int, n_outcomes: int = 2) -> np.ndarray:
+    """Projective POVM effects (..., n_outcomes, dim, dim) from a random orthonormal
+    basis split into outcome blocks at random cuts, one per generator.
+
+    Each generator draws a Ginibre matrix, then the n_outcomes - 1 cuts.
+    """
+    g, *cuts = la.ginibre_stacks(rngs, (dim, dim), then=la.cut_draw(dim, n_outcomes))
+    return la.projective_povm(g, n_outcomes, *cuts)
+
+
 def random_channel(rngs, in_dim: int, out_dim: int, env_dim: int = 2) -> la.KrausMap:
     """A random isometry channel (Stinespring dilation with the given environment), one
     per generator."""
@@ -301,14 +311,14 @@ def sample_per_call(scenario: str, seeds, alphabets=None, n: int = 1):
     sizes = {**spec.default_sizes, **(alphabets or {})}
     db = 2**n
     state = random_density(rngs, 2 * db)
-    effects = la.random_projective_povm(rngs[..., None].repeat(sizes["x"], -1), 2, sizes["a"])
+    effects = random_projective_povm(rngs[..., None].repeat(sizes["x"], -1), 2, sizes["a"])
     povms = dict(zip(range(1, sizes["x"] + 1), np.moveaxis(effects, -4, 0)))
     if scenario == "bwi":
         kraus = random_channel(rngs[..., None].repeat(sizes["y"], -1), db, db).kraus_ops
         bob = {"channels": {y: la.KrausMap(db, db, k)
                             for y, k in enumerate(np.moveaxis(kraus, -4, 0))}}
     elif scenario == "mdi":
-        bob = {"instrument": la.random_projective_povm(rngs, 2 * db, sizes["b"])}
+        bob = {"instrument": random_projective_povm(rngs, 2 * db, sizes["b"])}
     else:
         bob = {"channel": random_channel(rngs, 2 * db, 2)}
     qr = QuantumRealisation(scenario, state, povms, **bob)

@@ -32,6 +32,7 @@ from oracles import (
     random_channel,
     random_density,
     random_hermitian,
+    random_projective_povm,
     random_quantum_per_seed,
     random_unitary,
     realisation_arrays,
@@ -94,7 +95,7 @@ def test_realize_bwi_product_state_is_unsteerable():
     rng = np.random.default_rng(2)
     rho_a = random_density(rng, 2)
     rho_b = random_density(rng, 2)
-    povms = {x: tuple(la.random_projective_povm(rng, 2)) for x in (1, 2, 3)}
+    povms = {x: tuple(random_projective_povm(rng, 2)) for x in (1, 2, 3)}
     channels = {0: identity_map(2), 1: random_channel(rng, 2, 2)}
     qr = QuantumRealisation("bwi", la.tensor(rho_a, rho_b), povms, channels=channels)
     assemblage = realize_bwi(qr)
@@ -131,7 +132,7 @@ def test_realize_mdi_discard_and_measure():
     rng = np.random.default_rng(4)
     rho_a = random_density(rng, 2)
     rho_b = random_density(rng, 2)
-    povms = {x: tuple(la.random_projective_povm(rng, 2)) for x in (1, 2, 3)}
+    povms = {x: tuple(random_projective_povm(rng, 2)) for x in (1, 2, 3)}
     qr = QuantumRealisation("mdi", la.tensor(rho_a, rho_b), povms,
                             instrument=_discard_and_measure_instrument())
     assemblage = realize_mdi(qr)
@@ -166,7 +167,7 @@ def test_realize_mdi_bell_measurement():
 
 def _channel_realisation(gamma, seed=8):
     rng = np.random.default_rng(seed)
-    povms = {x: tuple(la.random_projective_povm(rng, 2)) for x in (1, 2, 3)}
+    povms = {x: tuple(random_projective_povm(rng, 2)) for x in (1, 2, 3)}
     return QuantumRealisation("channel", random_density(rng, 4), povms, channel=gamma)
 
 
@@ -295,12 +296,12 @@ def test_one_normal_draw_per_generator_gives_the_per_call_stream(sample, seeds):
 
 
 def test_bwi_sampling_asks_each_generator_once_for_its_normals(monkeypatch):
-    seeds, generators, make = range(10, 60), [], np.random.default_rng
+    seeds, generators, make = range(10, 60), [], la.generators
     expected = sample_quantum("bwi", seeds)
 
     class CountingGenerator:
-        def __init__(self, seed):
-            self.rng, self.normal_calls = make(seed), 0
+        def __init__(self, rng):
+            self.rng, self.normal_calls = rng, 0
             generators.append(self)
 
         def standard_normal(self, *args, **kwargs):
@@ -310,7 +311,8 @@ def test_bwi_sampling_asks_each_generator_once_for_its_normals(monkeypatch):
         def __getattr__(self, name):
             return getattr(self.rng, name)
 
-    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    counting = np.frompyfunc(CountingGenerator, 1, 1)
+    monkeypatch.setattr(la, "generators", lambda seeds: counting(make(seeds)))
     labels, grid, qr = sample_quantum("bwi", seeds)
     assert [g.normal_calls for g in generators] == [1] * len(seeds)
     assert np.array_equal(grid, expected[1])
@@ -339,7 +341,7 @@ def test_product_kernels_match_the_index_form_einsums(scenario, alphabets, n):
 
 def test_bwi_grid_takes_channels_with_different_kraus_counts():
     rng = np.random.default_rng(11)
-    povms = {x: la.random_projective_povm(rng, 2) for x in (1, 2, 3)}
+    povms = {x: random_projective_povm(rng, 2) for x in (1, 2, 3)}
     channels = {0: identity_map(2), 1: random_channel(rng, 2, 2, env_dim=3)}
     qr = QuantumRealisation("bwi", random_density(rng, 4), povms, channels=channels)
     labels, grid = realize_bwi(qr).grid
@@ -516,6 +518,28 @@ def test_quantum_realisation_rejects_instrument_effect_not_psd():
     with pytest.raises(ValueError, match="instrument has an effect that is not PSD"):
         QuantumRealisation("mdi", la.phi_plus(), {1: (proj(0, 1), proj(1, 1))},
                            instrument=(negative, np.eye(4) - negative))
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("where, message", [
+    # Without the finiteness check, a NaN effect reads "not PSD" at 2x2 and makes LAPACK's
+    # eigenvalues fail to converge at 4x4.
+    ("povm", "POVM for setting 2 has non-finite entries"),
+    ("instrument", "instrument has non-finite entries"),
+])
+def test_quantum_realisation_rejects_non_finite_effects(where, message, value, stacked):
+    good = {"povm": proj(0, 2), "instrument": np.diag([1.0, 1, 0, 0])}
+    m, e = (effect.astype(complex) for effect in good.values())
+    (m if where == "povm" else e)[1, 1] = value
+    povms = {1: (proj(0, 1), proj(1, 1)), 2: (m, la.I2 - m)}
+    state, instrument = la.phi_plus(), (e, np.eye(4) - e)
+    if stacked:  # the bad member is the second of two
+        clean = (good["instrument"], np.eye(4) - good["instrument"])
+        state, instrument = np.stack([state] * 2), np.stack([clean, instrument])
+        povms = {x: np.stack([povms[1], effects]) for x, effects in povms.items()}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        QuantumRealisation("mdi", state, povms, instrument=instrument)
 
 
 def test_quantum_realisation_rejects_povms_with_different_outcome_counts():

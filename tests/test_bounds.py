@@ -18,7 +18,7 @@ from eprkit.bounds import (
 )
 from eprkit.functionals import EPRFunctional
 from oracles import (classical_bound_lapack, min_eigenvalue, partial_trace, proj, random_density,
-                     random_hermitian, random_unitary, shifted)
+                     random_hermitian, random_projective_povm, random_unitary, shifted)
 
 EXACT_CLASSICAL = 3 - np.sqrt(3)
 
@@ -407,7 +407,7 @@ def _reference_seesaw_once(f, rng, max_iterations, rel_tol):
     a_vals, x_vals, y_vals = f.labels
     db = f.dim
     summed = {(a, x): sum(f.operators[(a, x, y)] for y in y_vals) for a in a_vals for x in x_vals}
-    povms = {x: la.random_projective_povm(rng, 2) for x in x_vals}
+    povms = {x: random_projective_povm(rng, 2) for x in x_vals}
 
     def hamiltonian():
         return sum(la.tensor(povms[x][a], summed[(a, x)]) for a in a_vals for x in x_vals)

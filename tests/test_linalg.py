@@ -1,3 +1,8 @@
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -20,6 +25,7 @@ from oracles import (
     random_density,
     random_hermitian,
     random_povm_element,
+    random_projective_povm,
     random_unitary,
     transpose_dual,
 )
@@ -322,7 +328,7 @@ def test_random_generators_deterministic():
 def test_random_projective_povm_is_projective():
     for seed in range(50):
         rng = np.random.default_rng(seed)
-        effects = la.random_projective_povm(rng, 4)
+        effects = random_projective_povm(rng, 4)
         total = sum(effects)
         assert np.allclose(total, np.eye(4), atol=1e-10)
         for e in effects:
@@ -332,12 +338,12 @@ def test_random_projective_povm_is_projective():
 def test_random_draws_stack_over_the_generator_axes():
     # Each generator draws in turn, row-major: a (2, 3) array of generators with each
     # row one generator draws three POVMs per generator, in order.
-    stacked = la.random_projective_povm([[np.random.default_rng(s)] * 3 for s in (4, 9)], 4, 3)
+    stacked = random_projective_povm([[np.random.default_rng(s)] * 3 for s in (4, 9)], 4, 3)
     assert stacked.shape == (2, 3, 3, 4, 4)
     for row, seed in enumerate((4, 9)):
         rng = np.random.default_rng(seed)
         for col in range(3):
-            assert np.array_equal(stacked[row, col], la.random_projective_povm(rng, 4, 3))
+            assert np.array_equal(stacked[row, col], random_projective_povm(rng, 4, 3))
     channels = random_channel([np.random.default_rng(s) for s in range(5)], 2, 2)
     assert channels.kraus_ops.shape == (5, 2, 2, 2)
     for seed in range(5):
@@ -348,7 +354,7 @@ def test_random_draws_stack_over_the_generator_axes():
 @pytest.mark.parametrize("n_outcomes", [0, 3])
 def test_random_projective_povm_rejects_impossible_outcome_counts(n_outcomes):
     with pytest.raises(ValueError, match="cannot have"):
-        la.random_projective_povm(np.random.default_rng(0), 2, n_outcomes)
+        random_projective_povm(np.random.default_rng(0), 2, n_outcomes)
 
 
 def test_random_povm_element_is_valid_effect():
@@ -372,3 +378,86 @@ def test_observable_projectors_of_a_stack_match_the_per_eigenvalue_sum(dim):
         expected = observable_projectors_per_eigenvalue(obs)
         assert np.max(np.abs(got - np.stack([expected[0], expected[1]]))) <= 1e-15
         assert np.allclose(got[0] - got[1], obs, atol=1e-12)
+
+
+# Seeds of exactly 1 to 8 entropy words, mixed in one stack, and the word-count edges.
+SEEDS = st.integers(1, 8).flatmap(lambda words: st.integers(2**(32 * words - 32) * (words > 1),
+                                                            2**(32 * words) - 1))
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1, 2**128]
+
+
+def _assert_default_rng_streams(seeds, generators):
+    from numpy.random import SeedSequence
+
+    assert generators.shape == np.shape(seeds) and generators.dtype == object
+    for seed, gen in zip(np.ravel(seeds).tolist(), generators.flat):
+        expected = np.random.default_rng(seed)
+        assert np.array_equal(gen.bit_generator.seed_seq.generate_state(4, np.uint64),
+                              SeedSequence(seed).generate_state(4, np.uint64))
+        assert gen.bit_generator.state == expected.bit_generator.state
+        assert np.array_equal(gen.standard_normal(9), expected.standard_normal(9))
+        assert np.array_equal(gen.integers(2**63, size=3), expected.integers(2**63, size=3))
+
+
+@given(st.lists(SEEDS, min_size=1, max_size=12))
+def test_generators_are_default_rng_bit_for_bit(seeds):
+    _assert_default_rng_streams(seeds, la.generators(seeds))
+
+
+def test_generators_at_the_entropy_word_edges():
+    _assert_default_rng_streams(EDGE_SEEDS, la.generators(EDGE_SEEDS))
+    for seed in EDGE_SEEDS:  # each alone, and as a stack of one
+        _assert_default_rng_streams(seed, la.generators(seed))
+        _assert_default_rng_streams([seed], la.generators([seed]))
+    grid = np.array(EDGE_SEEDS[:4], dtype=object).reshape(2, 2)
+    _assert_default_rng_streams(grid, la.generators(grid))
+    _assert_default_rng_streams(np.arange(5, 9), la.generators(np.arange(5, 9)))
+
+
+def test_generators_pickle_as_default_rng():
+    for seed, gen in zip(EDGE_SEEDS, la.generators(EDGE_SEEDS)):
+        expected = np.random.default_rng(seed)
+        assert np.array_equal(gen.standard_normal(3), expected.standard_normal(3))
+        copied = pickle.loads(pickle.dumps(gen))
+        assert copied.bit_generator.seed_seq.entropy == seed
+        assert np.array_equal(copied.standard_normal(5), expected.standard_normal(5))
+
+
+@pytest.mark.parametrize("bad, error", [(-1, ValueError), (-2**70, ValueError), (1.5, TypeError),
+                                        (np.float64(3.0), TypeError), ("7", TypeError)])
+def test_generators_reject_seeds_as_default_rng_does(bad, error):
+    with pytest.raises(error):
+        np.random.default_rng(bad)
+    with pytest.raises(error):
+        la.generators(bad)
+    with pytest.raises(error):
+        la.generators([3, bad, 2**130])
+
+
+def test_an_empty_stack_of_generators_has_nothing_to_draw_from():
+    assert la.generators([]).shape == (0,)
+    with pytest.raises(ValueError, match="no generators to draw from"):
+        la.ginibre_stacks(la.generators([]), (2, 2))
+
+
+def test_numpy_random_is_imported_by_the_first_seeded_call_only():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, eprkit.cli; print('numpy.random' in sys.modules); "
+            "eprkit.linalg.generators(3); print('numpy.random' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, np.nan)])
+def test_kraus_map_rejects_non_finite_operators(value):
+    # A NaN made the trace-preservation deviation NaN, which no comparison rejected.
+    kraus = np.array([np.eye(2), np.zeros((2, 2))], dtype=complex)
+    kraus[1, 0, 1] = value
+    with pytest.raises(ValueError, match="^Kraus operators have non-finite entries$"):
+        la.KrausMap(2, 2, kraus)
+    with pytest.raises(ValueError, match="non-finite"):  # also one member of a stack
+        la.KrausMap(2, 2, np.stack([np.array([np.eye(2), np.zeros((2, 2))]), kraus]))

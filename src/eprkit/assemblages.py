@@ -15,8 +15,9 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import numbers
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, ClassVar
 
@@ -236,12 +237,12 @@ class ReadOnlyDict(dict):
         return type(self), (dict(self),)
 
 
-def freeze_operators(operators: dict) -> np.ndarray:
-    """One read-only Hermitian stack, in key order, of keyed operators."""
-    shapes = {np.shape(m) for m in operators.values()}
+def operator_stack(operators) -> np.ndarray:
+    """One read-only Hermitian stack, in order, of operators of one square shape."""
+    shapes = {np.shape(m) for m in operators}
     if len(shapes) != 1 or len(next(iter(shapes))) != 2:
         raise ValueError(f"expected square operators of one shape, got shapes {sorted(shapes)}")
-    return la.hermitian(list(operators.values()))
+    return la.hermitian(list(operators))
 
 
 def product_grid(keys, values, n_axes: int, what: str) -> tuple[tuple, np.ndarray]:
@@ -262,12 +263,6 @@ def product_grid(keys, values, n_axes: int, what: str) -> tuple[tuple, np.ndarra
     grid = values.take(order, 0).reshape(*map(len, labels), *values.shape[1:])
     grid.setflags(write=False)
     return labels, grid
-
-
-def keyed_operators(labels, grid) -> dict:
-    """The inverse of ``product_grid``: the operators ``grid`` (*label counts, d, d) keyed
-    by the product of ``labels``, in key order, as views into the grid."""
-    return dict(zip(itertools.product(*labels), grid.reshape(-1, *grid.shape[-2:])))
 
 
 class LabelGrid(Mapping):
@@ -318,72 +313,79 @@ class LabelGrid(Mapping):
         return self.grid.size
 
 
-@dataclass(frozen=True)
+def _inside(label, axis: range) -> bool:
+    return isinstance(label, numbers.Integral) and axis.start <= label < axis.stop
+
+
 class Assemblage:
     """Elements of an assemblage, keyed by the axes of its scenario in ``SPECS``.
 
-    Each subclass is one scenario and adds one alphabet size ``n_<axis>`` per
-    axis, in axis order: ``BwIAssemblage(elements, n_a, n_x, n_y)``.  The
-    checked elements are held as one read-only array ``stack`` in key order;
-    ``elements`` is the read-only dict of each key's view into that stack.
-    ``grid`` puts them on the grid of their labels once, when first read.
+    Each subclass is one scenario: ``BwIAssemblage(elements, n_a=2, n_x=3, n_y=2)``
+    for a (labels, grid) pair, whose label counts are its default sizes, or a dict
+    {key: matrix}, put on its grid by ``product_grid``.  The checked elements are
+    held once, on the read-only ``grid`` (*label counts, d, d) over the alphabets'
+    ``labels()`` (or the keys' own, if some are missing); ``stack`` is its (keys,
+    d, d) view, ``elements`` a read-only dict of views built on first read.  Keys
+    that are no full product of their labels keep their dict and stack instead.
     """
 
-    elements: dict
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
     scenario: ClassVar[str] = ""
+    stack = cached_property(lambda self: self._grid.reshape(-1, *self._grid.shape[-2:]))
+    elements = cached_property(lambda self: ReadOnlyDict(zip(itertools.product(*self._labels),
+                                                             self.stack)))
+    sizes = property(lambda self: dict(zip(self.spec.axes, self._sizes)))
+    dim = property(lambda self: self.grid[1].shape[-1])  # raises without a grid
 
     def __init_subclass__(cls, scenario: str, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls.scenario = scenario
-        sizes = SPECS[scenario].default_sizes
-        cls.__annotations__ = {f"n_{axis}": int for axis in sizes}
-        for axis, size in sizes.items():
-            setattr(cls, f"n_{axis}", size)
-        dataclass(frozen=True)(cls)
+        cls.scenario, cls.spec = scenario, SPECS[scenario]
 
-    def __post_init__(self):
+    def __init__(self, elements, **sizes):
+        pair = isinstance(elements, tuple)
+        defaults = map(len, elements[0]) if pair else self.spec.default_sizes.values()
+        self._sizes = tuple(sizes.pop(f"n_{axis}", n) for axis, n in zip(self.spec.axes, defaults))
+        if sizes:
+            raise TypeError(f"{type(self).__name__} has no alphabets {sorted(sizes)}")
         if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and 1 <= n < 2**63
-                   for n in self.sizes.values()):  # 2**63: the length of a range overflows
+                   for n in self._sizes):  # 2**63: the length of a range overflows
             raise ValueError(f"alphabet sizes must be integers in [1, 2**63), got {self.sizes}")
-        stack, labels = freeze_operators(self.elements), self.labels()
-        outside = [k for k in self.elements
-                   if len(k) != len(labels) or not all(i in axis for i, axis in zip(k, labels))]
-        if outside:
-            raise ValueError(f"element key {outside[0]} lies outside the alphabets {self.sizes}")
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "elements", ReadOnlyDict(zip(self.elements, stack)))
-
-    @property
-    def spec(self) -> Scenario:
-        return SPECS[self.scenario]
-
-    @property
-    def sizes(self) -> dict:
-        return {axis: getattr(self, f"n_{axis}") for axis in self.spec.axes}
+        ranges, keys = self.labels(), [] if pair else list(elements)
+        labels = elements[0] if pair else list(map(set, zip(*keys)))
+        # Each distinct label of an axis is checked once; the first key outside is named after.
+        if ({len(labels)} if pair else set(map(len, keys))) - {len(ranges)} or not all(
+                _inside(label, axis) for column, axis in zip(labels, ranges) for label in column):
+            outside = next(key for key in keys or itertools.product(*labels)
+                           if len(key) != len(ranges) or not all(map(_inside, key, ranges)))
+            raise ValueError(f"element key {outside} lies outside the alphabets {self.sizes}")
+        if pair:  # a grid, or a stack in key order, on the grid of its distinct labels
+            grid, self._labels = la.hermitian(elements[1]), tuple(map(tuple, labels))
+            self._grid = grid.reshape(*map(len, map(set, self._labels)), *grid.shape[-2:])
+            return
+        self._grid, stack = None, operator_stack(elements.values()) if keys else np.empty((0, 0, 0))
+        if keys:
+            with contextlib.suppress(ValueError):  # raised if the keys are no full product
+                self._labels, self._grid = product_grid(keys, stack, len(ranges), "missing")
+        if self._grid is None:
+            self.__dict__.update(stack=stack, elements=ReadOnlyDict(zip(keys, stack)))
 
     def labels(self) -> list:
         """The label range of each axis, in axis order."""
         return [range(1, n + 1) if axis in self.spec.settings else range(n)
-                for axis, n in self.sizes.items()]
+                for axis, n in zip(self.spec.axes, self._sizes)]
 
     @property
-    def dim(self) -> int:
-        return self.stack.shape[-1]
-
-    @cached_property
     def grid(self) -> tuple[tuple, np.ndarray]:
-        """The sorted labels of each axis and the elements on their read-only grid
-        (*label counts, d, d); ValueError names the first missing element."""
-        return product_grid(self.elements, self.stack, len(self.spec.axes), "missing element")
+        """The labels of each axis and the elements on their read-only grid (*label counts,
+        d, d); ValueError names the first missing element if there is no grid."""
+        if self._grid is None:
+            raise ValueError(f"missing element {self.first_missing()}")
+        return self._labels, self._grid
 
-    @classmethod
-    def from_grid(cls, labels, grid) -> Assemblage:
-        """The assemblage of the elements ``grid`` (*label counts, d, d) keyed by
-        ``keyed_operators``; each alphabet size is the length of its axis's ``labels``."""
-        sizes = {f"n_{axis}": len(axis_labels)
-                 for axis, axis_labels in zip(SPECS[cls.scenario].axes, labels)}
-        return cls(keyed_operators(labels, grid), **sizes)
+    def first_missing(self) -> tuple | None:
+        """The first key of the alphabets' product without an element, or None."""
+        n = len(self.stack) + 1  # the first n keys hold one, with labels in each axis's first n
+        return next((key for key in itertools.product(*(axis[:n] for axis in self.labels()))
+                     if key not in self.elements), None)
 
 
 class StandardAssemblage(Assemblage, scenario="standard"):
@@ -412,11 +414,9 @@ def validate(assemblage, tol: float = DEFAULT_TOL) -> ValidationReport:
     is at most ``tol``.  Missing index combinations are one structural failure,
     which counts them, names the first and suppresses the numeric checks.
     """
-    labels, elements = assemblage.labels(), assemblage.elements
-    missing = math.prod(map(len, labels)) - len(elements)  # no key lies outside the alphabets
-    if missing:
-        first = next(key for key in itertools.product(*labels) if key not in elements)
-        error = f"{missing} missing element{'s' * (missing > 1)}, the first {first}"
+    n = math.prod(map(len, assemblage.labels())) - len(assemblage.stack)  # none lie outside
+    if n:
+        error = f"{n} missing element{'s' * (n > 1)}, the first {assemblage.first_missing()}"
         return ValidationReport(assemblage.scenario, (), (error,), tol)
     conds = [("elements-psd", _psd_residual(assemblage.stack)),
              *assemblage.spec.conditions(assemblage.grid[1])]
@@ -506,22 +506,24 @@ class QuantumRealisation:
 
 def realize_bwi(qr: QuantumRealisation) -> BwIAssemblage:
     """Assemblage sigma_{a|xy} = E_y(tr_A[(M_{a|x} (x) I) rho])."""
-    return BwIAssemblage.from_grid(*_bwi_grid(qr))
+    return BwIAssemblage(_bwi_grid(qr))
 
 
 def realize_mdi(qr: QuantumRealisation) -> MDIAssemblage:
     """Choi operators J_{ab|x}[i, k] = tr[E_b (sigma_{a|x} (x) |i><k|)] / d_in."""
-    return MDIAssemblage.from_grid(*_mdi_grid(qr))
+    return MDIAssemblage(_mdi_grid(qr))
 
 
 def realize_channel(qr: QuantumRealisation) -> ChannelAssemblage:
     """Choi operators J(I_{a|x}) = (Gamma (x) id)(sigma_{a|x} (x) phi_plus)."""
-    return ChannelAssemblage.from_grid(*_channel_grid(qr))
+    return ChannelAssemblage(_channel_grid(qr))
 
 
 def transpose_assemblage(assemblage):
-    """Elementwise transpose; involutive and scenario preserving."""
-    return replace(assemblage, elements={key: m.T for key, m in assemblage.elements.items()})
+    """Elementwise transpose, one swap of the grid's axes; involutive and scenario preserving."""
+    labels, grid = assemblage.grid
+    return type(assemblage)((labels, grid.swapaxes(-1, -2)),
+                            **{f"n_{axis}": n for axis, n in assemblage.sizes.items()})
 
 
 def sample_quantum(scenario: str, seeds, alphabets: dict | None = None, n: int = 1):
@@ -568,4 +570,4 @@ def random_quantum(scenario: str, seed: int, alphabets: dict | None = None, n: i
     drawn last.  One seed is the stack of one of ``sample_quantum``.
     """
     labels, grid, qr = _sample(scenario, seed, alphabets, n)
-    return CONTAINERS[scenario].from_grid(labels, grid), qr  # the container checks its elements
+    return CONTAINERS[scenario]((labels, grid)), qr  # the container checks its elements

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .assemblages import (BwIAssemblage, ChannelAssemblage, LabelGrid, StandardAssemblage,
-                          product_grid)
-from .functionals import BellCoefficients, EPRFunctional, bell_from_epr, projector_strings
+from .assemblages import BwIAssemblage, ChannelAssemblage, LabelGrid, StandardAssemblage
+from .functionals import BellCoefficients, EPRFunctional, bell_from_epr
 
 # Alice's measurement axes in the PTP example: x = 1, 2, 3 -> X, Y, Z.
 ALICE_PAULI = {1: la.PAULI_X, 2: la.PAULI_Y, 3: la.PAULI_Z}
@@ -51,13 +50,17 @@ def sigma_tilde(c: int, w: int) -> np.ndarray:
 def canonical_resource_grid(n: int) -> tuple[tuple, np.ndarray]:
     """The sorted (c, w) labels of the n-qubit canonical resource and its elements
     prod_i sigma_tilde(c_i, w_i) on their read-only grid (*label counts, 2**n, 2**n)."""
-    keys, combos = zip(*projector_strings(n))
-    pure = np.stack([la.tensor(*(sigma_tilde(c, w) for c, w in combo)) for combo in combos])
-    return product_grid(keys, pure, 2, "missing")
+    single = ((0, 1), (1, 2, 3))
+    grid = one = np.array([[sigma_tilde(c, w) for w in single[1]] for c in single[0]])
+    for _ in range(n - 1):  # one qubit more, the last factor: its labels vary fastest
+        (n_c, n_w, d), kron = grid.shape[:3], np.multiply.outer(grid, one)  # as np.kron
+        grid = kron.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(2 * n_c, 3 * n_w, 2 * d, 2 * d)
+    grid.setflags(write=False)
+    return single if n == 1 else tuple(tuple(itertools.product(s, repeat=n)) for s in single), grid
 
 
 def canonical_resource_assemblage() -> StandardAssemblage:
-    return StandardAssemblage.from_grid(*canonical_resource_grid(1))
+    return StandardAssemblage(canonical_resource_grid(1))
 
 
 # The (a, x, y) labels of the PTP assemblage and functional.
@@ -76,7 +79,7 @@ def ptp_assemblage(additive_exponent: bool = False) -> BwIAssemblage:
     a, x, y = np.ix_(*PTP_LABELS)
     e = a + (x == 2) + (y == 1) if additive_exponent else a + (x == 2) * (y == 1)
     paulis = np.stack(list(ALICE_PAULI.values()))[:, None]  # over (x, y)
-    return BwIAssemblage.from_grid(PTP_LABELS, (la.I2 + (-1) ** e[..., None, None] * paulis) / 4)
+    return BwIAssemblage((PTP_LABELS, (la.I2 + (-1) ** e[..., None, None] * paulis) / 4))
 
 
 def ptp_functional(normalized: bool = False, beta_aq: float | None = None) -> EPRFunctional:
@@ -211,7 +214,7 @@ def embedded_ptp_channel() -> tuple[ChannelAssemblage, EPRFunctional]:
 
 def embed_bwi_in_channel(bwi: BwIAssemblage) -> ChannelAssemblage:
     """Control-decohering embedding of a two-input BwI assemblage."""
-    if bwi.n_y != 2 or bwi.dim != 2:
+    if bwi.sizes["y"] != 2 or bwi.dim != 2:
         raise ValueError("embedding expects a qubit assemblage with two Bob inputs")
     labels, grid = bwi.grid
-    return ChannelAssemblage.from_grid(labels[:2], _embed(grid) / 2)
+    return ChannelAssemblage((labels[:2], _embed(grid) / 2))

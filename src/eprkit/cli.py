@@ -53,12 +53,13 @@ def _in_range(kind, lo, hi=math.inf):
 
 def _validation_tol() -> float:
     raw = os.environ.get("EPRKIT_TOL")
-    if raw is None:
-        return DEFAULT_TOL
     try:
-        return float(raw)
+        tol = DEFAULT_TOL if raw is None else float(raw)
     except ValueError as exc:
         raise CliError(2, f"EPRKIT_TOL is not a number: {raw!r}") from exc
+    if not 0 <= tol < math.inf:  # NaN fails too
+        raise CliError(2, f"EPRKIT_TOL is not a finite non-negative number: {raw!r}")
+    return tol
 
 
 def _load(loader, path: str, types=dict):
@@ -202,7 +203,7 @@ def cmd_simulate(args, argv) -> int:
         argv, inputs, started,
         scenario=args.scenario,
         r=args.r,
-        slice_mass={",".join(map(str, k)): v for k, v in sorted(masses.items())},
+        slice_mass={",".join(map(ser._label, k)): v for k, v in sorted(masses.items())},
         entries=len(table.slice),
         tolerances={"effect": protocol.EFFECT_TOL},
     )

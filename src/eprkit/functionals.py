@@ -26,61 +26,50 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg as la
-from .assemblages import (SPECS, LabelGrid, ReadOnlyDict, freeze_operators, keyed_operators,
-                          product_grid)
+from .assemblages import SPECS, LabelGrid, ReadOnlyDict, operator_stack, product_grid
 
 # The scenarios with an activation protocol, i.e. a slice layout.
 SCENARIOS = tuple(name for name, spec in SPECS.items() if spec.layout)
 
 
-@dataclass(frozen=True)
 class EPRFunctional:
     """Hermitian operator coefficients of an EPR functional.
 
     Operator keys follow the scenario's axes: (a, x, y) for bwi, (a, b, x)
     for mdi, (a, x) for channel (dim-4 operators on output (x) Choi-input
-    factors).  The keys must cover the full product of their labels per axis
-    (or the operators come on that grid, as a (labels, grid) pair like the one
-    ``product_grid`` returns), and the total magnitude of the entries must be
-    finite, so that no bound overflows.  The checked operators are held once,
-    as the read-only ``grid`` (*label counts, d, d) over the sorted ``labels``
-    of each axis; ``stack`` is that grid as (keys, d, d) in key order, and
-    ``operators`` the read-only dict of each key's view.  ``bounds``
+    factors), given as a (labels, grid) pair or a dict over the full product of
+    their labels per axis, of finite total magnitude, so that no bound overflows.
+    They are held once, on the read-only ``grid`` (*label counts, d, d) over the
+    sorted ``labels`` of each axis; ``stack`` is its (keys, d, d) view and
+    ``operators`` a read-only dict of views built on first read.  ``bounds``
     optionally carries known bound constants by name, read-only too.
     """
 
-    scenario: str
-    operators: dict
-    bounds: dict = field(default_factory=dict)
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
-    labels: tuple = field(init=False, repr=False, compare=False)
-    grid: np.ndarray = field(init=False, repr=False, compare=False)
+    stack = property(lambda self: self.grid.reshape(-1, *self.grid.shape[-2:]))
+    operators = functools.cached_property(lambda self: ReadOnlyDict(zip(
+        itertools.product(*self.labels), self.stack)))
+    dim = property(lambda self: self.grid.shape[-1])
 
-    def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}")
-        labels, grid = (self.operators[0], la.hermitian(self.operators[1])) if isinstance(
-            self.operators, tuple) else product_grid(self.operators, freeze_operators(
-                self.operators), len(SPECS[self.scenario].axes), "functional has no operator for")
+    def __init__(self, scenario: str, operators, bounds: dict | None = None):
+        if scenario not in SCENARIOS:
+            raise ValueError(f"unknown scenario {scenario!r}")
+        self.scenario, self.bounds = scenario, ReadOnlyDict(bounds or {})
+        self.labels, self.grid = (tuple(map(tuple, operators[0])), la.hermitian(operators[1])) \
+            if isinstance(operators, tuple) else product_grid(
+                operators, operator_stack(operators.values()), len(SPECS[scenario].axes),
+                "functional has no operator for")
+        # A grid, or a stack in key order, on the grid of distinct labels.
+        self.grid = self.grid.reshape(*map(len, map(set, self.labels)), *self.grid.shape[-2:])
         with np.errstate(over="ignore"):
-            if not np.isfinite(np.abs(grid).sum()):
+            if not np.isfinite(np.abs(self.grid).sum()):
                 raise ValueError("operator entries are too large: their total magnitude overflows")
-        stack = grid.reshape(-1, *grid.shape[-2:])
-        for name, value in (("stack", stack), ("labels", labels), ("grid", grid),
-                            ("operators", ReadOnlyDict(keyed_operators(labels, grid))),
-                            ("bounds", ReadOnlyDict(self.bounds))):
-            object.__setattr__(self, name, value)
         if not all(np.isfinite(v) for v in self.bounds.values()):
             raise ValueError(f"bound constants must be finite, got {self.bounds}")
-
-    @property
-    def dim(self) -> int:
-        return self.stack.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -223,20 +212,23 @@ def bell_from_epr(f: EPRFunctional) -> BellCoefficients:
 
 
 def evaluate_epr(f: EPRFunctional, assemblage) -> float:
-    """tr sum_k F_k sigma_k over the functional's keys."""
+    """tr sum_k F_k sigma_k over the functional's keys, sigma from the assemblage's grid."""
     if f.scenario != assemblage.scenario:
         raise ValueError(
             f"scenario mismatch: functional is {f.scenario!r}, "
             f"assemblage is {assemblage.scenario!r}"
         )
-    index = {key: i for i, key in enumerate(assemblage.elements)}
-    missing = [key for key in f.operators if key not in index]
-    if missing:
-        raise ValueError(f"assemblage has no element {missing[0]}")
+    try:
+        labels, sigma = assemblage.grid
+        for axis, (present, wanted) in enumerate(zip(labels, f.labels)):  # ValueError if absent
+            sigma = sigma.take(list(map(present.index, wanted)), axis)
+    except ValueError:  # a label that the grid lacks, or no grid: a key that is missing
+        missing = next((key for key in itertools.product(*f.labels)
+                        if key not in assemblage.elements), None) or assemblage.first_missing()
+        raise ValueError(f"assemblage has no element {missing}") from None
     if f.dim != assemblage.dim:
         raise ValueError(f"dimension mismatch: operators {f.dim}, elements {assemblage.dim}")
-    sigma = assemblage.stack[[index[key] for key in f.operators]]
-    return float(np.einsum("kij,kji->", f.stack, sigma).real)
+    return float(np.einsum("kij,kji->", f.stack, sigma.reshape(f.stack.shape)).real)
 
 
 def evaluate_bell(xi: BellCoefficients, table) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import catalog
 from . import linalg as la
-from .assemblages import SPECS, LabelGrid, keyed_operators
+from .assemblages import SPECS, LabelGrid, ReadOnlyDict
 
 PROB_TOL = 1e-12
 EFFECT_TOL = 1e-10
@@ -35,15 +35,17 @@ class ResourceAssemblage:
     """The self-tested resource: mixture of the canonical assemblage and its transpose.
 
     Elements are r * prod(sigma_tilde) + (1 - r) * prod(sigma_tilde)^T, keyed
-    (c, w) for one qubit and (c-tuple, w-tuple) for more; ``stack`` holds them
-    in the key order of their grid over the sorted (c, w) ``labels``.
+    (c, w) for one qubit and (c-tuple, w-tuple) for more, on their read-only
+    ``grid`` over the sorted (c, w) ``labels``; ``stack`` and ``elements`` view it.
     """
 
     n: int
     r: float
-    elements: dict
-    stack: np.ndarray = field(repr=False, compare=False)
     labels: tuple = field(repr=False, compare=False)
+    grid: np.ndarray = field(repr=False, compare=False)
+    stack = property(lambda self: self.grid.reshape(-1, *self.grid.shape[-2:]))
+    elements = functools.cached_property(lambda self: ReadOnlyDict(zip(
+        itertools.product(*self.labels), self.stack)))
 
 
 def make_resource(n: int, r: float) -> ResourceAssemblage:
@@ -55,8 +57,7 @@ def make_resource(n: int, r: float) -> ResourceAssemblage:
     labels, pure = catalog.canonical_resource_grid(n)
     grid = r * pure + (1 - r) * pure.swapaxes(-1, -2)
     grid.setflags(write=False)
-    stack = grid.reshape(-1, *grid.shape[2:])
-    return ResourceAssemblage(n, float(r), keyed_operators(labels, grid), stack, labels)
+    return ResourceAssemblage(n, float(r), labels, grid)
 
 
 @dataclass(frozen=True)
@@ -183,12 +184,11 @@ def simulate_channel(assemblage, res_in: ResourceAssemblage, res_out: ResourceAs
     m = _check_effect(measurement, 1).reshape(2, 2, 2, 2)
     if res_in.r != res_out.r:
         raise ValueError("the channel protocol needs one mixing parameter for both resources")
-    (ax, choi), cw, du = assemblage.grid, res_in.labels, res_out.labels
-    choi = choi.reshape(-1, *choi.shape[-2:])
+    (ax, _), cw, du = assemblage.grid, res_in.labels, res_out.labels
 
     def raw_table(states: np.ndarray) -> np.ndarray:
         """p[i, j, k] = tr[M (Omega_ij (x) states_k)], Omega_ij = element i applied to states_j."""
-        omega = la.apply_choi(choi[:, None], states[None])
+        omega = la.apply_choi(assemblage.stack[:, None], states[None])
         return np.einsum("pqrs,ijrp,ksq->ijk", m, omega, states).real
 
     pure = catalog.canonical_resource_grid(1)[1].reshape(-1, 2, 2)

@@ -42,16 +42,21 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def _matrix(rows, ndim: int = 3) -> np.ndarray:
-    """The complex view of rows of [re, im] real pairs (at ``ndim`` 4, of a list of such)."""
+    """The complex view of rows of [re, im] real pairs (at ``ndim`` 4, of a list of such
+    square matrices)."""
     try:
         m = np.array(rows)
         if m.dtype == object and set(map(type, m.flat)) <= {int, float, bool}:  # ints past 64 bits
             m = m.astype(float)  # OverflowError past the float range
-        if m.dtype.kind not in "biuf" or m.ndim != ndim or m.shape[-1] != 2:
+        if m.dtype.kind not in "biuf" or m.ndim != ndim or m.shape[-1] != 2 or (
+                ndim == 4 and m.shape[1] != m.shape[2]):
             raise ValueError(f"expected (d, d', 2) real numbers, got {m.dtype} of shape {m.shape}")
         return m.astype(float, copy=False).view(complex)[..., 0]  # no arithmetic: inf cannot warn
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed matrix entry: {exc}") from exc
+
+
+_matrices = functools.partial(_matrix, ndim=4)
 
 
 def matrix_from_json(rows) -> np.ndarray:
@@ -101,9 +106,9 @@ def _split(keys: list, layout: str, names: str) -> list:
 
 
 def _grid(block: dict, layout: str, names: str, read):
-    """The sorted labels of each of ``names``, their ``key_texts`` and ``read`` of the values of
-    ``block`` in that order, on their grid (*label counts, *value shape), if those texts are
-    exactly its keys, each distinct label text parsed once; else None."""
+    """The sorted labels of each of ``names`` and ``read`` of the values of ``block`` in the
+    order of their ``key_texts``, on their grid (*label counts, *value shape), if those texts
+    are exactly its keys, each distinct label text parsed once; else None."""
     try:
         labels = tuple(tuple(sorted({_parse_label(text) for text in set(column)}))
                        for column in _split(list(block), layout, names))
@@ -113,7 +118,7 @@ def _grid(block: dict, layout: str, names: str, read):
         values = read(list(map(block.__getitem__, keys)))
     except (TypeError, ValueError, OverflowError, IndexError, AttributeError):  # no keys, not a
         return None  # dict, labels that do not sort, or a key or value that fails to read
-    return labels, keys, values.reshape(*map(len, labels), *values.shape[1:])
+    return labels, values.reshape(*map(len, labels), *values.shape[1:])
 
 
 def _spec(scenario, known=SPECS):
@@ -132,11 +137,8 @@ def assemblage_to_json(assemblage) -> dict:
 def assemblage_from_json(doc: dict):
     scenario = doc.get("scenario")
     axes = _spec(scenario).axes
-    block = doc.get("elements", {})
-    grid = _grid(block, ",".join(axes), axes, lambda rows: _matrix(rows, 4))
-    stack = grid and grid[2].reshape(-1, *grid[2].shape[-2:])
-    elements = {key: stack[i] for key, i in map(grid[1].get, block)} if grid else _per_key(
-        block, _matrix)  # in the file's key order; one key at a time names the first that fails
+    block = doc.get("elements", {})  # on its grid, or else one key at a time
+    elements = _grid(block, ",".join(axes), axes, _matrices) or _per_key(block, _matrix)
     alphabets = doc.get("alphabets", {})
     kwargs = {f"n_{name}": alphabets[name] for name in axes if name in alphabets}
     return CONTAINERS[scenario](elements, **kwargs)
@@ -169,8 +171,7 @@ def functional_from_json(doc: dict):
     spec = SPECS[scenario] if scenario in SCENARIOS else None
     if form == "epr":
         block = doc.get("operators", {})
-        grid = spec and _grid(block, ",".join(spec.axes), spec.axes, lambda rows: _matrix(rows, 4))
-        operators = grid[::2] if grid and grid[2].shape[-1] == grid[2].shape[-2] else _per_key(
+        operators = spec and _grid(block, ",".join(spec.axes), spec.axes, _matrices) or _per_key(
             block, _matrix)
         return EPRFunctional(doc["scenario"], operators, dict(doc.get("bounds", {})))
     if form == "bell":
@@ -193,7 +194,7 @@ def _block_from_json(block: dict, layout: str, names: str):
     its {label tuple: probability} entries, read key by key to name the first that fails."""
     grid = _grid(block, layout, names, lambda values: np.array(list(map(float, values))))
     if grid:
-        return grid[::2]
+        return grid
     entries = {}
     for text, p in zip(block, block.values()):
         columns = _split([text], layout, names)

@@ -183,6 +183,24 @@ def shifted(f: EPRFunctional, offset: float) -> EPRFunctional:
     return EPRFunctional(f.scenario, dict(zip(f.operators, f.stack + offset * np.eye(f.dim))))
 
 
+def transpose_assemblage_per_key(assemblage):
+    """Elementwise transpose, one key at a time, at the assemblage's alphabet sizes."""
+    return type(assemblage)({key: m.T for key, m in assemblage.elements.items()},
+                            **{f"n_{axis}": n for axis, n in assemblage.sizes.items()})
+
+
+def evaluate_epr_per_key(f: EPRFunctional, assemblage) -> float:
+    """tr sum_k F_k sigma_k, each element found by its key's row in the assemblage's stack."""
+    index = {key: i for i, key in enumerate(assemblage.elements)}
+    missing = [key for key in f.operators if key not in index]
+    if missing:
+        raise ValueError(f"assemblage has no element {missing[0]}")
+    if f.dim != assemblage.dim:
+        raise ValueError(f"dimension mismatch: operators {f.dim}, elements {assemblage.dim}")
+    sigma = assemblage.stack[[index[key] for key in f.operators]]
+    return float(np.einsum("kij,kji->", f.stack, sigma).real)
+
+
 def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(np.asarray(m, dtype=complex))[0])
 

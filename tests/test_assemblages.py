@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from eprkit import catalog
 from eprkit import linalg as la
+from eprkit import serialize as ser
 from eprkit.assemblages import (
     CONTAINERS,
     BwIAssemblage,
@@ -37,6 +40,7 @@ from oracles import (
     random_unitary,
     realisation_arrays,
     sample_per_call,
+    transpose_assemblage_per_key,
     transpose_dual,
 )
 
@@ -252,7 +256,7 @@ def test_stacked_draw_matches_per_seed_oracle(scenario, alphabets, n):
     for k, seed in enumerate(seeds):
         realisation, elements = random_quantum_per_seed(scenario, seed, alphabets, n)
         single, single_qr = random_quantum(scenario, seed, alphabets, n)
-        for got in (CONTAINERS[scenario].from_grid(labels, grid[k]), single):
+        for got in (CONTAINERS[scenario]((labels, grid[k])), single):
             assert got.elements.keys() == elements.keys()
             for key, m in elements.items():
                 assert np.max(np.abs(got.elements[key] - m)) <= 1e-15
@@ -685,6 +689,63 @@ def test_elements_are_read_only_views_of_one_stack():
         assemblage.stack[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         assemblage.elements[(0, 0, 1)][0, 0] = 1.0
+
+
+def _storage(assemblage):
+    """Everything an assemblage holds: labels, sizes, grid and stack bytes and flags, and each
+    key's element, which must be a read-only view of the grid."""
+    labels, grid = assemblage.grid
+    assert isinstance(assemblage.elements, dict) and grid.flags.c_contiguous
+    assert assemblage.stack.base is grid or assemblage.stack.base is grid.base
+    for m in assemblage.elements.values():
+        assert np.shares_memory(m, grid) and not m.flags.writeable
+    return [repr(labels), assemblage.sizes, grid.shape, grid.tobytes(), assemblage.stack.tobytes(),
+            grid.flags.writeable, assemblage.stack.flags.writeable, list(assemblage.elements),
+            [m.tobytes() for m in assemblage.elements.values()]]
+
+
+@pytest.mark.parametrize("scenario", ["standard", "bwi", "mdi", "channel"])
+@given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(1, 2), n_x=st.integers(1, 4),
+       n_other=st.integers(1, 3))
+def test_a_dict_its_grid_and_its_json_build_one_storage(scenario, seed, n_a, n_x, n_other):
+    assemblage = _random_assemblage(scenario, seed, n_a, n_x, n_other)
+    rng = np.random.default_rng(seed)
+    keys = list(assemblage.elements)
+    shuffled = {keys[i]: np.array(assemblage.elements[keys[i]]) for i in rng.permutation(len(keys))}
+    sizes = {f"n_{axis}": n for axis, n in assemblage.sizes.items()}
+    doc = json.loads(ser.dumps(ser.assemblage_to_json(assemblage)))
+    expected = _storage(assemblage)
+    assert not expected[5] and not expected[6]  # read-only grid and stack
+    labels, grid = assemblage.grid
+    for built in (CONTAINERS[scenario](shuffled, **sizes), CONTAINERS[scenario]((labels, grid)),
+                  CONTAINERS[scenario]((labels, assemblage.stack)), ser.assemblage_from_json(doc)):
+        assert _storage(built) == expected
+
+
+@pytest.mark.parametrize("scenario", ["standard", "bwi", "mdi", "channel"])
+@given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(1, 2), n_x=st.integers(1, 4),
+       n_other=st.integers(1, 3))
+def test_transpose_swaps_the_grid_axes_bit_for_bit_like_the_per_key_form(scenario, seed, n_a,
+                                                                         n_x, n_other):
+    assemblage = _random_assemblage(scenario, seed, n_a, n_x, n_other)
+    flipped = transpose_assemblage(assemblage)
+    assert _storage(flipped) == _storage(transpose_assemblage_per_key(assemblage))
+    assert _storage(transpose_assemblage(flipped)) == _storage(assemblage)
+
+
+def test_a_pair_needs_one_element_per_key_of_its_distinct_labels():
+    labels, grid = catalog.ptp_assemblage().grid
+    for bad in [(labels, grid.reshape(-1, 2, 2)[:5]), (((0, 0), *labels[1:]), grid)]:
+        with pytest.raises(ValueError):
+            BwIAssemblage(bad)
+
+
+def test_huge_alphabets_are_missing_elements_without_their_product():
+    elements = catalog.ptp_assemblage().elements
+    for declared in (BwIAssemblage(dict(elements), n_x=2**62), BwIAssemblage({}, n_x=2**62)):
+        assert validate(declared).structural_errors == (
+            f"{2 * 2**62 * 2 - len(declared.stack)} missing elements, "
+            f"the first {(0, 4, 0) if declared.stack.size else (0, 1, 0)}",)
 
 
 @pytest.mark.parametrize("key, sizes", [

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from eprkit import catalog
 from eprkit import linalg as la
 from eprkit import serialize as ser
-from eprkit.assemblages import SPECS, BwIAssemblage, MDIAssemblage
+from eprkit.assemblages import SPECS, BwIAssemblage, MDIAssemblage, random_quantum
 from eprkit.cli import build_parser, main
 from eprkit.functionals import bell_from_epr, evaluate_bell
 from eprkit.protocol import CorrelationTable, make_resource, simulate_bwi
@@ -87,6 +87,22 @@ def test_validate_reports_missing_elements_once_whatever_the_declared_sizes(caps
     assert len(out.encode("utf-8")) < 2048
 
 
+def test_an_empty_elements_block_is_missing_every_element(capsys, tmp_path, ptp_files):
+    doc = ser.assemblage_to_json(catalog.ptp_assemblage())
+    doc["elements"] = {}
+    path = tmp_path / "empty.json"
+    path.write_text(ser.dumps(doc))
+    code, report = run(capsys, "validate", str(path))
+    assert code == 1 and report["structural_errors"] == ["12 missing elements, the first (0, 1, 0)"]
+    for argv, error in [
+            (["eval", "--functional", ptp_files["ptp-functional-raw"], "--assemblage", str(path)],
+             "assemblage has no element (0, 1, 0)"),
+            (["simulate", "bwi", "--assemblage", str(path)], "missing element (0, 1, 0)")]:
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": error, "exit_code": 1}
+
+
 def test_validate_not_json(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("not json")
@@ -103,6 +119,20 @@ def test_validate_tolerance_env_override(capsys, tmp_path, monkeypatch):
     code, report = run(capsys, "validate", str(path))
     assert code == 0
     assert report["tolerances"]["validation"] == 10.0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["validate", "demo-ptp"])
+def test_validation_tolerance_must_be_finite_and_non_negative(capsys, monkeypatch, ptp_files,
+                                                             command, value):
+    monkeypatch.setenv("EPRKIT_TOL", value)
+    argv = ["validate", ptp_files["ptp-assemblage"]] if command == "validate" else [command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": f"EPRKIT_TOL is not a finite non-negative number: {value!r}", "exit_code": 2}
 
 
 def test_eval_epr_value(capsys, ptp_files):
@@ -254,6 +284,21 @@ def test_simulate_r_midpoint_is_affine(capsys, tmp_path, ptp_files):
     for key in tables["0"].slice:
         mid = (tables["0"].slice[key] + tables["1"].slice[key]) / 2
         assert abs(tables["0.5"].slice[key] - mid) < 1e-12
+
+
+def test_simulate_keys_multi_qubit_slice_mass_by_the_schema_label_text(capsys, tmp_path):
+    assemblage, _ = random_quantum("bwi", 3, n=2)
+    path = tmp_path / "two-qubit.json"
+    path.write_text(ser.dumps(ser.assemblage_to_json(assemblage)))
+    code, report = run(capsys, "simulate", "bwi", "--assemblage", str(path))
+    assert code == 0
+    # Setting labels x, y, then w, the 2-qubit one written as in the table's own slice keys.
+    w_texts = {key.split("|")[1].split(",")[3] for key in report["table"]["slice"]}
+    assert len(w_texts) == 9 and all("." in text for text in w_texts)
+    assert set(report["slice_mass"]) == {f"{x},{y},{w}" for x in (1, 2, 3) for y in (0, 1)
+                                         for w in w_texts}
+    assert report["slice_mass"]["1,0,1.1"] == pytest.approx(
+        sum(v for key, v in report["table"]["slice"].items() if key.endswith("|1,0,*,1.1")))
 
 
 def test_simulate_mdi_uniform(capsys, tmp_path):

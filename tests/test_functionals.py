@@ -23,6 +23,7 @@ from eprkit.protocol import CorrelationTable
 from oracles import (
     bell_from_epr_per_key,
     evaluate_bell_per_key,
+    evaluate_epr_per_key,
     proj,
     random_hermitian,
     random_slice_labels,
@@ -148,6 +149,33 @@ def test_evaluate_epr_on_a_sub_grid_matches_per_key_traces(seed, n_a, n_x, n_y):
     expected = sum(float(np.real(np.trace(op @ assemblage.elements[key])))
                    for key, op in f.operators.items())
     assert abs(evaluate_epr(f, assemblage) - expected) <= 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1), scenario=st.sampled_from(["bwi", "mdi", "channel"]),
+       data=st.data())
+def test_evaluate_epr_takes_the_sub_grid_bit_for_bit_like_the_index_form(seed, scenario, data):
+    from eprkit.assemblages import random_quantum
+
+    alphabets = {"bwi": {"x": 4, "y": 3}, "mdi": {"b": 3, "x": 3}, "channel": {"x": 4}}[scenario]
+    assemblage, _ = random_quantum(scenario, seed, alphabets)
+    rng = np.random.default_rng(seed)
+    # The functional's labels: a shuffled subset of each axis, its keys in shuffled order.
+    labels = [rng.permutation(axis)[:data.draw(st.integers(1, len(axis)))].tolist()
+              for axis in assemblage.labels()]
+    keys = list(itertools.product(*labels))
+    f = EPRFunctional(scenario, {keys[i]: random_hermitian(rng, assemblage.dim)
+                                 for i in rng.permutation(len(keys))})
+    assert evaluate_epr(f, assemblage) == evaluate_epr_per_key(f, assemblage)
+
+
+def test_a_functional_puts_a_stack_in_key_order_on_the_grid_of_its_labels():
+    f = catalog.ptp_functional(normalized=True)
+    from_stack = EPRFunctional("bwi", (f.labels, f.stack), dict(f.bounds))
+    assert from_stack.grid.shape == f.grid.shape and from_stack.grid.tobytes() == f.grid.tobytes()
+    assert not from_stack.grid.flags.writeable and list(from_stack.operators) == list(f.operators)
+    for labels, grid in [(f.labels, f.stack[:5]), (((0, 0), *f.labels[1:]), f.grid)]:
+        with pytest.raises(ValueError):  # too few operators, or a label repeated
+            EPRFunctional("bwi", (labels, grid))
 
 
 def test_evaluate_epr_rejects_missing_keys_and_other_dimensions():

@@ -17,7 +17,7 @@ import itertools
 import math
 import numbers
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Callable, ClassVar
 
@@ -46,19 +46,15 @@ class ValidationReport:
 
     @property
     def passed(self) -> bool:
-        if self.structural_errors:
-            return False
-        return all(c.passes(self.tol) for c in self.conditions)
+        return not self.structural_errors and all(c.passes(self.tol) for c in self.conditions)
 
     @property
     def max_residual(self) -> float:
         return max((c.residual for c in self.conditions), default=0.0)
 
     def failures(self) -> list[str]:
-        out = list(self.structural_errors)
-        out += [f"{c.name} (residual {c.residual:.3e})" for c in self.conditions
-                if not c.passes(self.tol)]
-        return out
+        return [*self.structural_errors, *(f"{c.name} (residual {c.residual:.3e})"
+                                           for c in self.conditions if not c.passes(self.tol))]
 
 
 def _max_abs(m) -> float:
@@ -237,6 +233,16 @@ class ReadOnlyDict(dict):
         return type(self), (dict(self),)
 
 
+class Frozen:
+    """Attributes set once, through ``vars(self)`` in ``__init__``: as on a frozen
+    dataclass, setting or deleting one afterwards raises."""
+
+    def __setattr__(self, name, *value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
 def operator_stack(operators) -> np.ndarray:
     """One read-only Hermitian stack, in order, of operators of one square shape."""
     shapes = {np.shape(m) for m in operators}
@@ -317,7 +323,7 @@ def _inside(label, axis: range) -> bool:
     return isinstance(label, numbers.Integral) and axis.start <= label < axis.stop
 
 
-class Assemblage:
+class Assemblage(Frozen):
     """Elements of an assemblage, keyed by the axes of its scenario in ``SPECS``.
 
     Each subclass is one scenario: ``BwIAssemblage(elements, n_a=2, n_x=3, n_y=2)``
@@ -330,11 +336,12 @@ class Assemblage:
     """
 
     scenario: ClassVar[str] = ""
+    _missing: ClassVar[str | None] = None
     stack = cached_property(lambda self: self._grid.reshape(-1, *self._grid.shape[-2:]))
     elements = cached_property(lambda self: ReadOnlyDict(zip(itertools.product(*self._labels),
                                                              self.stack)))
     sizes = property(lambda self: dict(zip(self.spec.axes, self._sizes)))
-    dim = property(lambda self: self.grid[1].shape[-1])  # raises without a grid
+    dim = property(lambda self: (self.stack if len(self.stack) else self.grid[1]).shape[-1])
 
     def __init_subclass__(cls, scenario: str, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -343,7 +350,8 @@ class Assemblage:
     def __init__(self, elements, **sizes):
         pair = isinstance(elements, tuple)
         defaults = map(len, elements[0]) if pair else self.spec.default_sizes.values()
-        self._sizes = tuple(sizes.pop(f"n_{axis}", n) for axis, n in zip(self.spec.axes, defaults))
+        vars(self)["_sizes"] = tuple(sizes.pop(f"n_{axis}", n)
+                                     for axis, n in zip(self.spec.axes, defaults))
         if sizes:
             raise TypeError(f"{type(self).__name__} has no alphabets {sorted(sizes)}")
         if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and 1 <= n < 2**63
@@ -358,15 +366,18 @@ class Assemblage:
                            if len(key) != len(ranges) or not all(map(_inside, key, ranges)))
             raise ValueError(f"element key {outside} lies outside the alphabets {self.sizes}")
         if pair:  # a grid, or a stack in key order, on the grid of its distinct labels
-            grid, self._labels = la.hermitian(elements[1]), tuple(map(tuple, labels))
-            self._grid = grid.reshape(*map(len, map(set, self._labels)), *grid.shape[-2:])
+            grid, labels = la.hermitian(elements[1]), tuple(map(tuple, labels))
+            vars(self).update(_labels=labels, _grid=grid.reshape(
+                *map(len, map(set, labels)), *grid.shape[-2:]))
             return
-        self._grid, stack = None, operator_stack(elements.values()) if keys else np.empty((0, 0, 0))
-        if keys:
-            with contextlib.suppress(ValueError):  # raised if the keys are no full product
-                self._labels, self._grid = product_grid(keys, stack, len(ranges), "missing")
-        if self._grid is None:
-            self.__dict__.update(stack=stack, elements=ReadOnlyDict(zip(keys, stack)))
+        stack = operator_stack(elements.values()) if keys else np.empty((0, 0, 0))
+        try:  # on the grid of the keys' own labels if the keys are its full product
+            vars(self).update(zip(("_labels", "_grid"), product_grid(
+                keys, stack, len(ranges), "missing element")))
+        except ValueError as exc:  # else ``grid`` names the first key of it that they miss
+            vars(self).update(_missing=str(exc))
+        if not keys or self._missing:
+            vars(self).update(_grid=None, stack=stack, elements=ReadOnlyDict(zip(keys, stack)))
 
     def labels(self) -> list:
         """The label range of each axis, in axis order."""
@@ -378,7 +389,7 @@ class Assemblage:
         """The labels of each axis and the elements on their read-only grid (*label counts,
         d, d); ValueError names the first missing element if there is no grid."""
         if self._grid is None:
-            raise ValueError(f"missing element {self.first_missing()}")
+            raise ValueError(self._missing or f"missing element {self.first_missing()}")
         return self._labels, self._grid
 
     def first_missing(self) -> tuple | None:
@@ -420,8 +431,7 @@ def validate(assemblage, tol: float = DEFAULT_TOL) -> ValidationReport:
         return ValidationReport(assemblage.scenario, (), (error,), tol)
     conds = [("elements-psd", _psd_residual(assemblage.stack)),
              *assemblage.spec.conditions(assemblage.grid[1])]
-    return ValidationReport(
-        assemblage.scenario, tuple(ConditionResult(*c) for c in conds), (), tol)
+    return ValidationReport(assemblage.scenario, tuple(ConditionResult(*c) for c in conds), (), tol)
 
 
 STATE_TOL = 1e-10

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg as la
 from .assemblages import BwIAssemblage, ChannelAssemblage, LabelGrid, StandardAssemblage
-from .functionals import BellCoefficients, EPRFunctional, bell_from_epr
+from .functionals import BellCoefficients, EPRFunctional, bell_from_epr, projector_strings
 
 # Alice's measurement axes in the PTP example: x = 1, 2, 3 -> X, Y, Z.
 ALICE_PAULI = {1: la.PAULI_X, 2: la.PAULI_Y, 3: la.PAULI_Z}
@@ -50,12 +50,12 @@ def sigma_tilde(c: int, w: int) -> np.ndarray:
 def canonical_resource_grid(n: int) -> tuple[tuple, np.ndarray]:
     """The sorted (c, w) labels of the n-qubit canonical resource and its elements
     prod_i sigma_tilde(c_i, w_i) on their read-only grid (*label counts, 2**n, 2**n)."""
-    single = ((0, 1), (1, 2, 3))
-    grid = one = np.array([[sigma_tilde(c, w) for w in single[1]] for c in single[0]])
-    for _ in range(n - 1):  # one qubit more, the last factor: its labels vary fastest
-        (n_c, n_w, d), kron = grid.shape[:3], np.multiply.outer(grid, one)  # as np.kron
-        grid = kron.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(2 * n_c, 3 * n_w, 2 * d, 2 * d)
+    combos = [combo for _, combo in projector_strings(n)]  # qubit by qubit, c before w
+    pure = np.stack([la.tensor(*(sigma_tilde(c, w) for c, w in combo)) for combo in combos])
+    grid = pure.reshape(*(2, 3) * n, 2**n, 2**n).transpose(
+        *range(0, 2 * n, 2), *range(1, 2 * n, 2), 2 * n, 2 * n + 1).reshape(2**n, 3**n, 2**n, 2**n)
     grid.setflags(write=False)
+    single = ((0, 1), (1, 2, 3))
     return single if n == 1 else tuple(tuple(itertools.product(s, repeat=n)) for s in single), grid
 
 

@@ -31,13 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .assemblages import SPECS, LabelGrid, ReadOnlyDict, operator_stack, product_grid
+from .assemblages import SPECS, Frozen, LabelGrid, ReadOnlyDict, operator_stack, product_grid
 
 # The scenarios with an activation protocol, i.e. a slice layout.
 SCENARIOS = tuple(name for name, spec in SPECS.items() if spec.layout)
 
 
-class EPRFunctional:
+class EPRFunctional(Frozen):
     """Hermitian operator coefficients of an EPR functional.
 
     Operator keys follow the scenario's axes: (a, x, y) for bwi, (a, b, x)
@@ -58,15 +58,16 @@ class EPRFunctional:
     def __init__(self, scenario: str, operators, bounds: dict | None = None):
         if scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {scenario!r}")
-        self.scenario, self.bounds = scenario, ReadOnlyDict(bounds or {})
-        self.labels, self.grid = (tuple(map(tuple, operators[0])), la.hermitian(operators[1])) \
+        labels, grid = (tuple(map(tuple, operators[0])), la.hermitian(operators[1])) \
             if isinstance(operators, tuple) else product_grid(
                 operators, operator_stack(operators.values()), len(SPECS[scenario].axes),
                 "functional has no operator for")
         # A grid, or a stack in key order, on the grid of distinct labels.
-        self.grid = self.grid.reshape(*map(len, map(set, self.labels)), *self.grid.shape[-2:])
+        grid = grid.reshape(*map(len, map(set, labels)), *grid.shape[-2:])
+        vars(self).update(scenario=scenario, bounds=ReadOnlyDict(bounds or {}), labels=labels,
+                          grid=grid)
         with np.errstate(over="ignore"):
-            if not np.isfinite(np.abs(self.grid).sum()):
+            if not np.isfinite(np.abs(grid).sum()):
                 raise ValueError("operator entries are too large: their total magnitude overflows")
         if not all(np.isfinite(v) for v in self.bounds.values()):
             raise ValueError(f"bound constants must be finite, got {self.bounds}")
@@ -222,12 +223,14 @@ def evaluate_epr(f: EPRFunctional, assemblage) -> float:
         labels, sigma = assemblage.grid
         for axis, (present, wanted) in enumerate(zip(labels, f.labels)):  # ValueError if absent
             sigma = sigma.take(list(map(present.index, wanted)), axis)
-    except ValueError:  # a label that the grid lacks, or no grid: a key that is missing
-        missing = next((key for key in itertools.product(*f.labels)
-                        if key not in assemblage.elements), None) or assemblage.first_missing()
-        raise ValueError(f"assemblage has no element {missing}") from None
-    if f.dim != assemblage.dim:
-        raise ValueError(f"dimension mismatch: operators {f.dim}, elements {assemblage.dim}")
+    except ValueError:  # a label that the grid lacks, or no grid: the elements at the keys
+        keys = list(itertools.product(*f.labels))
+        missing = next((key for key in keys if key not in assemblage.elements), None)
+        if missing is not None:
+            raise ValueError(f"assemblage has no element {missing}") from None
+        sigma = np.stack([assemblage.elements[key] for key in keys])
+    if f.dim != sigma.shape[-1]:
+        raise ValueError(f"dimension mismatch: operators {f.dim}, elements {sigma.shape[-1]}")
     return float(np.einsum("kij,kji->", f.stack, sigma.reshape(f.stack.shape)).real)
 
 

@@ -147,22 +147,13 @@ def assemblage_from_json(doc: dict):
 def functional_to_json(f) -> dict:
     if isinstance(f, EPRFunctional):
         axes = SPECS[f.scenario].axes
-        return {
-            "scenario": f.scenario,
-            "form": "epr",
-            "operators": dict(zip(key_texts(f.labels, ",".join(axes), axes),
-                                  matrix_to_json(f.stack))),
-            "bounds": dict(f.bounds),
-        }
+        operators = dict(zip(key_texts(f.labels, ",".join(axes), axes), matrix_to_json(f.stack)))
+        return {"scenario": f.scenario, "form": "epr", "operators": operators,
+                "bounds": dict(f.bounds)}
     if isinstance(f, BellCoefficients):
         names = SPECS[f.scenario].slice_axes
-        return {
-            "scenario": f.scenario,
-            "form": "bell",
-            "n": f.n,
-            "coefficients": dict(zip(key_texts(f.xi.labels, ",".join(names), names),
-                                     f.xi.grid.ravel().tolist())),
-        }
+        return {"scenario": f.scenario, "form": "bell", "n": f.n,
+                "coefficients": _block_to_json(f.xi, ",".join(names), names)}
     raise TypeError(f"cannot serialise {type(f).__name__}")
 
 
@@ -207,13 +198,10 @@ def _block_from_json(block: dict, layout: str, names: str):
 
 def table_to_json(table: CorrelationTable) -> dict:
     spec = SPECS[table.scenario]
-    return {
-        "scenario": table.scenario,
-        "slice": _block_to_json(table.slice, spec.layout, spec.slice_axes),
-        "selftest": {name: _block_to_json(block, *_SELFTEST)
-                     for name, block in table.selftest.items()},
-        "meta": dict(table.meta),
-    }
+    slc = _block_to_json(table.slice, spec.layout, spec.slice_axes)
+    selftest = {name: _block_to_json(block, *_SELFTEST) for name, block in table.selftest.items()}
+    return {"scenario": table.scenario, "slice": slc, "selftest": selftest,
+            "meta": dict(table.meta)}
 
 
 def table_from_json(doc: dict) -> CorrelationTable:
@@ -254,12 +242,9 @@ def bound_report_to_json(report: BoundReport) -> dict:
 
 
 def _json_default(obj):
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
+    for kind, cast in ((np.floating, float), (np.integer, int), (np.bool_, bool)):
+        if isinstance(obj, kind):
+            return cast(obj)
     raise TypeError(f"object of type {type(obj).__name__} is not JSON serialisable")
 
 

@@ -691,6 +691,25 @@ def test_elements_are_read_only_views_of_one_stack():
         assemblage.elements[(0, 0, 1)][0, 0] = 1.0
 
 
+def test_assemblages_and_functionals_reject_rebinding_like_frozen_dataclasses():
+    from dataclasses import FrozenInstanceError
+
+    from eprkit.functionals import EPRFunctional
+
+    f = catalog.ptp_functional(normalized=True)
+    incomplete = BwIAssemblage({key: m for key, m in catalog.ptp_assemblage().elements.items()
+                                if key != (1, 3, 1)})
+    for obj, name in [(catalog.ptp_assemblage(), "_grid"), (incomplete, "elements"),
+                      (f, "grid"), (f, "bounds"), (EPRFunctional("bwi", dict(f.operators)), "x")]:
+        before = vars(obj).get(name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(obj, name)
+        assert vars(obj).get(name) is before
+    assert catalog.ptp_assemblage().grid[1].tobytes() == catalog.ptp_assemblage().stack.tobytes()
+
+
 def _storage(assemblage):
     """Everything an assemblage holds: labels, sizes, grid and stack bytes and flags, and each
     key's element, which must be a read-only view of the grid."""

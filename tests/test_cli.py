@@ -103,6 +103,34 @@ def test_an_empty_elements_block_is_missing_every_element(capsys, tmp_path, ptp_
         assert json.loads(capsys.readouterr().err) == {"error": error, "exit_code": 1}
 
 
+def test_eval_reads_only_the_functionals_keys_of_an_assemblage_off_any_grid(capsys, tmp_path):
+    from eprkit.functionals import EPRFunctional
+    from oracles import evaluate_epr_per_key, random_hermitian
+
+    # No x = 1 element, nor (1, 3, 1): the keys are no full product of their labels.
+    assemblage, _ = random_quantum("bwi", 5)
+    partial = BwIAssemblage({key: m for key, m in assemblage.elements.items()
+                             if key[1] != 1 and key != (1, 3, 1)})
+    rng = np.random.default_rng(5)
+    f = EPRFunctional("bwi", {(a, 2, y): random_hermitian(rng, 2) for a in (0, 1) for y in (0, 1)})
+    paths = {name: tmp_path / f"{name}.json" for name in ("partial", "functional")}
+    paths["partial"].write_text(ser.dumps(ser.assemblage_to_json(partial)))
+    paths["functional"].write_text(ser.dumps(ser.functional_to_json(f)))
+    code, report = run(capsys, "eval", "--functional", str(paths["functional"]),
+                       "--assemblage", str(paths["partial"]))
+    assert code == 0 and report["value"] == evaluate_epr_per_key(f, partial) != 0
+    wider = EPRFunctional("bwi", {(a, x, 0): np.eye(2) for a in (0, 1) for x in (1, 3)})
+    paths["functional"].write_text(ser.dumps(ser.functional_to_json(wider)))
+    for argv, error in [
+            (["eval", "--functional", str(paths["functional"]), "--assemblage",
+              str(paths["partial"])], "assemblage has no element (0, 1, 0)"),
+            (["simulate", "bwi", "--assemblage", str(paths["partial"])],
+             "missing element (1, 3, 1)")]:  # the first missing from the keys' own labels
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": error, "exit_code": 1}
+
+
 def test_validate_not_json(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("not json")

@@ -435,6 +435,8 @@ def validate(assemblage, tol: float = DEFAULT_TOL) -> ValidationReport:
 
 
 STATE_TOL = 1e-10
+# The ``QuantumRealisation`` field that holds Bob's processing, per scenario with a ``realize``.
+BOB_PROCESSING = {"bwi": "channels", "mdi": "instrument", "channel": "channel"}
 
 
 @dataclass(frozen=True)
@@ -458,6 +460,13 @@ class QuantumRealisation:
     channel: la.KrausMap | None = None
 
     def __post_init__(self):
+        if self.scenario not in BOB_PROCESSING:
+            raise ValueError(f"scenario {self.scenario!r} has no quantum realisation; "
+                             f"one of {list(BOB_PROCESSING)}")
+        held = [name for name, field in BOB_PROCESSING.items() if getattr(self, field) is not None]
+        if self.scenario not in held:
+            raise ValueError(f"a {self.scenario!r} realisation needs Bob's "
+                             f"{BOB_PROCESSING[self.scenario]}; it holds the processing of {held}")
         state = la.hermitian(self.state, tol=1e-10)
         object.__setattr__(self, "state", state)
         stacked = state.ndim > 2
@@ -514,19 +523,26 @@ class QuantumRealisation:
         return sigma.reshape(*effects.shape[:-2], db, db).swapaxes(-4, -3)
 
 
+def _realize(qr: QuantumRealisation, scenario: str):
+    if qr.scenario != scenario:
+        raise ValueError(f"realize_{scenario} needs a {scenario!r} realisation, "
+                         f"not a {qr.scenario!r} one")
+    return CONTAINERS[scenario](SPECS[scenario].realize(qr))
+
+
 def realize_bwi(qr: QuantumRealisation) -> BwIAssemblage:
     """Assemblage sigma_{a|xy} = E_y(tr_A[(M_{a|x} (x) I) rho])."""
-    return BwIAssemblage(_bwi_grid(qr))
+    return _realize(qr, "bwi")
 
 
 def realize_mdi(qr: QuantumRealisation) -> MDIAssemblage:
     """Choi operators J_{ab|x}[i, k] = tr[E_b (sigma_{a|x} (x) |i><k|)] / d_in."""
-    return MDIAssemblage(_mdi_grid(qr))
+    return _realize(qr, "mdi")
 
 
 def realize_channel(qr: QuantumRealisation) -> ChannelAssemblage:
     """Choi operators J(I_{a|x}) = (Gamma (x) id)(sigma_{a|x} (x) phi_plus)."""
-    return ChannelAssemblage(_channel_grid(qr))
+    return _realize(qr, "channel")
 
 
 def transpose_assemblage(assemblage):

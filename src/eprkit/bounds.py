@@ -40,6 +40,7 @@ ENUMERATION_GUARD = 10**6
 _CHUNK = 256  # strategies summed and screened at once in classical_bound
 _SCREENED = 32  # a chunk of fewer strategies skips the screen: LAPACK values them all
 _TINY = np.finfo(float).smallest_subnormal  # floors divisors that are 0 only with their dividends
+_REL_TOL = 1e-10  # the seesaw's relative stopping tolerance
 
 
 @dataclass(frozen=True)
@@ -139,11 +140,11 @@ def _nonpositive_projector(e: np.ndarray) -> np.ndarray:
 
 
 def seesaw_quantum(f: EPRFunctional, seed: int = 0, restarts: int = 10,
-                   max_iterations: int = 500, rel_tol: float = 1e-10) -> BoundReport:
+                   max_iterations: int = 500) -> BoundReport:
     """Alternating minimisation over (state, Alice POVMs); Bob channels identity.
 
     The value sequence of each restart is monotone non-increasing; the report
-    keeps the first restart within the stopping rule's ``rel_tol * max(1, |v|)``
+    keeps the first restart within the stopping rule's ``1e-10 * max(1, |v|)``
     of the least final value v, and its realisation as a quantum-achievable
     witness, and the final value and iteration count of every restart in order.  Restart
     r starts from projective POVMs drawn by ``default_rng(s_r)``, bit for bit but all seeded
@@ -181,15 +182,15 @@ def seesaw_quantum(f: EPRFunctional, seed: int = 0, restarts: int = 10,
         values = (step * e[:, :-1]).sum(1) + e[:, -1]  # tr[h rho] for the new h
         for r, value in zip(active.tolist(), values.tolist()):
             traces[r].append(value)
-        if iteration:  # a restart stops once its last two values agree within rel_tol
-            converged = np.abs(previous - values) <= rel_tol * np.maximum(1.0, np.abs(previous))
+        if iteration:  # a restart stops once its last two values agree within _REL_TOL
+            converged = np.abs(previous - values) <= _REL_TOL * np.maximum(1.0, np.abs(previous))
             active, values = active[~converged], values[~converged]
             if not active.size:
                 break
         previous = values
     per_restart = tuple((trace[-1], len(trace)) for trace in traces)
     low = min(value for value, _ in per_restart)  # restarts tied to rounding keep the first
-    best = next(r for r, (v, _) in enumerate(per_restart) if v - low <= rel_tol * max(1, abs(low)))
+    best = next(r for r, (v, _) in enumerate(per_restart) if v - low <= _REL_TOL * max(1, abs(low)))
     effects = (coef[best, :-1].reshape(n_x, 4) @ la.PAULIS.reshape(4, 4)).reshape(n_x, 2, 2)
     witness = QuantumRealisation(
         "bwi", np.outer(grounds[best], grounds[best].conj()),

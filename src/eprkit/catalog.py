@@ -114,18 +114,17 @@ def ptp_epr_coefficients() -> BellCoefficients:
     return bell_from_epr(ptp_functional(normalized=True))
 
 
-def ptp_bell_coefficients(beta_aq: float | None = None) -> BellCoefficients:
+def ptp_bell_coefficients() -> BellCoefficients:
     """Bell coefficients of the normalized PTP functional, in closed form.
 
     xi^{axy}_{cw} = [c = a (+) 1 (+) y[x=2]] [w = x (+)_3 1] - [w = 1] beta/6,
-    with (+) and (+)_3 addition mod 2 and mod 3.
+    with (+) and (+)_3 addition mod 2 and mod 3 and beta the published almost-quantum value.
     """
-    if beta_aq is None:
-        beta_aq = PTP.almost_quantum
     labels = (*PTP_LABELS, (0, 1), (1, 2, 3))
     a, x, y, c, w = np.ix_(*labels)
     hit = (c == (a + 1 + y * (x == 2)) % 2) & (w == x % 3 + 1)
-    return BellCoefficients("bwi", LabelGrid(labels, hit - (w == 1) * (beta_aq / 6)), n=1)
+    return BellCoefficients("bwi", LabelGrid(labels, hit - (w == 1) * (PTP.almost_quantum / 6)),
+                            n=1)
 
 
 # Sign pattern of the self-test functional: rows w = 1..3, columns z = 1..4.

@@ -79,12 +79,12 @@ def _load(loader, path: str, types=dict):
         raise CliError(2, f"{path}: {exc}") from exc
 
 
-def _report(args, inputs: dict, started: float, **fields) -> dict:
-    """The run report; ``inputs`` maps each input path to the digest ``_load`` gave it."""
-    report = {"command": list(args), "inputs": inputs}
-    report.update(fields)
-    report["duration_s"] = time.perf_counter() - started
-    return report
+def _domain(compute, *args):
+    """``compute(*args)``; a ValueError it raises is a domain failure, exit 1."""
+    try:
+        return compute(*args)
+    except ValueError as exc:
+        raise CliError(1, str(exc)) from exc
 
 
 def _write(path: str, text: str) -> None:
@@ -97,34 +97,23 @@ def _write(path: str, text: str) -> None:
             fh.truncate()
 
 
-def _emit(report: dict, out: str | None = None) -> None:
-    text = ser.dumps(report)
-    if out:
-        _write(out, text)
-    print(text, end="")
-
-
-def cmd_validate(args, argv) -> int:
-    started = time.perf_counter()
+def cmd_validate(args):
     assemblage, digest = _load(ser.assemblage_from_json, args.path)
     if args.scenario and args.scenario != assemblage.scenario:
         raise CliError(2, f"file declares scenario {assemblage.scenario!r}, not {args.scenario!r}")
     tol = _validation_tol()
     rep = validate(assemblage, tol=tol)
-    _emit(_report(
-        argv, {args.path: digest}, started,
+    return {args.path: digest}, 0 if rep.passed else 1, dict(
         scenario=assemblage.scenario,
         checks=[{"name": c.name, "residual": c.residual, "passed": c.passes(tol)}
                 for c in rep.conditions],
         structural_errors=list(rep.structural_errors),
         passed=rep.passed,
         tolerances={"validation": tol},
-    ))
-    return 0 if rep.passed else 1
+    )
 
 
-def cmd_eval(args, argv) -> int:
-    started = time.perf_counter()
+def cmd_eval(args):
     functional, digest = _load(ser.functional_from_json, args.functional)
     inputs = {args.functional: digest}
     if args.assemblage:
@@ -138,30 +127,21 @@ def cmd_eval(args, argv) -> int:
     else:
         raise CliError(2, "pass --assemblage or --correlations")
     other, inputs[path] = _load(loader, path)
-    try:
-        value = evaluate(functional, other)
-    except ValueError as exc:
-        raise CliError(1, str(exc)) from exc
-    _emit(_report(
-        argv, inputs, started,
+    value = _domain(evaluate, functional, other)
+    return inputs, 0, dict(
         value=value,
         value_text=f"{value:.17g}",
         sign="negative" if value < 0 else ("zero" if value == 0 else "positive"),
-    ))
-    return 0
+    )
 
 
-def cmd_bound(args, argv) -> int:
-    started = time.perf_counter()
+def cmd_bound(args):
     functional, digest = _load(ser.functional_from_json, args.functional)
     if not isinstance(functional, EPRFunctional):
         raise CliError(1, "bounds take an operator-form functional")
     seesaw = functools.partial(bd.seesaw_quantum, seed=args.seed, restarts=args.restarts)
     bound = {"classical": bd.classical_bound, "ns-cert": bd.ns_lower_bound, "seesaw": seesaw}
-    try:
-        report = bound[args.kind](functional)
-    except ValueError as exc:
-        raise CliError(1, str(exc)) from exc
+    report = _domain(bound[args.kind], functional)
     fields = {"bound": ser.bound_report_to_json(report)}
     stored_key = {"classical": "classical", "ns-cert": "no_signalling"}.get(args.kind)
     if stored_key and stored_key in functional.bounds:
@@ -174,12 +154,10 @@ def cmd_bound(args, argv) -> int:
         bracket = {key: v for key, v in (("lower", lo), ("upper", hi)) if v is not None}
         fields["bracket_check"] = {**bracket, "tolerance": 1e-4, "passed": (
             lo is None or report.value >= lo - 1e-4) and (hi is None or report.value <= hi + 1e-4)}
-    _emit(_report(argv, {args.functional: digest}, started, **fields))
-    return 0
+    return {args.functional: digest}, 0, fields
 
 
-def cmd_simulate(args, argv) -> int:
-    started = time.perf_counter()
+def cmd_simulate(args):
     assemblage, digest = _load(ser.assemblage_from_json, args.assemblage)
     if assemblage.scenario != args.scenario:
         raise CliError(1, f"assemblage is {assemblage.scenario!r}, not {args.scenario!r}")
@@ -188,10 +166,7 @@ def cmd_simulate(args, argv) -> int:
         measurement, inputs[args.measurement] = _load(
             lambda doc: ser.matrix_from_json(doc["matrix"] if isinstance(doc, dict) else doc),
             args.measurement, (dict, list))
-    try:
-        table = protocol.simulate(assemblage, args.r, measurement, args.n)
-    except ValueError as exc:
-        raise CliError(1, str(exc)) from exc
+    table = _domain(protocol.simulate, assemblage, args.r, measurement, args.n)
     doc = ser.table_to_json(table)
     if args.out:
         if args.format == "csv":
@@ -199,8 +174,7 @@ def cmd_simulate(args, argv) -> int:
         else:
             _write(args.out, ser.dumps(doc))
     masses = table.slice_mass()
-    report = _report(
-        argv, inputs, started,
+    fields = dict(
         scenario=args.scenario,
         r=args.r,
         slice_mass={",".join(map(ser._label, k)): v for k, v in sorted(masses.items())},
@@ -208,9 +182,8 @@ def cmd_simulate(args, argv) -> int:
         tolerances={"effect": protocol.EFFECT_TOL},
     )
     if not args.out:
-        report["table"] = doc
-    _emit(report)
-    return 0
+        fields["table"] = doc
+    return inputs, 0, fields
 
 
 def _csv_text(scenario: str, value_name: str, grid) -> str:
@@ -220,30 +193,23 @@ def _csv_text(scenario: str, value_name: str, grid) -> str:
     return "".join([f"{layout},{value_name}\r\n", *(f"{key},{v:.17g}\r\n" for key, v in rows)])
 
 
-def cmd_selftest(args, argv) -> int:
-    started = time.perf_counter()
+def cmd_selftest(args):
     table, digest = _load(ser.table_from_json, args.correlations)
-    try:
-        marginal = protocol.selftest_marginal(table)
-        value = bd.selftest_value(marginal)
-    except ValueError as exc:
-        raise CliError(1, str(exc)) from exc
+    value = _domain(lambda: bd.selftest_value(protocol.selftest_marginal(table)))
     threshold = bd.SELFTEST_MAX - args.epsilon
     passed = value >= threshold
-    _emit(_report(
-        argv, {args.correlations: digest}, started,
+    return {args.correlations: digest}, 0 if passed else 1, dict(
         value=value,
         value_text=f"{value:.17g}",
         threshold=threshold,
         epsilon=args.epsilon,
         passed=bool(passed),
-    ))
-    return 0 if passed else 1
+    )
 
 
-def cmd_demo_ptp(args, argv) -> int:
-    """The full pipeline on the partial-transpose example, staged and checked."""
-    started = time.perf_counter()
+def cmd_demo_ptp(args):
+    """The full pipeline on the partial-transpose example, staged and checked; ``main``
+    writes its report to ``--out`` as well."""
     beta_aq = args.debug_beta_aq if args.debug_beta_aq is not None else catalog.PTP.almost_quantum
     checks = []
     failed_stage = None
@@ -299,8 +265,7 @@ def cmd_demo_ptp(args, argv) -> int:
     stage("quantum-controls", worst >= -1e-7, worst_value=worst, seeds=50, tolerance=1e-7,
           worst_seed=args.seed + int(values.argmin()), margin=worst + 1e-7)
 
-    report = _report(
-        argv, {}, started,
+    return {}, 0 if failed_stage is None else 1, dict(
         r=args.r,
         seed=args.seed,
         checks=checks,
@@ -309,8 +274,6 @@ def cmd_demo_ptp(args, argv) -> int:
         tolerances={"validation": _validation_tol(), "bell": 1e-4,
                     "selftest": 1e-9, "classical": 1e-10, "quantum_controls": 1e-7},
     )
-    _emit(report, args.out)
-    return 0 if failed_stage is None else 1
 
 
 _CATALOG_DUMPS = {
@@ -327,8 +290,7 @@ _CATALOG_DUMPS = {
 }
 
 
-def cmd_dump(args, argv) -> int:
-    started = time.perf_counter()
+def cmd_dump(args):
     if args.name not in _CATALOG_DUMPS:
         raise CliError(2, f"unknown object {args.name!r}; one of {sorted(_CATALOG_DUMPS)}")
     doc = _CATALOG_DUMPS[args.name]()
@@ -338,12 +300,11 @@ def cmd_dump(args, argv) -> int:
         text = _csv_text(doc["scenario"], "xi", ser.functional_from_json(doc).xi)
     else:
         text = ser.dumps(doc)
-    if args.out:
-        _write(args.out, text)
-        _emit(_report(argv, {}, started, name=args.name, written=args.out))
-    else:
+    if not args.out:
         print(text, end="")
-    return 0
+        return None
+    _write(args.out, text)
+    return {}, 0, dict(name=args.name, written=args.out)
 
 
 @functools.cache
@@ -381,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="threshold check of the self-test functional")
     p.add_argument("--correlations", required=True)
-    p.add_argument("--epsilon", type=float, default=1e-6)
+    p.add_argument("--epsilon", type=_in_range(float, 0, sys.float_info.max), default=1e-6)
 
     p = sub.add_parser("demo-ptp", help="end-to-end run of the worked example")
     p.add_argument("--out")
@@ -400,12 +361,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  A ``cmd_*`` returns the digests of the inputs it read, its exit
+    code and its report fields, or None once it has printed its own text; ``main`` alone
+    times it, emits its run report and turns each error into an exit code and JSON line."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv)
+        started = time.perf_counter()
         # "demo-ptp" runs cmd_demo_ptp, looked up per call rather than held by the shared
         # parser, so a rebound command (such as a tracer's wrapper) is the one that runs.
-        return globals()["cmd_" + args.command.replace("-", "_")](args, argv)
+        ran = globals()["cmd_" + args.command.replace("-", "_")](args)
+        if ran is None:  # the command printed its own text
+            return 0
+        inputs, code, fields = ran
+        text = ser.dumps({"command": argv, "inputs": inputs, **fields,
+                          "duration_s": time.perf_counter() - started})
+        if args.command == "demo-ptp" and args.out:  # the one --out that takes the report
+            _write(args.out, text)
+        print(text, end="")
+        return code
     except (CliError, ValueError, OSError) as exc:
         # A ValueError that reaches here is an out-of-range argument or a
         # non-finite value in a report, an OSError a failed write: exit 2.

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +71,10 @@ class EPRFunctional(Frozen):
         with np.errstate(over="ignore"):
             if not np.isfinite(np.abs(grid).sum()):
                 raise ValueError("operator entries are too large: their total magnitude overflows")
-        if not all(np.isfinite(v) for v in self.bounds.values()):
-            raise ValueError(f"bound constants must be finite, got {self.bounds}")
+        for name, value in self.bounds.items():  # no bool, NaN, inf or int beyond a float
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(
+                    value) <= sys.float_info.max:
+                raise ValueError(f"bound constant {name!r} is not a finite real number: {value!r}")
 
 
 @dataclass(frozen=True)

@@ -219,9 +219,9 @@ def simulate(assemblage, r: float, measurement=None, n: int | None = None) -> Co
     return _PROTOCOLS[assemblage.scenario](assemblage, r, measurement, n)
 
 
-def selftest_marginal(table: CorrelationTable, block: str = "bc") -> LabelGrid:
+def selftest_marginal(table: CorrelationTable) -> LabelGrid:
     """The p(b, c | z, w) marginal feeding the self-test functional, at its labels."""
-    if block not in table.selftest:
-        raise ValueError(f"correlation table has no self-test block {block!r}")
-    return table.selftest[block].subgrid(catalog.SELFTEST_LABELS, "bczw",
-                                         "self-test marginal has no probability for")
+    if "bc" not in table.selftest:
+        raise ValueError("correlation table has no self-test block 'bc'")
+    return table.selftest["bc"].subgrid(catalog.SELFTEST_LABELS, "bczw",
+                                        "self-test marginal has no probability for")

@@ -140,8 +140,9 @@ def assemblage_from_json(doc: dict):
     block = doc.get("elements", {})  # on its grid, or else one key at a time
     elements = _grid(block, ",".join(axes), axes, _matrices) or _per_key(block, _matrix)
     alphabets = doc.get("alphabets", {})
-    kwargs = {f"n_{name}": alphabets[name] for name in axes if name in alphabets}
-    return CONTAINERS[scenario](elements, **kwargs)
+    if not isinstance(alphabets, dict) or not alphabets.keys() <= set(axes):
+        raise SchemaError(f"alphabets must be an object over the axes {axes!r}, got {alphabets}")
+    return CONTAINERS[scenario](elements, **{f"n_{name}": n for name, n in alphabets.items()})
 
 
 def functional_to_json(f) -> dict:
@@ -164,7 +165,10 @@ def functional_from_json(doc: dict):
         block = doc.get("operators", {})
         operators = spec and _grid(block, ",".join(spec.axes), spec.axes, _matrices) or _per_key(
             block, _matrix)
-        return EPRFunctional(doc["scenario"], operators, dict(doc.get("bounds", {})))
+        bounds = doc.get("bounds", {})
+        if not isinstance(bounds, dict):
+            raise SchemaError(f"bounds must be an object of named constants, got {bounds}")
+        return EPRFunctional(doc["scenario"], operators, bounds)
     if form == "bell":
         xi = _per_key(doc.get("coefficients", {}), float)
         return BellCoefficients(doc["scenario"], xi, doc.get("n", 1))

@@ -9,7 +9,9 @@ from eprkit import catalog
 from eprkit import linalg as la
 from eprkit import serialize as ser
 from eprkit.assemblages import (
+    BOB_PROCESSING,
     CONTAINERS,
+    SPECS,
     BwIAssemblage,
     ChannelAssemblage,
     STATE_TOL,
@@ -564,6 +566,34 @@ def test_quantum_realisation_rejects_bob_processing_of_wrong_dimension(scenario,
     with pytest.raises(ValueError, match=message):
         QuantumRealisation(scenario, la.phi_plus(), {1: (proj(0, 1), proj(1, 1))},
                            **processing)
+
+
+def test_bob_processing_is_named_for_every_realisable_scenario():
+    assert set(BOB_PROCESSING) == {name for name, spec in SPECS.items() if spec.realize}
+
+
+@pytest.mark.parametrize("scenario", ["tripartite", "standard"])
+def test_quantum_realisation_rejects_a_scenario_without_realisation(scenario):
+    with pytest.raises(ValueError, match=f"scenario '{scenario}' has no quantum realisation"):
+        QuantumRealisation(scenario, la.phi_plus(), {1: (proj(0, 1), proj(1, 1))},
+                           channels={0: identity_map(2)})
+
+
+def test_quantum_realisation_needs_its_scenarios_bob_processing():
+    # BwI channels given to an MDI realisation: both scenarios are named.
+    with pytest.raises(ValueError, match=r"'mdi' realisation needs Bob's instrument; "
+                                         r"it holds the processing of \['bwi'\]"):
+        QuantumRealisation("mdi", la.phi_plus(), {1: (proj(0, 1), proj(1, 1))},
+                           channels={0: identity_map(2)})
+
+
+@pytest.mark.parametrize("realize, scenario, other", [
+    (realize_bwi, "bwi", "mdi"), (realize_mdi, "mdi", "bwi"), (realize_channel, "channel", "bwi")])
+def test_realize_rejects_another_scenarios_realisation(realize, scenario, other):
+    _, qr = random_quantum(other, 0)
+    with pytest.raises(ValueError, match=f"realize_{scenario} needs a '{scenario}' realisation, "
+                                         f"not a '{other}' one"):
+        realize(qr)
 
 
 def test_standard_assemblage_psd_check():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eprkit import catalog
+from eprkit import catalog, cli
 from eprkit import linalg as la
 from eprkit import serialize as ser
 from eprkit.assemblages import SPECS, BwIAssemblage, MDIAssemblage, random_quantum
@@ -601,6 +601,23 @@ def test_out_overwrites_existing_file_exactly(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_commands_return_their_fields_and_main_adds_the_envelope(capsys, tmp_path, ptp_files):
+    path = ptp_files["ptp-assemblage"]
+    inputs, code, fields = cli.cmd_validate(build_parser().parse_args(["validate", path]))
+    assert (list(inputs), code, fields["passed"]) == ([path], 0, True)
+    assert not {"command", "inputs", "duration_s"} & set(fields)
+    capsys.readouterr()  # drop the fixture's reports
+    assert cli.cmd_dump(build_parser().parse_args(["dump", "ptp-assemblage"])) is None
+    assert json.loads(capsys.readouterr().out)["scenario"] == "bwi"  # printed as it ran
+    out = tmp_path / "demo.json"
+    assert main(["demo-ptp", "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    report = json.loads(text)
+    assert (report["command"], report["inputs"]) == (["demo-ptp", "--out", str(out)], {})
+    assert report["duration_s"] >= 0
+    assert out.read_text() == text  # the one --out that takes the report
+
+
 def test_dump_unknown_object(capsys):
     code, _ = run(capsys, "dump", "no-such-object")
     assert code == 2
@@ -634,6 +651,12 @@ def _add_element_outside_alphabets(docs):
 
 
 _HUGE = (10**400, -10**400)
+
+
+def _set_bound(docs, value):
+    """Set the functional's classical bound constant; returns the name the error must give."""
+    docs["functional"]["bounds"]["classical"] = value
+    return "bound constant 'classical'"
 
 
 def _set_probability(docs, block, key, value):
@@ -674,6 +697,22 @@ def _set_probability(docs, block, key, value):
     pytest.param(None, "bound seesaw --functional {functional} --restarts 0", id="zero-restarts"),
     pytest.param(None, "selftest --correlations {correlations} --epsilon nan",
                  id="non-finite-epsilon"),
+    pytest.param(lambda d: "'inf'", "selftest --correlations {correlations} --epsilon inf",
+                 id="infinite-epsilon"),
+    pytest.param(lambda d: "'-1'", "selftest --correlations {correlations} --epsilon -1",
+                 id="negative-epsilon"),
+    # A bound constant that is no finite real number, or a bounds block that is no object.
+    *[pytest.param(lambda d, v=v: _set_bound(d, v), f"bound {kind} --functional {{functional}}",
+                   id=f"bound-constant-{name}-{kind}")
+      for v, name in (([1.0], "list"), (True, "bool"), ("x", "text"), (None, "null"),
+                      (10**400, "huge-integer"))
+      for kind in ("classical", "seesaw")],
+    pytest.param(lambda d: d["functional"].update(bounds=[["classical", 1.0]]) or "bounds",
+                 "bound classical --functional {functional}", id="bounds-as-pairs"),
+    pytest.param(lambda d: d["assemblage"].update(alphabets=[2, 3, 2]) or "alphabets",
+                 "validate {assemblage}", id="alphabets-as-a-list"),
+    pytest.param(lambda d: d["assemblage"]["alphabets"].update(q=5) or "'q'",
+                 "validate {assemblage}", id="alphabet-of-an-axis-the-scenario-lacks"),
     pytest.param(None, "validate {directory}", id="directory-input"),
     pytest.param(None, "validate {deep}", id="deeply-nested-json"),
     pytest.param(None, "dump ptp-assemblage --out {unwritable}", id="unwritable-output"),
@@ -851,7 +890,8 @@ def test_mutated_catalog_documents_keep_the_cli_contract(catalog_files, data):
                                       "wrong-scenario"]))
     value = data.draw({
         "non-finite": st.sampled_from([math.nan, math.inf, -math.inf]),
-        "wrong-type": st.sampled_from(["x", None, {}, [], True, 0, -1, 2.5, 10**400, -10**400]),
+        "wrong-type": st.sampled_from(["x", None, {}, [], [1.0], {"v": 1.0}, True, 0, -1, 2.5,
+                                       10**400, -10**400]),
         "wrong-scenario": st.sampled_from([*SPECS, "tripartite", None, 7]),
     }.get(kind, st.none()))
     with open(paths["mutated"], "w") as fh:

@@ -16,12 +16,13 @@ import sys
 
 from eprkit import catalog
 from eprkit.bounds import classical_bound, ns_lower_bound, seesaw_quantum
+from eprkit.cli import _in_range
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--restarts", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--restarts", type=_in_range(int, 1), default=50)
+    parser.add_argument("--seed", type=_in_range(int, 0), default=0)
     args = parser.parse_args()
 
     functional = catalog.ptp_functional(normalized=True)

@@ -16,10 +16,13 @@ the report says so.
 The seesaw keeps Bob's processing fixed to the identity and alternates exact
 state and measurement updates, so every iterate is a quantum-feasible value;
 it brackets, never computes, the quantum bound.  Each restart is one row of
-Alice's real Pauli coefficients, and the rows advance as one stack that a
-restart leaves when it stops.  An iteration is one matrix product for the
-Hamiltonians, one checked eigendecomposition and one product for the
-conditioned differences, whence the measurement step and value in closed form.
+Alice's real Pauli coefficients, and the rows of the restarts still iterating
+advance as one compact stack; a restart's row and ground vector are kept once,
+when it leaves.  An iteration is one matrix product for the Hamiltonians, one
+checked eigendecomposition and one product for the conditioned differences,
+whence the measurement step, read per setting from a constant table by the count
+of nonpositive eigenvalues, and the values, which the stopping rule compares as
+the Python floats of the traces.
 
 The self-test value I_E is one dot product of a marginal's (b, c, z, w)
 grid with constant weights.
@@ -41,6 +44,9 @@ _CHUNK = 256  # strategies summed and screened at once in classical_bound
 _SCREENED = 32  # a chunk of fewer strategies skips the screen: LAPACK values them all
 _TINY = np.finfo(float).smallest_subnormal  # floors divisors that are 0 only with their dividends
 _REL_TOL = 1e-10  # the seesaw's relative stopping tolerance
+# Per count (0, 1, 2) of nonpositive eigenvalues, the projector's I coefficient c_0, then
+# thrice the factor of e_vec / |e_vec|, signed zeros included.
+_STEP = np.repeat([[0, -0.0], [0.5, -0.5], [1, -0.0]], [1, 3], axis=1)
 
 
 @dataclass(frozen=True)
@@ -132,11 +138,13 @@ def _nonpositive_projector(e: np.ndarray) -> np.ndarray:
     |e_vec|) / 2 if only the lower one is, and 0 otherwise."""
     # G's positive multiples share the projector; at max_k |e_k| = 1 (or e = 0), |e_vec|
     # neither overflows nor loses digits to subnormal components.
-    e = e / np.maximum(np.abs(e).max(-1, keepdims=True), _TINY)
-    norm = np.hypot.reduce(e[..., 1:], axis=-1, keepdims=True)
-    lower, upper = e[..., :1] <= norm, e[..., :1] <= -norm
-    unit = e[..., 1:] / np.maximum(norm, _TINY)  # |e_vec| = 0 only where e_vec = 0
-    return np.concatenate([lower / 2 + upper / 2, unit * ((lower != upper) / -2)], -1)
+    e = e / np.maximum(np.maximum.reduce(np.abs(e), -1, keepdims=True), _TINY)
+    norm = np.hypot.reduce(e[..., 1:], axis=-1)
+    # The count of G's eigenvalues <= 0 picks a row (int8: bool + bool is a logical or).
+    code = (e[..., 0] <= norm).view(np.int8) + (e[..., 0] <= -norm).view(np.int8)
+    out = _STEP.take(code, 0)
+    out[..., 1:] *= e[..., 1:] / np.maximum(norm, _TINY)[..., None]  # |e_vec| = 0 only at 0
+    return out
 
 
 def seesaw_quantum(f: EPRFunctional, seed: int = 0, restarts: int = 10,
@@ -165,35 +173,38 @@ def seesaw_quantum(f: EPRFunctional, seed: int = 0, restarts: int = 10,
     ops = np.concatenate([summed[0] - summed[1], summed[1].sum(0, keepdims=True)])
     basis = np.einsum("kij,xab->xkiajb", la.PAULIS, ops).reshape(-1, 4 * db * db)[:4 * n_x + 1]
     rngs = la.generators(np.random.default_rng(seed).integers(2**63, size=restarts))
-    # Every restart's row, c_xk = tr[sigma_k M_{0|x}] / 2, last ground vector and value trace.
+    # Every restart's row c_xk = tr[sigma_k M_{0|x}] / 2 and value trace.
     m0 = la.projective_povm(la.ginibre_stacks(rngs, (n_x, 2, 2))[0], 2)[:, :, 0]
-    coef = np.ones((restarts, 4 * n_x + 1))
+    coef = np.ones((restarts, 4 * n_x + 1))  # the stack: the rows of the restarts iterating
     coef[:, :-1] = np.einsum("kji,rxij->rxk", la.PAULIS, m0).real.reshape(restarts, -1) / 2
-    grounds = np.empty((restarts, 2 * db), dtype=complex)
+    ends = {}  # each restart's last (row, ground vector), kept when it leaves the stack
     traces = [[] for _ in range(restarts)]
-    active = np.arange(restarts)  # the restarts still iterating, stacked on the leading axis
+    active = list(range(restarts))  # the restarts in the stack, in order
     for iteration in range(max_iterations):
-        psi = la.eig_hermitian((coef[active] @ basis).reshape(-1, 2 * db, 2 * db))[1][..., 0]
+        psi = la.eig_hermitian((coef @ basis).reshape(-1, 2 * db, 2 * db))[1][..., 0]
         # e_n = <psi|basis_n|psi>, so e_xk = tr[sigma_k G_x] for G_x = tr_B[(I (x) D_x) rho].
         e = ((psi.conj()[:, :, None] * psi[:, None]).reshape(len(psi), -1) @ basis.T).real
-        coef[active, :-1] = step = _nonpositive_projector(
+        coef[:, :-1] = step = _nonpositive_projector(
             e[:, :-1].reshape(-1, n_x, 4)).reshape(len(psi), -1)
-        grounds[active] = psi
-        values = (step * e[:, :-1]).sum(1) + e[:, -1]  # tr[h rho] for the new h
-        for r, value in zip(active.tolist(), values.tolist()):
+        values = (np.add.reduce(step * e[:, :-1], 1) + e[:, -1]).tolist()  # tr[h rho], new h
+        for r, value in zip(active, values):
             traces[r].append(value)
-        if iteration:  # a restart stops once its last two values agree within _REL_TOL
-            converged = np.abs(previous - values) <= _REL_TOL * np.maximum(1.0, np.abs(previous))
-            active, values = active[~converged], values[~converged]
-            if not active.size:
+        # A restart stops at the cap or once its last two values agree within _REL_TOL.
+        stops = [iteration + 1 == max_iterations or iteration > 0 and abs(t[-2] - t[-1])
+                 <= _REL_TOL * max(1.0, abs(t[-2])) for t in map(traces.__getitem__, active)]
+        if any(stops):
+            ends.update((r, (coef[i], psi[i])) for i, r in enumerate(active) if stops[i])
+            keep = [i for i, stop in enumerate(stops) if not stop]
+            active, coef = [active[i] for i in keep], coef[keep]
+            if not active:
                 break
-        previous = values
     per_restart = tuple((trace[-1], len(trace)) for trace in traces)
     low = min(value for value, _ in per_restart)  # restarts tied to rounding keep the first
     best = next(r for r, (v, _) in enumerate(per_restart) if v - low <= _REL_TOL * max(1, abs(low)))
-    effects = (coef[best, :-1].reshape(n_x, 4) @ la.PAULIS.reshape(4, 4)).reshape(n_x, 2, 2)
+    row, ground = ends[best]
+    effects = (row[:-1].reshape(n_x, 4) @ la.PAULIS.reshape(4, 4)).reshape(n_x, 2, 2)
     witness = QuantumRealisation(
-        "bwi", np.outer(grounds[best], grounds[best].conj()),
+        "bwi", np.outer(ground, ground.conj()),
         {x: (m, np.eye(2) - m) for x, m in zip(x_vals, effects)},
         channels=dict.fromkeys(y_vals, la.KrausMap(db, db, (np.eye(db),))))
     return BoundReport("seesaw", per_restart[best][0], witness, guaranteed_tight=False,

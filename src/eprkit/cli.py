@@ -380,9 +380,10 @@ def main(argv=None) -> int:
             _write(args.out, text)
         print(text, end="")
         return code
-    except (CliError, ValueError, OSError) as exc:
-        # A ValueError that reaches here is an out-of-range argument or a
-        # non-finite value in a report, an OSError a failed write: exit 2.
+    except (CliError, ValueError, OSError, MemoryError) as exc:
+        # A ValueError that reaches here is an out-of-range argument or a non-finite
+        # value in a report, an OSError a failed write, a MemoryError an argument too
+        # large for the run to allocate: exit 2.
         code = exc.code if isinstance(exc, CliError) else 2
         print(json.dumps({"error": str(exc), "exit_code": code}), file=sys.stderr)
         return code

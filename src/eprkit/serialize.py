@@ -128,10 +128,13 @@ def _spec(scenario, known=SPECS):
 
 
 def assemblage_to_json(assemblage) -> dict:
-    elements = zip((",".join(map(_label, key)) for key in assemblage.elements),
-                   matrix_to_json(assemblage.stack))
+    axes = assemblage.spec.axes
+    try:  # the grid's cached key texts, or each key's own for keys that are no full product
+        keys = key_texts(assemblage.grid[0], ",".join(axes), axes)
+    except ValueError:
+        keys = (",".join(map(_label, key)) for key in assemblage.elements)
     return {"scenario": assemblage.scenario, "alphabets": assemblage.sizes,
-            "elements": dict(elements)}
+            "elements": dict(zip(keys, matrix_to_json(assemblage.stack)))}
 
 
 def assemblage_from_json(doc: dict):

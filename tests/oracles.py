@@ -418,6 +418,18 @@ def classical_bound_lapack(f: EPRFunctional, eigvalsh=np.linalg.eigvalsh):
     return values[i], {x: a_vals[c] for x, c in zip(x_vals, choices[i])}, operators[i]
 
 
+def nonpositive_projector(e: np.ndarray) -> np.ndarray:
+    """``bounds._nonpositive_projector`` from the two eigenvalue tests as bools: c_0 is
+    ``lower / 2 + upper / 2`` and the factor of e_vec / |e_vec| is ``(lower != upper) / -2``,
+    joined by ``concatenate``."""
+    tiny = np.finfo(float).smallest_subnormal
+    e = e / np.maximum(np.abs(e).max(-1, keepdims=True), tiny)
+    norm = np.hypot.reduce(e[..., 1:], axis=-1, keepdims=True)
+    lower, upper = e[..., :1] <= norm, e[..., :1] <= -norm
+    unit = e[..., 1:] / np.maximum(norm, tiny)
+    return np.concatenate([lower / 2 + upper / 2, unit * ((lower != upper) / -2)], -1)
+
+
 def random_povm_element(rng: np.random.Generator, dim: int) -> np.ndarray:
     """A random effect 0 <= M <= I (uniform spectrum in a Haar-random basis)."""
     u = random_unitary(rng, dim)

@@ -17,8 +17,9 @@ from eprkit.bounds import (
     selftest_value,
 )
 from eprkit.functionals import EPRFunctional
-from oracles import (classical_bound_lapack, min_eigenvalue, partial_trace, proj, random_density,
-                     random_hermitian, random_projective_povm, random_unitary, shifted)
+from oracles import (classical_bound_lapack, min_eigenvalue, nonpositive_projector, partial_trace,
+                     proj, random_density, random_hermitian, random_projective_povm,
+                     random_unitary, shifted)
 
 EXACT_CLASSICAL = 3 - np.sqrt(3)
 
@@ -160,6 +161,41 @@ def test_closed_form_measurement_step_matches_eigendecomposition(seed, scale):
 ])
 def test_closed_form_measurement_step_exact_cases(g, m0):
     assert np.array_equal(_measurement_step(g), m0)
+
+
+def _assert_same_bits(e):
+    step, formula = _nonpositive_projector(e), nonpositive_projector(e)
+    assert (step.shape, step.dtype) == (formula.shape, formula.dtype) == (e.shape, float)
+    assert step.tobytes() == formula.tobytes()  # signed zeros count
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.0, -1.0, 1e300, -1e300]
+
+
+@given(shape=st.sampled_from([(4,), (1, 4), (5, 4), (2, 3, 4)]), data=st.data())
+def test_table_driven_step_matches_the_formula_to_the_bit(shape, data):
+    size = int(np.prod(shape))
+    entries = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    _assert_same_bits(np.array(data.draw(st.lists(entries, min_size=size, max_size=size)))
+                      .reshape(shape))
+
+
+# Exact ties e_0 = +-|e_vec| (one eigenvalue of G exactly 0) at three scales, and e = 0.
+_TIES = [(sign * scale, *np.roll([scale, 0.0, 0.0], axis), c_0)
+         for scale in (5e-324, 1.0, 2.0**1000) for axis in range(3)
+         for sign, c_0 in ((1, 0.5), (-1, 1.0))] + [
+    (0.0, 0.0, 0.0, 0.0, 1.0), (-0.0, -0.0, 0.0, -0.0, 1.0)]
+
+
+@pytest.mark.parametrize("tie", _TIES)
+def test_table_driven_step_matches_the_formula_at_exact_ties(tie):
+    e = np.array(tie[:4])
+    _assert_same_bits(e)
+    assert _nonpositive_projector(e)[0] == tie[4]  # the projector's I coefficient
+
+
+def test_table_driven_step_matches_the_formula_on_a_stack_of_ties():
+    _assert_same_bits(np.array([tie[:4] for tie in _TIES]).reshape(-1, 2, 4))
 
 
 @pytest.mark.parametrize("scale", [1e-320, 1e-310, 1e300])

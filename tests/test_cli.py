@@ -695,6 +695,9 @@ def _set_probability(docs, block, key, value):
                           ("--n 3", "resource-qubit-count-three"))],
     pytest.param(None, "bound seesaw --functional {functional} --seed -1", id="negative-seed"),
     pytest.param(None, "bound seesaw --functional {functional} --restarts 0", id="zero-restarts"),
+    # numpy refuses the 6.94 EiB of seeds at once, before anything is allocated.
+    pytest.param(None, "bound seesaw --functional {functional} --restarts 1000000000000000000",
+                 id="restarts-beyond-memory"),
     pytest.param(None, "selftest --correlations {correlations} --epsilon nan",
                  id="non-finite-epsilon"),
     pytest.param(lambda d: "'inf'", "selftest --correlations {correlations} --epsilon inf",
@@ -842,7 +845,8 @@ _FUZZ_COMMANDS = {
     "assemblage": ["validate {mutated}", "simulate bwi --assemblage {mutated}",
                    "eval --functional {functional} --assemblage {mutated}"],
     "functional": ["eval --functional {mutated} --assemblage {assemblage}",
-                   "bound classical --functional {mutated}", "bound ns-cert --functional {mutated}"],
+                   "bound classical --functional {mutated}", "bound ns-cert --functional {mutated}",
+                   "bound seesaw --functional {mutated} --restarts 2"],
     "coefficients": ["eval --functional {mutated} --correlations {correlations}"],
     "correlations": ["eval --functional {coefficients} --correlations {mutated}",
                      "selftest --correlations {mutated}"],

@@ -37,6 +37,14 @@ def test_mixture_sweep_rejects_counts_below_one_with_a_usage_error():
         assert result.stdout == ""
 
 
+def test_seesaw_search_rejects_out_of_range_arguments_with_a_usage_error():
+    for args in (("--restarts", "0"), ("--restarts", "-2"), ("--seed", "-1")):
+        result = _run("seesaw_search.py", *args)
+        assert result.returncode == 2, (args, result.stderr)
+        assert f"error: argument {args[0]}" in result.stderr and "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+
 def test_seesaw_search_prints_the_bracket():
     result = _run("seesaw_search.py", "--restarts", "2")
     assert result.returncode == 0, result.stderr

@@ -17,7 +17,6 @@ import itertools
 import math
 import numbers
 from collections.abc import Mapping
-from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Callable, ClassVar
 
@@ -28,21 +27,19 @@ from . import linalg as la
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ConditionResult:
-    name: str
-    residual: float
+class ConditionResult(la.Frozen):
+    def __init__(self, name: str, residual: float):
+        vars(self).update(name=name, residual=residual)
 
     def passes(self, tol: float) -> bool:
         return self.residual <= tol
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    scenario: str
-    conditions: tuple[ConditionResult, ...]
-    structural_errors: tuple[str, ...] = ()
-    tol: float = DEFAULT_TOL
+class ValidationReport(la.Frozen):
+    def __init__(self, scenario: str, conditions: tuple[ConditionResult, ...],
+                 structural_errors: tuple[str, ...] = (), tol: float = DEFAULT_TOL):
+        vars(self).update(scenario=scenario, conditions=conditions,
+                          structural_errors=structural_errors, tol=tol)
 
     @property
     def passed(self) -> bool:
@@ -172,8 +169,7 @@ def _sample_channel(sizes, db):
     return (4, 2 * db), None, lambda g: {"channel": la.KrausMap(2 * db, 2, la.stinespring(g, 2))}
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(la.Frozen):
     """What tells one scenario apart; everything else reads it generically.
 
     Labels are single letters.  ``axes`` are the element-key labels in key
@@ -192,13 +188,11 @@ class Scenario:
     *label counts, d, d) of the elements of a realisation or a stack of them.
     """
 
-    axes: str
-    settings: str
-    conditions: Callable
-    layout: str = ""
-    resources: tuple = ()
-    sample: Callable | None = None
-    realize: Callable | None = None
+    def __init__(self, axes: str, settings: str, conditions: Callable, layout: str = "",
+                 resources: tuple = (), sample: Callable | None = None,
+                 realize: Callable | None = None):
+        vars(self).update(axes=axes, settings=settings, conditions=conditions, layout=layout,
+                          resources=resources, sample=sample, realize=realize)
 
     @property
     def default_sizes(self) -> dict:
@@ -231,16 +225,6 @@ class ReadOnlyDict(dict):
 
     def __reduce__(self):  # copies and pickles rebuild it instead of filling an empty one
         return type(self), (dict(self),)
-
-
-class Frozen:
-    """Attributes set once, through ``vars(self)`` in ``__init__``: as on a frozen
-    dataclass, setting or deleting one afterwards raises."""
-
-    def __setattr__(self, name, *value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
 
 
 def operator_stack(operators) -> np.ndarray:
@@ -323,7 +307,7 @@ def _inside(label, axis: range) -> bool:
     return isinstance(label, numbers.Integral) and axis.start <= label < axis.stop
 
 
-class Assemblage(Frozen):
+class Assemblage(la.Frozen):
     """Elements of an assemblage, keyed by the axes of its scenario in ``SPECS``.
 
     Each subclass is one scenario: ``BwIAssemblage(elements, n_a=2, n_x=3, n_y=2)``
@@ -439,8 +423,7 @@ STATE_TOL = 1e-10
 BOB_PROCESSING = {"bwi": "channels", "mdi": "instrument", "channel": "channel"}
 
 
-@dataclass(frozen=True)
-class QuantumRealisation:
+class QuantumRealisation(la.Frozen):
     """A shared state, Alice POVMs, and Bob-side processing for one scenario.
 
     ``povms`` maps the setting x to its effects, the same number for every x.
@@ -452,14 +435,11 @@ class QuantumRealisation:
     and realised at once.
     """
 
-    scenario: str
-    state: np.ndarray
-    povms: dict
-    channels: dict | None = None
-    instrument: tuple | np.ndarray | None = None
-    channel: la.KrausMap | None = None
-
-    def __post_init__(self):
+    def __init__(self, scenario: str, state: np.ndarray, povms: dict,
+                 channels: dict | None = None, instrument: tuple | np.ndarray | None = None,
+                 channel: la.KrausMap | None = None):
+        vars(self).update(scenario=scenario, state=state, povms=povms, channels=channels,
+                          instrument=instrument, channel=channel)
         if self.scenario not in BOB_PROCESSING:
             raise ValueError(f"scenario {self.scenario!r} has no quantum realisation; "
                              f"one of {list(BOB_PROCESSING)}")
@@ -467,8 +447,7 @@ class QuantumRealisation:
         if self.scenario not in held:
             raise ValueError(f"a {self.scenario!r} realisation needs Bob's "
                              f"{BOB_PROCESSING[self.scenario]}; it holds the processing of {held}")
-        state = la.hermitian(self.state, tol=1e-10)
-        object.__setattr__(self, "state", state)
+        state = vars(self)["state"] = la.hermitian(self.state, tol=1e-10)
         stacked = state.ndim > 2
         if not _psd_within(state, STATE_TOL, stacked):
             raise ValueError("shared state is not positive semidefinite")

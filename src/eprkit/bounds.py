@@ -30,8 +30,6 @@ grid with constant weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import linalg as la
@@ -49,25 +47,22 @@ _REL_TOL = 1e-10  # the seesaw's relative stopping tolerance
 _STEP = np.repeat([[0, -0.0], [0.5, -0.5], [1, -0.0]], [1, 3], axis=1)
 
 
-@dataclass(frozen=True)
-class DeterministicStrategy:
+class DeterministicStrategy(la.Frozen):
     """A deterministic Alice response x -> a with its per-input operators, both read-only."""
 
-    response: dict
-    operators: dict  # y -> sum_x F_{response[x], x, y}
+    def __init__(self, response: dict, operators: dict):  # y -> sum_x F_{response[x], x, y}
+        vars(self).update(response=response, operators=operators)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    kind: str
-    value: float
-    witness: object = None
-    guaranteed_tight: bool = True
-    note: str = ""
-    iterations: int = 0
-    restarts: int = 0
-    trace: tuple = field(default_factory=tuple)
-    per_restart: tuple = field(default_factory=tuple)  # (final value, iterations) per restart
+class BoundReport(la.Frozen):
+    """``per_restart`` holds the (final value, iterations) of each restart."""
+
+    def __init__(self, kind: str, value: float, witness: object = None,
+                 guaranteed_tight: bool = True, note: str = "", iterations: int = 0,
+                 restarts: int = 0, trace: tuple = (), per_restart: tuple = ()):
+        vars(self).update(kind=kind, value=value, witness=witness,
+                          guaranteed_tight=guaranteed_tight, note=note, iterations=iterations,
+                          restarts=restarts, trace=trace, per_restart=per_restart)
 
 
 def _functional_grid(f: EPRFunctional):

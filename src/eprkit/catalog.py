@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,17 +23,15 @@ from .functionals import BellCoefficients, EPRFunctional, bell_from_epr, project
 ALICE_PAULI = {1: la.PAULI_X, 2: la.PAULI_Y, 3: la.PAULI_Z}
 
 
-@dataclass(frozen=True)
-class PtpConstants:
-    """Published bound constants of the raw PTP functional."""
+class PtpConstants(la.Frozen):
+    """Published bound constants of the raw PTP functional, and the exact classical bound."""
 
-    classical: float = 1.2679
-    almost_quantum: float = 0.4135
-    no_signalling: float = 0.0
+    classical_exact = 3.0 - math.sqrt(3.0)
 
-    @property
-    def classical_exact(self) -> float:
-        return 3.0 - math.sqrt(3.0)
+    def __init__(self, classical: float = 1.2679, almost_quantum: float = 0.4135,
+                 no_signalling: float = 0.0):
+        vars(self).update(classical=classical, almost_quantum=almost_quantum,
+                          no_signalling=no_signalling)
 
 
 PTP = PtpConstants()

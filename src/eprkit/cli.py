@@ -320,8 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a functional on an assemblage or correlations")
     p.add_argument("--functional", required=True)
-    p.add_argument("--assemblage")
-    p.add_argument("--correlations")
+    other = p.add_mutually_exclusive_group()  # neither: cmd_eval asks for one
+    other.add_argument("--assemblage")
+    other.add_argument("--correlations")
 
     p = sub.add_parser("bound", help="classical, no-signalling certificate, or seesaw bound")
     p.add_argument("kind", choices=["classical", "ns-cert", "seesaw"])

@@ -28,18 +28,17 @@ import functools
 import itertools
 import numbers
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg as la
-from .assemblages import SPECS, Frozen, LabelGrid, ReadOnlyDict, operator_stack, product_grid
+from .assemblages import SPECS, LabelGrid, ReadOnlyDict, operator_stack, product_grid
 
 # The scenarios with an activation protocol, i.e. a slice layout.
 SCENARIOS = tuple(name for name, spec in SPECS.items() if spec.layout)
 
 
-class EPRFunctional(Frozen):
+class EPRFunctional(la.Frozen):
     """Hermitian operator coefficients of an EPR functional.
 
     Operator keys follow the scenario's axes: (a, x, y) for bwi, (a, b, x)
@@ -77,8 +76,7 @@ class EPRFunctional(Frozen):
                 raise ValueError(f"bound constant {name!r} is not a finite real number: {value!r}")
 
 
-@dataclass(frozen=True)
-class BellCoefficients:
+class BellCoefficients(la.Frozen):
     """Real Bell coefficients on the designated correlation slice.
 
     Keys: (a, x, y, c, w) for bwi, (a, b, x, c, z) for mdi and
@@ -87,28 +85,24 @@ class BellCoefficients:
     zero and never stored.  ``xi`` is a ``LabelGrid`` over the slice axes.
     """
 
-    scenario: str
-    xi: LabelGrid
-    n: int = 1
-
-    def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}")
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"resource qubit count n must be a positive integer, got {self.n!r}")
+    def __init__(self, scenario: str, xi: LabelGrid, n: int = 1):
+        if scenario not in SCENARIOS:
+            raise ValueError(f"unknown scenario {scenario!r}")
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"resource qubit count n must be a positive integer, got {n!r}")
         # c/w labels (plain for one qubit, n-tuples for n) are checked per axis, not per key.
-        n_axes, names = len(SPECS[self.scenario].axes), SPECS[self.scenario].slice_axes
-        if isinstance(self.xi, LabelGrid):
-            lengths, axes = {len(self.xi.labels)}, self.xi.labels
+        n_axes, names = len(SPECS[scenario].axes), SPECS[scenario].slice_axes
+        if isinstance(xi, LabelGrid):
+            lengths, axes = {len(xi.labels)}, xi.labels
         else:
-            lengths, axes = set(map(len, self.xi)), tuple(map(set, zip(*self.xi)))
+            lengths, axes = set(map(len, xi)), tuple(map(set, zip(*xi)))
         qubits = {len(c) if isinstance(c, tuple) else 1 for labels in axes[n_axes:] for c in labels}
-        if lengths - {len(names)} or qubits - {self.n}:
+        if lengths - {len(names)} or qubits - {n}:
             raise ValueError(f"coefficient keys of {sorted(lengths)} labels on "
-                             f"{sorted(qubits)} qubits are not {self.n}-qubit labels "
+                             f"{sorted(qubits)} qubits are not {n}-qubit labels "
                              f"{names[n_axes:]!r} of the keys {names!r}")
-        object.__setattr__(self, "xi", LabelGrid.keyed(self.xi, len(names),
-                                                       "coefficient table has no entry for"))
+        vars(self).update(scenario=scenario, n=n, xi=LabelGrid.keyed(
+            xi, len(names), "coefficient table has no entry for"))
 
 
 # Row s: canonical projector coefficients of Pauli s (0 = I, then w = Z, X, Y), in

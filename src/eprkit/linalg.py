@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,30 +106,35 @@ def observable_projectors(obs: np.ndarray) -> np.ndarray:
     return np.stack([p_plus, np.eye(obs.shape[-1]) - p_plus], -3)
 
 
-@dataclass(frozen=True)
-class KrausMap:
+class Frozen:
+    """Attributes set once, through ``vars(self)`` in ``__init__``: as on a frozen
+    dataclass, setting or deleting one afterwards raises ``FrozenInstanceError``."""
+
+    def __setattr__(self, name, *value):
+        from dataclasses import FrozenInstanceError  # only to raise: kept out of start-up
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class KrausMap(Frozen):
     """A channel given by trace-preserving Kraus operators (out_dim x in_dim each).
 
     ``kraus_ops`` is held as one read-only array (..., k, out_dim, in_dim); its
     leading axes, if any, make it a stack of channels, each checked.
     """
 
-    in_dim: int
-    out_dim: int
-    kraus_ops: np.ndarray
-
-    def __post_init__(self):
-        ops = np.array(self.kraus_ops, dtype=complex, order="C")
-        if ops.ndim < 3 or ops.shape[-2:] != (self.out_dim, self.in_dim):
+    def __init__(self, in_dim: int, out_dim: int, kraus_ops: np.ndarray):
+        ops = np.array(kraus_ops, dtype=complex, order="C")
+        if ops.ndim < 3 or ops.shape[-2:] != (out_dim, in_dim):
             raise ValueError(
-                f"Kraus operators of shape {ops.shape} do not match ({self.out_dim}, {self.in_dim})"
-            )
+                f"Kraus operators of shape {ops.shape} do not match ({out_dim}, {in_dim})")
         if not np.isfinite(ops).all():  # a NaN would pass the deviation check below
             raise ValueError("Kraus operators have non-finite entries")
         ops.setflags(write=False)
-        object.__setattr__(self, "kraus_ops", ops)
+        vars(self).update(in_dim=in_dim, out_dim=out_dim, kraus_ops=ops)
         gram = np.einsum("...kji,...kjl->...il", ops.conj(), ops)
-        dev = np.max(np.abs(gram - np.eye(self.in_dim)))
+        dev = np.max(np.abs(gram - np.eye(in_dim)))
         if dev > TRACE_PRESERVING_TOL:
             raise ValueError(f"map is not trace preserving (deviation {dev:.3e})")
 

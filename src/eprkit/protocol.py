@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -30,8 +29,7 @@ PROB_TOL = 1e-12
 EFFECT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ResourceAssemblage:
+class ResourceAssemblage(la.Frozen):
     """The self-tested resource: mixture of the canonical assemblage and its transpose.
 
     Elements are r * prod(sigma_tilde) + (1 - r) * prod(sigma_tilde)^T, keyed
@@ -39,13 +37,12 @@ class ResourceAssemblage:
     ``grid`` over the sorted (c, w) ``labels``; ``stack`` and ``elements`` view it.
     """
 
-    n: int
-    r: float
-    labels: tuple = field(repr=False, compare=False)
-    grid: np.ndarray = field(repr=False, compare=False)
     stack = property(lambda self: self.grid.reshape(-1, *self.grid.shape[-2:]))
     elements = functools.cached_property(lambda self: ReadOnlyDict(zip(
         itertools.product(*self.labels), self.stack)))
+
+    def __init__(self, n: int, r: float, labels: tuple, grid: np.ndarray):
+        vars(self).update(n=n, r=r, labels=labels, grid=grid)
 
 
 def make_resource(n: int, r: float) -> ResourceAssemblage:
@@ -60,29 +57,25 @@ def make_resource(n: int, r: float) -> ResourceAssemblage:
     return ResourceAssemblage(n, float(r), labels, grid)
 
 
-@dataclass(frozen=True)
-class CorrelationTable:
+class CorrelationTable(la.Frozen):
     """Designated-slice probabilities plus self-test marginals for one run.
 
     ``slice`` is a ``LabelGrid`` over the slice axes, and each ``selftest`` block
     one over (b, c, z, w); a ``{key: p}`` block must be the full product of its
     labels, and only the slice may be empty, in a table of self-test marginals only.
+    ``selftest`` and ``meta`` default to empty dicts; ``checked`` (not held) tells that
+    the caller has range-checked every block.
     """
 
-    scenario: str
-    slice: LabelGrid
-    selftest: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
-    checked: InitVar[bool] = False  # True: the caller has range-checked every block
-
-    def __post_init__(self, checked):
-        grid = LabelGrid.keyed(self.slice, len(SPECS[self.scenario].slice_axes),
+    def __init__(self, scenario: str, slice: LabelGrid, selftest: dict | None = None,
+                 meta: dict | None = None, checked: bool = False):
+        grid = LabelGrid.keyed(slice, len(SPECS[scenario].slice_axes),
                                "correlation table has no probability for")
-        object.__setattr__(self, "slice", grid)
-        object.__setattr__(self, "selftest", {
-            name: LabelGrid.keyed(block, 4, "self-test marginal has no probability for")
-            for name, block in self.selftest.items()})
-        blocks = self.selftest.values()
+        selftest = {name: LabelGrid.keyed(block, 4, "self-test marginal has no probability for")
+                    for name, block in (selftest or {}).items()}
+        vars(self).update(scenario=scenario, slice=grid, selftest=selftest,
+                          meta={} if meta is None else meta)
+        blocks = selftest.values()
         if not checked:
             _check_probabilities(
                 np.concatenate([grid.grid.ravel(), *(block.grid.ravel() for block in blocks)]),

@@ -41,17 +41,31 @@ def matrix_to_json(m: np.ndarray) -> list:
     return np.ascontiguousarray(m, dtype=complex).view(float).reshape(*np.shape(m), 2).tolist()
 
 
+def _number(value) -> float:
+    """A JSON number, an int or a float but no bool, as a float; TypeError for any other value."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, not {type(value).__name__}")
+    return float(value)
+
+
+def _numbers(values: list) -> np.ndarray:
+    """``_number`` of each of ``values``, as one float array."""
+    if not set(map(type, values)) <= {int, float}:
+        raise TypeError("expected numbers")
+    return np.array(values, dtype=float)
+
+
 def _matrix(rows, ndim: int = 3) -> np.ndarray:
-    """The complex view of rows of [re, im] real pairs (at ``ndim`` 4, of a list of such
-    square matrices)."""
+    """The complex view of rows of [re, im] pairs of JSON numbers (at ``ndim`` 4, of a list of
+    such square matrices)."""
     try:
-        m = np.array(rows)
-        if m.dtype == object and set(map(type, m.flat)) <= {int, float, bool}:  # ints past 64 bits
-            m = m.astype(float)  # OverflowError past the float range
-        if m.dtype.kind not in "biuf" or m.ndim != ndim or m.shape[-1] != 2 or (
-                ndim == 4 and m.shape[1] != m.shape[2]):
-            raise ValueError(f"expected (d, d', 2) real numbers, got {m.dtype} of shape {m.shape}")
-        return m.astype(float, copy=False).view(complex)[..., 0]  # no arithmetic: inf cannot warn
+        m = np.array(rows, dtype=object)  # the parsed leaves: a bool or a text is no number
+        kinds = set(map(type, m.flat))
+        if m.ndim != ndim or m.shape[-1] != 2 or (ndim == 4 and m.shape[1] != m.shape[2]) or (
+                not kinds <= {int, float}):
+            names = "/".join(sorted(kind.__name__ for kind in kinds))
+            raise ValueError(f"expected (d, d', 2) numbers, got {names} of shape {m.shape}")
+        return m.astype(float).view(complex)[..., 0]  # OverflowError past the float range
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed matrix entry: {exc}") from exc
 
@@ -173,7 +187,7 @@ def functional_from_json(doc: dict):
             raise SchemaError(f"bounds must be an object of named constants, got {bounds}")
         return EPRFunctional(doc["scenario"], operators, bounds)
     if form == "bell":
-        xi = _per_key(doc.get("coefficients", {}), float)
+        xi = _per_key(doc.get("coefficients", {}), _number)
         return BellCoefficients(doc["scenario"], xi, doc.get("n", 1))
     raise SchemaError(f"unknown functional form {form!r}")
 
@@ -190,14 +204,14 @@ def _block_to_json(block: LabelGrid, layout: str, names: str) -> dict:
 def _block_from_json(block: dict, layout: str, names: str):
     """The (labels, grid) pair of a ``_grid`` block of probabilities keyed by ``layout``, else
     its {label tuple: probability} entries, read key by key to name the first that fails."""
-    grid = _grid(block, layout, names, lambda values: np.array(list(map(float, values))))
+    grid = _grid(block, layout, names, _numbers)
     if grid:
         return grid
     entries = {}
     for text, p in zip(block, block.values()):
         columns = _split([text], layout, names)
         try:
-            entries[tuple(_parse_label(label) for label, in columns)] = float(p)
+            entries[tuple(_parse_label(label) for label, in columns)] = _number(p)
         except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"malformed key {text!r}: {exc}") from exc
     return entries

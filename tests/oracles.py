@@ -492,9 +492,11 @@ def dumps(doc) -> str:
 
 
 def matrix_from_json_per_entry(rows) -> np.ndarray:
-    """A matrix from rows of [re, im] pairs, one ``complex`` per entry, checked Hermitian."""
+    """A matrix from rows of [re, im] pairs of JSON numbers (``ser._number``), one ``complex``
+    per entry, checked Hermitian."""
     try:
-        m = np.array([[complex(re, im) for re, im in row] for row in rows])
+        m = np.array([[complex(ser._number(re), ser._number(im)) for re, im in row]
+                      for row in rows])
     except (TypeError, ValueError) as exc:
         raise ser.SchemaError(f"malformed matrix entry: {exc}") from exc
     try:
@@ -514,7 +516,7 @@ def block_from_json_per_key(block: dict, layout: str, names: str) -> dict:
         if len(fields) != len(pattern) or fixed(fields) != fixed(pattern):
             raise ser.SchemaError(f"key {text!r} does not match the layout {layout!r}")
         try:
-            out[tuple(map(ser._parse_label, labels(fields)))] = float(p)
+            out[tuple(map(ser._parse_label, labels(fields)))] = ser._number(p)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ser.SchemaError(f"malformed key {text!r}: {exc}") from exc
     return out
@@ -540,7 +542,8 @@ def functional_from_json_per_key(doc: dict):
                      for k, rows in doc.get("operators", {}).items()}
         return EPRFunctional(doc["scenario"], operators, dict(doc.get("bounds", {})))
     if form == "bell":
-        xi = {ser._key_from_str(k): float(v) for k, v in doc.get("coefficients", {}).items()}
+        xi = {ser._key_from_str(k): ser._number(v)
+              for k, v in doc.get("coefficients", {}).items()}
         return BellCoefficients(doc["scenario"], xi, doc.get("n", 1))
     raise ser.SchemaError(f"unknown functional form {form!r}")
 

@@ -326,13 +326,13 @@ def test_bwi_sampling_asks_each_generator_once_for_its_normals(monkeypatch):
 
 
 def test_bwi_sampling_checks_each_channel_stack_once(monkeypatch):
-    checked, check = [], la.KrausMap.__post_init__
+    checked, init = [], la.KrausMap.__init__
 
-    def counting_check(kmap):
+    def counting_init(kmap, *args):
+        init(kmap, *args)
         checked.append(kmap.kraus_ops.shape)
-        check(kmap)
 
-    monkeypatch.setattr(la.KrausMap, "__post_init__", counting_check)
+    monkeypatch.setattr(la.KrausMap, "__init__", counting_init)
     _, _, qr = sample_quantum("bwi", range(7), {"y": 3})
     assert checked == [(7, 2, 2, 2)] * 3 and len(qr.channels) == 3
 
@@ -724,13 +724,24 @@ def test_elements_are_read_only_views_of_one_stack():
 def test_assemblages_and_functionals_reject_rebinding_like_frozen_dataclasses():
     from dataclasses import FrozenInstanceError
 
+    from eprkit.bounds import classical_bound
     from eprkit.functionals import EPRFunctional
+    from eprkit.protocol import make_resource, simulate_bwi
 
     f = catalog.ptp_functional(normalized=True)
     incomplete = BwIAssemblage({key: m for key, m in catalog.ptp_assemblage().elements.items()
                                 if key != (1, 3, 1)})
+    report, qr = validate(catalog.ptp_assemblage()), random_quantum("bwi", 0)[1]
+    bound, resource = classical_bound(catalog.ptp_functional()), make_resource(1, 1.0)
+    records = [(report.conditions[0], "residual"), (report, "tol"), (SPECS["bwi"], "axes"),
+               (qr, "state"), (qr.channels[0], "kraus_ops"),
+               (catalog.ptp_bell_coefficients(), "xi"), (resource, "grid"),
+               (simulate_bwi(catalog.ptp_assemblage(), resource), "slice"),
+               (bound.witness, "response"), (bound, "value"), (catalog.PTP, "classical")]
+    assert len({type(obj) for obj, _ in records}) == 11
     for obj, name in [(catalog.ptp_assemblage(), "_grid"), (incomplete, "elements"),
-                      (f, "grid"), (f, "bounds"), (EPRFunctional("bwi", dict(f.operators)), "x")]:
+                      (f, "grid"), (f, "bounds"), (EPRFunctional("bwi", dict(f.operators)), "x"),
+                      *records]:
         before = vars(obj).get(name)
         with pytest.raises(FrozenInstanceError):
             setattr(obj, name, None)

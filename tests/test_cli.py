@@ -6,7 +6,11 @@ import io
 import itertools
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -765,6 +769,20 @@ def _set_probability(docs, block, key, value):
                    "selftest --correlations {correlations}", id=f"{name}-probability-{where[0]}")
       for v, name in ((None, "null"), (10**400, "huge-integer"))
       for where in (("slice", "0,0,0|1,0,*,1"), ("bc", "0,0|1,1"))],
+    # Only JSON numbers are numbers: no numeric text and no true or false.
+    pytest.param(lambda d: _set_probability(d, "slice", "0,0,0|1,0,*,1", "0.25"),
+                 "eval --functional {coefficients} --correlations {correlations}",
+                 id="probability-as-text"),
+    pytest.param(lambda d: d["coefficients"]["coefficients"].update({"0,1,0,0,1": "0.5"}),
+                 "eval --functional {coefficients} --correlations {correlations}",
+                 id="coefficient-as-text"),
+    pytest.param(lambda d: _set_probability(d, "bc", "0,0|1,1", True),
+                 "selftest --correlations {correlations}", id="selftest-entry-true"),
+    pytest.param(lambda d: d["assemblage"]["elements"]["0,1,0"][0].__setitem__(0, [True, False]),
+                 "eval --functional {functional} --assemblage {assemblage}",
+                 id="matrix-entry-true-false"),
+    pytest.param(None, "eval --functional {functional} --assemblage {assemblage} "
+                 "--correlations {correlations}", id="assemblage-and-correlations"),
 ])
 def test_rejected_input_exits_two_with_one_json_error_line(capsys, tmp_path, mutate, argv):
     table = simulate_bwi(catalog.ptp_assemblage(), make_resource(1, 1.0))
@@ -804,6 +822,15 @@ def test_huge_finite_operators_bound_without_overflow(capsys, tmp_path):
         captured = capsys.readouterr()
         assert (code, captured.err) == (0, "")
         assert abs(json.loads(captured.out)["bound"]["value"] / -6e300 - 1) < 1e-12
+
+
+def test_cli_import_leaves_dataclasses_out():
+    """Every record is a plain ``Frozen`` class, so start-up never imports ``dataclasses``."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, eprkit.cli; print('dataclasses' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
 
 
 def test_help_exits_zero(capsys):

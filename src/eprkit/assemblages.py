@@ -426,7 +426,8 @@ BOB_PROCESSING = {"bwi": "channels", "mdi": "instrument", "channel": "channel"}
 class QuantumRealisation(la.Frozen):
     """A shared state, Alice POVMs, and Bob-side processing for one scenario.
 
-    ``povms`` maps the setting x to its effects, the same number for every x.
+    ``povms`` maps the setting x to its effects, the same number for every x; it and
+    ``channels`` are held as read-only copies.
     Bob's processing is scenario specific and must act on Bob's system of
     dimension d_B: ``channels[y]`` (input d_B) for Bob-with-input,
     ``instrument`` (the POVM effects E_b on B (x) B_in, 2 d_B square) for MDI,
@@ -438,7 +439,8 @@ class QuantumRealisation(la.Frozen):
     def __init__(self, scenario: str, state: np.ndarray, povms: dict,
                  channels: dict | None = None, instrument: tuple | np.ndarray | None = None,
                  channel: la.KrausMap | None = None):
-        vars(self).update(scenario=scenario, state=state, povms=povms, channels=channels,
+        vars(self).update(scenario=scenario, state=state, povms=ReadOnlyDict(povms),
+                          channels=channels if channels is None else ReadOnlyDict(channels),
                           instrument=instrument, channel=channel)
         if self.scenario not in BOB_PROCESSING:
             raise ValueError(f"scenario {self.scenario!r} has no quantum realisation; "

@@ -63,18 +63,19 @@ class CorrelationTable(la.Frozen):
     ``slice`` is a ``LabelGrid`` over the slice axes, and each ``selftest`` block
     one over (b, c, z, w); a ``{key: p}`` block must be the full product of its
     labels, and only the slice may be empty, in a table of self-test marginals only.
-    ``selftest`` and ``meta`` default to empty dicts; ``checked`` (not held) tells that
-    the caller has range-checked every block.
+    ``selftest`` and ``meta`` are held as read-only copies, empty by default; ``checked``
+    (not held) tells that the caller has range-checked every block.
     """
 
     def __init__(self, scenario: str, slice: LabelGrid, selftest: dict | None = None,
                  meta: dict | None = None, checked: bool = False):
         grid = LabelGrid.keyed(slice, len(SPECS[scenario].slice_axes),
                                "correlation table has no probability for")
-        selftest = {name: LabelGrid.keyed(block, 4, "self-test marginal has no probability for")
-                    for name, block in (selftest or {}).items()}
+        selftest = ReadOnlyDict({
+            name: LabelGrid.keyed(block, 4, "self-test marginal has no probability for")
+            for name, block in (selftest or {}).items()})
         vars(self).update(scenario=scenario, slice=grid, selftest=selftest,
-                          meta={} if meta is None else meta)
+                          meta=ReadOnlyDict(meta or {}))
         blocks = selftest.values()
         if not checked:
             _check_probabilities(

@@ -8,9 +8,10 @@ components with ``.``.
 
 Each document is read and written in one pass: ``dumps`` writes the text of
 ``json.dumps`` (indent 2, sorted keys, ASCII) byte for byte; a keyed block of
-the full product of its labels is read onto its grid, each distinct label text
-parsed once and all its values in one array, and any other block key by key,
-naming the first key that fails; its container checks matrices once, as a stack.
+the full product of its labels is read onto its grid, its key list parsed once
+per distinct list and all its values in one array, and any other block key by
+key, naming the first key that fails; its container checks matrices once, as a
+stack.
 """
 
 from __future__ import annotations
@@ -90,20 +91,28 @@ def _parse_label(text: str):
 
 @functools.lru_cache(maxsize=16)
 def key_texts(labels: tuple, layout: str, names: str) -> MappingProxyType:
-    """The read-only {key text: (key, position)} over the product of ``labels`` of ``names``,
-    built once; in ``layout`` (such as ``"a,0,c|x,y,*,w"``) each letter is its label's text."""
+    """The read-only {key text: position} over the product of ``labels`` of ``names``, built
+    once; in ``layout`` (such as ``"a,0,c|x,y,*,w"``) each letter is its label's text."""
     template = "".join(f"{{{names.index(ch)}}}" if ch.isalpha() else ch for ch in layout)
     texts = itertools.product(*[[_label(v) for v in axis] for axis in labels])
-    return MappingProxyType(dict(zip(itertools.starmap(template.format, texts),
-                                     zip(itertools.product(*labels), itertools.count()))))
+    return MappingProxyType(dict(zip(itertools.starmap(template.format, texts), itertools.count())))
 
 
 def _key_from_str(text: str) -> tuple:
     return tuple(_parse_label(part) for part in text.split(","))
 
 
-def _per_key(block: dict, read) -> dict:  # comma-joined label keys, read one at a time
-    return {_key_from_str(key): read(value) for key, value in block.items()}
+def _per_key(block: dict, read) -> dict:
+    """``read`` of each value of ``block`` by its comma-joined label key, one key at a time,
+    or SchemaError naming the first key that fails."""
+    entries = {}
+    for text, value in block.items():
+        try:
+            key = _key_from_str(text)
+            entries[key] = read(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"malformed key {text!r}: {exc}") from exc
+    return entries
 
 
 def _split(keys: list, layout: str, names: str) -> list:
@@ -119,19 +128,29 @@ def _split(keys: list, layout: str, names: str) -> list:
     return [columns[pattern.index(name)] for name in names]
 
 
+@functools.lru_cache(maxsize=64)
+def _layout(keys: tuple, layout: str, names: str):
+    """The sorted labels of each of ``names`` in ``keys`` and the read-only order that puts
+    values in the order of ``keys`` into that of their ``key_texts``, if those texts are
+    exactly ``keys``, else None: parsed once per key list, never holding a value."""
+    labels = tuple(tuple(sorted({_parse_label(text) for text in set(column)}))
+                   for column in _split(list(keys), layout, names))
+    texts = math.prod(map(len, labels)) == len(keys) and key_texts(labels, layout, names)
+    if not (texts and texts.keys() == set(keys)):
+        return None
+    order = np.array([texts[key] for key in keys]).argsort()  # the inverse permutation
+    order.setflags(write=False)
+    return labels, order
+
+
 def _grid(block: dict, layout: str, names: str, read):
-    """The sorted labels of each of ``names`` and ``read`` of the values of ``block`` in the
-    order of their ``key_texts``, on their grid (*label counts, *value shape), if those texts
-    are exactly its keys, each distinct label text parsed once; else None."""
+    """The ``_layout`` labels of the keys of ``block`` and ``read`` of its values in the order
+    of their ``key_texts``, on their grid (*label counts, *value shape); else None."""
     try:
-        labels = tuple(tuple(sorted({_parse_label(text) for text in set(column)}))
-                       for column in _split(list(block), layout, names))
-        keys = math.prod(map(len, labels)) == len(block) and key_texts(labels, layout, names)
-        if not (keys and keys.keys() == block.keys()):
-            return None
-        values = read(list(map(block.__getitem__, keys)))
+        labels, order = _layout(tuple(block), layout, names)
+        values = read(list(block.values())).take(order, 0)
     except (TypeError, ValueError, OverflowError, IndexError, AttributeError):  # no keys, not a
-        return None  # dict, labels that do not sort, or a key or value that fails to read
+        return None  # dict, no full product (None), labels that do not sort, a value that fails
     return labels, values.reshape(*map(len, labels), *values.shape[1:])
 
 

@@ -3,6 +3,7 @@ random keyed inputs they are compared on."""
 
 import itertools
 import json
+import math
 from operator import itemgetter
 
 import numpy as np
@@ -505,6 +506,21 @@ def matrix_from_json_per_entry(rows) -> np.ndarray:
         raise ser.SchemaError(str(exc)) from exc
 
 
+def grid_parsed_per_read(block: dict, layout: str, names: str, read):
+    """``ser._grid`` with every key split and every label parsed again on each read: the sorted
+    labels and ``read`` of the values in ``key_texts`` order on their grid, or None."""
+    try:
+        labels = tuple(tuple(sorted({ser._parse_label(text) for text in set(column)}))
+                       for column in ser._split(list(block), layout, names))
+        keys = math.prod(map(len, labels)) == len(block) and ser.key_texts(labels, layout, names)
+        if not (keys and keys.keys() == block.keys()):
+            return None
+        values = read(list(map(block.__getitem__, keys)))
+    except (TypeError, ValueError, OverflowError, IndexError, AttributeError):
+        return None
+    return labels, values.reshape(*map(len, labels), *values.shape[1:])
+
+
 def block_from_json_per_key(block: dict, layout: str, names: str) -> dict:
     """The {label tuple: probability} entries of a probability block, one key at a time."""
     pattern = layout.replace("|", ",|,").split(",")
@@ -522,13 +538,25 @@ def block_from_json_per_key(block: dict, layout: str, names: str) -> dict:
     return out
 
 
+def _per_key(block: dict, read) -> dict:
+    """{label tuple: ``read`` of its value} of a block of comma-joined label keys, one key at
+    a time, naming the first key whose label or value fails to read."""
+    out = {}
+    for text, value in block.items():
+        try:
+            key = ser._key_from_str(text)
+            out[key] = read(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ser.SchemaError(f"malformed key {text!r}: {exc}") from exc
+    return out
+
+
 def assemblage_from_json_per_key(doc: dict):
     """An assemblage document read one element key and one matrix at a time (``ser._matrix``
     reads one matrix; its own reference is ``matrix_from_json_per_entry``)."""
     scenario = doc.get("scenario")
     axes = ser._spec(scenario).axes
-    elements = {ser._key_from_str(key): ser._matrix(rows)
-                for key, rows in doc.get("elements", {}).items()}
+    elements = _per_key(doc.get("elements", {}), ser._matrix)
     alphabets = doc.get("alphabets", {})
     kwargs = {f"n_{name}": alphabets[name] for name in axes if name in alphabets}
     return CONTAINERS[scenario](elements, **kwargs)
@@ -538,12 +566,10 @@ def functional_from_json_per_key(doc: dict):
     """A functional document read one operator or coefficient key at a time."""
     form = doc.get("form")
     if form == "epr":
-        operators = {ser._key_from_str(k): ser._matrix(rows)
-                     for k, rows in doc.get("operators", {}).items()}
+        operators = _per_key(doc.get("operators", {}), ser._matrix)
         return EPRFunctional(doc["scenario"], operators, dict(doc.get("bounds", {})))
     if form == "bell":
-        xi = {ser._key_from_str(k): ser._number(v)
-              for k, v in doc.get("coefficients", {}).items()}
+        xi = _per_key(doc.get("coefficients", {}), ser._number)
         return BellCoefficients(doc["scenario"], xi, doc.get("n", 1))
     raise ser.SchemaError(f"unknown functional form {form!r}")
 

@@ -749,6 +749,24 @@ def test_assemblages_and_functionals_reject_rebinding_like_frozen_dataclasses():
             delattr(obj, name)
         assert vars(obj).get(name) is before
     assert catalog.ptp_assemblage().grid[1].tobytes() == catalog.ptp_assemblage().stack.tobytes()
+    # The dicts a record holds are read-only copies, so no caller changes what it writes.
+    table = simulate_bwi(catalog.ptp_assemblage(), resource)
+    written = ser.table_to_json(table)
+    with pytest.raises(TypeError):
+        table.meta["r"] = 0.0
+    with pytest.raises(TypeError):
+        del table.selftest["bc"]
+    with pytest.raises(TypeError):
+        qr.povms[1] = qr.povms[2]
+    with pytest.raises(TypeError):
+        del qr.channels[0]
+    assert ser.table_to_json(table) == written and list(qr.povms) == [1, 2, 3]
+    assert list(qr.channels) == [0, 1]
+    povms, channels = dict(qr.povms), dict(qr.channels)
+    held = QuantumRealisation("bwi", qr.state, povms, channels)
+    povms.clear()
+    channels.clear()
+    assert list(held.povms) == [1, 2, 3] and list(held.channels) == [0, 1]
 
 
 def _storage(assemblage):

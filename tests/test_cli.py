@@ -773,7 +773,8 @@ def _set_probability(docs, block, key, value):
     pytest.param(lambda d: _set_probability(d, "slice", "0,0,0|1,0,*,1", "0.25"),
                  "eval --functional {coefficients} --correlations {correlations}",
                  id="probability-as-text"),
-    pytest.param(lambda d: d["coefficients"]["coefficients"].update({"0,1,0,0,1": "0.5"}),
+    pytest.param(lambda d: d["coefficients"]["coefficients"].update({"0,1,0,0,1": "0.5"})
+                 or "malformed key '0,1,0,0,1': expected a number, not str",
                  "eval --functional {coefficients} --correlations {correlations}",
                  id="coefficient-as-text"),
     pytest.param(lambda d: _set_probability(d, "bc", "0,0|1,1", True),
@@ -781,6 +782,10 @@ def _set_probability(docs, block, key, value):
     pytest.param(lambda d: d["assemblage"]["elements"]["0,1,0"][0].__setitem__(0, [True, False]),
                  "eval --functional {functional} --assemblage {assemblage}",
                  id="matrix-entry-true-false"),
+    # A matrix read key by key whose entry is no number names its key.
+    pytest.param(lambda d: d["assemblage"]["elements"]["0,1,0"][0].__setitem__(0, [True, 0])
+                 or "malformed key '0,1,0': malformed matrix entry", "validate {assemblage}",
+                 id="matrix-entry-true-names-its-key"),
     pytest.param(None, "eval --functional {functional} --assemblage {assemblage} "
                  "--correlations {correlations}", id="assemblage-and-correlations"),
 ])

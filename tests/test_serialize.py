@@ -271,11 +271,13 @@ def _operator_block(rng, labels, dim):
     return {",".join(map(ser._label, key)): ser.matrix_to_json(m) for key, m in table.items()}
 
 
-def _random_doc(data, rng):
-    """A document of one kind, its keyed blocks over drawn alphabets, and those blocks."""
-    kind = data.draw(st.sampled_from(["assemblage", "epr", "bell", "table"]))
+def _random_doc(data, rng, kinds=("assemblage", "epr", "bell", "table"), scenarios=tuple(SPECS)):
+    """A document of one of ``kinds`` in one of ``scenarios``, its keyed blocks over drawn
+    alphabets, and those blocks."""
+    kind = data.draw(st.sampled_from(kinds))
     protocols = [name for name, spec in SPECS.items() if spec.layout]
-    scenario = data.draw(st.sampled_from([*SPECS] if kind == "assemblage" else protocols))
+    scenario = data.draw(st.sampled_from([name for name in (
+        [*SPECS] if kind == "assemblage" else protocols) if name in scenarios]))
     spec, n = SPECS[scenario], data.draw(st.integers(1, 2))
     if kind in ("assemblage", "epr"):
         labels = random_slice_labels(rng, scenario, n)[:len(spec.axes)] if spec.layout else [
@@ -379,3 +381,68 @@ def test_loaders_match_the_per_key_loaders(data):
     kind = doc.get("form", "table" if "slice" in doc else "assemblage")
     load, per_key = _LOADERS[kind]
     assert _loaded(load, doc) == _loaded(per_key, doc)
+
+
+def _grid_blocks(doc: dict) -> list:
+    """Each block of ``doc`` that its loader reads onto a grid, with its layout, label names
+    and reader: the arguments of ``ser._grid``."""
+    spec = SPECS[doc["scenario"]]
+    if "slice" in doc:
+        return [(doc["slice"], spec.layout, spec.slice_axes, ser._numbers),
+                *[(block, *ser._SELFTEST, ser._numbers) for block in doc["selftest"].values()]]
+    block = doc["operators" if "form" in doc else "elements"]
+    return [(block, ",".join(spec.axes), spec.axes, ser._matrices)]
+
+
+def _grid_read(grid) -> tuple | None:
+    """A ``_grid`` result as comparable values: its labels, and its values' shape and bytes."""
+    return grid and (repr(grid[0]), grid[1].shape, grid[1].dtype, grid[1].tobytes())
+
+
+def _other_values(value):
+    """Another probability 1 - p, or the negated matrix, which is as Hermitian."""
+    if isinstance(value, float):
+        return 1.0 - value
+    return [[[-re, -im] for re, im in row] for row in value]
+
+
+def _alter(data, block: dict, layout: str):
+    """Drop one drawn key of ``block``, or alter one of its fixed fields (a ``0``, ``*`` or
+    ``|`` of ``layout``)."""
+    key = data.draw(st.sampled_from(sorted(block)))
+    pattern = layout.replace("|", ",|,").split(",")
+    fixed = [i for i, field in enumerate(pattern) if not field.isalpha()]
+    value = block.pop(key)
+    if fixed and data.draw(st.booleans()):  # altered, else dropped
+        fields = key.replace("|", ",|,").split(",")
+        i = data.draw(st.sampled_from(fixed))
+        fields[i] = data.draw(st.sampled_from([field for field in ["0", "1", "*", "|", "x", ""]
+                                               if field != pattern[i]]))
+        block[",".join(fields).replace(",|,", "|")] = value
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_key_layouts_are_parsed_once_per_key_list(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    doc, _ = _random_doc(data, rng, ("assemblage", "epr", "table"), ("bwi", "mdi", "channel"))
+    other = copy.deepcopy(doc)  # the same keys, in the same order, with other values
+    for block, *_ in _grid_blocks(other):
+        block.update((key, _other_values(value)) for key, value in block.items())
+    load, per_key = _LOADERS[doc.get("form", "table" if "slice" in doc else "assemblage")]
+    assert _loaded(load, doc) == _loaded(per_key, doc)
+    hits = ser._layout.cache_info().hits
+    assert _loaded(load, other) == _loaded(per_key, other)
+    assert ser._layout.cache_info().hits >= hits + len(_grid_blocks(other))  # none parsed again
+    reads = [[_grid_read(ser._grid(*how)) for how in _grid_blocks(d)] for d in (doc, other)]
+    for d, read in zip((doc, other), reads):
+        assert read == [_grid_read(oracles.grid_parsed_per_read(*how)) for how in _grid_blocks(d)]
+    assert None not in reads[0]
+    assert all(a[:3] == b[:3] and a[3] != b[3] for a, b in zip(*reads))  # each its own values
+    for i in range(len(reads[0])):  # a key dropped or a fixed field altered: read as uncached
+        altered = copy.deepcopy(doc)
+        block, layout, names, read = _grid_blocks(altered)[i]
+        _alter(data, block, layout)
+        assert _grid_read(ser._grid(block, layout, names, read)) == _grid_read(
+            oracles.grid_parsed_per_read(block, layout, names, read))
+        assert _loaded(load, altered) == _loaded(per_key, altered)

@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import os
+import string
 import sys
 import time
 
@@ -25,8 +26,9 @@ from . import bounds as bd
 from . import catalog
 from . import protocol
 from . import serialize as ser
-from .assemblages import DEFAULT_TOL, SPECS, sample_quantum, validate
-from .functionals import SCENARIOS, EPRFunctional, bell_from_epr, evaluate_bell, evaluate_epr
+from .assemblages import DEFAULT_TOL, SPECS, Assemblage, sample_quantum, validate
+from .functionals import (SCENARIOS, BellCoefficients, EPRFunctional, bell_from_epr,
+                          evaluate_bell, evaluate_epr)
 
 
 class CliError(Exception):
@@ -167,22 +169,21 @@ def cmd_simulate(args):
             lambda doc: ser.matrix_from_json(doc["matrix"] if isinstance(doc, dict) else doc),
             args.measurement, (dict, list))
     table = _domain(protocol.simulate, assemblage, args.r, measurement, args.n)
-    doc = ser.table_to_json(table)
     if args.out:
-        if args.format == "csv":
-            _write(args.out, _csv_text(table.scenario, "p", table.slice))
-        else:
-            _write(args.out, ser.dumps(doc))
+        _write(args.out, _csv_text(table.scenario, "p", table.slice) if args.format == "csv"
+               else ser.dumps(ser.table_to_json(table)))
     masses = table.slice_mass()
+    names = string.ascii_letters[:len(masses.labels)]  # any letters: a key joins its labels
     fields = dict(
         scenario=args.scenario,
         r=args.r,
-        slice_mass={",".join(map(ser._label, k)): v for k, v in sorted(masses.items())},
+        slice_mass=dict(zip(ser.key_texts(masses.labels, ",".join(names), names),
+                            masses.grid.ravel().tolist())),
         entries=len(table.slice),
         tolerances={"effect": protocol.EFFECT_TOL},
     )
     if not args.out:
-        fields["table"] = doc
+        fields["table"] = ser.table_to_json(table)
     return inputs, 0, fields
 
 
@@ -277,29 +278,27 @@ def cmd_demo_ptp(args):
 
 
 _CATALOG_DUMPS = {
-    "ptp-assemblage": lambda: ser.assemblage_to_json(catalog.ptp_assemblage()),
-    "ptp-functional-raw": lambda: ser.functional_to_json(catalog.ptp_functional()),
-    "ptp-functional-normalized": lambda: ser.functional_to_json(
-        catalog.ptp_functional(normalized=True)),
-    "ptp-bell-coefficients": lambda: ser.functional_to_json(catalog.ptp_bell_coefficients()),
-    "canonical-resource": lambda: ser.assemblage_to_json(catalog.canonical_resource_assemblage()),
-    "embedded-channel-assemblage": lambda: ser.assemblage_to_json(
-        catalog.embedded_ptp_channel()[0]),
-    "embedded-channel-functional": lambda: ser.functional_to_json(
-        catalog.embedded_ptp_channel()[1]),
+    "ptp-assemblage": catalog.ptp_assemblage,
+    "ptp-functional-raw": catalog.ptp_functional,
+    "ptp-functional-normalized": functools.partial(catalog.ptp_functional, normalized=True),
+    "ptp-bell-coefficients": catalog.ptp_bell_coefficients,
+    "canonical-resource": catalog.canonical_resource_assemblage,
+    "embedded-channel-assemblage": lambda: catalog.embedded_ptp_channel()[0],
+    "embedded-channel-functional": lambda: catalog.embedded_ptp_channel()[1],
 }
 
 
 def cmd_dump(args):
     if args.name not in _CATALOG_DUMPS:
         raise CliError(2, f"unknown object {args.name!r}; one of {sorted(_CATALOG_DUMPS)}")
-    doc = _CATALOG_DUMPS[args.name]()
+    obj = _CATALOG_DUMPS[args.name]()
     if args.format == "csv":
-        if doc.get("form") != "bell":
+        if not isinstance(obj, BellCoefficients):
             raise CliError(2, "csv export is defined for coefficient tables")
-        text = _csv_text(doc["scenario"], "xi", ser.functional_from_json(doc).xi)
+        text = _csv_text(obj.scenario, "xi", obj.xi)
     else:
-        text = ser.dumps(doc)
+        text = ser.dumps(ser.assemblage_to_json(obj) if isinstance(obj, Assemblage)
+                         else ser.functional_to_json(obj))
     if not args.out:
         print(text, end="")
         return None

@@ -79,21 +79,22 @@ class EPRFunctional(la.Frozen):
 class BellCoefficients(la.Frozen):
     """Real Bell coefficients on the designated correlation slice.
 
-    Keys: (a, x, y, c, w) for bwi, (a, b, x, c, z) for mdi and
-    (a, x, c, d, w, u) for channel.  For an n-qubit resource the c/w entries
-    are n-tuples; coefficients outside the designated slice are identically
-    zero and never stored.  ``xi`` is a ``LabelGrid`` over the slice axes.
+    Keys: (a, x, y, c, w) for bwi, (a, b, x, c, z) for mdi and (a, x, c, d, w, u) for
+    channel.  For an n-qubit resource the c/w entries are n-tuples; coefficients outside
+    the designated slice are identically zero and never stored.  ``xi`` is a ``LabelGrid``
+    over the slice axes, given as one, as a (labels, grid) pair or as a full-product dict.
     """
 
-    def __init__(self, scenario: str, xi: LabelGrid, n: int = 1):
+    def __init__(self, scenario: str, xi, n: int = 1):
         if scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {scenario!r}")
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"resource qubit count n must be a positive integer, got {n!r}")
         # c/w labels (plain for one qubit, n-tuples for n) are checked per axis, not per key.
         n_axes, names = len(SPECS[scenario].axes), SPECS[scenario].slice_axes
-        if isinstance(xi, LabelGrid):
-            lengths, axes = {len(xi.labels)}, xi.labels
+        if isinstance(xi, (LabelGrid, tuple)):  # or a (labels, grid) pair
+            axes = xi.labels if isinstance(xi, LabelGrid) else xi[0]
+            lengths = {len(axes)}
         else:
             lengths, axes = set(map(len, xi)), tuple(map(set, zip(*xi)))
         qubits = {len(c) if isinstance(c, tuple) else 1 for labels in axes[n_axes:] for c in labels}

@@ -7,11 +7,11 @@ the protocol setting is written ``*``; multi-qubit c/w labels join their
 components with ``.``.
 
 Each document is read and written in one pass: ``dumps`` writes the text of
-``json.dumps`` (indent 2, sorted keys, ASCII) byte for byte; a keyed block of
-the full product of its labels is read onto its grid, its key list parsed once
-per distinct list and all its values in one array, and any other block key by
-key, naming the first key that fails; its container checks matrices once, as a
-stack.
+``json.dumps`` (indent 2, sorted keys, ASCII) byte for byte.  Every keyed block
+(elements, operators, Bell coefficients, slices, self-test marginals) is written
+with its labels' cached key texts, and read onto its grid if it is the full
+product of its labels (its key list parsed once, its values in one array and its
+matrices checked once, as a stack), else key by key, naming the first that fails.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import linalg as la
-from .assemblages import CONTAINERS, SPECS, LabelGrid
+from .assemblages import CONTAINERS, SPECS
 from .bounds import BoundReport, DeterministicStrategy
 from .functionals import SCENARIOS, BellCoefficients, EPRFunctional
 from .protocol import CorrelationTable
@@ -98,23 +98,6 @@ def key_texts(labels: tuple, layout: str, names: str) -> MappingProxyType:
     return MappingProxyType(dict(zip(itertools.starmap(template.format, texts), itertools.count())))
 
 
-def _key_from_str(text: str) -> tuple:
-    return tuple(_parse_label(part) for part in text.split(","))
-
-
-def _per_key(block: dict, read) -> dict:
-    """``read`` of each value of ``block`` by its comma-joined label key, one key at a time,
-    or SchemaError naming the first key that fails."""
-    entries = {}
-    for text, value in block.items():
-        try:
-            key = _key_from_str(text)
-            entries[key] = read(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"malformed key {text!r}: {exc}") from exc
-    return entries
-
-
 def _split(keys: list, layout: str, names: str) -> list:
     """The label texts of each of ``names`` in ``keys`` laid out as ``layout``, one column per
     name: the keys split in one join and checked per column, or SchemaError naming keys[0]."""
@@ -161,20 +144,18 @@ def _spec(scenario, known=SPECS):
 
 
 def assemblage_to_json(assemblage) -> dict:
-    axes = assemblage.spec.axes
-    try:  # the grid's cached key texts, or each key's own for keys that are no full product
-        keys = key_texts(assemblage.grid[0], ",".join(axes), axes)
+    axes, stack = assemblage.spec.axes, matrix_to_json(assemblage.stack)
+    try:  # on the grid's key texts, or each key's own for keys that are no full product
+        elements = _block_to_json(assemblage.grid[0], stack, ",".join(axes), axes)
     except ValueError:
-        keys = (",".join(map(_label, key)) for key in assemblage.elements)
-    return {"scenario": assemblage.scenario, "alphabets": assemblage.sizes,
-            "elements": dict(zip(keys, matrix_to_json(assemblage.stack)))}
+        elements = {",".join(map(_label, key)): m for key, m in zip(assemblage.elements, stack)}
+    return {"scenario": assemblage.scenario, "alphabets": assemblage.sizes, "elements": elements}
 
 
 def assemblage_from_json(doc: dict):
     scenario = doc.get("scenario")
     axes = _spec(scenario).axes
-    block = doc.get("elements", {})  # on its grid, or else one key at a time
-    elements = _grid(block, ",".join(axes), axes, _matrices) or _per_key(block, _matrix)
+    elements = _block(doc, "elements", ",".join(axes), axes, _matrices, _matrix)
     alphabets = doc.get("alphabets", {})
     if not isinstance(alphabets, dict) or not alphabets.keys() <= set(axes):
         raise SchemaError(f"alphabets must be an object over the axes {axes!r}, got {alphabets}")
@@ -182,55 +163,61 @@ def assemblage_from_json(doc: dict):
 
 
 def functional_to_json(f) -> dict:
+    spec = SPECS[f.scenario]
     if isinstance(f, EPRFunctional):
-        axes = SPECS[f.scenario].axes
-        operators = dict(zip(key_texts(f.labels, ",".join(axes), axes), matrix_to_json(f.stack)))
-        return {"scenario": f.scenario, "form": "epr", "operators": operators,
-                "bounds": dict(f.bounds)}
+        return {"scenario": f.scenario, "form": "epr", "bounds": dict(f.bounds), "operators":
+                _block_to_json(f.labels, matrix_to_json(f.stack), ",".join(spec.axes), spec.axes)}
     if isinstance(f, BellCoefficients):
-        names = SPECS[f.scenario].slice_axes
-        return {"scenario": f.scenario, "form": "bell", "n": f.n,
-                "coefficients": _block_to_json(f.xi, ",".join(names), names)}
+        return {"scenario": f.scenario, "form": "bell", "n": f.n, "coefficients": _block_to_json(
+            f.xi.labels, f.xi.grid.ravel().tolist(), ",".join(spec.slice_axes), spec.slice_axes)}
     raise TypeError(f"cannot serialise {type(f).__name__}")
 
 
 def functional_from_json(doc: dict):
-    form, scenario = doc.get("form"), doc.get("scenario")
-    spec = SPECS[scenario] if scenario in SCENARIOS else None
-    if form == "epr":
-        block = doc.get("operators", {})
-        operators = spec and _grid(block, ",".join(spec.axes), spec.axes, _matrices) or _per_key(
-            block, _matrix)
-        bounds = doc.get("bounds", {})
-        if not isinstance(bounds, dict):
-            raise SchemaError(f"bounds must be an object of named constants, got {bounds}")
-        return EPRFunctional(doc["scenario"], operators, bounds)
+    form = doc.get("form")
+    if form not in ("epr", "bell"):
+        raise SchemaError(f"unknown functional form {form!r}")
+    spec = _spec(doc["scenario"], SCENARIOS)
     if form == "bell":
-        xi = _per_key(doc.get("coefficients", {}), _number)
+        xi = _block(doc, "coefficients", ",".join(spec.slice_axes), spec.slice_axes)
         return BellCoefficients(doc["scenario"], xi, doc.get("n", 1))
-    raise SchemaError(f"unknown functional form {form!r}")
+    operators = _block(doc, "operators", ",".join(spec.axes), spec.axes, _matrices, _matrix)
+    bounds = doc.get("bounds", {})
+    if not isinstance(bounds, dict):
+        raise SchemaError(f"bounds must be an object of named constants, got {bounds}")
+    return EPRFunctional(doc["scenario"], operators, bounds)
 
 
 # Self-test marginal p(b, c | z, w): its key layout and label order.
 _SELFTEST = ("b,c|z,w", "bczw")
 
 
-def _block_to_json(block: LabelGrid, layout: str, names: str) -> dict:
-    """The probabilities of ``block`` keyed by a layout such as ``"a,0,c|x,y,*,w"``."""
-    return dict(zip(key_texts(block.labels, layout, names), block.grid.ravel().tolist()))
+def _block_to_json(labels: tuple, values: list, layout: str, names: str) -> dict:
+    """``values``, one per key of the product of ``labels`` in its order, keyed by a layout
+    such as ``"a,0,c|x,y,*,w"``."""
+    return dict(zip(key_texts(labels, layout, names), values))
 
 
-def _block_from_json(block: dict, layout: str, names: str):
-    """The (labels, grid) pair of a ``_grid`` block of probabilities keyed by ``layout``, else
-    its {label tuple: probability} entries, read key by key to name the first that fails."""
-    grid = _grid(block, layout, names, _numbers)
+def _object(doc: dict, name: str) -> dict:
+    value = doc.get(name, {})
+    if not isinstance(value, dict):
+        raise SchemaError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _block(doc: dict, name: str, layout: str, names: str, read=_numbers, read_one=_number):
+    """The keyed block ``doc[name]`` laid out as ``layout``: the ``_grid`` pair of a full
+    product of its labels, else its {label tuple: ``read_one`` of its value} entries, read key
+    by key in the file's order and naming the first key that fails."""
+    block = _object(doc, name)
+    grid = _grid(block, layout, names, read)
     if grid:
         return grid
     entries = {}
-    for text, p in zip(block, block.values()):
+    for text, value in block.items():
         columns = _split([text], layout, names)
         try:
-            entries[tuple(_parse_label(label) for label, in columns)] = _number(p)
+            entries[tuple(_parse_label(label) for label, in columns)] = read_one(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"malformed key {text!r}: {exc}") from exc
     return entries
@@ -238,18 +225,20 @@ def _block_from_json(block: dict, layout: str, names: str):
 
 def table_to_json(table: CorrelationTable) -> dict:
     spec = SPECS[table.scenario]
-    slc = _block_to_json(table.slice, spec.layout, spec.slice_axes)
-    selftest = {name: _block_to_json(block, *_SELFTEST) for name, block in table.selftest.items()}
+    slc = _block_to_json(table.slice.labels, table.slice.grid.ravel().tolist(), spec.layout,
+                         spec.slice_axes)
+    selftest = {name: _block_to_json(block.labels, block.grid.ravel().tolist(), *_SELFTEST)
+                for name, block in table.selftest.items()}
     return {"scenario": table.scenario, "slice": slc, "selftest": selftest,
             "meta": dict(table.meta)}
 
 
 def table_from_json(doc: dict) -> CorrelationTable:
     spec = _spec(doc.get("scenario"), SCENARIOS)
-    slc = _block_from_json(doc.get("slice", {}), spec.layout, spec.slice_axes)
-    selftest = {name: _block_from_json(block, *_SELFTEST)
-                for name, block in doc.get("selftest", {}).items()}
-    return CorrelationTable(doc["scenario"], slc, selftest, dict(doc.get("meta", {})))
+    slc = _block(doc, "slice", spec.layout, spec.slice_axes)
+    selftest = _object(doc, "selftest")
+    selftest = {name: _block(selftest, name, *_SELFTEST) for name in selftest}
+    return CorrelationTable(doc["scenario"], slc, selftest, _object(doc, "meta"))
 
 
 def bound_report_to_json(report: BoundReport) -> dict:

@@ -521,31 +521,19 @@ def grid_parsed_per_read(block: dict, layout: str, names: str, read):
     return labels, values.reshape(*map(len, labels), *values.shape[1:])
 
 
-def block_from_json_per_key(block: dict, layout: str, names: str) -> dict:
-    """The {label tuple: probability} entries of a probability block, one key at a time."""
+def block_from_json_per_key(block: dict, layout: str, names: str, read=ser._number) -> dict:
+    """The {label tuple: ``read`` of its value} entries of a keyed block, one key at a time:
+    each key's fields checked against ``layout``, then its labels, then its value."""
     pattern = layout.replace("|", ",|,").split(",")
     labels = itemgetter(*[pattern.index(name) for name in names])
-    fixed = itemgetter(*[i for i, field in enumerate(pattern) if not field.isalpha()])
-    out = {}
-    for text, p in block.items():
-        fields = text.replace("|", ",|,").split(",")
-        if len(fields) != len(pattern) or fixed(fields) != fixed(pattern):
-            raise ser.SchemaError(f"key {text!r} does not match the layout {layout!r}")
-        try:
-            out[tuple(map(ser._parse_label, labels(fields)))] = ser._number(p)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ser.SchemaError(f"malformed key {text!r}: {exc}") from exc
-    return out
-
-
-def _per_key(block: dict, read) -> dict:
-    """{label tuple: ``read`` of its value} of a block of comma-joined label keys, one key at
-    a time, naming the first key whose label or value fails to read."""
+    fixed = [i for i, field in enumerate(pattern) if not field.isalpha()]
     out = {}
     for text, value in block.items():
+        fields = text.replace("|", ",|,").split(",")
+        if len(fields) != len(pattern) or any(fields[i] != pattern[i] for i in fixed):
+            raise ser.SchemaError(f"key {text!r} does not match the layout {layout!r}")
         try:
-            key = ser._key_from_str(text)
-            out[key] = read(value)
+            out[tuple(map(ser._parse_label, labels(fields)))] = read(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ser.SchemaError(f"malformed key {text!r}: {exc}") from exc
     return out
@@ -556,7 +544,8 @@ def assemblage_from_json_per_key(doc: dict):
     reads one matrix; its own reference is ``matrix_from_json_per_entry``)."""
     scenario = doc.get("scenario")
     axes = ser._spec(scenario).axes
-    elements = _per_key(doc.get("elements", {}), ser._matrix)
+    elements = block_from_json_per_key(doc.get("elements", {}), ",".join(axes), axes,
+                                       ser._matrix)
     alphabets = doc.get("alphabets", {})
     kwargs = {f"n_{name}": alphabets[name] for name in axes if name in alphabets}
     return CONTAINERS[scenario](elements, **kwargs)
@@ -565,13 +554,16 @@ def assemblage_from_json_per_key(doc: dict):
 def functional_from_json_per_key(doc: dict):
     """A functional document read one operator or coefficient key at a time."""
     form = doc.get("form")
+    if form not in ("epr", "bell"):
+        raise ser.SchemaError(f"unknown functional form {form!r}")
+    spec = ser._spec(doc["scenario"], SCENARIOS)
     if form == "epr":
-        operators = _per_key(doc.get("operators", {}), ser._matrix)
+        operators = block_from_json_per_key(doc.get("operators", {}), ",".join(spec.axes),
+                                            spec.axes, ser._matrix)
         return EPRFunctional(doc["scenario"], operators, dict(doc.get("bounds", {})))
-    if form == "bell":
-        xi = _per_key(doc.get("coefficients", {}), ser._number)
-        return BellCoefficients(doc["scenario"], xi, doc.get("n", 1))
-    raise ser.SchemaError(f"unknown functional form {form!r}")
+    xi = block_from_json_per_key(doc.get("coefficients", {}), ",".join(spec.slice_axes),
+                                 spec.slice_axes)
+    return BellCoefficients(doc["scenario"], xi, doc.get("n", 1))
 
 
 def table_from_json_per_key(doc: dict) -> CorrelationTable:

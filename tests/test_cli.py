@@ -718,6 +718,20 @@ def _set_probability(docs, block, key, value):
                  "bound classical --functional {functional}", id="bounds-as-pairs"),
     pytest.param(lambda d: d["assemblage"].update(alphabets=[2, 3, 2]) or "alphabets",
                  "validate {assemblage}", id="alphabets-as-a-list"),
+    # A keyed block, the self-test blocks or the table's meta that is no object names it.
+    *[pytest.param(lambda d, doc=doc, name=name, value=value: d[doc].update({name: value})
+                   or f"{name} must be a JSON object, got {type(value).__name__}", argv,
+                   id=f"{name}-as-{type(value).__name__}")
+      for doc, name, value, argv in (
+          ("assemblage", "elements", [[[1.0, 0.0]]], "validate {assemblage}"),
+          ("coefficients", "coefficients", [0.5],
+           "eval --functional {coefficients} --correlations {correlations}"),
+          *[("correlations", name, value, "selftest --correlations {correlations}")
+            for name, value in (("slice", [1, 2]), ("selftest", []),
+                                ("meta", [["r", 1.0], ["n", 1]]), ("meta", "rn"))])],
+    pytest.param(lambda d: d["assemblage"]["elements"].update({"0,1": [[[1.0, 0.0]]]})
+                 or "key '0,1' does not match the layout 'a,x,y'", "validate {assemblage}",
+                 id="element-key-of-two-labels"),
     pytest.param(lambda d: d["assemblage"]["alphabets"].update(q=5) or "'q'",
                  "validate {assemblage}", id="alphabet-of-an-axis-the-scenario-lacks"),
     pytest.param(None, "validate {directory}", id="directory-input"),

@@ -26,12 +26,8 @@ ALICE_PAULI = {1: la.PAULI_X, 2: la.PAULI_Y, 3: la.PAULI_Z}
 class PtpConstants(la.Frozen):
     """Published bound constants of the raw PTP functional, and the exact classical bound."""
 
+    classical, almost_quantum, no_signalling = 1.2679, 0.4135, 0.0
     classical_exact = 3.0 - math.sqrt(3.0)
-
-    def __init__(self, classical: float = 1.2679, almost_quantum: float = 0.4135,
-                 no_signalling: float = 0.0):
-        vars(self).update(classical=classical, almost_quantum=almost_quantum,
-                          no_signalling=no_signalling)
 
 
 PTP = PtpConstants()
@@ -65,16 +61,14 @@ PTP_LABELS = ((0, 1), (1, 2, 3), (0, 1))
 
 
 @functools.cache
-def ptp_assemblage(additive_exponent: bool = False) -> BwIAssemblage:
+def ptp_assemblage() -> BwIAssemblage:
     """The PTP assemblage: sigma_{a|x} partially transposed when y = 1.
 
     The sign exponent is a + [x=2][y=1]: the transpose flips only the Pauli-Y
-    element.  ``additive_exponent`` switches to the a + [x=2] + [y=1] reading
-    for comparison; that variant does not null the paired functional.  Each
-    variant is built once and shared, read-only like every assemblage.
+    element.  It is built once and shared, read-only like every assemblage.
     """
     a, x, y = np.ix_(*PTP_LABELS)
-    e = a + (x == 2) + (y == 1) if additive_exponent else a + (x == 2) * (y == 1)
+    e = a + (x == 2) * (y == 1)
     paulis = np.stack(list(ALICE_PAULI.values()))[:, None]  # over (x, y)
     return BwIAssemblage((PTP_LABELS, (la.I2 + (-1) ** e[..., None, None] * paulis) / 4))
 
@@ -120,8 +114,7 @@ def ptp_bell_coefficients() -> BellCoefficients:
     labels = (*PTP_LABELS, (0, 1), (1, 2, 3))
     a, x, y, c, w = np.ix_(*labels)
     hit = (c == (a + 1 + y * (x == 2)) % 2) & (w == x % 3 + 1)
-    return BellCoefficients("bwi", LabelGrid(labels, hit - (w == 1) * (PTP.almost_quantum / 6)),
-                            n=1)
+    return BellCoefficients("bwi", LabelGrid(labels, hit - (w == 1) * (PTP.almost_quantum / 6)))
 
 
 # Sign pattern of the self-test functional: rows w = 1..3, columns z = 1..4.

@@ -137,16 +137,15 @@ def projector_strings(n: int):
         yield (combo[0] if n == 1 else tuple(zip(*combo))), combo
 
 
-def decompose(f: np.ndarray, n: int | None = None) -> dict:
-    """Canonical projector-basis coefficients of a Hermitian operator.
+def decompose(f: np.ndarray) -> dict:
+    """Canonical projector-basis coefficients of a Hermitian operator on n = log2(dim) qubits.
 
     Keys are (c, w) for one qubit and (c-tuple, w-tuple) otherwise; the table
     is complete (zeros included) and reconstructs ``f`` exactly.
     """
     f = np.asarray(f, dtype=complex)
     dim = f.shape[0]
-    if n is None:
-        n = int(np.log2(dim))
+    n = int(np.log2(dim))
     if 2**n != dim:
         raise ValueError(f"operator dimension {dim} is not 2**{n}")
     values = _pauli(f, n) @ _pauli_basis(n)[1]  # each Pauli string's projector expansion

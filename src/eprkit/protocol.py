@@ -195,22 +195,24 @@ def simulate_channel(assemblage, res_in: ResourceAssemblage, res_out: ResourceAs
 
 
 _PROTOCOLS = {
-    "bwi": lambda a, r, m, n: simulate_bwi(a, make_resource(n or int(np.log2(a.dim)), r), m),
-    "mdi": lambda a, r, m, n: simulate_mdi(a, make_resource(1, r)),
-    "channel": lambda a, r, m, n: simulate_channel(a, *[make_resource(1, r)] * 2, m),
+    "bwi": lambda a, r, m: simulate_bwi(a, make_resource(int(np.log2(a.dim)), r), m),
+    "mdi": lambda a, r, m: simulate_mdi(a, make_resource(1, r)),
+    "channel": lambda a, r, m: simulate_channel(a, *[make_resource(1, r)] * 2, m),
 }
 
 
-def simulate(assemblage, r: float, measurement=None, n: int | None = None) -> CorrelationTable:
+def simulate(assemblage, r: float, measurement=None) -> CorrelationTable:
     """Run the protocol of the assemblage's scenario with the resource at mixing parameter r.
 
-    ``measurement`` replaces the default phi_plus effect (the MDI protocol has
-    none).  ``n`` is the resource qubit count of the Bob-with-input protocol
-    and defaults to the assemblage's; the others use single-qubit resources.
+    ``measurement`` replaces the default phi_plus effect, whose outcome is the slice's
+    fixed ``0``; the MDI slice has none, so its protocol rejects one.  The Bob-with-input
+    resource takes the assemblage's qubit count; the others are single-qubit resources.
     """
     if assemblage.scenario not in _PROTOCOLS:
         raise ValueError(f"scenario {assemblage.scenario!r} has no activation protocol")
-    return _PROTOCOLS[assemblage.scenario](assemblage, r, measurement, n)
+    if measurement is not None and "0" not in SPECS[assemblage.scenario].layout:
+        raise ValueError(f"the {assemblage.scenario} protocol takes no measurement")
+    return _PROTOCOLS[assemblage.scenario](assemblage, r, measurement)
 
 
 def selftest_marginal(table: CorrelationTable) -> LabelGrid:

@@ -74,9 +74,12 @@ def _matrix(rows, ndim: int = 3) -> np.ndarray:
 _matrices = functools.partial(_matrix, ndim=4)
 
 
-def matrix_from_json(rows) -> np.ndarray:
+def matrix_from_json(doc) -> np.ndarray:
+    """A Hermitian matrix from rows of [re, im] pairs, or an object holding them as "matrix"."""
+    if isinstance(doc, dict) and "matrix" not in doc:
+        raise SchemaError("the matrix object has no 'matrix' entry")
     try:
-        return la.hermitian(_matrix(rows))
+        return la.hermitian(_matrix(doc["matrix"] if isinstance(doc, dict) else doc))
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -177,7 +180,7 @@ def functional_from_json(doc: dict):
     form = doc.get("form")
     if form not in ("epr", "bell"):
         raise SchemaError(f"unknown functional form {form!r}")
-    spec = _spec(doc["scenario"], SCENARIOS)
+    spec = _spec(doc.get("scenario"), SCENARIOS)
     if form == "bell":
         xi = _block(doc, "coefficients", ",".join(spec.slice_axes), spec.slice_axes)
         return BellCoefficients(doc["scenario"], xi, doc.get("n", 1))

@@ -219,7 +219,7 @@ def test_criterion_11_two_qubit_scaling():
     )
     round_trip = max(
         float(np.max(np.abs(reconstruct(decompose(
-            random_hermitian(np.random.default_rng(seed), 4), 2), 2)
+            random_hermitian(np.random.default_rng(seed), 4)), 2)
             - random_hermitian(np.random.default_rng(seed), 4))))
         for seed in range(50)
     )

@@ -7,7 +7,7 @@ import pytest
 
 from eprkit import catalog
 from eprkit import linalg as la
-from eprkit.assemblages import random_quantum, validate
+from eprkit.assemblages import BwIAssemblage, random_quantum, validate
 from eprkit.bounds import SELFTEST_MAX, selftest_value
 from eprkit.functionals import bell_from_epr, evaluate_epr
 from oracles import (mdi_ptp_probabilities_per_key, partial_trace, selftest_marginal_per_entry,
@@ -58,8 +58,10 @@ def test_ptp_saturation_term_by_term():
 
 
 def test_additive_exponent_reading_gives_four():
-    value = evaluate_epr(catalog.ptp_functional(),
-                         catalog.ptp_assemblage(additive_exponent=True))
+    # The a + [x=2] + [y=1] reading of the sign exponent does not null the paired functional.
+    elements = {(a, x, y): (la.I2 + (-1) ** (a + (x == 2) + (y == 1)) * catalog.ALICE_PAULI[x]) / 4
+                for a, x, y in itertools.product(*catalog.PTP_LABELS)}
+    value = evaluate_epr(catalog.ptp_functional(), BwIAssemblage(elements))
     assert abs(value - 4.0) < 1e-12
 
 

@@ -696,7 +696,7 @@ def _set_probability(docs, block, key, value):
     *[pytest.param(None, f"simulate bwi --assemblage {{assemblage}} {flags}", id=name)
       for flags, name in (("--r 2", "simulated-mixing-parameter-above-one"),
                           ("--r nan", "simulated-mixing-parameter-nan"),
-                          ("--n 3", "resource-qubit-count-three"))],
+                          ("--n 1", "resource-qubit-count-option"))],
     pytest.param(None, "bound seesaw --functional {functional} --seed -1", id="negative-seed"),
     pytest.param(None, "bound seesaw --functional {functional} --restarts 0", id="zero-restarts"),
     # numpy refuses the 6.94 EiB of seeds at once, before anything is allocated.
@@ -802,8 +802,31 @@ def _set_probability(docs, block, key, value):
                  id="matrix-entry-true-names-its-key"),
     pytest.param(None, "eval --functional {functional} --assemblage {assemblage} "
                  "--correlations {correlations}", id="assemblage-and-correlations"),
+    pytest.param(lambda d: "pass --assemblage or --correlations", "eval --functional {functional}",
+                 id="eval-without-an-input"),
+    pytest.param(lambda d: "file declares scenario 'bwi', not 'mdi'",
+                 "validate {assemblage} --scenario mdi", id="validate-as-another-scenario"),
+    pytest.param(lambda d: "EPRKIT_TOL is not a number: 'abc'",
+                 "EPRKIT_TOL=abc validate {assemblage}", id="non-numeric-validation-tolerance"),
+    pytest.param(lambda d: "csv export is defined for coefficient tables",
+                 "dump ptp-assemblage --format csv", id="csv-of-an-assemblage"),
+    pytest.param(lambda d: d.update(functional={"form": "epr", "operators": {}})
+                 or "unknown scenario None", "bound classical --functional {functional}",
+                 id="functional-without-scenario"),
+    pytest.param(lambda d: d.update(measurement={"foo": 1}) or "no 'matrix' entry",
+                 "simulate bwi --assemblage {assemblage} --measurement {measurement}",
+                 id="measurement-without-matrix"),
+    # An input value echoed in the message is cut to its ends, which keep the field's name.
+    pytest.param(lambda d: d["assemblage"].update(alphabets=[0] * 100_000) or "alphabets",
+                 "validate {assemblage}", id="long-alphabets-list"),
+    pytest.param(lambda d: _set_bound(d, [0] * 100_000),
+                 "bound classical --functional {functional}", id="long-bound-constant"),
+    pytest.param(lambda d: d["assemblage"]["elements"].update(
+                     {"0,1," + "y" * 100_000: d["assemblage"]["elements"]["0,1,0"]})
+                 or "malformed key '0,1,y", "validate {assemblage}", id="long-element-key"),
 ])
-def test_rejected_input_exits_two_with_one_json_error_line(capsys, tmp_path, mutate, argv):
+def test_rejected_input_exits_two_with_one_json_error_line(capsys, tmp_path, monkeypatch, mutate,
+                                                          argv):
     table = simulate_bwi(catalog.ptp_assemblage(), make_resource(1, 1.0))
     docs = {"functional": ser.functional_to_json(catalog.ptp_functional()),
             "coefficients": ser.functional_to_json(catalog.ptp_bell_coefficients()),
@@ -818,17 +841,53 @@ def test_rejected_input_exits_two_with_one_json_error_line(capsys, tmp_path, mut
         paths[name] = str(tmp_path / f"{name}.json")
         with open(paths[name], "w") as fh:
             json.dump(doc, fh)  # unlike ser.dumps, this writes a NaN
-    code = main([token.format(**paths) for token in argv.split()])
+    tokens = argv.split()
+    while "=" in tokens[0]:  # leading NAME=value tokens set the environment
+        monkeypatch.setenv(*tokens.pop(0).split("=", 1))
+    code = main([token.format(**paths) for token in tokens])
     captured = capsys.readouterr()
     assert code == 2
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and "Traceback" not in captured.err
+    assert len(lines) == 1 and len(lines[0]) < 1024 and "Traceback" not in captured.err
     error = json.loads(lines[0])
     assert error["exit_code"] == 2
     if isinstance(named, str):
         assert named in error["error"]
     if captured.out.strip():
         json.loads(captured.out, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param("bound classical --functional {coefficients}",
+                 "bounds take an operator-form functional", id="bound-of-bell-coefficients"),
+    pytest.param("eval --functional {coefficients} --assemblage {assemblage}",
+                 "assemblage evaluation needs an operator-form functional",
+                 id="bell-coefficients-on-an-assemblage"),
+    pytest.param("simulate mdi --assemblage {assemblage}", "assemblage is 'bwi', not 'mdi'",
+                 id="simulate-as-another-scenario"),
+    pytest.param("simulate mdi --assemblage {mdi} --measurement {measurement}",
+                 "the mdi protocol takes no measurement", id="measurement-on-the-mdi-protocol"),
+])
+def test_domain_failure_exits_one_with_one_json_error_line(capsys, tmp_path, argv, message):
+    docs = {"coefficients": ser.functional_to_json(catalog.ptp_bell_coefficients()),
+            "assemblage": ser.assemblage_to_json(catalog.ptp_assemblage()),
+            "mdi": ser.assemblage_to_json(random_quantum("mdi", 0)[0]),
+            "measurement": {"matrix": ser.matrix_to_json(la.phi_plus())}}
+    paths = {name: str(tmp_path / f"{name}.json") for name in docs}
+    for name, doc in docs.items():
+        pathlib.Path(paths[name]).write_text(ser.dumps(doc))
+    code = main([token.format(**paths) for token in argv.split()])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert json.loads(captured.err) == {"error": message, "exit_code": 1}
+
+
+def test_module_entry_point_runs_the_demo():
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-m", "eprkit", "demo-ptp"], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout)["passed"] is True
 
 
 def test_huge_finite_operators_bound_without_overflow(capsys, tmp_path):

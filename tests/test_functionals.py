@@ -67,14 +67,12 @@ def test_reconstruct_uniform_and_zero():
 
 def test_round_trip_two_qubits():
     zz = la.tensor(la.PAULI_Z, la.PAULI_Z)
-    assert np.max(np.abs(reconstruct(decompose(zz, 2), 2) - zz)) < 1e-10
+    assert np.max(np.abs(reconstruct(decompose(zz), 2) - zz)) < 1e-10
 
 
 def test_decompose_rejects_bad_dimension():
     with pytest.raises(ValueError):
         decompose(np.eye(3))
-    with pytest.raises(ValueError):
-        decompose(np.eye(4), 1)
 
 
 def test_reconstruct_rejects_missing_labels():
@@ -86,7 +84,7 @@ def test_reconstruct_rejects_missing_labels():
 def test_round_trip_seeded_batch(n):
     for seed in range(500):
         f = random_hermitian(np.random.default_rng(seed), 2**n)
-        assert np.max(np.abs(reconstruct(decompose(f, n), n) - f)) <= 1e-10
+        assert np.max(np.abs(reconstruct(decompose(f), n) - f)) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -96,7 +94,7 @@ def test_decompose_matches_factorwise_rule(n):
     paulis = [la.I2, la.PAULI_Z, la.PAULI_X, la.PAULI_Y]
     for seed in range(20):
         f = random_hermitian(np.random.default_rng(seed), 2**n)
-        table = decompose(f, n)
+        table = decompose(f)
         for key, combo in projector_strings(n):
             expected = 0.0
             for string in itertools.product(range(4), repeat=n):

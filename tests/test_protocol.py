@@ -157,6 +157,15 @@ def test_default_effect_is_built_and_checked_once(monkeypatch, scenario, n):
     assert not protocol._check_effect(None, n).flags.writeable
 
 
+def test_simulate_takes_a_measurement_only_where_the_protocol_has_one():
+    for scenario in ("bwi", "channel"):
+        assemblage = random_quantum(scenario, 1)[0]
+        assert np.array_equal(protocol.simulate(assemblage, 0.5, la.phi_plus()).slice.grid,
+                              protocol.simulate(assemblage, 0.5).slice.grid)
+    with pytest.raises(ValueError, match="the mdi protocol takes no measurement"):
+        protocol.simulate(random_quantum("mdi", 1)[0], 1.0, la.phi_plus())
+
+
 def test_simulate_bwi_rejects_other_scenarios():
     for scenario in ("mdi", "channel"):
         with pytest.raises(ValueError):

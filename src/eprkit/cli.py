@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -360,6 +361,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bounded(msg: str) -> str:
+    """``msg``, or, if its JSON text is over 600 characters (an echoed input value can make
+    it any length), its ends of at most 200 escaped characters each around the count of the
+    characters cut: an error line stays under 1 KB whatever the message escapes to."""
+    if len(json.dumps(msg)) <= 602:
+        return msg
+
+    def kept(end):  # how many characters of ``end``, in order, escape to at most 200
+        return sum(n <= 200 for n in itertools.accumulate(len(json.dumps(c)) - 2 for c in end))
+
+    head, tail = kept(msg[:200]), kept(msg[:-201:-1])
+    return f"{msg[:head]} ... [{len(msg) - head - tail} characters cut] ... {msg[len(msg) - tail:]}"
+
+
 def main(argv=None) -> int:
     """Run one command.  A ``cmd_*`` returns the digests of the inputs it read, its exit
     code and its report fields, or None once it has printed its own text; ``main`` alone
@@ -385,9 +400,7 @@ def main(argv=None) -> int:
         # value in a report, an OSError a failed write, a MemoryError an argument too
         # large for the run to allocate: exit 2.
         code, msg = exc.code if isinstance(exc, CliError) else 2, str(exc)
-        if len(msg) > 600:  # an echoed input value can make it any length: keep both ends
-            msg = f"{msg[:200]} ... [{len(msg) - 400} characters cut] ... {msg[-200:]}"
-        print(json.dumps({"error": msg, "exit_code": code}), file=sys.stderr)
+        print(json.dumps({"error": _bounded(msg), "exit_code": code}), file=sys.stderr)
         return code
 
 

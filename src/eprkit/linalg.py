@@ -73,8 +73,8 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     entries passes.
     """
     m = np.asarray(m, dtype=complex)
-    dev = np.max(np.abs(m - m.conj().swapaxes(-2, -1)))
-    if dev > HERMITICITY_TOL and dev > HERMITICITY_TOL * np.max(np.abs(m)):
+    dev = abs(m - m.conj().swapaxes(-2, -1)).max()
+    if dev > HERMITICITY_TOL and dev > HERMITICITY_TOL * abs(m).max():
         raise ValueError(f"eig_hermitian requires a Hermitian operator (deviation {dev:.3e})")
     return np.linalg.eigh(m)
 

@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 from eprkit import catalog
 from eprkit import linalg as la
 from eprkit.bounds import (
+    _CHUNK,
+    _SCREENED,
     SELFTEST_MAX,
+    _initial_effects,
     _nonpositive_projector,
+    _strategy_chunks,
     classical_bound,
     ns_lower_bound,
     seesaw_quantum,
@@ -226,6 +230,34 @@ def test_seesaw_takes_one_eigendecomposition_per_stacked_iteration(monkeypatch):
     assert calls == [sum(n > i for _, n in report.per_restart) for i in range(len(calls))]
 
 
+@pytest.mark.parametrize("n_x, restarts", [(1, 1), (3, 3), (10, 2)])
+def test_seesaw_initial_effect_is_the_projective_povms_first(n_x, restarts):
+    seeds = np.random.default_rng(n_x).integers(2**63, size=restarts)
+    effects = _initial_effects(la.generators(seeds), n_x)
+    g = la.ginibre_stacks(la.generators(seeds), (n_x, 2, 2))[0]  # the same draws afresh
+    assert effects.shape == (restarts, n_x, 2, 2)
+    assert np.abs(effects - la.projective_povm(g, 2)[..., 0, :, :]).max() <= 1e-15
+
+
+def test_seesaw_witnesses_share_one_frozen_identity_channel():
+    first = seesaw_quantum(_random_bwi_functional(0), restarts=1).witness
+    second = seesaw_quantum(catalog.ptp_functional(), restarts=1).witness
+    channel = first.channels[0]
+    assert all(c is channel for w in (first, second) for c in w.channels.values())
+    with pytest.raises(ValueError):
+        channel.kraus_ops[0, 0, 0] = 2.0  # read-only
+    with pytest.raises(AttributeError):
+        channel.kraus_ops = np.zeros((1, 2, 2))  # frozen
+    with pytest.raises(TypeError):
+        first.channels[0] = channel
+    for effects in first.povms.values():
+        with pytest.raises(ValueError):
+            effects[0, 0, 0] = 1.0  # read-only
+    rho = random_density(np.random.default_rng(1), 2)
+    assert np.array_equal(np.eye(2), second.channels[1].kraus_ops[0])
+    assert np.allclose(second.channels[1](rho), rho, rtol=0, atol=1e-15)
+
+
 def test_seesaw_rejects_non_binary_alice():
     ops = {(a, x, 0): la.I2 for a in (0, 1, 2) for x in (1, 2)}
     with pytest.raises(ValueError):
@@ -349,14 +381,15 @@ def test_bounds_match_per_key_loops_across_strategy_chunks(n_a, n_x):
                                                       for key in keys}))
 
 
-def _levels_functional(seed: int, n_x: int, n_y: int, dim: int, rotated: bool) -> EPRFunctional:
+def _levels_functional(seed: int, n_x: int, n_y: int, dim: int, rotated: bool,
+                       n_a: int = 2) -> EPRFunctional:
     """Operators u diag(levels) u^dagger over a few levels and one common basis u: many
     strategies tie exactly, and rounding splits others by an ulp or two."""
     rng = np.random.default_rng(seed)
     u = random_unitary(rng, dim) if rotated else np.eye(dim)
     return EPRFunctional("bwi", {
         key: (u * rng.choice([0.1, 0.2, 0.3, 0.7], dim)) @ u.conj().T
-        for key in itertools.product((0, 1), range(1, n_x + 1), range(n_y))})
+        for key in itertools.product(range(n_a), range(1, n_x + 1), range(n_y))})
 
 
 def _assert_classical_bound_is_lapacks(f):
@@ -367,20 +400,55 @@ def _assert_classical_bound_is_lapacks(f):
     assert np.array_equal(np.stack(list(report.witness.operators.values())), operators)
 
 
-@given(seed=st.integers(0, 2**32 - 1), n_x=st.integers(1, 10), n_y=st.integers(1, 3),
-       dim=st.sampled_from([2, 2, 4]), kind=st.sampled_from(["random", "levels", "rotated"]),
+def _random_functional(seed: int, n_a: int, n_x: int, n_y: int, dim: int) -> EPRFunctional:
+    rng = np.random.default_rng(seed)
+    return EPRFunctional("bwi", {key: random_hermitian(rng, dim) for key in
+                                 itertools.product(range(n_a), range(1, n_x + 1), range(n_y))})
+
+
+# Binary alphabets up to 10 settings, and ternary up to 7, whose chunks hold 3**5 strategies.
+@given(seed=st.integers(0, 2**32 - 1), alphabet=st.sampled_from([(2, 10), (3, 7)]),
+       n_x=st.integers(1, 10), n_y=st.integers(1, 3), dim=st.sampled_from([2, 2, 4]),
+       kind=st.sampled_from(["random", "levels", "rotated"]),
        scale=st.sampled_from([1e-320, 1.0, 1e300]))
-def test_classical_bound_is_the_lapack_enumeration_to_the_bit(seed, n_x, n_y, dim, kind, scale):
+def test_classical_bound_is_the_lapack_enumeration_to_the_bit(seed, alphabet, n_x, n_y, dim, kind,
+                                                              scale):
+    n_a, n_x = alphabet[0], min(n_x, alphabet[1])
     if kind == "random":
-        rng = np.random.default_rng(seed)
-        f = EPRFunctional("bwi", {key: random_hermitian(rng, dim) for key in
-                                  itertools.product((0, 1), range(1, n_x + 1), range(n_y))})
+        f = _random_functional(seed, n_a, n_x, n_y, dim)
     else:
-        f = _levels_functional(seed, n_x, n_y, dim, kind == "rotated")
-    f = EPRFunctional("bwi", (f.labels, scale * f.grid))
+        f = _levels_functional(seed, n_x, n_y, dim, kind == "rotated", n_a)
+    # Hermitian to the bit, so that no scale makes a rotated operator's rounding fail the check.
+    f = EPRFunctional("bwi", (f.labels, scale * ((f.grid + f.grid.conj().swapaxes(-1, -2)) / 2)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _assert_classical_bound_is_lapacks(f)
+
+
+@pytest.mark.parametrize("n_a, n_x", [(17, 1), (17, 2), (300, 1), (300, 2)])
+def test_classical_bound_over_large_alphabets_is_the_lapack_enumeration_to_the_bit(n_a, n_x):
+    _assert_classical_bound_is_lapacks(_random_functional(n_a + n_x, n_a, n_x, 2, 2))
+
+
+@pytest.mark.parametrize("n_a, n_x", [(1, 4), (2, 1), (2, 8), (2, 9), (2, 12), (3, 6), (3, 7),
+                                      (5, 4), (17, 2), (17, 3), (23, 2), (255, 2), (256, 1),
+                                      (257, 2), (300, 2), (600, 1), (1000, 2)])
+def test_strategy_chunks_are_the_operator_sums_in_order_at_bounded_sizes(n_a, n_x):
+    # One real entry per operator; chunks cover the enumeration in product order, stay below
+    # 2 _CHUNK strategies whatever the alphabet, and hold at least _SCREENED where there are
+    # several, so that each has its screen.
+    rng = np.random.default_rng([n_a, n_x])
+    grid = rng.standard_normal((n_a, n_x, 1, 1, 1))
+    sizes = [len(ops) for ops in _strategy_chunks(grid)]
+    assert sum(sizes) == n_a**n_x and max(sizes) < 2 * _CHUNK
+    assert len(sizes) == 1 or min(sizes) >= _SCREENED
+    if n_a**n_x <= 10**5:
+        sums = np.concatenate(list(_strategy_chunks(grid)))
+        choices = np.array(list(itertools.product(range(n_a), repeat=n_x)))
+        expected = grid[choices[:, 0], 0]
+        for j in range(1, n_x):
+            expected = expected + grid[choices[:, j], j]  # left to right, as LAPACK's oracle
+        assert np.array_equal(sums, expected)
 
 
 @pytest.mark.parametrize("seed, n_x, rotated", [(38, 8, False), (41, 8, False), (1, 3, True),

@@ -9,13 +9,14 @@ import math
 import os
 import pathlib
 import re
+import string
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eprkit import catalog, cli
@@ -824,6 +825,11 @@ def _set_probability(docs, block, key, value):
     pytest.param(lambda d: d["assemblage"]["elements"].update(
                      {"0,1," + "y" * 100_000: d["assemblage"]["elements"]["0,1,0"]})
                  or "malformed key '0,1,y", "validate {assemblage}", id="long-element-key"),
+    # The cut is made on the escaped text, where each of these is six characters.
+    pytest.param(lambda d: d["assemblage"]["elements"].update(
+                     {"0,1," + "\u00e9" * 100_000: d["assemblage"]["elements"]["0,1,0"]})
+                 or "malformed key '0,1,\u00e9", "validate {assemblage}",
+                 id="long-non-ascii-element-key"),
 ])
 def test_rejected_input_exits_two_with_one_json_error_line(capsys, tmp_path, monkeypatch, mutate,
                                                           argv):
@@ -855,6 +861,38 @@ def test_rejected_input_exits_two_with_one_json_error_line(capsys, tmp_path, mon
         assert named in error["error"]
     if captured.out.strip():
         json.loads(captured.out, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("length", [0, 600, 601, 100_000])
+def test_ascii_error_message_is_cut_to_its_ends_by_characters(capsys, monkeypatch, length):
+    msg = "".join(itertools.islice(itertools.cycle(string.ascii_letters + " ,.:'()[]"), length))
+
+    def fail(args):
+        raise ValueError(msg)
+
+    monkeypatch.setattr(cli, "cmd_validate", fail)
+    assert main(["validate", "x.json"]) == 2
+    if length > 600:  # the first and last 200 characters around the count of the rest
+        msg = f"{msg[:200]} ... [{length - 400} characters cut] ... {msg[-200:]}"
+    assert capsys.readouterr().err == json.dumps({"error": msg, "exit_code": 2}) + "\n"
+
+
+@given(st.lists(st.sampled_from(["y", "\u00e9", "\x01", "\\", '"', "\U0001f600", "\ud800"]),
+                max_size=2000).map("".join))
+@example("\u00e9" * 150)  # fewer than 600 characters, but 900 escaped
+@example("\U0001f600" * 600)
+@example("\\" * 301)
+@example("y" * 599 + "\x01")
+def test_error_line_stays_under_one_kib_for_any_message(msg):
+    line = json.dumps({"error": cli._bounded(msg), "exit_code": 2})
+    assert len(line.encode()) <= 1024
+    if len(json.dumps(msg)) <= 602:
+        assert cli._bounded(msg) == msg
+    else:  # whole characters of both ends are kept, and the count of those cut is right
+        head, rest = cli._bounded(msg).split(" ... [", 1)
+        count, tail = rest.split(" characters cut] ... ", 1)
+        assert msg.startswith(head) and msg.endswith(tail)
+        assert len(head) + int(count) + len(tail) == len(msg)
 
 
 @pytest.mark.parametrize("argv, message", [

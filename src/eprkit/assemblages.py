@@ -25,6 +25,7 @@ import numpy as np
 from . import linalg as la
 
 DEFAULT_TOL = 1e-9
+_EPS = np.finfo(float).eps
 
 
 class ConditionResult(la.Frozen):
@@ -55,7 +56,7 @@ class ValidationReport(la.Frozen):
 
 
 def _max_abs(m) -> float:
-    return float(np.max(np.abs(m)))
+    return float(abs(m).max())
 
 
 def _psd_residual(ms) -> float:
@@ -70,7 +71,7 @@ def _psd_within(ms, tol: float, stacked: bool) -> bool:
     n = ms.shape[-1]
     if n == 2:
         return la.eigvalsh(ms)[..., 0].min() >= -tol
-    if stacked and np.einsum("...ii->...i", ms).real.max() * 8 * n * np.finfo(float).eps < tol / 2:
+    if stacked and ms.diagonal(0, -2, -1).real.max() * 8 * n * _EPS < tol / 2:
         with contextlib.suppress(np.linalg.LinAlgError):  # raised unless positive definite
             np.linalg.cholesky(ms + tol / 2 * np.eye(n))
             return True
@@ -131,7 +132,7 @@ def _bwi_grid(qr: QuantumRealisation):
     flat = [c.kraus_ops.reshape(*c.kraus_ops.shape[:-2], -1) for c in channels]
     s = np.stack([np.einsum("...kn,...km->...nm", k, k.conj()) for k in flat], -3)
     *lead, n_y = s.shape[:-2]
-    s = np.moveaxis(s.reshape(*lead, n_y, d, d_in, d, d_in), (-3, -1), (-5, -4))
+    s = s.reshape(*lead, n_y, d, d_in, d, d_in).transpose(*range(len(lead)), -3, -1, -5, -4, -2)
     out = np.einsum("...an,...nm->...am", sigma.reshape(*sigma.shape[:-4], -1, d_in * d_in),
                     s.reshape(*lead, d_in * d_in, -1))
     return (range(sigma.shape[-4]), list(qr.povms), list(qr.channels)), out.reshape(
@@ -155,9 +156,14 @@ def _channel_grid(qr: QuantumRealisation):
     return (range(j.shape[-6]), list(qr.povms)), j.reshape(*sigma.shape[:-2], 2 * out, 2 * out)
 
 
+def _leading(a):
+    """``a`` with its axis -4 (Alice's setting or Bob's input) moved to the front."""
+    return a.transpose(-4, *range(a.ndim - 4), -3, -2, -1)
+
+
 def _sample_bwi(sizes, db):  # Bob's channels y = 0, 1, ..., each stack checked once
     return (sizes["y"], 2 * db, db), None, lambda g: {"channels": dict(enumerate(
-        la.KrausMap(db, db, k) for k in np.moveaxis(la.stinespring(g, db), -4, 0)))}
+        la.KrausMap(db, db, k) for k in _leading(la.stinespring(g, db))))}
 
 
 def _sample_mdi(sizes, db):  # a projective measurement on B (x) B_in, its cuts drawn last
@@ -453,26 +459,29 @@ class QuantumRealisation(la.Frozen):
         stacked = state.ndim > 2
         if not _psd_within(state, STATE_TOL, stacked):
             raise ValueError("shared state is not positive semidefinite")
-        if _max_abs(np.einsum("...ii->...", state) - 1) > STATE_TOL:
+        if _max_abs(state.trace(0, -2, -1) - 1) > STATE_TOL:
             raise ValueError("shared state does not have unit trace")
         counts = sorted({np.shape(effects)[-3] for effects in self.povms.values()})
         if len(counts) > 1:
             raise ValueError(f"Alice's POVMs have different outcome counts {counts}")
-        povms = [([f"POVM for setting {x}" for x in self.povms],
+        povms = [("POVM for setting {}", list(self.povms),
                   np.stack([np.asarray(effects) for effects in self.povms.values()]))]
         if self.instrument is not None:
-            povms.append((["instrument"], np.asarray(self.instrument)[None]))
-        for names, effects in povms:  # one POVM check per stack: PSD effects summing to I
-            finite = np.isfinite(effects).reshape(len(names), -1).all(1)
+            povms.append(("instrument", [None], np.asarray(self.instrument)[None]))
+        for name, keys, effects in povms:  # one POVM check per stack: PSD effects summing to I
+            finite = np.isfinite(effects)
             if not finite.all():  # first: a NaN would fail every later comparison silently
-                raise ValueError(f"{names[finite.argmin()]} has non-finite entries")
-            sums = np.abs(effects.sum(-3) - np.eye(effects.shape[-1])).reshape(len(names), -1)
-            psd = _psd_within(effects, STATE_TOL, stacked)  # else one POVM at a time, in order
-            for what, deviation, each in zip(names, sums.max(1), effects):
-                if deviation > STATE_TOL:
-                    raise ValueError(f"{what} does not sum to identity")
+                key = keys[finite.reshape(len(keys), -1).all(1).argmin()]
+                raise ValueError(f"{name.format(key)} has non-finite entries")
+            deviation = abs(effects.sum(-3) - np.eye(effects.shape[-1]))
+            psd = _psd_within(effects, STATE_TOL, stacked)
+            if psd and deviation.max() <= STATE_TOL:
+                continue  # else find the first failing POVM, in order
+            for key, dev, each in zip(keys, deviation.reshape(len(keys), -1).max(1), effects):
+                if dev > STATE_TOL:
+                    raise ValueError(f"{name.format(key)} does not sum to identity")
                 if not (psd or _psd_within(each, STATE_TOL, stacked)):
-                    raise ValueError(f"{what} has an effect that is not PSD")
+                    raise ValueError(f"{name.format(key)} has an effect that is not PSD")
         db = self.bob_dim
         inputs = {f"channel for input {y}": (channel.in_dim, db)
                   for y, channel in (self.channels or {}).items()}
@@ -485,14 +494,15 @@ class QuantumRealisation(la.Frozen):
                 raise ValueError(f"{what} acts on dimension {dim}, not {expected} "
                                  f"for Bob's system of dimension {db}")
 
-    @property
+    @cached_property
     def bob_dim(self) -> int:
         return self.state.shape[-1] // np.shape(next(iter(self.povms.values())))[-1]
 
     def conditional_states(self) -> np.ndarray:
         """Alice-conditioned states sigma_{a|x} = tr_A[(M_{a|x} (x) I) rho] on their
         (..., a, x) grid."""
-        effects = np.stack([np.asarray(e) for e in self.povms.values()], -4)
+        effects = np.concatenate([np.asarray(e)[..., None, :, :, :]  # np.stack on axis -4,
+                                  for e in self.povms.values()], -4)  # which __init__ ran
         da, db = effects.shape[-1], self.bob_dim
         # sigma_{a|x}[k, l] = sum_ij M_{a|x}[j, i] rho[(i, k), (j, l)]: one product over (i, j).
         # An einsum of flattened operands adds the terms in the order of the index form, so
@@ -556,7 +566,7 @@ def _sample(scenario: str, seeds, alphabets: dict | None, n: int):
     shape, then, build = spec.sample(sizes, db)
     state, alice, *bob = la.ginibre_stacks(rngs, (2 * db, 2 * db), (sizes["x"], 2, 2), shape,
                                            then=then)
-    effects = np.moveaxis(la.projective_povm(alice, sizes["a"]), -4, 0)
+    effects = _leading(la.projective_povm(alice, sizes["a"]))
     povms = dict(zip(range(1, sizes["x"] + 1), effects))
     qr = QuantumRealisation(scenario, la.density(state), povms, **build(*bob))
     return (*spec.realize(qr), qr)

@@ -335,10 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", choices=list(SCENARIOS))
     p.add_argument("--assemblage", required=True,
                    help="an assemblage JSON; a bwi resource takes its qubit count")
-    p.add_argument("--r", type=mixing, default=1.0)
+    p.add_argument("--r", type=mixing, default=1.0,
+                   help="mixing parameter in [0, 1] of the resource r sigma + (1 - r) sigma^T")
     p.add_argument("--measurement", default="phi-plus",
                    help="'phi-plus' or a path to a matrix JSON")
-    p.add_argument("--out")
+    p.add_argument("--out", help="write the correlation table there (JSON, or CSV with "
+                                 "--format csv) instead of into the printed report")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("selftest", help="threshold check of the self-test functional")
@@ -346,8 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=_in_range(float, 0, sys.float_info.max), default=1e-6)
 
     p = sub.add_parser("demo-ptp", help="end-to-end run of the worked example")
-    p.add_argument("--out")
-    p.add_argument("--r", type=mixing, default=1.0)
+    p.add_argument("--out", help="also write a copy of the printed run report there")
+    p.add_argument("--r", type=mixing, default=1.0,
+                   help="mixing parameter in [0, 1] of the resource r sigma + (1 - r) sigma^T")
     p.add_argument("--seed", type=seed, default=0,
                    help="first seed of the 50 quantum-control draws")
     p.add_argument("--debug-beta-aq", type=float, default=None,
@@ -355,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dump", help="export a catalog object to the JSON schema")
     p.add_argument("name")
-    p.add_argument("--out")
+    p.add_argument("--out", help="write the object there (JSON, or CSV with --format csv) "
+                                 "and print a run report instead of the object")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
     return parser

@@ -168,10 +168,10 @@ def sparse_single_qubit_coefficients(ops: np.ndarray) -> np.ndarray:
     ops = np.asarray(ops, dtype=complex)
     if ops.shape[-2:] != (2, 2):
         raise ValueError("sparse rule is defined for single-qubit operators")
-    pauli = _pauli(ops, 1)
-    b = pauli[..., 1:]  # the Z, X, Y components, w = 1, 2, 3
-    xi = 2 * abs(b)[..., None, :] * np.stack([b > 0, b < 0], axis=-2)  # (..., c, w)
-    xi[..., 0] += (pauli[..., 0] - abs(b).sum(-1))[..., None]
+    pauli = _pauli(ops, 1)[..., None, :]
+    b = pauli[..., 1:]  # the Z, X, Y components, w = 1, 2, 3, on a c axis of length 1
+    xi = 2 * abs(b) * np.concatenate([b > 0, b < 0], -2)  # (..., c, w)
+    xi[..., 0] += pauli[..., 0] - abs(b).sum(-1)
     return xi.reshape(*ops.shape[:-2], 6)
 
 

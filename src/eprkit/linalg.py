@@ -48,7 +48,7 @@ def hermitian(entries, tol: float = HERMITICITY_TOL) -> np.ndarray:
         raise ValueError(f"operator must be square, got shape {m.shape}")
     if not np.isfinite(m).all():  # checked first: inf - inf would warn on stderr
         raise ValueError("operator has non-finite entries")
-    dev = np.max(np.abs(m - m.conj().swapaxes(-2, -1))) if m.size else 0.0
+    dev = abs(m - m.conj().swapaxes(-2, -1)).max() if m.size else 0.0
     if dev > tol:
         raise ValueError(f"operator is not Hermitian within {tol:g} (deviation {dev:.3e})")
     m = m.copy()
@@ -134,7 +134,7 @@ class KrausMap(Frozen):
         ops.setflags(write=False)
         vars(self).update(in_dim=in_dim, out_dim=out_dim, kraus_ops=ops)
         gram = np.einsum("...kji,...kjl->...il", ops.conj(), ops)
-        dev = np.max(np.abs(gram - np.eye(in_dim)))
+        dev = abs(gram - np.eye(in_dim)).max()
         if dev > TRACE_PRESERVING_TOL:
             raise ValueError(f"map is not trace preserving (deviation {dev:.3e})")
 
@@ -265,7 +265,7 @@ def ginibre_stacks(rngs, *shapes, then=None) -> list:
         raise ValueError("no generators to draw from")
     total = sum(sizes)
     draws = [(rng.standard_normal(total), *(then(rng) if then else ())) for rng in rngs.flat]
-    z, *later = [np.array(part).reshape(rngs.shape + np.shape(part[0])) for part in zip(*draws)]
+    z, *later = [(a := np.array(part)).reshape(rngs.shape + a.shape[1:]) for part in zip(*draws)]
     out, start = [], 0
     for shape, size in zip(shapes, sizes):
         part = z[..., start:start + size].reshape(*rngs.shape, *shape[:-2], 2, *shape[-2:])
@@ -277,15 +277,15 @@ def ginibre_stacks(rngs, *shapes, then=None) -> list:
 def density(g: np.ndarray) -> np.ndarray:
     """The state g g^dagger / tr[g g^dagger] of each matrix of a Ginibre stack."""
     rho = g @ g.conj().swapaxes(-2, -1)
-    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    return rho / rho.trace(0, -2, -1).real[..., None, None]
 
 
 def _isometry(g: np.ndarray) -> np.ndarray:
     """The Q factor of the QR decomposition of each matrix of ``g``, with the phase
     ambiguity of QR fixed so that a Ginibre draw gives a well-defined Haar sample."""
     q, r = np.linalg.qr(g)
-    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diagonal / np.abs(diagonal))[..., None, :]
+    diagonal = r.diagonal(0, -2, -1)
+    return q * (diagonal / abs(diagonal))[..., None, :]
 
 
 def cut_draw(dim: int, n_outcomes: int):

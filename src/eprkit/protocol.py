@@ -64,7 +64,8 @@ class CorrelationTable(la.Frozen):
     one over (b, c, z, w); a ``{key: p}`` block must be the full product of its
     labels, and only the slice may be empty, in a table of self-test marginals only.
     ``selftest`` and ``meta`` are held as read-only copies, empty by default; ``checked``
-    (not held) tells that the caller has range-checked every block.
+    (not held) tells that the caller has range-checked every block.  The canonical
+    self-test marginal of ``catalog`` lies in range and is never checked again.
     """
 
     def __init__(self, scenario: str, slice: LabelGrid, selftest: dict | None = None,
@@ -76,8 +77,9 @@ class CorrelationTable(la.Frozen):
             for name, block in (selftest or {}).items()})
         vars(self).update(scenario=scenario, slice=grid, selftest=selftest,
                           meta=ReadOnlyDict(meta or {}))
-        blocks = selftest.values()
-        if not checked:
+        if not checked:  # every block but the canonical marginal, which lies in range
+            blocks = [block for block in selftest.values()
+                      if block is not catalog.canonical_selftest_marginal()]
             _check_probabilities(
                 np.concatenate([grid.grid.ravel(), *(block.grid.ravel() for block in blocks)]),
                 itertools.chain(grid, *blocks))
@@ -94,10 +96,10 @@ class CorrelationTable(la.Frozen):
 def _check_probabilities(p: np.ndarray, keys) -> None:
     """ValueError naming the first of ``keys`` (one per entry of ``p``, in order) whose
     probability lies outside [0, 1] by more than PROB_TOL; NaN is out of range too."""
-    bad = ~((p >= -PROB_TOL) & (p <= 1 + PROB_TOL))
-    if bad.any():
-        key = next(itertools.compress(keys, bad.ravel()))
-        raise ValueError(f"probability out of range at {key}: {p[bad][0]}")
+    inside = (p >= -PROB_TOL) & (p <= 1 + PROB_TOL)
+    if not inside.all():
+        key = next(itertools.compress(keys, ~inside.ravel()))
+        raise ValueError(f"probability out of range at {key}: {p[~inside][0]}")
 
 
 def _check_effect(m, n: int) -> np.ndarray:

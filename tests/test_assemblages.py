@@ -450,16 +450,41 @@ def test_quantum_realisation_rejects_bad_povm():
                            channels={0: identity_map(2)})
 
 
+def _stacked_mdi_failing_in_member_2_setting_3():
+    """Keywords of a stack of three MDI realisations: member 2 has a negative effect in
+    setting 3, and every member's instrument has one too."""
+    good, bad = np.stack([proj(0, 1), proj(1, 1)]), np.stack([la.PAULI_Z, la.I2 - la.PAULI_Z])
+    instrument = np.stack([np.diag([2.0, 0, 0, 0]), np.diag([-1.0, 1, 1, 1])])
+    return dict(scenario="mdi", state=np.stack([la.phi_plus()] * 3),
+                povms={1: np.stack([good] * 3), 2: np.stack([good] * 3),
+                       3: np.stack([good, bad, good])},
+                instrument=np.stack([instrument] * 3))
+
+
 @pytest.mark.parametrize("povms, message", [
     # Setting 2 has a negative effect, setting 3 does not sum to I: setting 2 is named.
     ({1: (proj(0, 1), proj(1, 1)), 2: (la.PAULI_Z, la.I2 - la.PAULI_Z), 3: (la.I2, la.I2)},
      "POVM for setting 2 has an effect that is not PSD"),
     ({1: (proj(0, 2), proj(1, 2)), 2: (la.I2, la.I2), 3: (la.PAULI_Z, la.I2 - la.PAULI_Z)},
      "POVM for setting 2 does not sum to identity"),
+    # Setting 2 sums to 0 and has a negative effect: the sum is checked first.
+    ({1: (proj(0, 1), proj(1, 1)), 2: (la.PAULI_Z, -la.PAULI_Z)},
+     "POVM for setting 2 does not sum to identity"),
+    # Ten settings, of which only setting 7 fails.
+    ({x: (la.PAULI_Z, la.I2 - la.PAULI_Z) if x == 7 else (proj(0, 1), proj(1, 1))
+      for x in range(1, 11)}, "POVM for setting 7 has an effect that is not PSD"),
+    # A stack: the setting is named whichever member fails, and the POVMs before Bob's
+    # instrument.
+    (_stacked_mdi_failing_in_member_2_setting_3(),
+     "POVM for setting 3 has an effect that is not PSD"),
 ])
 def test_quantum_realisation_names_the_first_failing_setting(povms, message):
-    with pytest.raises(ValueError, match=message):
-        QuantumRealisation("bwi", la.phi_plus(), povms, channels={0: identity_map(2)})
+    # ``povms`` alone is a Bob-with-input realisation on phi_plus with one identity channel.
+    realisation = povms if "scenario" in povms else dict(
+        scenario="bwi", state=la.phi_plus(), povms=povms, channels={0: identity_map(2)})
+    with pytest.raises(ValueError) as excinfo:
+        QuantumRealisation(**realisation)
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("stacked", [False, True])

@@ -956,6 +956,27 @@ def test_help_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("usage: eprkit bound")
 
 
+MIXING_HELP = "mixing parameter in [0, 1] of the resource r sigma + (1 - r) sigma^T"
+
+
+@pytest.mark.parametrize("command, helps", [
+    ("simulate", {"--r R": MIXING_HELP, "--out OUT": "write the correlation table there (JSON, "
+                  "or CSV with --format csv) instead of into the printed report"}),
+    ("demo-ptp", {"--r R": MIXING_HELP,
+                  "--out OUT": "also write a copy of the printed run report there"}),
+    ("dump", {"--out OUT": "write the object there (JSON, or CSV with --format csv) and "
+              "print a run report instead of the object"}),
+])
+def test_help_says_what_out_and_r_mean_per_command(capsys, command, helps):
+    # --out takes the document for simulate and dump, but a copy of the report for demo-ptp.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = "".join(capsys.readouterr().out.split())  # argparse wraps it at the terminal width
+    for option, help_text in helps.items():
+        assert "".join(f"{option} {help_text}".split()) in text
+
+
 def test_parser_is_built_once_and_keeps_its_defaults(capsys, ptp_files):
     assert build_parser() is build_parser()
     assert main(["bound", "seesaw", "--functional", ptp_files["ptp-functional-raw"],

@@ -9,8 +9,8 @@ level of observed correlations.
 
 from . import bounds, catalog, linalg, protocol, serialize
 from .assemblages import (BwIAssemblage, ChannelAssemblage, MDIAssemblage, QuantumRealisation,
-                          StandardAssemblage, ValidationReport, random_quantum, realize_bwi,
-                          realize_channel, realize_mdi, transpose_assemblage, validate)
+                          StandardAssemblage, ValidationReport, random_quantum, realize,
+                          transpose_assemblage, validate)
 from .functionals import (BellCoefficients, EPRFunctional, bell_from_epr, decompose, evaluate_bell,
                           evaluate_epr)
 from .protocol import (CorrelationTable, ResourceAssemblage, make_resource, selftest_marginal,
@@ -20,6 +20,5 @@ __all__ = ["BellCoefficients", "BwIAssemblage", "ChannelAssemblage", "Correlatio
            "EPRFunctional", "MDIAssemblage", "QuantumRealisation", "ResourceAssemblage",
            "StandardAssemblage", "ValidationReport", "bell_from_epr", "bounds", "catalog",
            "decompose", "evaluate_bell", "evaluate_epr", "linalg", "make_resource", "protocol",
-           "random_quantum", "realize_bwi", "realize_channel", "realize_mdi",
-           "selftest_marginal", "serialize", "simulate_bwi", "simulate_channel", "simulate_mdi",
-           "transpose_assemblage", "validate"]
+           "random_quantum", "realize", "selftest_marginal", "serialize", "simulate_bwi",
+           "simulate_channel", "simulate_mdi", "transpose_assemblage", "validate"]

@@ -191,7 +191,9 @@ class Scenario(la.Frozen):
     the draw each generator makes after its normals (or None) and ``build``:
     its ``QuantumRealisation`` keywords from the Ginibre matrices and the
     outputs of that draw.  ``realize(qr)`` gives the labels and grid (...,
-    *label counts, d, d) of the elements of a realisation or a stack of them.
+    *label counts, d, d) of the elements of a realisation or a stack of them;
+    the module's ``realize`` hands that pair, for one realisation, to the
+    container of the realisation's own scenario.
     """
 
     def __init__(self, axes: str, settings: str, conditions: Callable, layout: str = "",
@@ -259,6 +261,19 @@ def product_grid(keys, values, n_axes: int, what: str) -> tuple[tuple, np.ndarra
     grid = values.take(order, 0).reshape(*map(len, labels), *values.shape[1:])
     grid.setflags(write=False)
     return labels, grid
+
+
+def pair_grid(labels, grid) -> tuple[tuple, np.ndarray]:
+    """The labels of a (labels, grid) pair as tuples and its Hermitian-checked grid, or a stack
+    in key order, on the grid (*label counts, d, d) of each axis's distinct labels; ValueError
+    names its shape and the label counts unless it holds one matrix per label tuple."""
+    labels, grid = tuple(map(tuple, labels)), la.hermitian(grid)
+    counts = tuple(map(len, map(set, labels)))
+    try:  # the matrix shape is kept, so only a count of matrices that differs fails
+        return labels, grid.reshape(*counts, *grid.shape[-2:])
+    except ValueError:
+        raise ValueError(f"grid of shape {grid.shape} does not hold one matrix per label "
+                         f"tuple of the label counts {counts}") from None
 
 
 class LabelGrid(Mapping):
@@ -355,10 +370,8 @@ class Assemblage(la.Frozen):
             outside = next(key for key in keys or itertools.product(*labels)
                            if len(key) != len(ranges) or not all(map(_inside, key, ranges)))
             raise ValueError(f"element key {outside} lies outside the alphabets {self.sizes}")
-        if pair:  # a grid, or a stack in key order, on the grid of its distinct labels
-            grid, labels = la.hermitian(elements[1]), tuple(map(tuple, labels))
-            vars(self).update(_labels=labels, _grid=grid.reshape(
-                *map(len, map(set, labels)), *grid.shape[-2:]))
+        if pair:
+            vars(self).update(zip(("_labels", "_grid"), pair_grid(*elements)))
             return
         stack = operator_stack(elements.values()) if keys else np.empty((0, 0, 0))
         try:  # on the grid of the keys' own labels if the keys are its full product
@@ -461,9 +474,11 @@ class QuantumRealisation(la.Frozen):
             raise ValueError("shared state is not positive semidefinite")
         if _max_abs(state.trace(0, -2, -1) - 1) > STATE_TOL:
             raise ValueError("shared state does not have unit trace")
-        counts = sorted({np.shape(effects)[-3] for effects in self.povms.values()})
-        if len(counts) > 1:
-            raise ValueError(f"Alice's POVMs have different outcome counts {counts}")
+        for differ, axis in (("have different outcome counts", -3),
+                             ("act on different dimensions", -1)):
+            values = sorted({np.shape(effects)[axis] for effects in self.povms.values()})
+            if len(values) > 1:
+                raise ValueError(f"Alice's POVMs {differ} {values}")
         povms = [("POVM for setting {}", list(self.povms),
                   np.stack([np.asarray(effects) for effects in self.povms.values()]))]
         if self.instrument is not None:
@@ -493,6 +508,9 @@ class QuantumRealisation(la.Frozen):
             if dim != expected:
                 raise ValueError(f"{what} acts on dimension {dim}, not {expected} "
                                  f"for Bob's system of dimension {db}")
+        outs = sorted({channel.out_dim for channel in (self.channels or {}).values()})
+        if len(outs) > 1:
+            raise ValueError(f"Bob's channels have different output dimensions {outs}")
 
     @cached_property
     def bob_dim(self) -> int:
@@ -514,26 +532,11 @@ class QuantumRealisation(la.Frozen):
         return sigma.reshape(*effects.shape[:-2], db, db).swapaxes(-4, -3)
 
 
-def _realize(qr: QuantumRealisation, scenario: str):
-    if qr.scenario != scenario:
-        raise ValueError(f"realize_{scenario} needs a {scenario!r} realisation, "
-                         f"not a {qr.scenario!r} one")
-    return CONTAINERS[scenario](SPECS[scenario].realize(qr))
-
-
-def realize_bwi(qr: QuantumRealisation) -> BwIAssemblage:
-    """Assemblage sigma_{a|xy} = E_y(tr_A[(M_{a|x} (x) I) rho])."""
-    return _realize(qr, "bwi")
-
-
-def realize_mdi(qr: QuantumRealisation) -> MDIAssemblage:
-    """Choi operators J_{ab|x}[i, k] = tr[E_b (sigma_{a|x} (x) |i><k|)] / d_in."""
-    return _realize(qr, "mdi")
-
-
-def realize_channel(qr: QuantumRealisation) -> ChannelAssemblage:
-    """Choi operators J(I_{a|x}) = (Gamma (x) id)(sigma_{a|x} (x) phi_plus)."""
-    return _realize(qr, "channel")
+def realize(qr: QuantumRealisation) -> Assemblage:
+    """The assemblage of a realisation in its scenario: sigma_{a|xy} = E_y(tr_A[(M_{a|x} (x)
+    I) rho]) for bwi, J_{ab|x}[i, k] = tr[E_b (sigma_{a|x} (x) |i><k|)] / d_in for mdi and
+    J(I_{a|x}) = (Gamma (x) id)(sigma_{a|x} (x) phi_plus) for channel."""
+    return CONTAINERS[qr.scenario](SPECS[qr.scenario].realize(qr))
 
 
 def transpose_assemblage(assemblage):
@@ -550,12 +553,13 @@ def sample_quantum(scenario: str, seeds, alphabets: dict | None = None, n: int =
     generator, ``default_rng(seed)`` bit for bit but seeded with the others in one pass
     (``la.generators``), draws as in ``random_quantum``: one ``standard_normal`` call, then
     the cuts of an MDI instrument."""
-    labels, grid, qr = _sample(scenario, seeds, alphabets, n)
+    qr = _draw(scenario, seeds, alphabets, n)
+    labels, grid = SPECS[scenario].realize(qr)
     return labels, la.hermitian(grid), qr
 
 
-def _sample(scenario: str, seeds, alphabets: dict | None, n: int):
-    """``sample_quantum`` with its elements not yet checked."""
+def _draw(scenario: str, seeds, alphabets: dict | None, n: int) -> QuantumRealisation:
+    """The realisation, or stack of them, that ``sample_quantum`` realises."""
     spec = SPECS.get(scenario)
     if spec is None or spec.sample is None:
         raise ValueError(f"no random quantum assemblages for scenario {scenario!r}")
@@ -568,8 +572,7 @@ def _sample(scenario: str, seeds, alphabets: dict | None, n: int):
                                            then=then)
     effects = _leading(la.projective_povm(alice, sizes["a"]))
     povms = dict(zip(range(1, sizes["x"] + 1), effects))
-    qr = QuantumRealisation(scenario, la.density(state), povms, **build(*bob))
-    return (*spec.realize(qr), qr)
+    return QuantumRealisation(scenario, la.density(state), povms, **build(*bob))
 
 
 def random_quantum(scenario: str, seed: int, alphabets: dict | None = None, n: int = 1):
@@ -586,5 +589,5 @@ def random_quantum(scenario: str, seed: int, alphabets: dict | None = None, n: i
     real parts before its imaginary parts; an MDI instrument's rank cuts are
     drawn last.  One seed is the stack of one of ``sample_quantum``.
     """
-    labels, grid, qr = _sample(scenario, seed, alphabets, n)
-    return CONTAINERS[scenario]((labels, grid)), qr  # the container checks its elements
+    qr = _draw(scenario, seed, alphabets, n)
+    return realize(qr), qr  # the container checks its elements

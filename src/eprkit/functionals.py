@@ -32,7 +32,7 @@ import sys
 import numpy as np
 
 from . import linalg as la
-from .assemblages import SPECS, LabelGrid, ReadOnlyDict, operator_stack, product_grid
+from .assemblages import SPECS, LabelGrid, ReadOnlyDict, operator_stack, pair_grid, product_grid
 
 # The scenarios with an activation protocol, i.e. a slice layout.
 SCENARIOS = tuple(name for name, spec in SPECS.items() if spec.layout)
@@ -59,12 +59,9 @@ class EPRFunctional(la.Frozen):
     def __init__(self, scenario: str, operators, bounds: dict | None = None):
         if scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {scenario!r}")
-        labels, grid = (tuple(map(tuple, operators[0])), la.hermitian(operators[1])) \
-            if isinstance(operators, tuple) else product_grid(
-                operators, operator_stack(operators.values()), len(SPECS[scenario].axes),
-                "functional has no operator for")
-        # A grid, or a stack in key order, on the grid of distinct labels.
-        grid = grid.reshape(*map(len, map(set, labels)), *grid.shape[-2:])
+        labels, grid = pair_grid(*operators) if isinstance(operators, tuple) else product_grid(
+            operators, operator_stack(operators.values()), len(SPECS[scenario].axes),
+            "functional has no operator for")
         vars(self).update(scenario=scenario, bounds=ReadOnlyDict(bounds or {}), labels=labels,
                           grid=grid)
         with np.errstate(over="ignore"):

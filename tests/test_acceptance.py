@@ -14,7 +14,7 @@ from eprkit import linalg as la
 from eprkit.assemblages import (
     QuantumRealisation,
     random_quantum,
-    realize_bwi,
+    realize,
     transpose_assemblage,
     validate,
 )
@@ -160,7 +160,7 @@ def test_criterion_07_no_false_positive_suite():
     for seed in range(100):
         bwi, qr = random_quantum("bwi", seed)
         flipped = transpose_assemblage(bwi)
-        rebuilt = realize_bwi(QuantumRealisation(
+        rebuilt = realize(QuantumRealisation(
             "bwi", qr.state.T,
             {x: tuple(m.T for m in eff) for x, eff in qr.povms.items()},
             channels={y: transpose_dual(k) for y, k in qr.channels.items()},

@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import eprkit
 from eprkit import catalog
 from eprkit import linalg as la
 from eprkit import serialize as ser
@@ -18,9 +20,7 @@ from eprkit.assemblages import (
     QuantumRealisation,
     StandardAssemblage,
     random_quantum,
-    realize_bwi,
-    realize_channel,
-    realize_mdi,
+    realize,
     sample_quantum,
     transpose_assemblage,
     validate,
@@ -90,7 +90,7 @@ def _pauli_realisation(channels=None):
 
 def test_realize_bwi_steering_identity():
     # Maximally entangled state steers to the transposed effect halves.
-    assemblage = realize_bwi(_pauli_realisation())
+    assemblage = realize(_pauli_realisation())
     for (a, x, y), sigma in assemblage.elements.items():
         m = _pauli_realisation().povms[x][a]
         assert np.allclose(sigma, m.T / 2)
@@ -104,7 +104,7 @@ def test_realize_bwi_product_state_is_unsteerable():
     povms = {x: tuple(random_projective_povm(rng, 2)) for x in (1, 2, 3)}
     channels = {0: identity_map(2), 1: random_channel(rng, 2, 2)}
     qr = QuantumRealisation("bwi", la.tensor(rho_a, rho_b), povms, channels=channels)
-    assemblage = realize_bwi(qr)
+    assemblage = realize(qr)
     for (a, x, y), sigma in assemblage.elements.items():
         p = np.real(np.trace(povms[x][a] @ rho_a))
         assert np.allclose(sigma, p * channels[y](rho_b), atol=1e-12)
@@ -112,7 +112,7 @@ def test_realize_bwi_product_state_is_unsteerable():
 
 def test_realize_bwi_z_conjugation_channel():
     channels = {0: identity_map(2), 1: conjugation_map(la.PAULI_Z)}
-    assemblage = realize_bwi(_pauli_realisation(channels))
+    assemblage = realize(_pauli_realisation(channels))
     for a in (0, 1):
         for x in (1, 2, 3):
             expected = la.PAULI_Z @ assemblage.elements[(a, x, 0)] @ la.PAULI_Z
@@ -141,7 +141,7 @@ def test_realize_mdi_discard_and_measure():
     povms = {x: tuple(random_projective_povm(rng, 2)) for x in (1, 2, 3)}
     qr = QuantumRealisation("mdi", la.tensor(rho_a, rho_b), povms,
                             instrument=_discard_and_measure_instrument())
-    assemblage = realize_mdi(qr)
+    assemblage = realize(qr)
     assert validate(assemblage).passed
     for (a, b, x), j in assemblage.elements.items():
         p = np.real(np.trace(povms[x][a] @ rho_a))
@@ -152,7 +152,7 @@ def test_realize_mdi_uniform_noise():
     # Uniform Alice outcome and uniform Bob outcome: every Choi element I/8.
     povms = {x: (la.I2 / 2, la.I2 / 2) for x in (1, 2, 3)}
     qr = QuantumRealisation("mdi", la.phi_plus(), povms, instrument=(np.eye(4) / 2,) * 2)
-    assemblage = realize_mdi(qr)
+    assemblage = realize(qr)
     for j in assemblage.elements.values():
         assert np.allclose(j, np.eye(2) / 8)
 
@@ -162,7 +162,7 @@ def test_realize_mdi_bell_measurement():
     instrument = (phi, np.eye(4) - phi)  # b = 0 on the maximally entangled direction
     povms = {x: (proj(0, x), proj(1, x)) for x in (1, 2, 3)}
     qr = QuantumRealisation("mdi", phi, povms, instrument=instrument)
-    assemblage = realize_mdi(qr)
+    assemblage = realize(qr)
     rep = validate(assemblage)
     assert rep.passed
     for b in (0, 1):
@@ -183,7 +183,7 @@ def test_realize_channel_discard_bob_forward_input():
     ops = tuple(np.kron(e[i].reshape(1, 2), la.I2) for i in range(2))
     gamma = la.KrausMap(4, 2, ops)
     qr = _channel_realisation(gamma)
-    assemblage = realize_channel(qr)
+    assemblage = realize(qr)
     sigma = qr.conditional_states()
     for (a, x), j in assemblage.elements.items():
         p = np.real(np.trace(sigma[a, x - 1]))
@@ -197,7 +197,7 @@ def test_realize_channel_discard_input_forward_bob():
     ops = tuple(np.kron(la.I2, e[i].reshape(1, 2)) for i in range(2))
     gamma = la.KrausMap(4, 2, ops)
     qr = _channel_realisation(gamma)
-    assemblage = realize_channel(qr)
+    assemblage = realize(qr)
     sigma = qr.conditional_states()
     for (a, x), j in assemblage.elements.items():
         assert np.allclose(j, la.tensor(sigma[a, x - 1], la.I2 / 2), atol=1e-12)
@@ -350,7 +350,7 @@ def test_bwi_grid_takes_channels_with_different_kraus_counts():
     povms = {x: random_projective_povm(rng, 2) for x in (1, 2, 3)}
     channels = {0: identity_map(2), 1: random_channel(rng, 2, 2, env_dim=3)}
     qr = QuantumRealisation("bwi", random_density(rng, 4), povms, channels=channels)
-    labels, grid = realize_bwi(qr).grid
+    labels, grid = realize(qr).grid
     assert np.max(np.abs(grid - bwi_grid_einsum(qr))) <= 1e-15
 
 
@@ -405,7 +405,7 @@ def test_transpose_of_real_assemblage_is_identity():
         "bwi", np.diag([0.4, 0.1, 0.2, 0.3]).astype(complex), diag_povms,
         channels={0: identity_map(2), 1: identity_map(2)},
     )
-    assemblage = realize_bwi(qr)
+    assemblage = realize(qr)
     flipped = transpose_assemblage(assemblage)
     for key in assemblage.elements:
         assert np.array_equal(flipped.elements[key], assemblage.elements[key])
@@ -430,7 +430,7 @@ def test_bwi_transpose_closure():
             {x: tuple(m.T for m in effects) for x, effects in qr.povms.items()},
             channels={y: transpose_dual(k) for y, k in qr.channels.items()},
         )
-        rebuilt = realize_bwi(qr_t)
+        rebuilt = realize(qr_t)
         for key in flipped.elements:
             assert np.max(np.abs(flipped.elements[key] - rebuilt.elements[key])) <= 1e-9
         assert validate(flipped).passed
@@ -579,18 +579,39 @@ def test_quantum_realisation_rejects_povms_with_different_outcome_counts():
         QuantumRealisation("bwi", la.phi_plus(), povms, channels={0: identity_map(2)})
 
 
+def test_quantum_realisation_rejects_povms_on_different_dimensions():
+    qubit, ququart = (proj(0, 1), proj(1, 1)), (np.diag([1.0, 1, 0, 0]), np.diag([0.0, 0, 1, 1]))
+    with pytest.raises(ValueError, match=re.escape(
+            "Alice's POVMs act on different dimensions [2, 4]")):
+        QuantumRealisation("bwi", la.phi_plus(), {1: qubit, 2: ququart},
+                           channels={0: identity_map(2)})
+    # A difference in outcome counts is named first.
+    with pytest.raises(ValueError, match=re.escape(
+            "Alice's POVMs have different outcome counts [1, 2]")):
+        QuantumRealisation("bwi", la.phi_plus(), {1: qubit, 2: (np.eye(4),)},
+                           channels={0: identity_map(2)})
+
+
 @pytest.mark.parametrize("scenario, processing, message", [
     # Effects on B alone, without B_in: they would realise 1x1 Choi operators.
     ("mdi", {"instrument": (proj(0, 1), proj(1, 1))}, "instrument acts on dimension 2"),
     ("bwi", {"channels": {0: identity_map(2), 1: identity_map(4)}},
      "channel for input 1 acts on dimension 4"),
     ("channel", {"channel": identity_map(2)}, "channel acts on dimension 2"),
+    # Each acts on d_B, but the second embeds it into C^4.
+    ("bwi", {"channels": {0: identity_map(2), 1: la.KrausMap(2, 4, np.eye(4, 2)[None])}},
+     re.escape("Bob's channels have different output dimensions [2, 4]")),
 ])
 def test_quantum_realisation_rejects_bob_processing_of_wrong_dimension(scenario, processing,
                                                                        message):
     with pytest.raises(ValueError, match=message):
         QuantumRealisation(scenario, la.phi_plus(), {1: (proj(0, 1), proj(1, 1))},
                            **processing)
+
+
+def test_every_export_resolves_and_realize_is_one_of_them():
+    assert "realize" in eprkit.__all__
+    assert [name for name in eprkit.__all__ if not hasattr(eprkit, name)] == []
 
 
 def test_bob_processing_is_named_for_every_realisable_scenario():
@@ -610,15 +631,6 @@ def test_quantum_realisation_needs_its_scenarios_bob_processing():
                                          r"it holds the processing of \['bwi'\]"):
         QuantumRealisation("mdi", la.phi_plus(), {1: (proj(0, 1), proj(1, 1))},
                            channels={0: identity_map(2)})
-
-
-@pytest.mark.parametrize("realize, scenario, other", [
-    (realize_bwi, "bwi", "mdi"), (realize_mdi, "mdi", "bwi"), (realize_channel, "channel", "bwi")])
-def test_realize_rejects_another_scenarios_realisation(realize, scenario, other):
-    _, qr = random_quantum(other, 0)
-    with pytest.raises(ValueError, match=f"realize_{scenario} needs a '{scenario}' realisation, "
-                                         f"not a '{other}' one"):
-        realize(qr)
 
 
 def test_standard_assemblage_psd_check():
@@ -838,9 +850,21 @@ def test_transpose_swaps_the_grid_axes_bit_for_bit_like_the_per_key_form(scenari
 
 def test_a_pair_needs_one_element_per_key_of_its_distinct_labels():
     labels, grid = catalog.ptp_assemblage().grid
-    for bad in [(labels, grid.reshape(-1, 2, 2)[:5]), (((0, 0), *labels[1:]), grid)]:
-        with pytest.raises(ValueError):
+    for bad, shape, counts in [((labels, grid.reshape(-1, 2, 2)[:5]), (5, 2, 2), (2, 3, 2)),
+                               ((((0, 0), *labels[1:]), grid), (2, 3, 2, 2, 2), (1, 3, 2))]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"grid of shape {shape} does not hold one matrix per label tuple of the label "
+                f"counts {counts}")):
             BwIAssemblage(bad)
+
+
+def test_realize_names_a_stack_of_realisations_that_fits_no_container():
+    # ``sample_quantum`` realises a stack itself; ``realize`` takes one realisation.
+    _, _, qr = sample_quantum("bwi", [1, 2, 3])
+    with pytest.raises(ValueError, match=re.escape(
+            "grid of shape (3, 2, 3, 2, 2, 2) does not hold one matrix per label tuple of the "
+            "label counts (2, 3, 2)")):
+        realize(qr)
 
 
 def test_huge_alphabets_are_missing_elements_without_their_product():

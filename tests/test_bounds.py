@@ -265,12 +265,12 @@ def test_seesaw_rejects_non_binary_alice():
 
 
 def test_seesaw_witness_reproduces_value():
-    from eprkit.assemblages import realize_bwi
+    from eprkit.assemblages import realize
     from eprkit.functionals import evaluate_epr
 
     f = catalog.ptp_functional(normalized=True)
     report = seesaw_quantum(f, seed=1, restarts=10)
-    achieved = evaluate_epr(f, realize_bwi(report.witness))
+    achieved = evaluate_epr(f, realize(report.witness))
     assert abs(achieved - report.value) < 1e-9
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -171,8 +172,11 @@ def test_a_functional_puts_a_stack_in_key_order_on_the_grid_of_its_labels():
     from_stack = EPRFunctional("bwi", (f.labels, f.stack), dict(f.bounds))
     assert from_stack.grid.shape == f.grid.shape and from_stack.grid.tobytes() == f.grid.tobytes()
     assert not from_stack.grid.flags.writeable and list(from_stack.operators) == list(f.operators)
-    for labels, grid in [(f.labels, f.stack[:5]), (((0, 0), *f.labels[1:]), f.grid)]:
-        with pytest.raises(ValueError):  # too few operators, or a label repeated
+    for labels, grid, counts in [(f.labels, f.stack[:5], (2, 3, 2)),  # too few operators,
+                                 (((0, 0), *f.labels[1:]), f.grid, (1, 3, 2))]:  # a label twice
+        with pytest.raises(ValueError, match=re.escape(
+                f"grid of shape {grid.shape} does not hold one matrix per label tuple of the "
+                f"label counts {counts}")):
             EPRFunctional("bwi", (labels, grid))
 
 

@@ -73,7 +73,7 @@ def _psd_within(ms, tol: float, stacked: bool) -> bool:
         return la.eigvalsh(ms)[..., 0].min() >= -tol
     if stacked and ms.diagonal(0, -2, -1).real.max() * 8 * n * _EPS < tol / 2:
         with contextlib.suppress(np.linalg.LinAlgError):  # raised unless positive definite
-            np.linalg.cholesky(ms + tol / 2 * np.eye(n))
+            np.linalg.cholesky(ms + tol / 2 * la.identity(n))
             return True
     return _psd_residual(ms) <= tol
 
@@ -104,7 +104,7 @@ def _mdi_conditions(grid):
     p, totals = np.einsum("...ii->...", grid).sum(1).real, grid.sum(0)
     return [
         ("alice-marginal-maximally-mixed",
-         _max_abs(grid.sum(1) - p[..., None, None] * np.eye(dim) / dim)),
+         _max_abs(grid.sum(1) - p[..., None, None] * la.identity(dim) / dim)),
         ("alice-probabilities-valid", _alice_probabilities_valid(p)),
         ("bob-channel-alice-setting-independent", _max_abs(totals - totals[:, :1])),
     ]
@@ -118,7 +118,7 @@ def _channel_conditions(grid):
     reduced = np.einsum("...oioj->...ij", grid.reshape(*p.shape, out_dim, in_dim, out_dim, in_dim))
     return [
         ("discarded-output-is-alice-marginal",
-         _max_abs(reduced - p[..., None, None] * np.eye(in_dim) / in_dim)),
+         _max_abs(reduced - p[..., None, None] * la.identity(in_dim) / in_dim)),
         ("alice-probabilities-valid", _alice_probabilities_valid(p)),
         ("bob-channel-alice-setting-independent", _max_abs(totals - totals[0])),
     ]
@@ -325,7 +325,8 @@ class LabelGrid(Mapping):
 
 
 def _inside(label, axis: range) -> bool:
-    return isinstance(label, numbers.Integral) and axis.start <= label < axis.stop
+    # int first: most labels are ints, and the check against the ABC alone is slow.
+    return isinstance(label, (int, numbers.Integral)) and axis.start <= label < axis.stop
 
 
 class Assemblage(la.Frozen):
@@ -445,8 +446,8 @@ BOB_PROCESSING = {"bwi": "channels", "mdi": "instrument", "channel": "channel"}
 class QuantumRealisation(la.Frozen):
     """A shared state, Alice POVMs, and Bob-side processing for one scenario.
 
-    ``povms`` maps the setting x to its effects, the same number for every x; it and
-    ``channels`` are held as read-only copies.
+    ``povms`` maps the setting x to its effects, the same number for every x, held as
+    read-only views of the one stack that is checked; ``channels`` is held as a read-only copy.
     Bob's processing is scenario specific and must act on Bob's system of
     dimension d_B: ``channels[y]`` (input d_B) for Bob-with-input,
     ``instrument`` (the POVM effects E_b on B (x) B_in, 2 d_B square) for MDI,
@@ -474,13 +475,19 @@ class QuantumRealisation(la.Frozen):
             raise ValueError("shared state is not positive semidefinite")
         if _max_abs(state.trace(0, -2, -1) - 1) > STATE_TOL:
             raise ValueError("shared state does not have unit trace")
+        arrays = list(map(np.asarray, self.povms.values()))
         for differ, axis in (("have different outcome counts", -3),
-                             ("act on different dimensions", -1)):
-            values = sorted({np.shape(effects)[axis] for effects in self.povms.values()})
+                             ("act on different dimensions", -1),
+                             ("carry different leading stack axes", slice(-3))):
+            values = sorted({a.shape[axis] for a in arrays})
             if len(values) > 1:
                 raise ValueError(f"Alice's POVMs {differ} {values}")
-        povms = [("POVM for setting {}", list(self.povms),
-                  np.stack([np.asarray(effects) for effects in self.povms.values()]))]
+        # The effects stacked by setting, (x, ..., a, d, d): held read-only for
+        # ``conditional_states``, and ``povms`` holds their views, so both stay as checked.
+        effects = vars(self)["_effects"] = np.stack(arrays)
+        effects.setflags(write=False)
+        vars(self)["povms"] = ReadOnlyDict(zip(self.povms, effects))
+        povms = [("POVM for setting {}", list(self.povms), effects)]
         if self.instrument is not None:
             povms.append(("instrument", [None], np.asarray(self.instrument)[None]))
         for name, keys, effects in povms:  # one POVM check per stack: PSD effects summing to I
@@ -488,7 +495,7 @@ class QuantumRealisation(la.Frozen):
             if not finite.all():  # first: a NaN would fail every later comparison silently
                 key = keys[finite.reshape(len(keys), -1).all(1).argmin()]
                 raise ValueError(f"{name.format(key)} has non-finite entries")
-            deviation = abs(effects.sum(-3) - np.eye(effects.shape[-1]))
+            deviation = abs(effects.sum(-3) - la.identity(effects.shape[-1]))
             psd = _psd_within(effects, STATE_TOL, stacked)
             if psd and deviation.max() <= STATE_TOL:
                 continue  # else find the first failing POVM, in order
@@ -508,19 +515,22 @@ class QuantumRealisation(la.Frozen):
             if dim != expected:
                 raise ValueError(f"{what} acts on dimension {dim}, not {expected} "
                                  f"for Bob's system of dimension {db}")
-        outs = sorted({channel.out_dim for channel in (self.channels or {}).values()})
-        if len(outs) > 1:
-            raise ValueError(f"Bob's channels have different output dimensions {outs}")
+        channels = (self.channels or {}).values()
+        for differ, values in (("have different output dimensions", {c.out_dim for c in channels}),
+                               ("carry different leading stack axes",
+                                {c.kraus_ops.shape[:-3] for c in channels})):
+            if len(values) > 1:
+                raise ValueError(f"Bob's channels {differ} {sorted(values)}")
 
     @cached_property
     def bob_dim(self) -> int:
-        return self.state.shape[-1] // np.shape(next(iter(self.povms.values())))[-1]
+        return self.state.shape[-1] // self._effects.shape[-1]
 
     def conditional_states(self) -> np.ndarray:
         """Alice-conditioned states sigma_{a|x} = tr_A[(M_{a|x} (x) I) rho] on their
         (..., a, x) grid."""
-        effects = np.concatenate([np.asarray(e)[..., None, :, :, :]  # np.stack on axis -4,
-                                  for e in self.povms.values()], -4)  # which __init__ ran
+        effects = self._effects  # (x, ..., a, da, da), with x moved to axis -4
+        effects = effects.transpose(*range(1, effects.ndim - 3), 0, -3, -2, -1)
         da, db = effects.shape[-1], self.bob_dim
         # sigma_{a|x}[k, l] = sum_ij M_{a|x}[j, i] rho[(i, k), (j, l)]: one product over (i, j).
         # An einsum of flattened operands adds the terms in the order of the index form, so
@@ -550,9 +560,9 @@ def sample_quantum(scenario: str, seeds, alphabets: dict | None = None, n: int =
     """``random_quantum`` for one seed or an array-like of them, drawn and realised as
     one stack: the labels of each element axis, the Hermitian-checked elements on their
     grid (*seed axes, *label counts, d, d) and the realisation stack.  Each seed's
-    generator, ``default_rng(seed)`` bit for bit but seeded with the others in one pass
-    (``la.generators``), draws as in ``random_quantum``: one ``standard_normal`` call, then
-    the cuts of an MDI instrument."""
+    generator, ``default_rng(seed)`` bit for bit (``la.generators``, which seeds a stack of
+    three or more in one pass), draws as in ``random_quantum``: one ``standard_normal`` call,
+    then the cuts of an MDI instrument."""
     qr = _draw(scenario, seeds, alphabets, n)
     labels, grid = SPECS[scenario].realize(qr)
     return labels, la.hermitian(grid), qr

@@ -197,8 +197,8 @@ def seesaw_quantum(f: EPRFunctional, seed: int = 0, restarts: int = 10,
     keeps the first restart within the stopping rule's ``1e-10 * max(1, |v|)``
     of the least final value v, and its realisation as a quantum-achievable
     witness, and the final value and iteration count of every restart in order.  Restart
-    r starts from projective POVMs drawn by ``default_rng(s_r)``, bit for bit but all seeded
-    in one pass (``la.generators``), where s_0, s_1, ... are ``default_rng(seed)``'s
+    r starts from projective POVMs drawn by ``default_rng(s_r)``, bit for bit (``la.generators``,
+    in one pass from three restarts on), where s_0, s_1, ... are ``default_rng(seed)``'s
     ``integers(2**63)``; each draws its n_x 2x2 Ginibre matrices in one call.
     """
     if restarts < 1:

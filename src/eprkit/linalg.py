@@ -92,6 +92,14 @@ def eigvalsh(m) -> np.ndarray:
     return (a + d)[..., None] + radius * _SIGNS
 
 
+@functools.cache
+def identity(n: int) -> np.ndarray:
+    """The real n x n identity, one read-only array per dimension."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def phi_plus(n: int = 1) -> np.ndarray:
     """Normalised maximally entangled state on two n-qubit registers."""
     v = np.eye(2**n, dtype=complex).ravel() / np.sqrt(2**n)
@@ -134,7 +142,7 @@ class KrausMap(Frozen):
         ops.setflags(write=False)
         vars(self).update(in_dim=in_dim, out_dim=out_dim, kraus_ops=ops)
         gram = np.einsum("...kji,...kjl->...il", ops.conj(), ops)
-        dev = abs(gram - np.eye(in_dim)).max()
+        dev = abs(gram - identity(in_dim)).max()
         if dev > TRACE_PRESERVING_TOL:
             raise ValueError(f"map is not trace preserving (deviation {dev:.3e})")
 
@@ -235,22 +243,30 @@ def _pcg64():
         def __reduce__(self):  # pickled generators carry the SeedSequence it stands in for
             return SeedSequence, (self.seed,)
 
-    return Generator, PCG64, StateWords
+    return Generator, PCG64, StateWords, SeedSequence
+
+
+# From this many seeds on, one lane hash over all of them (``_seed_states``, a fixed count of
+# Python-level steps) seeds faster than numpy's SeedSequence run in C once per seed.
+_LANE_HASH_FROM = 3
 
 
 def generators(seeds) -> np.ndarray:
     """``np.random.default_rng(s)`` for every int s >= 0 of ``seeds``, an int or an
     array-like of them, as an object array of shape np.shape(seeds): the same streams bit
-    for bit, with SeedSequence's hash run once over all seeds.  A negative seed raises
-    ValueError and a non-integer TypeError, as ``default_rng`` does.  Their ``seed_seq``
-    holds only PCG64's state words, so they cannot ``spawn``, and pickles as
+    for bit.  SeedSequence's hash runs per seed in numpy's C code, or, from
+    ``_LANE_HASH_FROM`` seeds on, once over all seeds (``_seed_states``).  A negative seed
+    raises ValueError and a non-integer TypeError, as ``default_rng`` does.  Their
+    ``seed_seq`` holds only PCG64's state words, so they cannot ``spawn``, and pickles as
     ``SeedSequence(s)``."""
     seeds = np.asarray(seeds, dtype=object)
     out = np.empty(seeds.shape, dtype=object)
     if seeds.size:
-        generator, pcg64, state_words = _pcg64()
+        generator, pcg64, state_words, seed_sequence = _pcg64()
         flat = [operator.index(s) for s in seeds.flat]
-        out.flat = [generator(pcg64(state_words(*row))) for row in zip(flat, _seed_states(flat))]
+        states = _seed_states(flat) if len(flat) >= _LANE_HASH_FROM else [
+            seed_sequence(s).generate_state(4, np.uint64) for s in flat]
+        out.flat = [generator(pcg64(state_words(*row))) for row in zip(flat, states)]
     return out
 
 
@@ -268,8 +284,9 @@ def ginibre_stacks(rngs, *shapes, then=None) -> list:
     z, *later = [(a := np.array(part)).reshape(rngs.shape + a.shape[1:]) for part in zip(*draws)]
     out, start = [], 0
     for shape, size in zip(shapes, sizes):
-        part = z[..., start:start + size].reshape(*rngs.shape, *shape[:-2], 2, *shape[-2:])
-        out.append(part[..., 0, :, :] + 1j * part[..., 1, :, :])
+        part = z[..., start:start + size].reshape(*rngs.shape, *shape[:-2], 2, -1)
+        # One copy interleaves each entry's real and imaginary part, numpy's complex layout.
+        out.append(part.swapaxes(-1, -2).copy().view(complex).reshape(*rngs.shape, *shape))
         start += size
     return out + later
 
@@ -299,10 +316,20 @@ def cut_draw(dim: int, n_outcomes: int):
 
 def projective_povm(g: np.ndarray, n_outcomes: int, cuts=None) -> np.ndarray:
     """Projective POVM effects (..., n_outcomes, dim, dim): the orthonormal basis of each
-    Ginibre matrix of ``g`` split into blocks at ``cuts`` (default 1, ..., n_outcomes - 1)."""
+    Ginibre matrix of ``g`` split into blocks at ``cuts`` (default 1, ..., n_outcomes - 1),
+    n_outcomes - 1 distinct integers in 1..dim - 1 per matrix, or ValueError."""
     dim = g.shape[-1]
-    cuts = np.arange(1, n_outcomes) if cuts is None else np.sort(cuts, -1)
+    if cuts is None:
+        cuts = np.arange(1, n_outcomes)
+    else:
+        cuts = np.sort(cuts, -1)
+        if (cuts.dtype.kind not in "iu" or cuts.shape[-1] != n_outcomes - 1 or cuts.size and (
+                cuts.min() < 1 or cuts.max() >= dim or (cuts[..., 1:] == cuts[..., :-1]).any())):
+            raise ValueError(f"a projective POVM with {n_outcomes} outcomes on dimension {dim} "
+                             f"needs {n_outcomes - 1} distinct integer cuts in 1..{dim - 1}")
     u = _isometry(g)
+    if n_outcomes == dim:  # one basis vector j per block: effect j is u_j u_j^dagger
+        return np.einsum("...ij,...kj->...jik", u, u.conj())
     # mask[..., o, j]: basis vector j lies in block o, the blocks split at the cuts.
     block = (np.arange(dim) >= cuts[..., None]).sum(-2)
     mask = block[..., None, :] == np.arange(n_outcomes)[:, None]

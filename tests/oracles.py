@@ -256,6 +256,15 @@ def random_projective_povm(rngs, dim: int, n_outcomes: int = 2) -> np.ndarray:
     return la.projective_povm(g, n_outcomes, *cuts)
 
 
+def masked_projective_effects(u: np.ndarray, n_outcomes: int, cuts) -> np.ndarray:
+    """Projective effects (..., n_outcomes, dim, dim) of the orthonormal columns of ``u``
+    split into blocks at the sorted ``cuts``: effect o is ``u diag(mask_o) u^dagger``, one
+    three-operand contraction with the 0/1 mask of block o."""
+    block = (np.arange(u.shape[-1]) >= np.asarray(cuts)[..., None]).sum(-2)
+    mask = block[..., None, :] == np.arange(n_outcomes)[:, None]
+    return np.einsum("...ij,...oj,...kj->...oik", u, mask, u.conj())
+
+
 def random_channel(rngs, in_dim: int, out_dim: int, env_dim: int = 2) -> la.KrausMap:
     """A random isometry channel (Stinespring dilation with the given environment), one
     per generator."""

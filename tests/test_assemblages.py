@@ -592,6 +592,36 @@ def test_quantum_realisation_rejects_povms_on_different_dimensions():
                            channels={0: identity_map(2)})
 
 
+def test_quantum_realisation_names_povms_with_different_leading_stack_axes():
+    qubit = np.stack([proj(0, 1), proj(1, 1)])
+    with pytest.raises(ValueError, match=re.escape(
+            "Alice's POVMs carry different leading stack axes [(), (3,)]")):
+        QuantumRealisation("bwi", la.phi_plus(), {1: qubit, 2: np.stack([qubit] * 3)},
+                           channels={0: identity_map(2)})
+    # A difference in outcome counts is named first.
+    with pytest.raises(ValueError, match=re.escape(
+            "Alice's POVMs have different outcome counts [1, 2]")):
+        QuantumRealisation("bwi", la.phi_plus(), {1: qubit, 2: np.stack([[la.I2]] * 3)},
+                           channels={0: identity_map(2)})
+
+
+def test_quantum_realisation_names_channels_with_different_leading_stack_axes():
+    # They once passed and failed in ``realize`` with numpy's bare shape error.
+    qubit = {1: (proj(0, 1), proj(1, 1))}
+    stacked = la.KrausMap(2, 2, np.stack([np.eye(2)[None]] * 3))
+    with pytest.raises(ValueError, match=re.escape(
+            "Bob's channels carry different leading stack axes [(), (3,)]")):
+        QuantumRealisation("bwi", la.phi_plus(), qubit, channels={0: identity_map(2), 1: stacked})
+    # A channel on the wrong dimension, or of another output dimension, is named first.
+    with pytest.raises(ValueError, match="channel for input 1 acts on dimension 4"):
+        QuantumRealisation("bwi", la.phi_plus(), qubit, channels={
+            0: stacked, 1: identity_map(4)})
+    with pytest.raises(ValueError, match=re.escape(
+            "Bob's channels have different output dimensions [2, 4]")):
+        QuantumRealisation("bwi", la.phi_plus(), qubit, channels={
+            0: stacked, 1: la.KrausMap(2, 4, np.eye(4, 2)[None])})
+
+
 @pytest.mark.parametrize("scenario, processing, message", [
     # Effects on B alone, without B_in: they would realise 1x1 Choi operators.
     ("mdi", {"instrument": (proj(0, 1), proj(1, 1))}, "instrument acts on dimension 2"),
@@ -799,11 +829,15 @@ def test_assemblages_and_functionals_reject_rebinding_like_frozen_dataclasses():
         del qr.channels[0]
     assert ser.table_to_json(table) == written and list(qr.povms) == [1, 2, 3]
     assert list(qr.channels) == [0, 1]
-    povms, channels = dict(qr.povms), dict(qr.channels)
+    povms, channels = {x: np.array(e) for x, e in qr.povms.items()}, dict(qr.channels)
     held = QuantumRealisation("bwi", qr.state, povms, channels)
+    sigma = held.conditional_states()
+    povms[1][:] = 0  # the effects are held as checked, and realised as held
     povms.clear()
     channels.clear()
     assert list(held.povms) == [1, 2, 3] and list(held.channels) == [0, 1]
+    assert np.array_equal(held.povms[1], qr.povms[1]) and not held.povms[1].flags.writeable
+    assert np.array_equal(held.conditional_states(), sigma)
 
 
 def _storage(assemblage):

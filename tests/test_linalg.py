@@ -1,6 +1,8 @@
+import math
 import os
 import pathlib
 import pickle
+import re
 import subprocess
 import sys
 import warnings
@@ -15,7 +17,9 @@ from oracles import (
     apply_map_to_factors,
     choi,
     conjugation_map,
+    ginibre,
     identity_map,
+    masked_projective_effects,
     min_eigenvalue,
     observable_projectors_per_eigenvalue,
     partial_trace,
@@ -351,6 +355,34 @@ def test_random_draws_stack_over_the_generator_axes():
         assert np.array_equal(channels.kraus_ops[seed], single.kraus_ops)
 
 
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4]), st.lists(st.integers(1, 3), max_size=2),
+       st.sampled_from(["complex", "real", "imaginary"]))
+def test_projective_effects_match_the_masked_contraction_to_the_byte(seed, dim, lead, kind):
+    # Real or imaginary Ginibre matrices give exact zeros, so signed zeros are compared too.
+    rng = np.random.default_rng(seed)
+    g = ginibre([rng] * math.prod(lead), dim, dim).reshape(*lead, dim, dim)
+    g = {"complex": g, "real": g.real + 0j, "imaginary": 1j * g.imag}[kind]
+    u = la._isometry(g)
+    for n_outcomes in range(1, dim + 1):
+        cuts = rng.permuted(np.broadcast_to(np.arange(1, dim), (*lead, dim - 1)), axis=-1)
+        cuts = cuts[..., :n_outcomes - 1]
+        expected = masked_projective_effects(u, n_outcomes, np.sort(cuts, -1))
+        assert la.projective_povm(g, n_outcomes, cuts).tobytes() == expected.tobytes()
+    assert la.projective_povm(g, dim).tobytes() == masked_projective_effects(
+        u, dim, np.arange(1, dim)).tobytes()
+
+
+@pytest.mark.parametrize("cuts", [[1, 1, 2], [0, 2, 3], [1, 2, 4], [1, 2], [1.0, 2.0, 3.0]])
+def test_projective_povm_rejects_cuts_that_are_no_split_into_nonempty_blocks(cuts):
+    # The first three once returned an empty effect without a word; short or float cuts
+    # are no valid split either.
+    g = ginibre(np.random.default_rng(0), 4, 4)
+    with pytest.raises(ValueError, match=re.escape(
+            "a projective POVM with 4 outcomes on dimension 4 needs 3 distinct integer cuts "
+            "in 1..3")):
+        la.projective_povm(g, 4, cuts)
+
+
 @pytest.mark.parametrize("n_outcomes", [0, 3])
 def test_random_projective_povm_rejects_impossible_outcome_counts(n_outcomes):
     with pytest.raises(ValueError, match="cannot have"):
@@ -412,6 +444,11 @@ def test_generators_at_the_entropy_word_edges():
     grid = np.array(EDGE_SEEDS[:4], dtype=object).reshape(2, 2)
     _assert_default_rng_streams(grid, la.generators(grid))
     _assert_default_rng_streams(np.arange(5, 9), la.generators(np.arange(5, 9)))
+    # Stacks of 1 to 4 seeds, and on either side of the lane hash's threshold: both paths.
+    threshold = la._LANE_HASH_FROM
+    for n in sorted({1, 2, 3, 4, threshold - 1, threshold, threshold + 1} - {0}):
+        seeds = (EDGE_SEEDS * n)[-n:]
+        _assert_default_rng_streams(seeds, la.generators(seeds))
 
 
 def test_generators_pickle_as_default_rng():

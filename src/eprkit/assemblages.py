@@ -276,17 +276,18 @@ def pair_grid(labels, grid) -> tuple[tuple, np.ndarray]:
                          f"tuple of the label counts {counts}") from None
 
 
-class LabelGrid(Mapping):
+class LabelGrid(la.Frozen, Mapping):
     """Floats on the grid of their key axes: ``labels`` holds the sorted labels of each
     axis and ``grid`` the finite read-only values, reshaped to (*label counts,).  As a
     mapping it is the read-only view key -> float in key order, built on first use."""
 
     def __init__(self, labels, grid):
-        self.labels = tuple(map(tuple, labels))
-        self.grid = np.array(grid, dtype=float).reshape(tuple(map(len, self.labels)))
-        self.grid.setflags(write=False)
-        if not np.isfinite(self.grid).all():
-            key = next(itertools.compress(self, ~np.isfinite(self.grid.ravel())))
+        labels = tuple(map(tuple, labels))
+        grid = np.array(grid, dtype=float).reshape(tuple(map(len, labels)))
+        grid.setflags(write=False)
+        vars(self).update(labels=labels, grid=grid)
+        if not np.isfinite(grid).all():
+            key = next(itertools.compress(self, ~np.isfinite(grid.ravel())))
             raise ValueError(f"non-finite value at {key}")
 
     @classmethod
@@ -476,6 +477,9 @@ class QuantumRealisation(la.Frozen):
         if _max_abs(state.trace(0, -2, -1) - 1) > STATE_TOL:
             raise ValueError("shared state does not have unit trace")
         arrays = list(map(np.asarray, self.povms.values()))
+        for x, a in zip(self.povms, arrays):
+            if a.ndim < 3:
+                raise ValueError(f"POVM for setting {x} of shape {a.shape} is no stack of effects")
         for differ, axis in (("have different outcome counts", -3),
                              ("act on different dimensions", -1),
                              ("carry different leading stack axes", slice(-3))):

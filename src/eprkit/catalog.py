@@ -187,6 +187,7 @@ def _embed(grid: np.ndarray) -> np.ndarray:
     return out.reshape(n_a, n_x, d * n_y, d * n_y)
 
 
+@functools.cache
 def embedded_ptp_channel() -> tuple[ChannelAssemblage, EPRFunctional]:
     """Channel-scenario witness derived here by embedding the PTP pair.
 

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 domain failure (validation, guard, or assertion),
 2 I/O, parse, schema, or argument failure, with one JSON error line on
 stderr.  Every command prints a JSON run report to stdout: command echo,
-sha256 digests of the input bytes it parsed, numeric results, per-check
+sha256 digests of the input bytes it read, numeric results, per-check
 pass/fail, the tolerances actually used, and the duration on a monotonic clock.
 All randomness sits behind ``--seed`` (default 0).
 
@@ -70,21 +70,48 @@ def _validation_tol() -> float:
     return tol
 
 
+class _Read(str):
+    """The sha256 hex digest of an input's bytes, holding those bytes as ``data`` and the
+    ``path`` they were read from: as a key of ``_loaded`` it hashes and compares as the
+    digest alone."""
+
+    def __new__(cls, digest: str, data: bytes, path: str):
+        read = super().__new__(cls, digest)
+        read.data, read.path = data, path
+        return read
+
+
+# How many loaded inputs a process keeps: a command reads at most three, and a chain of
+# commands on shared files (dump, validate, eval, simulate, eval, selftest) at most four.
+# Every loader builds a frozen record or a read-only array, so a kept one is safe to share.
+_LOADED = 8
+
+
+@functools.lru_cache(maxsize=_LOADED)
+def _loaded(loader, types, read: _Read):
+    """``loader`` applied to the JSON document in ``read.data``, built once per loader, types
+    and digest; a failure is exit 2, and is not kept."""
+    try:  # the kept key holds the digest, not the bytes
+        doc = json.loads(vars(read).pop("data").decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise CliError(2, f"{read.path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, types):
+        raise CliError(2, f"{read.path}: the top-level JSON value is a {type(doc).__name__}")
+    try:
+        return loader(doc)
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+        raise CliError(2, f"{read.path}: {exc}") from exc
+
+
 def _load(loader, path: str, types=dict):
     """``loader`` applied to the JSON document at ``path``, with the sha256 digest of the
-    bytes it was parsed from; any failure is exit 2."""
+    bytes read; any failure is exit 2.  Every input is read and digested, but bytes that
+    this process has loaded before with the same loader give the object built then."""
     try:
-        doc, digest = ser.load_path(path)
+        return ser.load_path(path, lambda data, digest: _loaded(
+            loader, types, _Read(digest, data, path)))
     except OSError as exc:
         raise CliError(2, f"cannot read {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        raise CliError(2, f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, types):
-        raise CliError(2, f"{path}: the top-level JSON value is a {type(doc).__name__}")
-    try:
-        return loader(doc), digest
-    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
-        raise CliError(2, f"{path}: {exc}") from exc
 
 
 def _domain(compute, *args):

@@ -345,8 +345,10 @@ def dumps(doc: dict) -> str:
     return _encode(doc, "\n") + "\n"
 
 
-def load_path(path) -> tuple:
-    """The JSON document at ``path`` and the sha256 hex digest of the bytes it was parsed from."""
+def load_path(path, parse) -> tuple:
+    """``parse(data, digest)`` of the bytes ``data`` at ``path`` and their sha256 hex digest,
+    and that digest: the file is read once, and parsing it is up to ``parse``."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
+    digest = hashlib.sha256(data).hexdigest()
+    return parse(data, digest), digest

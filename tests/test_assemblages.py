@@ -605,6 +605,24 @@ def test_quantum_realisation_names_povms_with_different_leading_stack_axes():
                            channels={0: identity_map(2)})
 
 
+def test_quantum_realisation_names_a_povm_given_as_one_matrix():
+    # It once failed with a bare IndexError, reading the outcome count of every POVM.
+    qubit = (proj(0, 1), proj(1, 1))
+    with pytest.raises(ValueError, match=re.escape(
+            "POVM for setting 1 of shape (2, 2) is no stack of effects")):
+        QuantumRealisation("bwi", la.phi_plus(), {1: np.eye(2)}, channels={0: identity_map(2)})
+    with pytest.raises(ValueError, match=re.escape(
+            "POVM for setting 2 of shape (2,) is no stack of effects")):
+        QuantumRealisation("bwi", la.phi_plus(), {1: qubit, 2: np.ones(2)},
+                           channels={0: identity_map(2)})
+    # The state's and the scenario's checks are named first.
+    with pytest.raises(ValueError, match="shared state does not have unit trace"):
+        QuantumRealisation("bwi", 2 * la.phi_plus(), {1: np.eye(2)},
+                           channels={0: identity_map(2)})
+    with pytest.raises(ValueError, match="'mdi' realisation needs Bob's instrument"):
+        QuantumRealisation("mdi", la.phi_plus(), {1: np.eye(2)}, channels={0: identity_map(2)})
+
+
 def test_quantum_realisation_names_channels_with_different_leading_stack_axes():
     # They once passed and failed in ``realize`` with numpy's bare shape error.
     qubit = {1: (proj(0, 1), proj(1, 1))}
@@ -804,8 +822,9 @@ def test_assemblages_and_functionals_reject_rebinding_like_frozen_dataclasses():
                (qr, "state"), (qr.channels[0], "kraus_ops"),
                (catalog.ptp_bell_coefficients(), "xi"), (resource, "grid"),
                (simulate_bwi(catalog.ptp_assemblage(), resource), "slice"),
-               (bound.witness, "response"), (bound, "value"), (catalog.PTP, "classical")]
-    assert len({type(obj) for obj, _ in records}) == 11
+               (bound.witness, "response"), (bound, "value"), (catalog.PTP, "classical"),
+               (catalog.canonical_selftest_marginal(), "grid")]
+    assert len({type(obj) for obj, _ in records}) == 12
     for obj, name in [(catalog.ptp_assemblage(), "_grid"), (incomplete, "elements"),
                       (f, "grid"), (f, "bounds"), (EPRFunctional("bwi", dict(f.operators)), "x"),
                       *records]:

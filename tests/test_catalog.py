@@ -162,6 +162,7 @@ def test_embedded_channel_assemblage_validates():
 
 def test_embedded_channel_functional_value():
     assemblage, functional = catalog.embedded_ptp_channel()
+    assert catalog.embedded_ptp_channel() is catalog.embedded_ptp_channel()  # built once
     value = evaluate_epr(functional, assemblage)
     assert abs(value - (-catalog.PTP.almost_quantum)) < 1e-4
 

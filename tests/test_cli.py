@@ -282,6 +282,122 @@ def test_eval_reads_each_input_once_and_digests_those_bytes(capsys, ptp_files, m
             assert report["inputs"][path] == hashlib.sha256(fh.read()).hexdigest()
 
 
+@pytest.fixture()
+def fresh_loads():
+    """The CLI's cache of loaded inputs, emptied before and after the test."""
+    cli._loaded.cache_clear()
+    yield cli._loaded
+    cli._loaded.cache_clear()
+
+
+def _timeless(report: dict) -> dict:
+    return {key: value for key, value in report.items() if key != "duration_s"}
+
+
+def test_commands_on_the_same_bytes_share_one_loaded_input(capsys, tmp_path, ptp_files,
+                                                            fresh_loads, monkeypatch):
+    loaded, load = [], ser.assemblage_from_json
+    monkeypatch.setattr(ser, "assemblage_from_json", lambda doc: loaded.append(load(doc)) or
+                        loaded[-1])
+    functional, assemblage = ptp_files["ptp-functional-raw"], ptp_files["ptp-assemblage"]
+    same = tmp_path / "same-bytes.json"  # another path, the same bytes
+    same.write_bytes(pathlib.Path(assemblage).read_bytes())
+    commands = [("validate", assemblage),
+                ("eval", "--functional", functional, "--assemblage", assemblage),
+                ("validate", str(same))]
+    cold = []
+    for argv in commands:
+        fresh_loads.cache_clear()
+        cold.append(run(capsys, *argv))
+    assert len(loaded) == 3
+    loaded.clear()
+    fresh_loads.cache_clear()
+    for argv, (code, report) in zip(commands, cold):
+        warm_code, warm = run(capsys, *argv)
+        assert (warm_code, _timeless(warm)) == (code, _timeless(report))
+    assert len(loaded) == 1  # the assemblage was parsed by the first command only
+    assert fresh_loads.cache_info()[:2] == (2, 2)  # hits: the assemblage twice; misses: + f
+
+
+def test_a_rewritten_input_is_parsed_again(capsys, tmp_path, ptp_files, fresh_loads):
+    from eprkit.assemblages import transpose_assemblage
+
+    functional, path = ptp_files["ptp-functional-raw"], tmp_path / "assemblage.json"
+    ptp = catalog.ptp_assemblage()
+    reports = []
+    for assemblage in (ptp, transpose_assemblage(ptp), ptp):
+        path.write_text(ser.dumps(ser.assemblage_to_json(assemblage)))
+        code, report = run(capsys, "eval", "--functional", functional,
+                           "--assemblage", str(path))
+        assert code == 0
+        assert report["inputs"][str(path)] == hashlib.sha256(path.read_bytes()).hexdigest()
+        reports.append(report)
+    first, rewritten, restored = reports
+    assert rewritten["inputs"] != first["inputs"] == restored["inputs"]
+    assert rewritten["value"] != first["value"] == restored["value"]
+    # Misses: the functional and both assemblages; hits: the functional twice, the first again.
+    assert fresh_loads.cache_info()[:2] == (3, 3)
+
+
+def test_a_rejected_input_fixed_in_place_loads_on_the_next_command(capsys, tmp_path,
+                                                                   fresh_loads):
+    path = tmp_path / "assemblage.json"
+    good = ser.assemblage_to_json(catalog.ptp_assemblage())
+    for text, message in [
+            ("{", f"{path} is not valid JSON: Expecting property name enclosed in double "
+                  "quotes: line 1 column 2 (char 1)"),
+            ("[]", f"{path}: the top-level JSON value is a list"),
+            (ser.dumps({**good, "scenario": "nope"}), f"{path}: unknown scenario 'nope'")]:
+        path.write_text(text)
+        for _ in range(2):  # a failed load is not kept: the same message every time
+            assert main(["validate", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert json.loads(captured.err) == {"error": message, "exit_code": 2}
+    assert fresh_loads.cache_info().currsize == 0
+    path.write_text(ser.dumps(good))
+    code, report = run(capsys, "validate", str(path))
+    assert (code, report["passed"], fresh_loads.cache_info().currsize) == (0, True, 1)
+
+
+def test_loaded_inputs_past_the_cache_size_are_parsed_again(capsys, tmp_path, fresh_loads):
+    paths = []
+    for seed in range(cli._LOADED + 1):
+        paths.append(str(tmp_path / f"assemblage-{seed}.json"))
+        pathlib.Path(paths[-1]).write_text(
+            ser.dumps(ser.assemblage_to_json(random_quantum("bwi", seed)[0])))
+    for path in [*paths, paths[-1], paths[0]]:
+        assert run(capsys, "validate", path)[0] == 0
+    # The last one is still held; the first, the least recently used, was dropped.
+    assert fresh_loads.cache_info()[:2] == (1, cli._LOADED + 2)
+
+
+def test_the_files_round_trip_reports_the_same_in_one_process_and_in_many(capsys, tmp_path,
+                                                                          fresh_loads):
+    a, f, t = (str(tmp_path / name) for name in ("a.json", "f.json", "t.json"))
+    pathlib.Path(a).write_text(ser.dumps(ser.assemblage_to_json(random_quantum("bwi", 5)[0])))
+    chain = [["dump", "ptp-functional-raw", "--out", f],
+             ["validate", a, "--scenario", "bwi"],
+             ["eval", "--functional", f, "--assemblage", a],
+             ["bound", "classical", "--functional", f],
+             ["simulate", "bwi", "--assemblage", a, "--r", "0.5", "--out", t],
+             ["eval", "--functional", f, "--correlations", t],
+             ["selftest", "--correlations", t]]
+    in_process = []
+    for argv in chain:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, _timeless(json.loads(captured.out)), captured.err))
+    # 8 reads: a, f and t are each parsed once, at their first read, and reused at the others.
+    assert fresh_loads.cache_info()[:2] == (5, 3)
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).resolve().parents[1])}
+    for argv, expected in zip(chain, in_process):
+        result = subprocess.run([sys.executable, "-m", "eprkit", *argv], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert (result.returncode, _timeless(json.loads(result.stdout)),
+                result.stderr) == expected
+
+
 def test_bound_guard_violation_exits_one(capsys, tmp_path):
     elements = {(a, b, x): np.eye(2, dtype=complex) / 8
                 for a in (0, 1) for b in (0, 1) for x in (1, 2, 3)}

@@ -70,7 +70,7 @@ def _psd_within(ms, tol: float, stacked: bool) -> bool:
     if the diagonal bounds its rounding below tol/2; else, or if it fails, ``_psd_residual``."""
     n = ms.shape[-1]
     if n == 2:
-        return la.eigvalsh(ms)[..., 0].min() >= -tol
+        return la.min_eigenvalue(ms).min() >= -tol
     if stacked and ms.diagonal(0, -2, -1).real.max() * 8 * n * _EPS < tol / 2:
         with contextlib.suppress(np.linalg.LinAlgError):  # raised unless positive definite
             np.linalg.cholesky(ms + tol / 2 * la.identity(n))

@@ -6,9 +6,9 @@ eigenvectors, so the local minimum is
 ``min_f sum_y lambda_min(sum_x F_{f(x), x, y})`` and the enumeration over
 responses is exhaustive.  Strategies come in chunks that share their leading answers: the
 partial sum of those is added up once, and a chunk grows from it one setting at a time, in the
-order of one sum per strategy, so in about one add per strategy.  ``la.eigvalsh`` screens each
-chunk, LAPACK values those within its rounding of the least (or all of a chunk too small to
-repay the screen): the value and first minimiser are LAPACK's, bit for bit.
+order of one sum per strategy, so in about one add per strategy.  ``la.min_eigenvalue``
+screens each chunk, LAPACK values those within its rounding of the least (or all of a chunk
+too small to repay the screen): the value and first minimiser are LAPACK's, bit for bit.
 
 The no-signalling number here is a certificate-style lower bound, not the
 exact polytope minimum: ``sum_{x,y} min_a lambda_min(F_{axy})`` is valid for
@@ -123,7 +123,7 @@ def classical_bound(f: EPRFunctional) -> BoundReport:
     for operators in _strategy_chunks(grid):
         near = np.arange(len(operators))  # the strategies that LAPACK values
         if len(operators) >= _SCREENED:
-            screened = sum(la.eigvalsh(operators)[..., 0].T)  # over y in order, per strategy
+            screened = sum(la.min_eigenvalue(operators).T)  # over y in order, per strategy
             # Every strategy whose LAPACK value may be the chunk's least gets that value.
             near = np.flatnonzero(screened <= screened.min() + window)
         values = sum(np.linalg.eigvalsh(operators[near])[..., 0].T)

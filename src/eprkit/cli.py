@@ -81,10 +81,13 @@ class _Read(str):
         return read
 
 
-# How many loaded inputs a process keeps: a command reads at most three, and a chain of
-# commands on shared files (dump, validate, eval, simulate, eval, selftest) at most four.
+# How many loaded inputs a process keeps.  Round-trips of the BwI, MDI and channel scenarios
+# in turn on shared files (dump, validate, eval, bound, simulate, eval, selftest) read ten
+# documents a round: four functionals that never change, and a new assemblage and table per
+# round-trip.  Between two uses a functional meets at most ten others, so 16 keep all four,
+# and only each round-trip's new assemblage and table are parsed.
 # Every loader builds a frozen record or a read-only array, so a kept one is safe to share.
-_LOADED = 8
+_LOADED = 16
 
 
 @functools.lru_cache(maxsize=_LOADED)
@@ -112,6 +115,12 @@ def _load(loader, path: str, types=dict):
             loader, types, _Read(digest, data, path)))
     except OSError as exc:
         raise CliError(2, f"cannot read {path}: {exc}") from exc
+
+
+@functools.lru_cache(maxsize=_LOADED)
+def _bell_table(functional: EPRFunctional) -> BellCoefficients:
+    """``bell_from_epr`` of a loaded functional, built once per object; a failure is not kept."""
+    return bell_from_epr(functional)
 
 
 def _domain(compute, *args):
@@ -157,7 +166,7 @@ def cmd_eval(args):
         evaluate, loader, path = evaluate_epr, ser.assemblage_from_json, args.assemblage
     elif args.correlations:
         if isinstance(functional, EPRFunctional):
-            functional = bell_from_epr(functional)
+            functional = _bell_table(functional)
         evaluate, loader, path = evaluate_bell, ser.table_from_json, args.correlations
     else:
         raise CliError(2, "pass --assemblage or --correlations")
@@ -317,17 +326,22 @@ _CATALOG_DUMPS = {
 }
 
 
+@functools.lru_cache(maxsize=2 * len(_CATALOG_DUMPS))
+def _dump_text(name: str, form: str) -> str:
+    """The text of catalog object ``name`` in ``form``, built once; a failure is not kept."""
+    obj = _CATALOG_DUMPS[name]()
+    if form == "csv":
+        if not isinstance(obj, BellCoefficients):
+            raise CliError(2, "csv export is defined for coefficient tables")
+        return _csv_text(obj.scenario, "xi", obj.xi)
+    return ser.dumps(ser.assemblage_to_json(obj) if isinstance(obj, Assemblage)
+                     else ser.functional_to_json(obj))
+
+
 def cmd_dump(args):
     if args.name not in _CATALOG_DUMPS:
         raise CliError(2, f"unknown object {args.name!r}; one of {sorted(_CATALOG_DUMPS)}")
-    obj = _CATALOG_DUMPS[args.name]()
-    if args.format == "csv":
-        if not isinstance(obj, BellCoefficients):
-            raise CliError(2, "csv export is defined for coefficient tables")
-        text = _csv_text(obj.scenario, "xi", obj.xi)
-    else:
-        text = ser.dumps(ser.assemblage_to_json(obj) if isinstance(obj, Assemblage)
-                         else ser.functional_to_json(obj))
+    text = _dump_text(args.name, args.format)
     if not args.out:
         print(text, end="")
         return None

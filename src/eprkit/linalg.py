@@ -33,7 +33,6 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 # Setting label -> Pauli operator (w = 1, 2, 3).
 PAULI_BY_SETTING = {1: PAULI_Z, 2: PAULI_X, 3: PAULI_Y}
 PAULIS = np.stack([I2, PAULI_Z, PAULI_X, PAULI_Y])  # I, then the settings' Paulis in order
-_SIGNS = np.array([-1.0, 1.0])
 
 
 def hermitian(entries, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -87,9 +86,24 @@ def eigvalsh(m) -> np.ndarray:
     m = np.asarray(m)
     if m.shape[-2:] != (2, 2):
         return np.linalg.eigvalsh(m)
+    centre, radius = _closed_form(m)
+    return np.stack([centre - radius, centre + radius], -1)
+
+
+def min_eigenvalue(m) -> np.ndarray:
+    """The least eigenvalue of a Hermitian operator or of each of a stack, ``eigvalsh(m)[..., 0]``
+    bit for bit: at 2x2 the closed form's lower value alone."""
+    m = np.asarray(m)
+    if m.shape[-2:] != (2, 2):
+        return np.linalg.eigvalsh(m)[..., 0]
+    centre, radius = _closed_form(m)
+    return centre - radius
+
+
+def _closed_form(m: np.ndarray) -> tuple:
+    """The centre ``a/2 + d/2`` and radius ``hypot(a/2 - d/2, |b|)`` of a 2x2 stack's spectra."""
     a, d = m[..., 0, 0].real / 2, m[..., 1, 1].real / 2
-    radius = np.hypot(a - d, abs(m[..., 1, 0]))[..., None]
-    return (a + d)[..., None] + radius * _SIGNS
+    return a + d, np.hypot(a - d, abs(m[..., 1, 0]))
 
 
 @functools.cache

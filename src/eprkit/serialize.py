@@ -158,7 +158,7 @@ def assemblage_to_json(assemblage) -> dict:
 def assemblage_from_json(doc: dict):
     scenario = doc.get("scenario")
     axes = _spec(scenario).axes
-    elements = _block(doc, "elements", ",".join(axes), axes, _matrices, _matrix)
+    elements = _block(doc, "elements", ",".join(axes), axes, _matrices, _matrix, required=True)
     alphabets = doc.get("alphabets", {})
     if not isinstance(alphabets, dict) or not alphabets.keys() <= set(axes):
         raise SchemaError(f"alphabets must be an object over the axes {axes!r}, got {alphabets}")
@@ -181,14 +181,17 @@ def functional_from_json(doc: dict):
     if form not in ("epr", "bell"):
         raise SchemaError(f"unknown functional form {form!r}")
     spec = _spec(doc.get("scenario"), SCENARIOS)
+    name, axes, reads = (("coefficients", spec.slice_axes, ()) if form == "bell"
+                         else ("operators", spec.axes, (_matrices, _matrix)))
+    block = _block(doc, name, ",".join(axes), axes, *reads, required=True)
+    if not block:  # else a functional would read as zero on every input
+        raise SchemaError(f"the {name!r} object is empty")
     if form == "bell":
-        xi = _block(doc, "coefficients", ",".join(spec.slice_axes), spec.slice_axes)
-        return BellCoefficients(doc["scenario"], xi, doc.get("n", 1))
-    operators = _block(doc, "operators", ",".join(spec.axes), spec.axes, _matrices, _matrix)
+        return BellCoefficients(doc["scenario"], block, doc.get("n", 1))
     bounds = doc.get("bounds", {})
     if not isinstance(bounds, dict):
         raise SchemaError(f"bounds must be an object of named constants, got {bounds}")
-    return EPRFunctional(doc["scenario"], operators, bounds)
+    return EPRFunctional(doc["scenario"], block, bounds)
 
 
 # Self-test marginal p(b, c | z, w): its key layout and label order.
@@ -201,18 +204,22 @@ def _block_to_json(labels: tuple, values: list, layout: str, names: str) -> dict
     return dict(zip(key_texts(labels, layout, names), values))
 
 
-def _object(doc: dict, name: str) -> dict:
+def _object(doc: dict, name: str, required: bool = False) -> dict:
+    """``doc[name]``, a JSON object; an absent one reads as {} unless it is ``required``."""
+    if required and name not in doc:
+        raise SchemaError(f"the document has no {name!r} object")
     value = doc.get(name, {})
     if not isinstance(value, dict):
         raise SchemaError(f"{name} must be a JSON object, got {type(value).__name__}")
     return value
 
 
-def _block(doc: dict, name: str, layout: str, names: str, read=_numbers, read_one=_number):
+def _block(doc: dict, name: str, layout: str, names: str, read=_numbers, read_one=_number,
+           required: bool = False):
     """The keyed block ``doc[name]`` laid out as ``layout``: the ``_grid`` pair of a full
     product of its labels, else its {label tuple: ``read_one`` of its value} entries, read key
     by key in the file's order and naming the first key that fails."""
-    block = _object(doc, name)
+    block = _object(doc, name, required)
     grid = _grid(block, layout, names, read)
     if grid:
         return grid

@@ -548,12 +548,22 @@ def block_from_json_per_key(block: dict, layout: str, names: str, read=ser._numb
     return out
 
 
+def _required(doc: dict, name: str, empty: bool = True):
+    """The keyed block ``doc[name]``, which a document must have, and, unless ``empty``, with at
+    least one key."""
+    if name not in doc:
+        raise ser.SchemaError(f"the document has no {name!r} object")
+    if not (empty or doc[name]):
+        raise ser.SchemaError(f"the {name!r} object is empty")
+    return doc[name]
+
+
 def assemblage_from_json_per_key(doc: dict):
     """An assemblage document read one element key and one matrix at a time (``ser._matrix``
     reads one matrix; its own reference is ``matrix_from_json_per_entry``)."""
     scenario = doc.get("scenario")
     axes = ser._spec(scenario).axes
-    elements = block_from_json_per_key(doc.get("elements", {}), ",".join(axes), axes,
+    elements = block_from_json_per_key(_required(doc, "elements"), ",".join(axes), axes,
                                        ser._matrix)
     alphabets = doc.get("alphabets", {})
     kwargs = {f"n_{name}": alphabets[name] for name in axes if name in alphabets}
@@ -567,11 +577,11 @@ def functional_from_json_per_key(doc: dict):
         raise ser.SchemaError(f"unknown functional form {form!r}")
     spec = ser._spec(doc["scenario"], SCENARIOS)
     if form == "epr":
-        operators = block_from_json_per_key(doc.get("operators", {}), ",".join(spec.axes),
-                                            spec.axes, ser._matrix)
+        operators = block_from_json_per_key(_required(doc, "operators", empty=False),
+                                            ",".join(spec.axes), spec.axes, ser._matrix)
         return EPRFunctional(doc["scenario"], operators, dict(doc.get("bounds", {})))
-    xi = block_from_json_per_key(doc.get("coefficients", {}), ",".join(spec.slice_axes),
-                                 spec.slice_axes)
+    xi = block_from_json_per_key(_required(doc, "coefficients", empty=False),
+                                 ",".join(spec.slice_axes), spec.slice_axes)
     return BellCoefficients(doc["scenario"], xi, doc.get("n", 1))
 
 

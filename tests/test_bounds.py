@@ -460,6 +460,18 @@ def test_classical_bound_keeps_lapacks_minimiser_where_the_screen_disagrees(seed
     _assert_classical_bound_is_lapacks(f)
 
 
+@pytest.mark.parametrize("n_x", range(3, 11))
+def test_classical_bound_screened_by_the_least_eigenvalue_alone_is_unchanged(n_x, monkeypatch):
+    f = _random_functional(n_x, 2, n_x, 2, 2)
+    report = classical_bound(f)
+    monkeypatch.setattr(la, "min_eigenvalue", lambda m: la.eigvalsh(m)[..., 0])
+    both = classical_bound(f)  # the screen read from both closed-form eigenvalues
+    assert report.value.hex() == both.value.hex()
+    assert report.witness.response == both.witness.response
+    assert all(np.array_equal(report.witness.operators[y], both.witness.operators[y])
+               for y in both.witness.operators)
+
+
 def test_classical_witness_is_frozen():
     witness = classical_bound(catalog.ptp_functional()).witness
     with pytest.raises(TypeError):

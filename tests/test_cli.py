@@ -22,12 +22,12 @@ from hypothesis import strategies as st
 from eprkit import catalog, cli
 from eprkit import linalg as la
 from eprkit import serialize as ser
-from eprkit.assemblages import SPECS, BwIAssemblage, MDIAssemblage, random_quantum
+from eprkit.assemblages import SPECS, Assemblage, BwIAssemblage, MDIAssemblage, random_quantum
 from eprkit.cli import build_parser, main
-from eprkit.functionals import bell_from_epr, evaluate_bell
+from eprkit.functionals import BellCoefficients, EPRFunctional, bell_from_epr, evaluate_bell
 from eprkit.protocol import CorrelationTable, make_resource, simulate_bwi
 from oracles import dumps as stdlib_dumps
-from oracles import proj, random_quantum_per_seed
+from oracles import proj, random_hermitian, random_quantum_per_seed
 
 
 def run(capsys, *argv):
@@ -284,10 +284,8 @@ def test_eval_reads_each_input_once_and_digests_those_bytes(capsys, ptp_files, m
 
 @pytest.fixture()
 def fresh_loads():
-    """The CLI's cache of loaded inputs, emptied before and after the test."""
-    cli._loaded.cache_clear()
-    yield cli._loaded
-    cli._loaded.cache_clear()
+    """The CLI's cache of loaded inputs, which conftest empties before every test."""
+    return cli._loaded
 
 
 def _timeless(report: dict) -> dict:
@@ -396,6 +394,118 @@ def test_the_files_round_trip_reports_the_same_in_one_process_and_in_many(capsys
                                 capture_output=True, text=True, timeout=120)
         assert (result.returncode, _timeless(json.loads(result.stdout)),
                 result.stderr) == expected
+
+
+def _network_round_trips(tmp_path, rounds: int) -> list:
+    """``rounds`` rounds of the BwI, MDI and channel round-trips on shared files, as the
+    ``files`` benchmark runs them: each a (path, document) write of a new assemblage, and of
+    the MDI functional, which no dump gives, then its commands' argv lists."""
+    rng = np.random.default_rng(3)
+    mdi = EPRFunctional("mdi", {key: random_hermitian(rng, 2)
+                                for key in itertools.product((0, 1), (0, 1), (1, 2, 3))})
+    a, f, g, t = (str(tmp_path / name) for name in ("a.json", "f.json", "g.json", "t.json"))
+    steps = []
+    for k, scenario in enumerate(("bwi", "mdi", "channel") * rounds):
+        steps.append((a, ser.assemblage_to_json(random_quantum(scenario, k)[0])))
+        if scenario == "bwi":
+            steps += [["dump", "ptp-functional-raw", "--out", f],
+                      ["dump", "ptp-functional-normalized", "--out", g]]
+        elif scenario == "mdi":
+            steps.append((f, ser.functional_to_json(mdi)))
+        else:
+            steps.append(["dump", "embedded-channel-functional", "--out", f])
+        steps += [["validate", a, "--scenario", scenario],
+                  ["eval", "--functional", f, "--assemblage", a],
+                  *[["bound", "classical", "--functional", f]] * (scenario == "bwi"),
+                  ["simulate", scenario, "--assemblage", a, "--r", "0.5", "--out", t],
+                  ["eval", "--functional", g if scenario == "bwi" else f, "--correlations", t],
+                  ["selftest", "--correlations", t]]
+    return steps
+
+
+def _run_steps(capsys, steps: list, fresh: bool = False) -> list:
+    """The exit code, timeless report and stderr of each command of ``steps``, run in order
+    after the writes before it; if ``fresh``, each on emptied CLI caches."""
+    results = []
+    for step in steps:
+        if isinstance(step, tuple):
+            pathlib.Path(step[0]).write_text(ser.dumps(step[1]))
+            continue
+        for cache in (cli._loaded, cli._bell_table, cli._dump_text) if fresh else ():
+            cache.cache_clear()
+        code = main(step)
+        captured = capsys.readouterr()
+        results.append((code, _timeless(json.loads(captured.out)), captured.err))
+    return results
+
+
+def test_network_round_trips_parse_and_tabulate_each_functional_once(capsys, tmp_path,
+                                                                    monkeypatch):
+    steps = _network_round_trips(tmp_path, rounds=2)
+    parsed, tabulated = [], []
+    load, tabulate = ser.functional_from_json, cli.bell_from_epr
+    monkeypatch.setattr(ser, "functional_from_json",
+                        lambda doc: parsed.append(ser.dumps(doc)) or load(doc))
+    monkeypatch.setattr(cli, "bell_from_epr", lambda f: tabulated.append(f) or tabulate(f))
+    warm = _run_steps(capsys, steps)
+    assert {code for code, _, _ in warm} == {0}
+    # The raw, normalized, MDI and channel functionals, each parsed at its first read; the
+    # Bell tables of all but the raw one, each built at its first correlations command.
+    assert len(parsed) == len(set(parsed)) == 4
+    assert len(tabulated) == len(set(map(id, tabulated))) == 3
+    assert _run_steps(capsys, steps, fresh=True) == warm
+
+
+def test_a_rewritten_functional_gets_a_new_bell_table(capsys, tmp_path, monkeypatch):
+    tabulated, tabulate = [], cli.bell_from_epr
+    monkeypatch.setattr(cli, "bell_from_epr", lambda f: tabulated.append(f) or tabulate(f))
+    table = simulate_bwi(catalog.ptp_assemblage(), make_resource(1, 0.5))
+    path, correlations = tmp_path / "functional.json", tmp_path / "table.json"
+    correlations.write_text(ser.dumps(ser.table_to_json(table)))
+    functionals = [catalog.ptp_functional(normalized=True), catalog.ptp_functional()]
+    functionals.append(functionals[0])
+    values = []
+    for functional in functionals:
+        path.write_text(ser.dumps(ser.functional_to_json(functional)))
+        code, report = run(capsys, "eval", "--functional", str(path),
+                           "--correlations", str(correlations))
+        assert code == 0
+        values.append(report["value"])
+    assert values == [evaluate_bell(bell_from_epr(f), table) for f in functionals]
+    assert values[0] != values[1]
+    assert len(tabulated) == 2  # the restored bytes are still held, with their table
+
+
+@pytest.mark.parametrize("name", sorted(cli._CATALOG_DUMPS))
+def test_each_catalog_dump_is_the_fresh_text_every_time(capsys, tmp_path, name):
+    obj = cli._CATALOG_DUMPS[name]()
+    expected = {"json": ser.dumps(ser.assemblage_to_json(obj) if isinstance(obj, Assemblage)
+                                  else ser.functional_to_json(obj))}
+    if isinstance(obj, BellCoefficients):
+        expected["csv"] = cli._csv_text(obj.scenario, "xi", obj.xi)
+    out = tmp_path / "dumped"
+    for form, text in expected.items():
+        for _ in range(2):
+            capsys.readouterr()
+            assert main(["dump", name, "--format", form]) == 0
+            assert capsys.readouterr().out == text
+            assert main(["dump", name, "--format", form, "--out", str(out)]) == 0
+            assert out.read_bytes() == text.encode()
+    # Each form's text was built at its first dump and reused at the three after it.
+    assert cli._dump_text.cache_info()[:2] == (3 * len(expected), len(expected))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dump", "nope"], f"unknown object 'nope'; one of {sorted(cli._CATALOG_DUMPS)}"),
+    *[(["dump", name, "--format", "csv"], "csv export is defined for coefficient tables")
+      for name in sorted(cli._CATALOG_DUMPS) if name != "ptp-bell-coefficients"]])
+def test_a_failed_dump_is_not_kept(capsys, argv, message):
+    for _ in range(2):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, json.loads(captured.err)) == ("", {"error": message,
+                                                                 "exit_code": 2})
+    assert cli._dump_text.cache_info().currsize == 0
 
 
 def test_bound_guard_violation_exits_one(capsys, tmp_path):
@@ -787,6 +897,15 @@ def _set_probability(docs, block, key, value):
     return key
 
 
+def _drop_block(docs, doc, name, empty):
+    """Drop the keyed block ``name`` of one document, or empty it; returns the error's text."""
+    if empty:
+        docs[doc][name] = {}
+        return f"the {name!r} object is empty"
+    del docs[doc][name]
+    return f"the document has no {name!r} object"
+
+
 @pytest.mark.parametrize("mutate, argv", [
     pytest.param(lambda d: d["functional"]["operators"]["0,1,0"][0].__setitem__(0, [math.nan, 0]),
                  "eval --functional {functional} --assemblage {assemblage}",
@@ -808,6 +927,16 @@ def _set_probability(docs, block, key, value):
                  id="coefficients-not-a-full-product"),
     pytest.param(lambda d: d["assemblage"]["elements"].update({"0,1,0": [[[0.25, 0.0]]]}),
                  "validate {assemblage}", id="one-by-one-element"),
+    # A functional's keyed block, absent or empty, or an assemblage's absent one, is named;
+    # an assemblage's empty one is a document missing every element, exit 1.
+    *[pytest.param(lambda d, doc=doc, name=name, empty=empty: _drop_block(d, doc, name, empty),
+                   argv, id=f"{name}-{'empty' if empty else 'absent'}")
+      for doc, name, argv in (
+          ("functional", "operators", "bound classical --functional {functional}"),
+          ("coefficients", "coefficients",
+           "eval --functional {coefficients} --correlations {correlations}"),
+          ("assemblage", "elements", "validate {assemblage}"))
+      for empty in ((False,) if name == "elements" else (False, True))],
     pytest.param(None, "demo-ptp --r 2", id="mixing-parameter-above-one"),
     pytest.param(None, "demo-ptp --debug-beta-aq inf", id="non-finite-beta-aq"),
     *[pytest.param(None, f"simulate bwi --assemblage {{assemblage}} {flags}", id=name)

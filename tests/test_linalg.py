@@ -191,12 +191,32 @@ def test_eigvalsh_closed_form_is_lapacks_within_ulps_of_the_norm(entries, scale)
     assert np.all(np.abs(vals - lapack) <= 16 * np.spacing(norm))
 
 
+@given(entries=st.lists(st.tuples(*[st.floats(-1, 1)] * 4), min_size=1, max_size=8),
+       scale=st.sampled_from([1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300]),
+       shape=st.sampled_from([None, (-1,), (-1, 1), (1, -1)]))
+def test_min_eigenvalue_is_the_least_of_eigvalsh_to_the_bit(entries, scale, shape):
+    a, d, re, im = np.array(entries).T * scale
+    m = np.zeros((len(entries), 2, 2), dtype=complex)
+    m.real[:, 0, 0], m.real[:, 1, 1], m.real[:, 1, 0], m.real[:, 0, 1] = a, d, re, re
+    m.imag[:, 1, 0], m.imag[:, 0, 1] = im, -im
+    m = m[0] if shape is None else m.reshape(*shape, 2, 2)
+    least = la.min_eigenvalue(m)
+    assert least.shape == m.shape[:-2]
+    assert least.tobytes() == la.eigvalsh(m)[..., 0].tobytes()
+    # Both closed-form values as one broadcast product with the signs -1 and 1, read at the first.
+    half = m.real.diagonal(0, -2, -1) / 2
+    radius = np.hypot(half[..., 0] - half[..., 1], abs(m[..., 1, 0]))
+    both = half.sum(-1)[..., None] + radius[..., None] * np.array([-1.0, 1.0])
+    assert least.tobytes() == both[..., 0].tobytes()
+
+
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 3, 4, 8]),
        shape=st.sampled_from([(), (1,), (3,), (2, 3)]))
 def test_eigvalsh_is_lapacks_beyond_2x2(seed, dim, shape):
     rng = np.random.default_rng(seed)
     m = np.reshape([random_hermitian(rng, dim) for _ in np.ndindex(shape)], (*shape, dim, dim))
     assert np.array_equal(la.eigvalsh(m), np.linalg.eigvalsh(m))
+    assert np.array_equal(la.min_eigenvalue(m), np.linalg.eigvalsh(m)[..., 0])
 
 
 def test_choi_identity_is_phi_plus():

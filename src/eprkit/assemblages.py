@@ -136,7 +136,7 @@ def _bwi_grid(qr: QuantumRealisation):
     out = np.einsum("...an,...nm->...am", sigma.reshape(*sigma.shape[:-4], -1, d_in * d_in),
                     s.reshape(*lead, d_in * d_in, -1))
     return (range(sigma.shape[-4]), list(qr.povms), list(qr.channels)), out.reshape(
-        *sigma.shape[:-2], n_y, d, d)
+        *out.shape[:-2], *sigma.shape[-4:-2], n_y, d, d)
 
 
 def _mdi_grid(qr: QuantumRealisation):
@@ -153,7 +153,7 @@ def _channel_grid(qr: QuantumRealisation):
     kraus = qr.channel.kraus_ops.reshape(*qr.channel.kraus_ops.shape[:-1], db, 2)
     half = np.einsum("...axst,...kptf->...axkspf", sigma, kraus.conj())
     j = np.einsum("...kosd,...axkspf->...axodpf", kraus, half) / 2
-    return (range(j.shape[-6]), list(qr.povms)), j.reshape(*sigma.shape[:-2], 2 * out, 2 * out)
+    return (range(j.shape[-6]), list(qr.povms)), j.reshape(*j.shape[:-4], 2 * out, 2 * out)
 
 
 def _leading(a):
@@ -453,8 +453,8 @@ class QuantumRealisation(la.Frozen):
     dimension d_B: ``channels[y]`` (input d_B) for Bob-with-input,
     ``instrument`` (the POVM effects E_b on B (x) B_in, 2 d_B square) for MDI,
     ``channel`` (input B (x) C, 2 d_B) for the channel scenario.  Every array
-    may carry the same leading axes, a stack of realisations that is checked
-    and realised at once.
+    may carry leading axes that broadcast together, a stack of realisations that is
+    checked and realised at once.
     """
 
     def __init__(self, scenario: str, state: np.ndarray, povms: dict,
@@ -477,9 +477,12 @@ class QuantumRealisation(la.Frozen):
         if _max_abs(state.trace(0, -2, -1) - 1) > STATE_TOL:
             raise ValueError("shared state does not have unit trace")
         arrays = list(map(np.asarray, self.povms.values()))
-        for x, a in zip(self.povms, arrays):
-            if a.ndim < 3:
-                raise ValueError(f"POVM for setting {x} of shape {a.shape} is no stack of effects")
+        named = list(zip(map("POVM for setting {}".format, self.povms), arrays))
+        if self.instrument is not None:
+            named.append(("instrument", np.asarray(self.instrument)))
+        for name, a in named:
+            if a.ndim < 3 or a.shape[-2] != a.shape[-1]:
+                raise ValueError(f"{name} of shape {a.shape} is no stack of effects")
         for differ, axis in (("have different outcome counts", -3),
                              ("act on different dimensions", -1),
                              ("carry different leading stack axes", slice(-3))):
@@ -508,6 +511,9 @@ class QuantumRealisation(la.Frozen):
                     raise ValueError(f"{name.format(key)} does not sum to identity")
                 if not (psd or _psd_within(each, STATE_TOL, stacked)):
                     raise ValueError(f"{name.format(key)} has an effect that is not PSD")
+        if state.shape[-1] % self._effects.shape[-1]:
+            raise ValueError(f"shared state of dimension {state.shape[-1]} does not split into "
+                             f"Alice's {self._effects.shape[-1]} times Bob's")
         db = self.bob_dim
         inputs = {f"channel for input {y}": (channel.in_dim, db)
                   for y, channel in (self.channels or {}).items()}
@@ -525,6 +531,16 @@ class QuantumRealisation(la.Frozen):
                                 {c.kraus_ops.shape[:-3] for c in channels})):
             if len(values) > 1:
                 raise ValueError(f"Bob's channels {differ} {sorted(values)}")
+        bob = getattr(self, BOB_PROCESSING[self.scenario])  # the processing ``realize`` reads
+        bob = bob.values() if isinstance(bob, Mapping) else [bob]
+        leads = [state.shape[:-2], self._effects.shape[1:-3],
+                 *(np.shape(getattr(b, "kraus_ops", b))[:-3] for b in bob)]
+        # np.broadcast_shapes's rule without the arrays it builds: per axis from the last, at
+        # most one size other than 1.
+        if any(len(set(sizes) - {1}) > 1 for sizes in itertools.zip_longest(
+                *(lead[::-1] for lead in leads), fillvalue=1)):
+            raise ValueError(f"the state, Alice's POVMs and Bob's {BOB_PROCESSING[self.scenario]} "
+                             f"carry leading stack axes {leads} that do not broadcast together")
 
     @cached_property
     def bob_dim(self) -> int:
@@ -543,7 +559,7 @@ class QuantumRealisation(la.Frozen):
         sigma = np.einsum("...xn,...nm->...xm",
                           effects.swapaxes(-1, -2).reshape(*effects.shape[:-4], -1, da * da),
                           rho.reshape(*rho.shape[:-4], da * da, db * db))
-        return sigma.reshape(*effects.shape[:-2], db, db).swapaxes(-4, -3)
+        return sigma.reshape(*sigma.shape[:-2], *effects.shape[-4:-2], db, db).swapaxes(-4, -3)
 
 
 def realize(qr: QuantumRealisation) -> Assemblage:

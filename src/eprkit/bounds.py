@@ -4,11 +4,11 @@ The classical bound is exact: with a deterministic response f for Alice, the
 hidden-variable states may be chosen per (strategy, Bob input) as minimal
 eigenvectors, so the local minimum is
 ``min_f sum_y lambda_min(sum_x F_{f(x), x, y})`` and the enumeration over
-responses is exhaustive.  Strategies come in chunks that share their leading answers: the
-partial sum of those is added up once, and a chunk grows from it one setting at a time, in the
-order of one sum per strategy, so in about one add per strategy.  ``la.min_eigenvalue``
-screens each chunk, LAPACK values those within its rounding of the least (or all of a chunk
-too small to repay the screen): the value and first minimiser are LAPACK's, bit for bit.
+responses is exhaustive.  Each chunk of about 256 strategies sums the terms of the answers it
+fixes left to right, then grows one setting at a time, as one sum per strategy would.
+``la.min_eigenvalue`` screens each chunk, LAPACK values those within its rounding of the
+least (or all of a chunk too small to repay the screen): the value and first minimiser are
+LAPACK's, bit for bit.
 
 The no-signalling number here is a certificate-style lower bound, not the
 exact polytope minimum: ``sum_{x,y} min_a lambda_min(F_{axy})`` is valid for
@@ -35,6 +35,8 @@ grid with constant weights.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 
 import numpy as np
 
@@ -81,8 +83,8 @@ def _strategy_chunks(grid: np.ndarray):
     """The operators (strategies, y, d, d) sum_x F_{choice(x), x, y} of every deterministic
     strategy, in ``itertools.product`` order (the last setting's answer fastest), in
     consecutive chunks of about ``_CHUNK``, each summed over x in order as one sum per
-    strategy would be.  A chunk fixes the answers to all settings before ``split``, whose
-    partial sum is shared with the chunks before it, and a run of answers to ``split``; it
+    strategy would be.  A chunk fixes the answers to all settings before ``split`` and a run
+    of answers to ``split``, sums their terms from the first (a sum from 0 would lose -0.0),
     then grows by one setting at a time, every operator so far plus each answer's term."""
     n_a, n_x = grid.shape[:2]
     tail = max(m for m in range(n_x) if n_a**m <= _CHUNK)  # the settings every chunk grows
@@ -90,17 +92,10 @@ def _strategy_chunks(grid: np.ndarray):
     per = _CHUNK // n_a**tail  # answers to ``split`` per chunk, or all n_a if split == 0
     runs = max(1, (2 * n_a + per) // (2 * per))  # n_a / per rounded: chunks below 2 _CHUNK
     cuts = [n_a * k // runs for k in range(runs + 1)]
-
-    def prefixes(j, partial):  # the partial sum over the settings before split, per prefix
-        if j == split:
-            yield partial
-            return
-        for a in range(n_a):
-            yield from prefixes(j + 1, grid[a, j] if partial is None else partial + grid[a, j])
-
-    for partial in prefixes(0, None):
+    for prefix in itertools.product(range(n_a), repeat=split):
         for lo, hi in zip(cuts, cuts[1:]):
-            ops = grid[lo:hi, split] if partial is None else partial + grid[lo:hi, split]
+            ops = functools.reduce(operator.add, [*(grid[a, j] for j, a in enumerate(prefix)),
+                                                  grid[lo:hi, split]])
             for j in range(split + 1, n_x):
                 ops = (ops[:, None] + grid[:, j]).reshape(-1, *grid.shape[2:])
             yield ops

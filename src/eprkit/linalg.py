@@ -78,32 +78,16 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(m)
 
 
-def eigvalsh(m) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian operator or stack, read like ``np.linalg.eigvalsh``
-    from the diagonal and lower triangle: LAPACK's, but at 2x2 the closed form
-    ``a/2 + d/2 -+ hypot(a/2 - d/2, |b|)``, within a few ulps of the norm and free of LAPACK's
-    per-matrix cost.  Compare or search with it; print LAPACK's bits."""
-    m = np.asarray(m)
-    if m.shape[-2:] != (2, 2):
-        return np.linalg.eigvalsh(m)
-    centre, radius = _closed_form(m)
-    return np.stack([centre - radius, centre + radius], -1)
-
-
 def min_eigenvalue(m) -> np.ndarray:
-    """The least eigenvalue of a Hermitian operator or of each of a stack, ``eigvalsh(m)[..., 0]``
-    bit for bit: at 2x2 the closed form's lower value alone."""
+    """The least eigenvalue of a Hermitian operator or of each of a stack, read like
+    ``np.linalg.eigvalsh`` from the diagonal and lower triangle: LAPACK's, but at 2x2 the closed
+    form ``(a/2 + d/2) - hypot(a/2 - d/2, |b|)``, within a few ulps of the norm and free of
+    LAPACK's per-matrix cost.  Compare or search with it; print LAPACK's bits."""
     m = np.asarray(m)
     if m.shape[-2:] != (2, 2):
         return np.linalg.eigvalsh(m)[..., 0]
-    centre, radius = _closed_form(m)
-    return centre - radius
-
-
-def _closed_form(m: np.ndarray) -> tuple:
-    """The centre ``a/2 + d/2`` and radius ``hypot(a/2 - d/2, |b|)`` of a 2x2 stack's spectra."""
     a, d = m[..., 0, 0].real / 2, m[..., 1, 1].real / 2
-    return a + d, np.hypot(a - d, abs(m[..., 1, 0]))
+    return (a + d) - np.hypot(a - d, abs(m[..., 1, 0]))
 
 
 @functools.cache
@@ -148,7 +132,10 @@ class KrausMap(Frozen):
 
     def __init__(self, in_dim: int, out_dim: int, kraus_ops: np.ndarray):
         ops = np.array(kraus_ops, dtype=complex, order="C")
-        if ops.ndim < 3 or ops.shape[-2:] != (out_dim, in_dim):
+        if ops.ndim < 3:
+            raise ValueError(f"Kraus operators of shape {ops.shape} have no axis k: expected "
+                             f"(..., k, {out_dim}, {in_dim})")
+        if ops.shape[-2:] != (out_dim, in_dim):
             raise ValueError(
                 f"Kraus operators of shape {ops.shape} do not match ({out_dim}, {in_dim})")
         if not np.isfinite(ops).all():  # a NaN would pass the deviation check below

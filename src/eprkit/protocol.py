@@ -63,13 +63,12 @@ class CorrelationTable(la.Frozen):
     ``slice`` is a ``LabelGrid`` over the slice axes, and each ``selftest`` block
     one over (b, c, z, w); a ``{key: p}`` block must be the full product of its
     labels, and only the slice may be empty, in a table of self-test marginals only.
-    ``selftest`` and ``meta`` are held as read-only copies, empty by default; ``checked``
-    (not held) tells that the caller has range-checked every block.  The canonical
-    self-test marginal of ``catalog`` lies in range and is never checked again.
+    ``selftest`` and ``meta`` are held as read-only copies, empty by default.  Every block is
+    range-checked but the canonical self-test marginal of ``catalog``, which lies in range.
     """
 
     def __init__(self, scenario: str, slice: LabelGrid, selftest: dict | None = None,
-                 meta: dict | None = None, checked: bool = False):
+                 meta: dict | None = None):
         grid = LabelGrid.keyed(slice, len(SPECS[scenario].slice_axes),
                                "correlation table has no probability for")
         selftest = ReadOnlyDict({
@@ -77,12 +76,11 @@ class CorrelationTable(la.Frozen):
             for name, block in (selftest or {}).items()})
         vars(self).update(scenario=scenario, slice=grid, selftest=selftest,
                           meta=ReadOnlyDict(meta or {}))
-        if not checked:  # every block but the canonical marginal, which lies in range
-            blocks = [block for block in selftest.values()
-                      if block is not catalog.canonical_selftest_marginal()]
-            _check_probabilities(
-                np.concatenate([grid.grid.ravel(), *(block.grid.ravel() for block in blocks)]),
-                itertools.chain(grid, *blocks))
+        blocks = [block for block in selftest.values()
+                  if block is not catalog.canonical_selftest_marginal()]
+        _check_probabilities(
+            np.concatenate([grid.grid.ravel(), *(block.grid.ravel() for block in blocks)]),
+            itertools.chain(grid, *blocks))
 
     def slice_mass(self) -> LabelGrid:
         """Total slice probability per setting tuple (outcome labels summed out)."""
@@ -146,8 +144,7 @@ def simulate_bwi(assemblage, resource: ResourceAssemblage, measurement=None) -> 
         raise ValueError(f"expected a Bob-with-input assemblage, got {assemblage.scenario!r}")
     return CorrelationTable(
         "bwi", LabelGrid(*bwi_slices(*assemblage.grid, resource, measurement)),
-        {"bc": catalog.canonical_selftest_marginal()}, {"r": resource.r, "n": resource.n},
-        checked=True)  # bwi_slices checked the slice; the canonical marginal lies in range
+        {"bc": catalog.canonical_selftest_marginal()}, {"r": resource.r, "n": resource.n})
 
 
 def simulate_mdi(assemblage, resource: ResourceAssemblage) -> CorrelationTable:

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -30,6 +31,7 @@ from oracles import (
     channel_grid_einsum,
     conditional_states_einsum,
     conjugation_map,
+    ginibre,
     identity_map,
     min_eigenvalue,
     partial_trace,
@@ -655,6 +657,84 @@ def test_quantum_realisation_rejects_bob_processing_of_wrong_dimension(scenario,
     with pytest.raises(ValueError, match=message):
         QuantumRealisation(scenario, la.phi_plus(), {1: (proj(0, 1), proj(1, 1))},
                            **processing)
+
+
+def test_quantum_realisation_names_an_instrument_given_as_one_matrix():
+    # It once passed and failed in ``realize`` with numpy's bare einsum error.
+    with pytest.raises(ValueError, match=re.escape(
+            "instrument of shape (4, 4) is no stack of effects")):
+        QuantumRealisation("mdi", la.phi_plus(), {1: (proj(0, 1), proj(1, 1))},
+                           instrument=np.eye(4))
+
+
+@pytest.mark.parametrize("scenario, povm, processing, message", [
+    ("mdi", (proj(0, 1), proj(1, 1)), {"instrument": np.zeros((2, 4, 2))},
+     "instrument of shape (2, 4, 2) is no stack of effects"),
+    ("bwi", np.zeros((2, 2, 3)), {"channels": {0: identity_map(2)}},
+     "POVM for setting 1 of shape (2, 2, 3) is no stack of effects"),
+])
+def test_quantum_realisation_names_effects_that_are_not_square(scenario, povm, processing,
+                                                               message):
+    # They once failed with numpy's bare broadcast error in the POVM check.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        QuantumRealisation(scenario, la.phi_plus(), {1: povm}, **processing)
+
+
+def test_quantum_realisation_names_a_state_that_alice_and_bob_do_not_split():
+    # It once passed and failed in ``realize`` with numpy's bare reshape error.
+    with pytest.raises(ValueError, match=re.escape(
+            "shared state of dimension 5 does not split into Alice's 2 times Bob's")):
+        QuantumRealisation("bwi", np.eye(5) / 5, {1: (proj(0, 1), proj(1, 1))},
+                           channels={0: identity_map(2)})
+
+
+def _stacks(leads, scenario, to=None):
+    """A random realisation's arguments with the leading stack axes ``leads`` on its state,
+    Alice's POVMs and Bob's processing, each broadcast to the axes ``to`` if given."""
+    def draw(make, lead, tag, *args):
+        rngs = [np.random.default_rng([tag, i]) for i in range(math.prod(lead))]
+        a = make(np.array(rngs).reshape(lead), *args)
+        return a if to is None else np.broadcast_to(a, (*to, *a.shape[len(lead):]))
+    state = draw(random_density, leads[0], 0, 4)
+    povms = {x: draw(random_projective_povm, leads[1], x, 2) for x in (1, 2)}
+    if scenario == "mdi":
+        return state, povms, {"instrument": draw(random_projective_povm, leads[2], 3, 4)}
+    d_in = 2 if scenario == "bwi" else 4
+    maps = [la.KrausMap(d_in, 2, draw(lambda g: la.stinespring(ginibre(g, 4, d_in), 2),
+                                      leads[2], 3 + y)) for y in (0, 1)]
+    return state, povms, {"channels": dict(enumerate(maps))} if scenario == "bwi" else {
+        "channel": maps[0]}
+
+
+@pytest.mark.parametrize("scenario, leads, shown", [
+    ("bwi", ((5,), (3,), ()), "channels carry leading stack axes [(5,), (3,), (), ()]"),
+    ("bwi", ((5,), (), (3,)), "channels carry leading stack axes [(5,), (), (3,), (3,)]"),
+    ("bwi", ((), (2, 3), (2,)), "channels carry leading stack axes [(), (2, 3), (2,), (2,)]"),
+    ("mdi", ((5,), (), (3,)), "instrument carry leading stack axes [(5,), (), (3,)]"),
+    ("mdi", ((), (4,), (3,)), "instrument carry leading stack axes [(), (4,), (3,)]"),
+    ("channel", ((5,), (1,), (3,)), "channel carry leading stack axes [(5,), (1,), (3,)]"),
+])
+def test_quantum_realisation_names_leading_stack_axes_that_do_not_broadcast(scenario, leads,
+                                                                            shown):
+    # They once passed and failed in ``realize`` with numpy's bare broadcast error.
+    state, povms, bob = _stacks(leads, scenario)
+    with pytest.raises(ValueError, match=re.escape(
+            f"the state, Alice's POVMs and Bob's {shown} that do not broadcast together")):
+        QuantumRealisation(scenario, state, povms, **bob)
+
+
+@pytest.mark.parametrize("scenario", ["bwi", "mdi", "channel"])
+@pytest.mark.parametrize("leads", [((3,), (), ()), ((), (3,), ()), ((), (), (3,)),
+                                   ((1,), (), (2, 3)), ((2, 1), (3,), ())])
+def test_stacks_that_broadcast_realise_as_their_broadcast_copies(scenario, leads):
+    # Stacks once realised only where Alice's POVMs carried the widest leading axes (an MDI
+    # instrument aside); the others failed in one of numpy's reshapes.
+    lead = np.broadcast_shapes(*leads)
+    (labels, grid), (copied_labels, copied) = (
+        SPECS[scenario].realize(QuantumRealisation(scenario, state, povms, **bob))
+        for state, povms, bob in (_stacks(leads, scenario), _stacks(leads, scenario, lead)))
+    assert labels == copied_labels and grid.shape == copied.shape
+    assert np.array_equal(grid, copied)
 
 
 def test_every_export_resolves_and_realize_is_one_of_them():

@@ -451,25 +451,22 @@ def test_strategy_chunks_are_the_operator_sums_in_order_at_bounded_sizes(n_a, n_
         assert np.array_equal(sums, expected)
 
 
+@pytest.mark.parametrize("n_a, n_x, sizes", [
+    *((2, n_x, [256] * 2**(n_x - 8)) for n_x in range(9, 13)),
+    *((3, n_x, [243] * 3**(n_x - 5)) for n_x in (6, 7))])
+def test_strategy_chunks_on_the_benchmarks_alphabets_are_full(n_a, n_x, sizes):
+    # Each chunk answers the last 8 binary or 5 ternary settings freely, the rest once each.
+    assert [len(ops) for ops in _strategy_chunks(np.zeros((n_a, n_x, 1, 1, 1)))] == sizes
+
+
 @pytest.mark.parametrize("seed, n_x, rotated", [(38, 8, False), (41, 8, False), (1, 3, True),
                                                 (2, 8, True)])
 def test_classical_bound_keeps_lapacks_minimiser_where_the_screen_disagrees(seed, n_x, rotated):
     f = _levels_functional(seed, n_x, 2, 2, rotated)
     # The closed-form screen alone would pick another first minimiser on these functionals.
-    assert classical_bound_lapack(f, la.eigvalsh)[1] != classical_bound_lapack(f)[1]
+    screen = classical_bound_lapack(f, lambda m: la.min_eigenvalue(m)[..., None])
+    assert screen[1] != classical_bound_lapack(f)[1]
     _assert_classical_bound_is_lapacks(f)
-
-
-@pytest.mark.parametrize("n_x", range(3, 11))
-def test_classical_bound_screened_by_the_least_eigenvalue_alone_is_unchanged(n_x, monkeypatch):
-    f = _random_functional(n_x, 2, n_x, 2, 2)
-    report = classical_bound(f)
-    monkeypatch.setattr(la, "min_eigenvalue", lambda m: la.eigvalsh(m)[..., 0])
-    both = classical_bound(f)  # the screen read from both closed-form eigenvalues
-    assert report.value.hex() == both.value.hex()
-    assert report.witness.response == both.witness.response
-    assert all(np.array_equal(report.witness.operators[y], both.witness.operators[y])
-               for y in both.witness.operators)
 
 
 def test_classical_witness_is_frozen():

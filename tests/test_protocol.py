@@ -370,6 +370,22 @@ def test_simulate_channel_matches_direct_physics():
             assert abs(p - direct) < 1e-12
 
 
+def test_correlation_table_range_checks_every_block_but_the_canonical_marginal(monkeypatch):
+    checked = []
+    check = protocol._check_probabilities
+    monkeypatch.setattr(protocol, "_check_probabilities", lambda p, keys: (
+        checked.append(p.size), check(p, keys)))
+    table = simulate_bwi(catalog.ptp_assemblage(), make_resource(1, 1.0))
+    # bwi_slices checks the slice, then the table checks it again, without the marginal.
+    assert checked == [table.slice.grid.size] * 2
+    with pytest.raises(TypeError):
+        CorrelationTable("bwi", table.slice, checked=True)
+    marginal = dict(catalog.canonical_selftest_marginal())
+    marginal[(0, 0, 1, 1)] = 1.5  # a copy of the canonical marginal is checked
+    with pytest.raises(ValueError, match=r"probability out of range at \(0, 0, 1, 1\): 1.5"):
+        CorrelationTable("bwi", table.slice, {"bc": marginal})
+
+
 def test_selftest_marginal_canonical_value():
     table = simulate_bwi(catalog.ptp_assemblage(), make_resource(1, 1.0))
     marginal = selftest_marginal(table)
